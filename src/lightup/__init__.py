@@ -14,18 +14,11 @@ from .experiment import (
     ExperimentResult,
     Simulation,
     TrialRecord,
-    count_wasted,
     load_config,
     run_experiment,
 )
 from .motivation import AchievementPredictor
-from .selection import (
-    BanditValues,
-    ContextualValues,
-    QValues,
-    SelectionStrategy,
-    softmax_probabilities,
-)
+from .selection import SelectionStrategy, softmax_probabilities
 from .skills import ActorCriticConfig, ActorCriticExpert, ExpertSelector, IdealizedExpert
 from .world import (
     DependencyRule,
@@ -44,9 +37,7 @@ __all__ = [
     "AchievementPredictor",
     "ActorCriticConfig",
     "ActorCriticExpert",
-    "BanditValues",
     "ConfigError",
-    "ContextualValues",
     "DependencyRule",
     "ExperimentConfig",
     "ExperimentResult",
@@ -54,7 +45,6 @@ __all__ = [
     "Goal",
     "IdealizedExpert",
     "NumericsError",
-    "QValues",
     "ScenarioSpec",
     "SelectionStrategy",
     "Simulation",
@@ -62,7 +52,6 @@ __all__ = [
     "WorldState",
     "builtin_scenario",
     "check_touch",
-    "count_wasted",
     "forward_kinematics",
     "home_joints",
     "load_config",

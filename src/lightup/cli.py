@@ -11,6 +11,7 @@ import csv
 import logging
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -217,6 +218,9 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The softmax reports a non-finite result itself (NumericsError, exit 3);
+    # numpy's overflow warnings on the way there would only precede it.
+    warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"lightup\.selection")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

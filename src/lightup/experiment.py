@@ -22,7 +22,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import yaml
@@ -39,16 +39,40 @@ from .skills import (
 )
 from .world import ScenarioSpec, WorldState, builtin_scenario, load_scenario
 
-SYSTEMS = {"grail": "bandit", "c_grail": "contextual", "m_grail": "q"}
+# Each system's (learning rate, discount) for the goal-value update; only
+# grail is state-blind, which Simulation sets through the context mode.
+SYSTEMS = {"grail": (0.01, 0.0), "c_grail": (0.1, 0.0), "m_grail": (0.1, 0.3)}
 BACKENDS = ("idealized", "actor_critic")
 
 # Goal-selection softmax temperatures, per system. Intrinsic rewards live on
 # the scale of the predictor step (~0.1); the Q system additionally discounts
-# twice before a chain-start value shows up at the initial state, so it needs
-# a colder softmax to act on differences of a few 1e-3.
+# twice before a chain-end value shows up at the reset state, so it needs a
+# colder softmax. Even so, once one chain is mastered the reset-state values
+# differ by only about 1.5e-4 in slow scenario-3 replications, and at 0.001
+# selection there runs near chance until the other chain end is mastered.
 SYSTEM_TEMPERATURES = {"grail": 0.01, "c_grail": 0.01, "m_grail": 0.001}
 
 ARMS = ("left", "right")
+
+# Scalar field ranges as (field, low, high, low allowed, high allowed); NaN
+# fails every check.
+_RANGES = (
+    ("replications", 1, math.inf, True, False),
+    ("timeout_steps", 1, math.inf, True, False),
+    ("eval_interval", 1, math.inf, True, False),
+    ("eval_trials", 1, math.inf, True, False),
+    ("jobs", 1, math.inf, True, False),
+    ("temperature", 0.0, math.inf, False, False),
+    ("expert_temperature", 0.0, math.inf, False, False),
+    ("expert_smoothing", 0.0, 1.0, False, True),
+    ("predictor_eta", 0.0, 1.0, False, True),
+    ("gate_epsilon", 0.0, math.inf, True, False),
+    ("idealized_init_competence", 0.0, 1.0, True, True),
+    ("idealized_learning_rate", 0.0, 1.0, False, True),
+    ("idealized_disruption", 0.0, 1.0, True, True),
+    ("idealized_exploration_floor", 0.0, 1.0, True, True),
+    ("idealized_noise_scale", 0.0, math.inf, True, False),
+)
 
 
 @dataclass(frozen=True)
@@ -83,16 +107,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown system {self.system!r}; valid systems: {sorted(SYSTEMS)}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; valid backends: {sorted(BACKENDS)}")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.timeout_steps < 1:
-            raise ConfigError("timeout_steps must be >= 1")
-        if self.eval_interval < 1:
-            raise ConfigError("eval_interval must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
+        for name, low, high, low_in, high_in in _RANGES:
+            value = getattr(self, name)
+            if value is None:  # temperature: per-system default
+                continue
+            above = low <= value if low_in else low < value
+            below = value <= high if high_in else value < high
+            if not (above and below):
+                interval = f"{'[' if low_in else '('}{low}, {high}{']' if high_in else ')'}"
+                raise ConfigError(f"{name} must be in {interval}, got {value!r}")
 
     def resolved_temperature(self) -> float:
         if self.temperature is not None:
@@ -151,12 +174,6 @@ class ReplicationSeries:
         raise KeyError(f"no wasted-count row at trial {trial_index}")
 
 
-def count_wasted(records: Sequence[TrialRecord], interval: tuple[int, int]) -> int:
-    """Trials in (start, end] whose selected goal was not achievable."""
-    start, end = interval
-    return sum(1 for r in records if start < r.trial <= end and not r.achievable)
-
-
 class Simulation:
     """One replication of one system on one scenario."""
 
@@ -170,8 +187,9 @@ class Simulation:
         n = spec.n_goals
 
         context_mode = "none" if cfg.system == "grail" else spec.context_mode
+        learning_rate, discount = SYSTEMS[cfg.system]
         self.strategy = SelectionStrategy(
-            SYSTEMS[cfg.system], n, cfg.resolved_temperature(), context_mode=context_mode
+            n, cfg.resolved_temperature(), learning_rate, discount, context_mode
         )
         self.predictor = AchievementPredictor(
             n, eta=cfg.predictor_eta, context_mode=context_mode,
@@ -233,7 +251,7 @@ class Simulation:
             steps = 0
             trajectory = None
         else:
-            new_state, achieved, steps, trajectory = self._rollout(goal, arm_index, state)
+            new_state, achieved, steps, trajectory = self._rollout(goal, arm_index, state, explore=True)
 
         gate = True if not self.use_gate else self.predictor.learning_gate(
             goal, state, achieved, epsilon=cfg.gate_epsilon
@@ -270,18 +288,24 @@ class Simulation:
             raise NumericsError(f"trial {trial}: achieved a goal that was not achievable")
         return record
 
-    def _rollout(self, goal: int, arm_index: int, state: WorldState):
-        """Arm rollout: ends at the first touch of any sphere or on timeout."""
+    def _rollout(self, goal: int, arm_index: int, state: WorldState, explore: bool):
+        """Arm rollout from home: ends at the first touch of any sphere or on timeout.
+
+        Only an exploring (training) rollout draws from the simulation's RNG;
+        a frozen one (evaluation) acts on the policy mean and draws nothing.
+        """
         spec, cfg = self.spec, self.cfg
         arm_cfg = self.arm_cfgs[ARMS[arm_index]]
         expert = self.experts[goal][arm_index]
+        rng = self.rng if explore else None
         joints = home_joints(arm_cfg)
-        expert.begin_trial(self.rng)
+        if explore:
+            expert.begin_trial(rng)
         trajectory = []
         achieved = False
         steps = 0
         for step in range(1, cfg.timeout_steps + 1):
-            action = expert.act(joints, self.rng, explore=True)
+            action = expert.act(joints, rng, explore=explore)
             next_joints = step_toward(joints, action, arm_cfg)
             effector = forward_kinematics(next_joints, arm_cfg)
             touched = None
@@ -315,29 +339,11 @@ class Simulation:
         """
         goal = self.spec.goal_index(goal)
         arm_index = self.selectors[goal].greedy()
-        expert = self.experts[goal][arm_index]
         if self.cfg.backend == "idealized":
-            return float(expert.competence)
-        eval_state = self._forced_precondition_state(goal)
-        arm_cfg = self.arm_cfgs[ARMS[arm_index]]
-        successes = 0
-        for _ in range(self.cfg.eval_trials):
-            joints = home_joints(arm_cfg)
-            state = eval_state
-            for _ in range(self.cfg.timeout_steps):
-                action = expert.act(joints, rng=None, explore=False)
-                joints = step_toward(joints, action, arm_cfg)
-                effector = forward_kinematics(joints, arm_cfg)
-                touched = None
-                for i in range(self.spec.n_goals):
-                    if check_touch(effector, self.sphere_positions[i], arm_cfg):
-                        touched = i
-                        break
-                if touched is not None:
-                    state, activated = self.spec.apply_touch(touched, state)
-                    if touched == goal and activated:
-                        successes += 1
-                    break
+            return float(self.experts[goal][arm_index].competence)
+        state = self._forced_precondition_state(goal)
+        successes = sum(self._rollout(goal, arm_index, state, explore=False)[1]
+                        for _ in range(self.cfg.eval_trials))
         return successes / self.cfg.eval_trials
 
     def _forced_precondition_state(self, goal: int) -> WorldState:

@@ -11,8 +11,6 @@ policies from training on trials whose goal was never going to activate.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .errors import NumericsError
@@ -80,11 +78,3 @@ class AchievementPredictor:
         if achieved:
             return True
         return self.predict(goal, state) > epsilon
-
-    def dump_csv(self, path: str) -> None:
-        """Write (goal, context_key, p) rows for inspection."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["goal", "context_key", "p"])
-            for (goal, key), p in sorted(self.table.items()):
-                writer.writerow([goal, "|".join(str(k) for k in key), repr(float(p))])

@@ -1,31 +1,29 @@
-"""Goal-selection strategies sharing one softmax rule.
+"""Goal selection: one tabular value update under one softmax rule.
 
-Three value stores, one per system flavour:
+``SelectionStrategy`` keeps a table of per-goal values for each state key
+and updates the selected cell by ``v += lr * (r + discount * max v' - v)``.
+The three systems differ only in the parameters of that update:
 
-* ``BanditValues``     - one EMA per goal (smoothing 0.01), state-blind.
-* ``ContextualValues`` - one EMA per goal per context key (smoothing 0.1).
-* ``QValues``          - tabular Q-learning over context keys
-                         (learning rate 0.1, discount 0.3), so the value of
-                         practicing a goal includes the discounted rewards
-                         that downstream goals can later provide.
+* ``grail``   - context mode ``none``, lr 0.01, discount 0: one reward EMA
+                per goal, state-blind.
+* ``c_grail`` - context-keyed, lr 0.1, discount 0: one reward EMA per goal
+                per context key.
+* ``m_grail`` - context-keyed, lr 0.1, discount 0.3: tabular Q-learning, so
+                the value of practicing a goal includes the discounted
+                rewards that downstream goals can later provide.
 
-Every strategy samples goals from a softmax over the current values at a
-shared temperature. Value tables start at zero: no reward, no preference.
+Goals are sampled from a softmax over the current values at the strategy's
+temperature. Value rows start at zero: no reward, no preference.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
+from .errors import NumericsError
 from .world import WorldState, state_key
-
-BANDIT_SMOOTHING = 0.01
-CONTEXTUAL_SMOOTHING = 0.1
-Q_LEARNING_RATE = 0.1
-Q_DISCOUNT = 0.3
 
 
 def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
@@ -33,14 +31,20 @@ def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
 
     Numerically stable for any finite values; sums to 1 within 1e-12. The
     strictly largest value always gets the largest probability, and the
-    distribution flattens to uniform as temperature grows.
+    distribution flattens to uniform as temperature grows. Raises
+    ``NumericsError`` when the result is not finite (a temperature so small
+    that ``values / temperature`` overflows).
     """
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
     z = np.asarray(values, dtype=float) / temperature
     z = z - z.max()
     p = np.exp(z)
-    return p / p.sum()
+    total = p.sum()
+    # z - z.max() is at most 0 unless it is NaN, so a NaN anywhere shows in the sum.
+    if not math.isfinite(total):
+        raise NumericsError(f"softmax at temperature {temperature} is not finite")
+    return p / total
 
 
 def sample_index(values: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
@@ -48,99 +52,33 @@ def sample_index(values: np.ndarray, temperature: float, rng: np.random.Generato
     return int(rng.choice(len(probs), p=probs))
 
 
-@dataclass
-class BanditValues:
-    """Per-goal reward EMA, ignoring state."""
-
-    n_goals: int
-    smoothing: float = BANDIT_SMOOTHING
-    values: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.values = np.zeros(self.n_goals)
-
-    def goal_values(self, key: tuple = ()) -> np.ndarray:
-        return self.values
-
-    def update(self, key: tuple, goal: int, reward: float, next_key: tuple = (), terminal: bool = True) -> None:
-        """EMA update on the selected goal's cell only."""
-        self.values[goal] += self.smoothing * (reward - self.values[goal])
-
-
-@dataclass
-class ContextualValues:
-    """Per-(context key, goal) reward EMAs; keys are isolated from each other."""
-
-    n_goals: int
-    smoothing: float = CONTEXTUAL_SMOOTHING
-    table: dict = field(default_factory=dict)
-
-    def goal_values(self, key: tuple) -> np.ndarray:
-        if key not in self.table:
-            self.table[key] = np.zeros(self.n_goals)
-        return self.table[key]
-
-    def update(self, key: tuple, goal: int, reward: float, next_key: tuple = (), terminal: bool = True) -> None:
-        values = self.goal_values(key)
-        values[goal] += self.smoothing * (reward - values[goal])
-
-
-@dataclass
-class QValues:
-    """Tabular Q-learning over context keys.
-
-    The one-step target bootstraps on the best value of the post-trial key,
-    except on terminal trials (epoch boundaries), where the target is the
-    reward alone: the post-reset state is independent of the last choice, so
-    bootstrapping across it would inject spurious value.
-    """
-
-    n_goals: int
-    learning_rate: float = Q_LEARNING_RATE
-    discount: float = Q_DISCOUNT
-    table: dict = field(default_factory=dict)
-
-    def goal_values(self, key: tuple) -> np.ndarray:
-        if key not in self.table:
-            self.table[key] = np.zeros(self.n_goals)
-        return self.table[key]
-
-    def update(self, key: tuple, goal: int, reward: float, next_key: tuple, terminal: bool) -> None:
-        values = self.goal_values(key)
-        target = reward
-        if not terminal:
-            target += self.discount * float(self.goal_values(next_key).max())
-        values[goal] += self.learning_rate * (target - values[goal])
-
-
-STRATEGY_KINDS = ("bandit", "contextual", "q")
-
-
 class SelectionStrategy:
-    """A value store plus softmax sampling plus state keying.
+    """A value table keyed by state, sampled by softmax.
 
     ``context_mode`` controls what part of the world state the strategy can
-    condition on; the bandit flavour always collapses to a single key.
+    condition on (``none`` collapses every state to one key). The one-step
+    target bootstraps on the best value of the post-trial key only when the
+    trial is not terminal and ``discount`` is positive: across an epoch
+    boundary the post-reset state is independent of the last choice, so
+    bootstrapping there would inject spurious value.
     """
 
-    def __init__(self, kind: str, n_goals: int, temperature: float, context_mode: str = "none"):
-        if kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}")
-        self.kind = kind
+    def __init__(self, n_goals: int, temperature: float, learning_rate: float,
+                 discount: float, context_mode: str):
+        self.n_goals = n_goals
         self.temperature = temperature
-        self.context_mode = "none" if kind == "bandit" else context_mode
-        if kind == "bandit":
-            self.store = BanditValues(n_goals)
-        elif kind == "contextual":
-            self.store = ContextualValues(n_goals)
-        else:
-            self.store = QValues(n_goals)
+        self.learning_rate = learning_rate
+        self.discount = discount
+        self.context_mode = context_mode
+        self.table: dict[tuple, np.ndarray] = {}
 
     def state_key(self, state: WorldState) -> tuple:
         return state_key(state, self.context_mode)
 
     def goal_values(self, key: tuple) -> np.ndarray:
-        return self.store.goal_values(key)
+        if key not in self.table:
+            self.table[key] = np.zeros(self.n_goals)
+        return self.table[key]
 
     def select(self, state: WorldState, rng: np.random.Generator) -> tuple[int, tuple]:
         """Sample a goal for the current state; returns (goal index, key used)."""
@@ -149,22 +87,16 @@ class SelectionStrategy:
         return goal, key
 
     def update(self, key: tuple, goal: int, reward: float, next_key: tuple, terminal: bool) -> None:
-        self.store.update(key, goal, reward, next_key, terminal)
+        """Move the selected cell toward its one-step target; no other cell changes."""
+        values = self.goal_values(key)
+        target = reward
+        if not terminal and self.discount > 0:
+            target += self.discount * float(self.goal_values(next_key).max())
+        values[goal] += self.learning_rate * (target - values[goal])
 
     def dump_rows(self):
         """(state_key, goal, value) triples for every stored cell, sorted."""
-        if isinstance(self.store, BanditValues):
-            items = [((), self.store.values)]
-        else:
-            items = sorted(self.store.table.items())
-        for key, values in items:
+        for key, values in sorted(self.table.items()):
             key_text = "|".join(str(k) for k in key)
             for goal, value in enumerate(values):
                 yield key_text, goal, float(value)
-
-    def dump_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["state_key", "goal", "value"])
-            for key_text, goal, value in self.dump_rows():
-                writer.writerow([key_text, goal, repr(value)])

@@ -77,9 +77,6 @@ class IdealizedExpert:
     def snapshot(self) -> dict:
         return {"competence": self.competence}
 
-    def restore(self, data: dict) -> None:
-        self.competence = float(data["competence"])
-
 
 @dataclass
 class ExpertSelector:
@@ -260,7 +257,7 @@ class ActorCriticExpert:
             if not np.all(np.isfinite(p)):
                 raise NumericsError(f"actor-critic parameter {name} went non-finite")
 
-    # -- persistence ---------------------------------------------------------
+    # -- state inspection ----------------------------------------------------
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {
@@ -275,20 +272,3 @@ class ActorCriticExpert:
         data["td_error_ema"] = self.td_error_ema
         data["trials_trained"] = self.trials_trained
         return data
-
-    def restore(self, data: dict) -> None:
-        for name, p in self.parameters().items():
-            p[...] = data[name]
-        self.success_ema = float(data["success_ema"])
-        self.td_error_ema = float(data["td_error_ema"])
-        self.trials_trained = int(data["trials_trained"])
-
-    def save(self, path: str) -> None:
-        np.savez(path, **self.snapshot())
-
-    @classmethod
-    def load(cls, path: str, arm_cfg: ArmConfig, cfg: ActorCriticConfig) -> "ActorCriticExpert":
-        expert = cls(arm_cfg, cfg, np.random.default_rng(0))
-        with np.load(path) as data:
-            expert.restore({name: data[name] for name in data.files})
-        return expert

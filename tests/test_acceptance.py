@@ -15,9 +15,9 @@ import itertools
 import numpy as np
 import pytest
 
-from lightup.experiment import ExperimentConfig, Simulation, resolve_scenario, run_experiment
+from lightup.experiment import SYSTEMS, ExperimentConfig, Simulation, resolve_scenario, run_experiment
 from lightup.motivation import AchievementPredictor
-from lightup.selection import ContextualValues, QValues, softmax_probabilities
+from lightup.selection import SelectionStrategy, softmax_probabilities
 from lightup.skills import ActorCriticConfig, ActorCriticExpert, IdealizedExpert
 from lightup.world import (
     DependencyRule,
@@ -218,7 +218,7 @@ def test_a5_q_learning_matches_value_iteration():
         return r + (0.0 if term else gamma * v[ns])
 
     # System under test: the tabular Q update, swept over every (state, goal).
-    qv = QValues(6)
+    qv = SelectionStrategy(6, 0.001, *SYSTEMS["m_grail"], context_mode="full_state")
     key = lambda s: tuple(int(b) for b in s.sphere_on) + (int(s.context_feature),)
     for _ in range(1000):
         for s in states:
@@ -297,7 +297,8 @@ def test_a7_softmax_normalization():
 
 def test_a7_single_cell_update_isolation():
     rng = np.random.default_rng(2)
-    stores = [ContextualValues(6), QValues(6)]
+    stores = [SelectionStrategy(6, 0.01, lr, discount, context_mode="full_state")
+              for lr, discount in SYSTEMS.values()]
     keys = [(), (1,), (0, 1), (1, 0, 1)]
     clean = True
     for _ in range(400):
@@ -314,7 +315,7 @@ def test_a7_single_cell_update_isolation():
                     clean &= changed <= {g}
                 else:
                     clean &= not changed
-    assert report("A7.isolation", clean, "EMA/Q updates touch exactly one cell")
+    assert report("A7.isolation", clean, "grail, c_grail and m_grail updates touch exactly one cell")
 
 
 def test_a7_predictor_range_preservation():

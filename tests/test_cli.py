@@ -69,6 +69,37 @@ def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_underflowing_temperature_exits_3(tmp_path, capsys):
+    code = run_cli("run", "--scenario", "1", "--temperature", "1e-320", "--trials", "50",
+                   "--replications", "1", "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numeric failure")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("temperature", float("nan")),
+    ("temperature", float("inf")),
+    ("expert_temperature", 0.0),
+    ("expert_smoothing", 0.0),
+    ("expert_smoothing", 1.5),
+    ("predictor_eta", 2.0),
+    ("gate_epsilon", -1.0),
+    ("eval_trials", 0),
+    ("idealized_init_competence", 1.5),
+    ("idealized_learning_rate", 5.0),
+    ("idealized_learning_rate", 0.0),
+    ("idealized_disruption", -0.1),
+    ("idealized_exploration_floor", 2.0),
+    ("idealized_noise_scale", -1.0),
+])
+def test_out_of_range_config_value_exits_2(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be in")
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_without_out_dir_exits_2(capsys, monkeypatch):
     monkeypatch.delenv("LIGHTUP_OUT", raising=False)
     assert run_cli("run", "--scenario", "1", "--trials", "50", "--replications", "1") == 2

@@ -12,7 +12,6 @@ from lightup.experiment import (
     Simulation,
     config_from_dict,
     config_to_dict,
-    count_wasted,
     load_config,
     resolve_scenario,
     run_experiment,
@@ -214,7 +213,7 @@ def test_scenario1_has_zero_wasted_trials():
     cfg = small_cfg(1, 500, replications=1)
     spec = resolve_scenario(cfg)
     series = Simulation(spec, cfg, seed=0).run()
-    assert count_wasted(series.records, (0, 500)) == 0
+    assert series.cumulative_wasted_at(500) == 0
     assert series.wasted[-1] == (500, 0)
 
 
@@ -222,17 +221,19 @@ def test_scenario2_grail_wastes_about_half_early():
     cfg = ExperimentConfig(scenario=2, system="grail", seed=0)
     spec = resolve_scenario(cfg)
     series = Simulation(spec, cfg, seed=11).run()
-    early = count_wasted(series.records, (0, 400))
+    early = series.cumulative_wasted_at(400)
     # Context-blind selection over balanced contexts wastes ~half.
     assert 120 <= early <= 280
 
 
-def test_count_wasted_interval_bounds():
-    cfg = small_cfg(2, 200, system="grail", replications=1)
+def test_wasted_rows_count_unachievable_records():
+    cfg = small_cfg(2, 230, system="grail", replications=1)
     spec = resolve_scenario(cfg)
     series = Simulation(spec, cfg, seed=0).run()
-    total = count_wasted(series.records, (0, 200))
-    assert count_wasted(series.records, (0, 100)) + count_wasted(series.records, (100, 200)) == total
+    assert [end for end, _ in series.wasted] == [50, 100, 150, 200, 230]
+    for end, count in series.wasted:
+        assert count == sum(1 for r in series.records if r.trial <= end and not r.achievable)
+    assert series.wasted[-1][1] > 0
 
 
 def test_wasted_series_cumulative_nondecreasing():
@@ -336,9 +337,11 @@ def test_actor_critic_measure_competence_leaves_parameters_unchanged():
                            replications=1, eval_trials=3)
     sim = Simulation(spec, cfg, seed=1)
     before = [[e.snapshot() for e in pair] for pair in sim.experts]
+    rng_before = sim.rng.bit_generator.state
     for label in spec.labels:
         v = sim.measure_competence(label)
         assert 0.0 <= v <= 1.0
+    assert sim.rng.bit_generator.state == rng_before  # evaluation draws no training noise
     after = [[e.snapshot() for e in pair] for pair in sim.experts]
     for pb, pa in zip(before, after):
         for sb, sa in zip(pb, pa):

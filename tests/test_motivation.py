@@ -119,12 +119,3 @@ def test_context_table_isolation_under_full_keying():
     assert pred.predict(2, ctx_b) == 0.0
     assert pred.predict(2, ctx_a) > 0.6
 
-
-def test_dump_csv(tmp_path):
-    pred = AchievementPredictor(2, context_mode="context_feature")
-    pred.update_and_reward(0, state(cf=1.0), True)
-    path = tmp_path / "pred.csv"
-    pred.dump_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "goal,context_key,p"
-    assert lines[1].startswith("0,1,0.1")

@@ -1,19 +1,19 @@
-"""Softmax rule, the three value stores, and value-iteration agreement."""
+"""Softmax rule, the value table at each system's parameters, and value-iteration agreement."""
 
 import math
 
 import numpy as np
 import pytest
 
-from lightup.selection import (
-    BanditValues,
-    ContextualValues,
-    QValues,
-    SelectionStrategy,
-    sample_index,
-    softmax_probabilities,
-)
-from lightup.world import WorldState
+from lightup.errors import NumericsError
+from lightup.experiment import SYSTEMS, ExperimentConfig, Simulation
+from lightup.selection import SelectionStrategy, sample_index, softmax_probabilities
+from lightup.world import WorldState, builtin_scenario
+
+
+def strategy(system, n_goals, context_mode="full_state", temperature=0.01):
+    """A selection strategy with the given system's learning rate and discount."""
+    return SelectionStrategy(n_goals, temperature, *SYSTEMS[system], context_mode=context_mode)
 
 
 # -- softmax ------------------------------------------------------------------
@@ -52,6 +52,12 @@ def test_softmax_rejects_nonpositive_temperature():
         softmax_probabilities(np.zeros(3), 0.0)
 
 
+def test_softmax_overflow_raises_numerics_error():
+    # 0.01 / 1e-320 overflows to inf, and inf - inf is NaN.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+        softmax_probabilities(np.array([0.01, 0.0, 0.0]), 1e-320)
+
+
 def test_sample_index_is_seed_deterministic():
     values = np.array([0.3, 0.1, 0.0, 0.0, 0.2, 0.0])
     a = [sample_index(values, 0.1, np.random.default_rng(42)) for _ in range(5)]
@@ -59,64 +65,66 @@ def test_sample_index_is_seed_deterministic():
     assert a == b
 
 
-# -- bandit -------------------------------------------------------------------
+# -- bandit (grail) --------------------------------------------------------------
 
 
 def test_bandit_single_update_from_zero():
-    bv = BanditValues(6)
-    bv.update((), 2, 1.0)
-    assert bv.values[2] == pytest.approx(0.01)
-    assert all(bv.values[g] == 0.0 for g in range(6) if g != 2)
+    bv = strategy("grail", 6, context_mode="none")
+    bv.update((), 2, 1.0, (), True)
+    values = bv.goal_values(())
+    assert values[2] == pytest.approx(0.01)
+    assert all(values[g] == 0.0 for g in range(6) if g != 2)
 
 
 def test_bandit_converges_to_constant_reward():
-    bv = BanditValues(6)
+    bv = strategy("grail", 6, context_mode="none")
     for _ in range(1000):
-        bv.update((), 0, 0.7)
-    assert abs(bv.values[0] - 0.7) < 0.01
+        bv.update((), 0, 0.7, (), False)
+    assert abs(bv.goal_values(())[0] - 0.7) < 0.01
 
 
 def test_bandit_fixpoint_when_reward_equals_value():
-    bv = BanditValues(6)
-    bv.values[1] = 0.25
-    bv.update((), 1, 0.25)
-    assert bv.values[1] == pytest.approx(0.25)
+    bv = strategy("grail", 6, context_mode="none")
+    bv.goal_values(())[1] = 0.25
+    bv.update((), 1, 0.25, (), True)
+    assert bv.goal_values(())[1] == pytest.approx(0.25)
 
 
-# -- contextual ------------------------------------------------------------------
+# -- contextual bandit (c_grail) ---------------------------------------------------
 
 
 def test_contextual_single_update():
-    cv = ContextualValues(6)
-    cv.update((1,), 0, 0.5)
+    cv = strategy("c_grail", 6)
+    cv.update((1,), 0, 0.5, (0,), True)
     assert cv.goal_values((1,))[0] == pytest.approx(0.05)
 
 
 def test_contextual_key_isolation():
-    cv = ContextualValues(6)
-    cv.update((1,), 0, 0.5)
+    cv = strategy("c_grail", 6)
+    cv.update((1,), 0, 0.5, (0,), False)
+    # Without a discount nothing bootstraps, so the next key gets no row.
+    assert list(cv.table) == [(1,)]
     assert np.all(cv.goal_values((0,)) == 0.0)
     assert all(cv.goal_values((1,))[g] == 0.0 for g in range(1, 6))
 
 
 def test_contextual_zero_reward_fixpoint():
-    cv = ContextualValues(6)
+    cv = strategy("c_grail", 6)
     for _ in range(500):
-        cv.update((0,), 3, 0.0)
+        cv.update((0,), 3, 0.0, (1,), False)
     assert cv.goal_values((0,))[3] == 0.0
 
 
 def test_single_cell_isolation_random_updates():
     rng = np.random.default_rng(13)
-    cv = ContextualValues(6)
-    qv = QValues(6)
+    stores = [strategy(system, 6) for system in SYSTEMS]
     keys = [(0,), (1,), (0, 1, 0), ()]
     for _ in range(500):
         key = keys[rng.integers(len(keys))]
         nxt = keys[rng.integers(len(keys))]
         goal = int(rng.integers(6))
         reward = float(rng.normal())
-        for store in (cv, qv):
+        for store in stores:
             before = {k: v.copy() for k, v in store.table.items()}
             before.setdefault(key, np.zeros(6))
             store.update(key, goal, reward, nxt, bool(rng.integers(2)))
@@ -130,17 +138,18 @@ def test_single_cell_isolation_random_updates():
                     assert len(diff) == 0
 
 
-# -- Q-learning -------------------------------------------------------------------
+# -- Q-learning (m_grail) ------------------------------------------------------------
 
 
 def test_q_single_update_terminal():
-    qv = QValues(6)
+    qv = strategy("m_grail", 6)
+    qv.goal_values(("t",))[0] = 1.0
     qv.update(("s",), 1, 0.5, ("t",), True)
     assert qv.goal_values(("s",))[1] == pytest.approx(0.05)
 
 
 def test_q_bootstrap_propagates_next_state_value():
-    qv = QValues(6)
+    qv = strategy("m_grail", 6)
     qv.goal_values(("next",))[4] = 1.0
     qv.update(("s",), 0, 0.0, ("next",), False)
     assert qv.goal_values(("s",))[0] == pytest.approx(0.1 * 0.3 * 1.0)
@@ -161,7 +170,7 @@ def value_iteration_chain(n_states=3, gamma=0.3, tol=1e-12):
 
 def test_q_converges_on_three_state_chain():
     # One action that advances the chain; reward 1 only entering the end.
-    qv = QValues(1)
+    qv = strategy("m_grail", 1)
     states = [("s0",), ("s1",), ("s2",)]
     for _ in range(3000):
         for i, s in enumerate(states):
@@ -179,7 +188,7 @@ def test_q_converges_on_three_state_chain():
 
 def test_q_values_bounded_by_rmax_over_one_minus_gamma():
     rng = np.random.default_rng(21)
-    qv = QValues(4)
+    qv = strategy("m_grail", 4)
     r_max = 0.1
     keys = [(i,) for i in range(5)]
     for _ in range(5000):
@@ -194,50 +203,48 @@ def test_q_values_bounded_by_rmax_over_one_minus_gamma():
 def test_backpropagation_vs_fading_bandit():
     # Zero reward at the chain-start goal, positive reward at the chain end:
     # Q keeps the start valuable; the bandit EMA of the start decays to ~0.
-    qv = QValues(2)
-    bv = BanditValues(2)
+    qv = strategy("m_grail", 2)
+    bv = strategy("grail", 2, context_mode="none")
     start_state, end_state = ("s0",), ("s1",)
-    bv.values[0] = 0.05  # pretend it once earned rewards
+    bv.goal_values(())[0] = 0.05  # pretend it once earned rewards
     for _ in range(2000):
         qv.update(start_state, 0, 0.0, end_state, False)   # start goal: no reward now
         qv.update(end_state, 1, 0.1, ("done",), True)      # chain end still rewarding
-        bv.update((), 0, 0.0)
+        bv.update((), 0, 0.0, (), False)
     assert qv.goal_values(start_state)[0] > 0.02
-    assert bv.values[0] < 1e-6
+    assert bv.goal_values(())[0] < 1e-6
 
 
-# -- strategy wrapper -----------------------------------------------------------
+# -- strategy ---------------------------------------------------------------------
 
 
 def test_strategy_keying_modes():
     state = WorldState(sphere_on=(True, False, False, False, False, False), context_feature=1.0)
-    bandit = SelectionStrategy("bandit", 6, 0.1, context_mode="full_state")
-    assert bandit.state_key(state) == ()  # bandit is always state-blind
-    ctx = SelectionStrategy("contextual", 6, 0.1, context_mode="context_feature")
-    assert ctx.state_key(state) == (1,)
-    q = SelectionStrategy("q", 6, 0.1, context_mode="full_state")
-    assert q.state_key(state) == (1, 0, 0, 0, 0, 0, 1)
+    assert strategy("grail", 6, context_mode="none").state_key(state) == ()
+    assert strategy("c_grail", 6, context_mode="context_feature").state_key(state) == (1,)
+    assert strategy("m_grail", 6, context_mode="full_state").state_key(state) == (1, 0, 0, 0, 0, 0, 1)
+    # The simulation makes grail state-blind whatever the scenario's context mode.
+    spec = builtin_scenario(3)
+    assert spec.context_mode == "full_state"
+    sim = Simulation(spec, ExperimentConfig(scenario=spec, system="grail"), seed=0)
+    assert sim.strategy.state_key(state) == ()
 
 
 def test_strategy_select_uses_softmax_over_goal_values():
-    strat = SelectionStrategy("contextual", 6, 0.01, context_mode="context_feature")
+    strat = strategy("c_grail", 6, context_mode="context_feature")
     state = WorldState(sphere_on=(False,) * 6, context_feature=1.0)
-    strat.store.update((1,), 2, 1.0)  # strongly prefer goal 2 in cf=1
-    for _ in range(20):
-        strat.store.update((1,), 2, 1.0)
+    for _ in range(21):
+        strat.update((1,), 2, 1.0, (1,), True)  # strongly prefer goal 2 in cf=1
     rng = np.random.default_rng(0)
     picks = [strat.select(state, rng)[0] for _ in range(200)]
     assert picks.count(2) > 150
 
 
-def test_strategy_dump_rows_sorted_and_complete(tmp_path):
-    strat = SelectionStrategy("q", 3, 0.1, context_mode="context_feature")
+def test_strategy_dump_rows_sorted_and_complete():
+    strat = strategy("m_grail", 3, context_mode="context_feature", temperature=0.1)
     strat.update((1,), 0, 0.5, (0,), True)
     strat.update((0,), 2, 0.25, (1,), True)
     rows = list(strat.dump_rows())
     assert len(rows) == 6  # two keys x three goals
     keys = [r[0] for r in rows]
     assert keys == sorted(keys)
-    path = tmp_path / "values.csv"
-    strat.dump_csv(str(path))
-    assert path.read_text().splitlines()[0] == "state_key,goal,value"

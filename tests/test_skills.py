@@ -211,17 +211,6 @@ def test_actor_critic_identical_seeds_identical_parameters():
         assert np.array_equal(np.asarray(s1[name]), np.asarray(s2[name]))
 
 
-def test_actor_critic_snapshot_roundtrip(tmp_path):
-    ex = make_expert(6)
-    rng = np.random.default_rng(11)
-    ex.learn(_tiny_trajectory(ex, rng), gate=True)
-    path = tmp_path / "expert.npz"
-    ex.save(str(path))
-    loaded = ActorCriticExpert.load(str(path), ARM, AC)
-    joints = np.array([0.2, 0.1, -0.3, 0.05])
-    assert np.array_equal(ex.act(joints, explore=False), loaded.act(joints, explore=False))
-
-
 def test_actor_critic_td_error_shrinks_on_fixed_reaching_task():
     # One always-achievable sphere; TD error magnitude should fall well below
     # its peak once the critic has fit the trial's return structure.
