@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,14 +31,28 @@ class ArmConfig:
     def max_reach(self) -> float:
         return float(sum(self.link_lengths))
 
+    # Read-only numpy copies of the tuples, built once per config for the
+    # per-step functions below; fields, asdict and equality ignore them.
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return _read_only(self.link_lengths)
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        return _read_only(self.joint_min)
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        return _read_only(self.joint_max)
+
     def validate(self) -> None:
-        if any(l <= 0 for l in self.link_lengths):
+        if not all(l > 0 for l in self.link_lengths):
             raise ValueError(f"link lengths must be positive: {self.link_lengths}")
-        if self.max_step <= 0 or self.touch_radius <= 0:
+        if not (self.max_step > 0 and self.touch_radius > 0):
             raise ValueError("max_step and touch_radius must be positive")
         if len(self.joint_min) != self.n_joints or len(self.joint_max) != self.n_joints:
             raise ValueError("joint limit arity does not match link count")
-        if any(lo > hi for lo, hi in zip(self.joint_min, self.joint_max)):
+        if not all(lo <= hi for lo, hi in zip(self.joint_min, self.joint_max)):
             raise ValueError("joint limits must satisfy min <= max")
 
     def mirror(self) -> "ArmConfig":
@@ -52,8 +67,14 @@ class ArmConfig:
         )
 
 
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 def clamp_to_limits(angles: np.ndarray, cfg: ArmConfig) -> np.ndarray:
-    return np.clip(angles, cfg.joint_min, cfg.joint_max)
+    return np.minimum(np.maximum(angles, cfg.lower), cfg.upper)
 
 
 def home_joints(cfg: ArmConfig) -> np.ndarray:
@@ -66,16 +87,23 @@ def joint_points(angles: np.ndarray, cfg: ArmConfig) -> np.ndarray:
     angles = np.asarray(angles, dtype=float)
     cum = np.cumsum(angles)
     pts = np.zeros((cfg.n_joints + 1, 2))
-    pts[1:, 0] = np.cumsum(np.array(cfg.link_lengths) * np.cos(cum))
-    pts[1:, 1] = np.cumsum(np.array(cfg.link_lengths) * np.sin(cum))
+    pts[1:, 0] = np.cumsum(cfg.lengths * np.cos(cum))
+    pts[1:, 1] = np.cumsum(cfg.lengths * np.sin(cum))
     if cfg.mirrored:
         pts[:, 0] = -pts[:, 0]
     return pts
 
 
 def forward_kinematics(angles: np.ndarray, cfg: ArmConfig) -> np.ndarray:
-    """End-effector position of the planar chain (deterministic)."""
-    return joint_points(angles, cfg)[-1]
+    """End-effector position of the planar chain (deterministic).
+
+    The last row of ``joint_points``, computed by the same operations in the
+    same order without building the other rows.
+    """
+    cum = np.asarray(angles, dtype=float).cumsum()
+    x = (cfg.lengths * np.cos(cum)).cumsum()[-1]
+    y = (cfg.lengths * np.sin(cum)).cumsum()[-1]
+    return np.array([-x if cfg.mirrored else x, y])
 
 
 def step_toward(current: np.ndarray, desired: np.ndarray, cfg: ArmConfig) -> np.ndarray:
@@ -86,14 +114,16 @@ def step_toward(current: np.ndarray, desired: np.ndarray, cfg: ArmConfig) -> np.
     overshoot it.
     """
     current = np.asarray(current, dtype=float)
-    delta = np.clip(np.asarray(desired, dtype=float) - current, -cfg.max_step, cfg.max_step)
+    delta = np.asarray(desired, dtype=float) - current
+    delta = np.minimum(np.maximum(delta, -cfg.max_step), cfg.max_step)
     return clamp_to_limits(current + delta, cfg)
 
 
 def check_touch(effector: np.ndarray, sphere_pos, cfg: ArmConfig) -> bool:
     """True iff the effector is within touch_radius of the sphere (boundary inclusive)."""
-    d = np.asarray(effector, dtype=float) - np.asarray(sphere_pos, dtype=float)
-    return float(np.hypot(d[0], d[1])) <= cfg.touch_radius
+    dx = float(effector[0]) - float(sphere_pos[0])
+    dy = float(effector[1]) - float(sphere_pos[1])
+    return float(np.hypot(dx, dy)) <= cfg.touch_radius
 
 
 def reach_target(
@@ -115,8 +145,7 @@ def reach_target(
         # Solve in the unmirrored frame, the joint solution is identical.
         target = np.array([-target[0], target[1]])
         cfg = cfg.mirror()
-    lo = np.array(cfg.joint_min)
-    hi = np.array(cfg.joint_max)
+    lo, hi = cfg.lower, cfg.upper
     starts = [home_joints(cfg)] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
     for joints in starts:
         joints = joints.copy()

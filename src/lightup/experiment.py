@@ -21,7 +21,7 @@ import concurrent.futures
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -116,6 +116,10 @@ class ExperimentConfig:
             if not (above and below):
                 interval = f"{'[' if low_in else '('}{low}, {high}{']' if high_in else ')'}"
                 raise ConfigError(f"{name} must be in {interval}, got {value!r}")
+        try:
+            self.arm.validate()
+        except ValueError as exc:
+            raise ConfigError(f"arm: {exc}") from None
 
     def resolved_temperature(self) -> float:
         if self.temperature is not None:
@@ -309,8 +313,8 @@ class Simulation:
             next_joints = step_toward(joints, action, arm_cfg)
             effector = forward_kinematics(next_joints, arm_cfg)
             touched = None
-            for i in range(spec.n_goals):
-                if check_touch(effector, self.sphere_positions[i], arm_cfg):
+            for i, sphere in enumerate(self.sphere_positions):
+                if check_touch(effector, sphere, arm_cfg):
                     touched = i
                     break
             reward = 0.0
@@ -333,9 +337,11 @@ class Simulation:
         """Current skill level for a goal; never updates any learner.
 
         Idealized backend: the competence of the arm the expert selector
-        would pick greedily. Actor-critic: frozen-policy success rate over
-        ``eval_trials`` rollouts from a state with the goal's preconditions
-        force-satisfied and exploration off.
+        would pick greedily. Actor-critic: the success rate of that arm's
+        frozen mean policy over ``eval_trials`` rollouts from a state with
+        the goal's preconditions force-satisfied and exploration off. Each
+        rollout starts from the home posture and draws no noise, so all of
+        them are the same rollout and the result is always 0 or 1.
         """
         goal = self.spec.goal_index(goal)
         arm_index = self.selectors[goal].greedy()
@@ -519,6 +525,42 @@ _SCALAR_FIELDS = {
 }
 
 
+def _cast(name: str, value, kind):
+    """``value`` as a ``kind`` field: numbers from numbers or numeric text,
+    booleans only from YAML booleans, tuples from lists of numbers."""
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        return tuple(_cast(name, v, float) for v in value)
+    if kind is str:
+        return str(value)
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fraction):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    expected = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{name} must be {expected}, got {value!r}")
+
+
+def _section(name: str, cls, data):
+    """A nested config dataclass from its mapping, cast by the field defaults' types."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{name} must be a mapping, got {type(data).__name__}")
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in kinds:
+            raise ConfigError(f"{name}: unknown key {key!r}; valid keys: {sorted(kinds)}")
+        kwargs[key] = _cast(f"{name}.{key}", value, kinds[key])
+    return cls(**kwargs)
+
+
 def config_from_dict(data: Mapping) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed mapping, rejecting unknown keys."""
     from .world import scenario_from_dict  # local import to avoid cycle at module load
@@ -533,13 +575,11 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
             else:
                 kwargs["scenario"] = value
         elif key == "arm":
-            kwargs["arm"] = ArmConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                         for k, v in dict(value).items()})
+            kwargs["arm"] = _section(key, ArmConfig, value)
         elif key == "actor_critic":
-            kwargs["actor_critic"] = ActorCriticConfig(**dict(value))
+            kwargs["actor_critic"] = _section(key, ActorCriticConfig, value)
         elif key in _SCALAR_FIELDS:
-            caster = _SCALAR_FIELDS[key]
-            kwargs[key] = value if value is None else caster(value)
+            kwargs[key] = value if value is None else _cast(key, value, _SCALAR_FIELDS[key])
         else:
             raise ConfigError(f"unknown config key {key!r}")
     cfg = ExperimentConfig(**kwargs)

@@ -190,9 +190,6 @@ class ActorCriticExpert:
     def _mean_from_features(self, feat: np.ndarray) -> np.ndarray:
         return self.mid + self.half * np.tanh(self.w_actor @ feat + self.b_actor)
 
-    def value(self, joints: np.ndarray) -> float:
-        return float(self.w_critic @ self.features(joints) + self.b_critic[0])
-
     @property
     def sigma(self) -> float:
         span = self.cfg.sigma_start - self.cfg.sigma_min
@@ -206,10 +203,10 @@ class ActorCriticExpert:
         """Desired joint angles for this timestep (mean plus filtered noise)."""
         mean = self.policy_mean(joints)
         if not explore or rng is None:
-            return np.clip(mean, self.lo, self.hi)
+            return np.minimum(np.maximum(mean, self.lo), self.hi)
         c = self.cfg.noise_correlation
         self._noise = c * self._noise + math.sqrt(1.0 - c * c) * rng.normal(0.0, self.sigma, size=self.n)
-        return np.clip(mean + self._noise, self.lo, self.hi)
+        return np.minimum(np.maximum(mean + self._noise, self.lo), self.hi)
 
     # -- learning ------------------------------------------------------------
 
@@ -223,6 +220,14 @@ class ActorCriticExpert:
     def learn(self, trajectory, gate: bool) -> None:
         """One-step TD over the trial's (state, action, reward, next, done) steps.
 
+        The trajectory is one unbroken rollout, as ``Simulation._rollout``
+        records it: each step's ``next`` is the following step's ``state``,
+        and only the last step is ``done``. So the features of every state,
+        the next states included, are computed once per call, and the
+        bootstrap value of step i reads the features of step i + 1. The
+        feature layer never trains, so this is the same arithmetic as
+        recomputing them on every pass.
+
         With ``gate`` false the expert is returned untouched (no parameter,
         statistic, or counter changes).
         """
@@ -231,23 +236,30 @@ class ActorCriticExpert:
         cfg = self.cfg
         success = any(reward > 0.0 for _, _, reward, _, _ in trajectory)
         passes = 1 + (cfg.success_replays if success else 0)
-        length = len(trajectory)
+        feats = [self.features(joints) for joints, *_ in trajectory]
+        # The sweep keeps the critic bias and the TD-error EMA in Python
+        # floats (the same float64 additions) and writes them back after it.
+        w_critic, b_critic, td_error_ema = self.w_critic, float(self.b_critic[0]), self.td_error_ema
+        imitate_from = len(trajectory) - cfg.imitate_window if success else len(trajectory)
         for _ in range(passes):
-            for i, (joints, action, reward, next_joints, done) in enumerate(trajectory):
-                feat = self.features(joints)
-                v = float(self.w_critic @ feat + self.b_critic[0])
-                target = reward if done else reward + cfg.discount * self.value(next_joints)
-                delta = float(np.clip(target - v, -cfg.td_clip, cfg.td_clip))
+            for i, (_, action, reward, _, done) in enumerate(trajectory):
+                feat = feats[i]
+                v = float(w_critic @ feat) + b_critic
+                if done:
+                    target = reward
+                else:
+                    target = reward + cfg.discount * (float(w_critic @ feats[i + 1]) + b_critic)
+                delta = min(max(target - v, -cfg.td_clip), cfg.td_clip)
 
-                self.w_critic += cfg.critic_lr * delta * feat
-                self.b_critic += cfg.critic_lr * delta
+                w_critic += cfg.critic_lr * delta * feat
+                b_critic += cfg.critic_lr * delta
 
-                if delta > cfg.actor_delta_margin:
+                if delta > cfg.actor_delta_margin or i >= imitate_from:
                     self._actor_step(feat, action)
-                elif success and i >= length - cfg.imitate_window:
-                    self._actor_step(feat, action)
 
-                self.td_error_ema += 0.01 * (abs(delta) - self.td_error_ema)
+                td_error_ema += 0.01 * (abs(delta) - td_error_ema)
+        self.b_critic[0] = b_critic
+        self.td_error_ema = td_error_ema
         self.success_ema += cfg.success_smoothing * ((1.0 if success else 0.0) - self.success_ema)
         self.trials_trained += 1
         self._check_finite()

@@ -65,6 +65,45 @@ def test_joint_points_shape_and_base():
     assert np.allclose(pts[0], [0, 0])
 
 
+# Both arms, and one whose joint limits bind inside the sampled range.
+EXACT_CFGS = (CFG, CFG.mirror(), ArmConfig(joint_min=(-1.0, -0.5, 0.0, -2.0), joint_max=(1.0, 0.5, 2.0, 0.0)))
+
+
+@pytest.mark.parametrize("cfg", EXACT_CFGS, ids=["right", "left", "narrow"])
+def test_fk_is_bitwise_last_joint_point(cfg):
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        joints = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
+        assert np.array_equal(forward_kinematics(joints, cfg), joint_points(joints, cfg)[-1])
+
+
+@pytest.mark.parametrize("cfg", EXACT_CFGS, ids=["right", "left", "narrow"])
+def test_step_toward_is_bitwise_the_clip_formula(cfg):
+    rng = np.random.default_rng(6)
+    for _ in range(500):
+        joints = rng.uniform(-math.pi, math.pi, 4)
+        desired = joints + rng.normal(0.0, 0.1, 4)
+        delta = np.clip(desired - joints, -cfg.max_step, cfg.max_step)
+        expected = np.clip(joints + delta, cfg.joint_min, cfg.joint_max)
+        assert np.array_equal(step_toward(joints, desired, cfg), expected)
+
+
+def test_check_touch_matches_array_distance_near_the_boundary():
+    rng = np.random.default_rng(7)
+    sphere = np.array([0.3, 0.4])
+    outcomes = set()
+    for _ in range(500):
+        angle = rng.uniform(0.0, 2 * math.pi)
+        radius = CFG.touch_radius * (1.0 + rng.uniform(-1e-12, 1e-12))
+        effector = sphere + radius * np.array([math.cos(angle), math.sin(angle)])
+        d = effector - sphere
+        touched = check_touch(effector, sphere, CFG)
+        assert touched == (float(np.hypot(d[0], d[1])) <= CFG.touch_radius)
+        outcomes.add(touched)
+    assert outcomes == {True, False}
+    assert check_touch((CFG.touch_radius, 0.0), (0.0, 0.0), CFG)  # exactly r: inclusive
+
+
 def test_step_toward_no_move_when_at_target():
     joints = np.array([0.1, -0.2, 0.3, 0.0])
     assert np.array_equal(step_toward(joints, joints, CFG), joints)

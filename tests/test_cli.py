@@ -91,13 +91,58 @@ def test_underflowing_temperature_exits_3(tmp_path, capsys):
     ("idealized_disruption", -0.1),
     ("idealized_exploration_floor", 2.0),
     ("idealized_noise_scale", -1.0),
+    pytest.param("arm", {"link_lengths": [0, 0.25, 0.25, 0.25]}, id="arm-zero_link"),
+    pytest.param("arm", {"max_step": -1}, id="arm-negative_max_step"),
+    pytest.param("arm", {"joint_min": [1.0] * 4, "joint_max": [0.0] * 4}, id="arm-inverted_limits"),
+    pytest.param("arm", {"reach": 2.0}, id="arm-unknown_key"),
+    pytest.param("actor_critic", {"hidden": 8}, id="actor_critic-unknown_key"),
 ])
 def test_out_of_range_config_value_exits_2(tmp_path, capsys, field, value):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
     assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 2
-    assert capsys.readouterr().err.startswith(f"error: {field} must be in")
+    # A nested section names itself, then its own problem.
+    expected = f"error: {field}: " if isinstance(value, dict) else f"error: {field} must be in"
+    assert capsys.readouterr().err.startswith(expected)
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eval_trials", "abc", "eval_trials must be an integer"),
+    ("eval_trials", 2.5, "eval_trials must be an integer"),
+    ("replications", True, "replications must be an integer"),
+    ("temperature", "hot", "temperature must be a number"),
+    ("clip_reward", "no", "clip_reward must be true or false"),
+    ("dump_values", 1, "dump_values must be true or false"),
+    ("arm", {"max_step": "abc"}, "arm.max_step must be a number"),
+    ("arm", {"link_lengths": 0.25}, "arm.link_lengths must be a list of numbers"),
+    ("arm", {"mirrored": "yes"}, "arm.mirrored must be true or false"),
+    ("actor_critic", {"hidden_units": 9.5}, "actor_critic.hidden_units must be an integer"),
+    ("actor_critic", [], "actor_critic must be a mapping"),
+], ids=["eval_trials-text", "eval_trials-fraction", "replications-bool", "temperature-text",
+        "clip_reward-text", "dump_values-int", "arm-max_step-text", "arm-link_lengths-scalar",
+        "arm-mirrored-text", "actor_critic-hidden_units-fraction", "actor_critic-list"])
+def test_mistyped_config_value_exits_2(tmp_path, capsys, field, value, message):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_values_read_exactly(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({
+        "scenario": 1, "clip_reward": False, "eval_trials": "3", "temperature": 1,
+        "arm": {"max_step": 1, "link_lengths": [1, 1, 1, 1]},
+        "actor_critic": {"hidden_units": 12.0},
+    }))
+    assert run_cli("run", "--config", str(cfg_path), "--print-config") == 0
+    data = yaml.safe_load(capsys.readouterr().out)
+    assert data["clip_reward"] is False and data["eval_trials"] == 3
+    assert data["temperature"] == 1.0 and isinstance(data["temperature"], float)
+    assert data["arm"]["max_step"] == 1.0 and data["arm"]["link_lengths"] == [1.0] * 4
+    assert data["actor_critic"]["hidden_units"] == 12 and isinstance(data["actor_critic"]["hidden_units"], int)
 
 
 def test_run_without_out_dir_exits_2(capsys, monkeypatch):

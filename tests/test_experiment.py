@@ -16,7 +16,7 @@ from lightup.experiment import (
     resolve_scenario,
     run_experiment,
 )
-from lightup.world import WorldState, builtin_scenario
+from lightup.world import WorldState, builtin_scenario, scenario_from_dict
 
 
 def short_scenario(sid, trials):
@@ -329,6 +329,31 @@ def test_actor_critic_backend_trial_records():
         rec = sim.run_trial()
         assert 1 <= rec.steps <= 40
         assert rec.achievable  # scenario 1: everything always achievable
+
+
+def test_actor_critic_rollout_trajectory_is_unbroken():
+    # ActorCriticExpert.learn bootstraps step i from the features of step
+    # i + 1's joints, so every rollout, training or evaluation, ending on a
+    # touch or on timeout, must hand each step's next joints on as the next
+    # step's joints and set done on its last step only.
+    spec = scenario_from_dict({
+        "name": "near_home", "goals": ["a"], "positions": {"a": [0.97, 0.1]},
+        "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
+        "reset_policy": "per_trial", "context_mode": "none",
+    })
+    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40, replications=1)
+    sim = Simulation(spec, cfg, seed=3)
+    endings = set()
+    for arm_index in (0, 1):
+        for explore in (True, False):
+            for _ in range(3):
+                _, achieved, steps, traj = sim._rollout(0, arm_index, sim.state, explore=explore)
+                assert len(traj) == steps
+                for (_, _, _, nxt, done), (joints, *_) in zip(traj, traj[1:]):
+                    assert nxt is joints and not done
+                assert traj[-1][4]
+                endings.add(achieved)
+    assert endings == {True, False}
 
 
 def test_actor_critic_measure_competence_leaves_parameters_unchanged():

@@ -1,5 +1,6 @@
 """Experts (idealized and actor-critic) and the expert selector."""
 
+import copy
 import math
 
 import numpy as np
@@ -160,6 +161,7 @@ def test_actor_critic_untrained_output_within_limits():
 
 
 def _tiny_trajectory(ex, rng, reward_last=1.0, n=5):
+    """An unbroken rollout: each step's next joints are the next step's joints."""
     traj = []
     joints = home_joints(ARM)
     ex.begin_trial(rng)
@@ -170,6 +172,61 @@ def _tiny_trajectory(ex, rng, reward_last=1.0, n=5):
         traj.append((joints, action, reward_last if done else 0.0, nxt, done))
         joints = nxt
     return traj
+
+
+def _reference_learn(ex, trajectory):
+    """The per-step TD loop that recomputes features and the bootstrap value
+    on every pass. Returns how many steps clipped the TD error and how many
+    stepped the actor."""
+    cfg = ex.cfg
+    success = any(reward > 0.0 for _, _, reward, _, _ in trajectory)
+    passes = 1 + (cfg.success_replays if success else 0)
+    length = len(trajectory)
+    clipped = actor_steps = 0
+    for _ in range(passes):
+        for i, (joints, action, reward, next_joints, done) in enumerate(trajectory):
+            feat = ex.features(joints)
+            v = float(ex.w_critic @ feat + ex.b_critic[0])
+            next_value = float(ex.w_critic @ ex.features(next_joints) + ex.b_critic[0])
+            target = reward if done else reward + cfg.discount * next_value
+            delta = float(np.clip(target - v, -cfg.td_clip, cfg.td_clip))
+            clipped += delta != target - v
+            ex.w_critic += cfg.critic_lr * delta * feat
+            ex.b_critic += cfg.critic_lr * delta
+            if delta > cfg.actor_delta_margin or (success and i >= length - cfg.imitate_window):
+                ex._actor_step(feat, action)
+                actor_steps += 1
+            ex.td_error_ema += 0.01 * (abs(delta) - ex.td_error_ema)
+    ex.success_ema += cfg.success_smoothing * ((1.0 if success else 0.0) - ex.success_ema)
+    ex.trials_trained += 1
+    return clipped, actor_steps
+
+
+def test_actor_critic_learn_matches_per_step_reference_bit_for_bit():
+    # Successes (replayed success_replays extra times) and failures, with a
+    # TD clip small enough to bind and trajectories longer and shorter than
+    # the imitation window.
+    cfg = ActorCriticConfig(td_clip=0.5, imitate_window=40)
+    ex = ActorCriticExpert(ARM, cfg, np.random.default_rng(21))
+    ref = copy.deepcopy(ex)
+    rng = np.random.default_rng(21)
+    clipped = actor_steps = 0
+    for trial in range(40):
+        reward = 0.0 if trial % 3 == 2 else 1.0
+        traj = _tiny_trajectory(ex, rng, reward_last=reward, n=1 + trial % 7 * 20)
+        # The contract learn relies on: unbroken, done on the last step only.
+        for (_, _, _, nxt, done), (joints, *_) in zip(traj, traj[1:]):
+            assert nxt is joints and not done
+        assert traj[-1][4]
+        ex.learn(traj, gate=True)
+        counts = _reference_learn(ref, traj)
+        clipped += counts[0]
+        actor_steps += counts[1]
+        new, old = ex.snapshot(), ref.snapshot()
+        assert new.keys() == old.keys()
+        for name in new:
+            assert np.array_equal(np.asarray(new[name]), np.asarray(old[name])), (trial, name)
+    assert clipped > 0 and actor_steps > 0
 
 
 def test_actor_critic_gate_false_is_bitwise_noop():
