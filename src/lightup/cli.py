@@ -21,7 +21,6 @@ from . import experiment as exp
 from .arm import unreachable_goals
 from .errors import ConfigError, NumericsError
 from .svgplot import Chart, Series, render_panels
-from .world import builtin_scenario, load_scenario
 
 log = logging.getLogger("lightup")
 
@@ -66,17 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
 # -- run -----------------------------------------------------------------------
 
 
+def _base_config(args) -> exp.ExperimentConfig:
+    return exp.load_config(args.config) if args.config else exp.ExperimentConfig()
+
+
 def _resolve_run_config(args) -> exp.ExperimentConfig:
-    if args.config:
-        cfg = exp.load_config(args.config)
-    else:
-        cfg = exp.ExperimentConfig()
-    scenario = args.scenario
-    if scenario is not None and scenario.isdigit():
-        scenario = int(scenario)
+    cfg = _base_config(args)
     cfg = exp.apply_overrides(
         cfg,
-        scenario=scenario,
+        scenario=args.scenario,
         system=args.system,
         backend=args.backend,
         seed=args.seed,
@@ -89,13 +86,9 @@ def _resolve_run_config(args) -> exp.ExperimentConfig:
     )
     spec = exp.resolve_scenario(cfg)
     if args.trials is not None:
-        if args.trials % spec.trials_per_epoch != 0:
-            raise ConfigError(
-                f"--trials {args.trials} not divisible by trials_per_epoch {spec.trials_per_epoch}"
-            )
         spec = replace(spec, total_trials=args.trials)
-    cfg = exp.apply_overrides(cfg, scenario=spec)
-    return cfg
+        spec.validate()
+    return exp.apply_overrides(cfg, scenario=spec)
 
 
 def cmd_run(args) -> int:
@@ -188,21 +181,12 @@ def cmd_plot(args) -> int:
 # -- validate --------------------------------------------------------------------
 
 
-def _resolve_validation_scenario(args):
-    if args.config:
-        cfg = exp.load_config(args.config)
-        return exp.resolve_scenario(cfg), cfg.arm
-    if args.scenario is None:
-        raise ConfigError("validate needs --scenario or --config")
-    if args.scenario.isdigit():
-        return builtin_scenario(int(args.scenario)), exp.ExperimentConfig().arm
-    return load_scenario(args.scenario), exp.ExperimentConfig().arm
-
-
 def cmd_validate(args) -> int:
-    spec, arm_cfg = _resolve_validation_scenario(args)
-    spec.validate()  # load_scenario/builtin already validate; explicit for clarity
-    bad = unreachable_goals(spec, arm_cfg, np.random.default_rng(0))
+    if args.config is None and args.scenario is None:
+        raise ConfigError("validate needs --scenario or --config")
+    cfg = exp.apply_overrides(_base_config(args), scenario=args.scenario)
+    spec = exp.resolve_scenario(cfg)
+    bad = unreachable_goals(spec, cfg.arm, np.random.default_rng(0))
     if bad:
         raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
     print(f"scenario {spec.name!r}: {spec.n_goals} goals, "

@@ -21,7 +21,7 @@ import concurrent.futures
 import csv
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -29,6 +29,7 @@ import yaml
 
 from .arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward
 from .errors import ConfigError, NumericsError
+from .inputs import cast, check_keys, read_yaml
 from .motivation import AchievementPredictor
 from .selection import SelectionStrategy
 from .skills import (
@@ -37,7 +38,14 @@ from .skills import (
     ExpertSelector,
     IdealizedExpert,
 )
-from .world import ScenarioSpec, WorldState, builtin_scenario, load_scenario
+from .world import (
+    ScenarioSpec,
+    WorldState,
+    builtin_scenario,
+    load_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 # Each system's (learning rate, discount) for the goal-value update; only
 # grail is state-blind, which Simulation sets through the context mode.
@@ -54,10 +62,11 @@ SYSTEM_TEMPERATURES = {"grail": 0.01, "c_grail": 0.01, "m_grail": 0.001}
 
 ARMS = ("left", "right")
 
-# Scalar field ranges as (field, low, high, low allowed, high allowed); NaN
-# fails every check.
+# Scalar field ranges as (field, low, high, low allowed, high allowed), where
+# "section.field" names a field of a nested section; NaN fails every check.
 _RANGES = (
     ("replications", 1, math.inf, True, False),
+    ("seed", 0, math.inf, True, False),
     ("timeout_steps", 1, math.inf, True, False),
     ("eval_interval", 1, math.inf, True, False),
     ("eval_trials", 1, math.inf, True, False),
@@ -72,6 +81,20 @@ _RANGES = (
     ("idealized_disruption", 0.0, 1.0, True, True),
     ("idealized_exploration_floor", 0.0, 1.0, True, True),
     ("idealized_noise_scale", 0.0, math.inf, True, False),
+    ("actor_critic.hidden_units", 1, math.inf, True, False),
+    ("actor_critic.feature_scale", 0.0, math.inf, True, False),
+    ("actor_critic.feature_offset", 0.0, math.inf, True, False),
+    ("actor_critic.actor_lr", 0.0, math.inf, False, False),
+    ("actor_critic.critic_lr", 0.0, math.inf, False, False),
+    ("actor_critic.discount", 0.0, 1.0, True, True),
+    ("actor_critic.sigma_start", 0.0, math.inf, True, False),
+    ("actor_critic.sigma_min", 0.0, math.inf, True, False),
+    ("actor_critic.noise_correlation", 0.0, 1.0, True, True),
+    ("actor_critic.success_smoothing", 0.0, 1.0, False, True),
+    ("actor_critic.td_clip", 0.0, math.inf, False, False),
+    ("actor_critic.actor_delta_margin", 0.0, math.inf, True, False),
+    ("actor_critic.imitate_window", 0, math.inf, True, False),
+    ("actor_critic.success_replays", 0, math.inf, True, False),
 )
 
 
@@ -108,14 +131,19 @@ class ExperimentConfig:
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; valid backends: {sorted(BACKENDS)}")
         for name, low, high, low_in, high_in in _RANGES:
-            value = getattr(self, name)
+            section, _, key = name.rpartition(".")
+            value = getattr(getattr(self, section) if section else self, key)
             if value is None:  # temperature: per-system default
                 continue
             above = low <= value if low_in else low < value
             below = value <= high if high_in else value < high
             if not (above and below):
                 interval = f"{'[' if low_in else '('}{low}, {high}{']' if high_in else ')'}"
-                raise ConfigError(f"{name} must be in {interval}, got {value!r}")
+                where = f"{section}: " if section else ""
+                raise ConfigError(f"{where}{key} must be in {interval}, got {value!r}")
+        ac = self.actor_critic
+        if ac.sigma_min > ac.sigma_start:
+            raise ConfigError(f"actor_critic: sigma_min {ac.sigma_min} exceeds sigma_start {ac.sigma_start}")
         try:
             self.arm.validate()
         except ValueError as exc:
@@ -132,7 +160,7 @@ def resolve_scenario(cfg: ExperimentConfig) -> ScenarioSpec:
     sc = cfg.scenario
     if isinstance(sc, ScenarioSpec):
         return sc
-    if isinstance(sc, int):
+    if isinstance(sc, int) and not isinstance(sc, bool):
         return builtin_scenario(sc)
     if isinstance(sc, str):
         if sc.isdigit():
@@ -512,115 +540,56 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
 
 # -- config files ----------------------------------------------------------------
 
-
-_SCALAR_FIELDS = {
-    "system": str, "backend": str, "replications": int, "seed": int,
-    "timeout_steps": int, "eval_interval": int, "eval_trials": int,
-    "temperature": float, "expert_temperature": float, "expert_smoothing": float,
-    "predictor_eta": float, "gate_epsilon": float, "clip_reward": bool,
-    "idealized_init_competence": float, "idealized_learning_rate": float,
-    "idealized_disruption": float, "idealized_exploration_floor": float,
-    "idealized_noise_scale": float,
-    "out_dir": str, "jobs": int, "dump_values": bool,
-}
+# The types of the None-defaulted ExperimentConfig fields, which their
+# defaults cannot tell.
+_NONE_DEFAULT_KINDS = {"temperature": float, "out_dir": str}
 
 
-def _cast(name: str, value, kind):
-    """``value`` as a ``kind`` field: numbers from numbers or numeric text,
-    booleans only from YAML booleans, tuples from lists of numbers."""
-    if kind is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    if kind is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-        return tuple(_cast(name, v, float) for v in value)
-    if kind is str:
-        return str(value)
-    fraction = kind is int and isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, bool) or fraction):
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    expected = "an integer" if kind is int else "a number"
-    raise ConfigError(f"{name} must be {expected}, got {value!r}")
+def _kinds(cls) -> dict:
+    """Each field's type, read off its default; a nested section's is its class."""
+    return {f.name: f.default_factory if f.default is MISSING else type(f.default) for f in fields(cls)}
 
 
 def _section(name: str, cls, data):
     """A nested config dataclass from its mapping, cast by the field defaults' types."""
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{name} must be a mapping, got {type(data).__name__}")
-    kinds = {f.name: type(f.default) for f in fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in kinds:
-            raise ConfigError(f"{name}: unknown key {key!r}; valid keys: {sorted(kinds)}")
-        kwargs[key] = _cast(f"{name}.{key}", value, kinds[key])
-    return cls(**kwargs)
+    kinds = _kinds(cls)
+    check_keys(name, data, kinds)
+    return cls(**{key: cast(f"{name}.{key}", value, kinds[key]) for key, value in data.items()})
 
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed mapping, rejecting unknown keys."""
-    from .world import scenario_from_dict  # local import to avoid cycle at module load
-
     if not isinstance(data, Mapping):
         raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
+    kinds = {**_kinds(ExperimentConfig), **_NONE_DEFAULT_KINDS}
     kwargs: dict = {}
     for key, value in data.items():
-        if key == "scenario":
-            if isinstance(value, Mapping):
-                kwargs["scenario"] = scenario_from_dict(value)
-            else:
-                kwargs["scenario"] = value
-        elif key == "arm":
-            kwargs["arm"] = _section(key, ArmConfig, value)
-        elif key == "actor_critic":
-            kwargs["actor_critic"] = _section(key, ActorCriticConfig, value)
-        elif key in _SCALAR_FIELDS:
-            kwargs[key] = value if value is None else _cast(key, value, _SCALAR_FIELDS[key])
-        else:
+        if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
+        if key == "scenario":
+            kwargs[key] = scenario_from_dict(value) if isinstance(value, Mapping) else value
+        elif is_dataclass(kinds[key]):
+            kwargs[key] = _section(key, kinds[key], value)
+        elif value is None and key in _NONE_DEFAULT_KINDS:
+            kwargs[key] = None
+        else:
+            kwargs[key] = cast(key, value, kinds[key])
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
 
 
-def _plain(value):
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    from dataclasses import asdict
-
-    from .world import scenario_to_dict
-
-    data: dict = {}
+    data = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     if isinstance(cfg.scenario, ScenarioSpec):
         data["scenario"] = scenario_to_dict(cfg.scenario)
-    else:
-        data["scenario"] = cfg.scenario
-    for key in _SCALAR_FIELDS:
-        data[key] = getattr(cfg, key)
-    data["arm"] = {k: _plain(v) for k, v in asdict(cfg.arm).items()}
-    data["actor_critic"] = {k: _plain(v) for k, v in asdict(cfg.actor_critic).items()}
+    data["arm"] = asdict(cfg.arm)
+    data["actor_critic"] = asdict(cfg.actor_critic)
     return data
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    if data is None:
-        raise ConfigError(f"config file {path} is empty")
-    return config_from_dict(data)
+    return config_from_dict(read_yaml(path, "config"))
 
 
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:

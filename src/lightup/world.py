@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError
+from .inputs import cast, check_keys, read_yaml
 
 Point = tuple[float, float]
 
@@ -178,6 +178,8 @@ class ScenarioSpec:
     def validate(self) -> None:
         """Raise ConfigError on any structural violation."""
         labels = self.labels
+        if not labels:
+            raise ConfigError("scenario needs at least one goal")
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate goal labels in {labels}")
         if len(self.rules) != self.n_goals:
@@ -257,114 +259,64 @@ class ScenarioSpec:
         return "\n".join(lines) if lines else "(no dependencies)"
 
 
-# -- built-in scenarios ---------------------------------------------------
-
-_LABELS = ("a", "b", "c", "d", "e", "f")
-
-
-def _goals(labels: Sequence[str] = _LABELS, positions: Sequence[Point] | None = None) -> tuple[Goal, ...]:
-    pos = tuple(positions) if positions is not None else default_positions(len(labels))
-    return tuple(Goal(i, lab, pos[i]) for i, lab in enumerate(labels))
-
-
-def _empty_rules(n: int) -> list[DependencyRule]:
-    return [DependencyRule(goal=i) for i in range(n)]
-
-
-def builtin_scenario(scenario_id: int) -> ScenarioSpec:
-    """The three stock setups.
-
-    1. Six unconditioned goals, 3000 trials, reset every trial.
-    2. Six goals gated by the context feature (a/c/e need cf=1, b/d/f need
-       cf=0, cf drawn 50/50 per trial), 4000 trials, reset every trial.
-    3. Two precondition chains d->c->e and b->f->a with the chain starts d
-       and b mutually exclusive; 2000 epochs of 3 trials (6000 trials),
-       reset at epoch boundaries only.
-    """
-    goals = _goals()
-    idx = {lab: i for i, lab in enumerate(_LABELS)}
-    if scenario_id == 1:
-        spec = ScenarioSpec(
-            name="independent",
-            goals=goals,
-            rules=tuple(_empty_rules(6)),
-            context_prob_on=0.0,
-            trials_per_epoch=1,
-            total_trials=3000,
-            reset_policy="per_trial",
-            context_mode="context_feature",
-        )
-    elif scenario_id == 2:
-        rules = _empty_rules(6)
-        for lab in ("a", "c", "e"):
-            rules[idx[lab]] = DependencyRule(goal=idx[lab], requires_context=1.0)
-        for lab in ("b", "d", "f"):
-            rules[idx[lab]] = DependencyRule(goal=idx[lab], requires_context=0.0)
-        spec = ScenarioSpec(
-            name="context_gated",
-            goals=goals,
-            rules=tuple(rules),
-            context_prob_on=0.5,
-            trials_per_epoch=1,
-            total_trials=4000,
-            reset_policy="per_trial",
-            context_mode="context_feature",
-        )
-    elif scenario_id == 3:
-        rules = _empty_rules(6)
-        for pre, post in (("d", "c"), ("c", "e"), ("b", "f"), ("f", "a")):
-            rules[idx[post]] = DependencyRule(goal=idx[post], requires_on=frozenset({idx[pre]}))
-        rules[idx["d"]] = DependencyRule(goal=idx["d"], blocked_by=frozenset({idx["b"]}))
-        rules[idx["b"]] = DependencyRule(goal=idx["b"], blocked_by=frozenset({idx["d"]}))
-        spec = ScenarioSpec(
-            name="interrelated_chains",
-            goals=goals,
-            rules=tuple(rules),
-            context_prob_on=0.0,
-            trials_per_epoch=3,
-            total_trials=6000,
-            reset_policy="per_epoch",
-            context_mode="full_state",
-        )
-    else:
-        raise ConfigError(f"unknown builtin scenario {scenario_id!r}; valid ids are 1, 2, 3")
-    spec.validate()
-    return spec
-
-
 # -- scenario files --------------------------------------------------------
+
+# Scenario-file scalars, which are also ScenarioSpec fields: key -> (type, default).
+_SCALARS = {
+    "name": (str, "custom"),
+    "context_prob_on": (float, 0.0),
+    "trials_per_epoch": (int, 1),
+    "total_trials": (int, 3000),
+    "reset_policy": (str, "per_trial"),
+    "context_mode": (str, "full_state"),
+}
+_RULE_KEYS = ("goal", "requires_on", "blocked_by", "requires_context")
+
+
+def _list(name: str, value) -> list:
+    """A list-valued key; null reads as empty."""
+    if value is None:
+        return []
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return list(value)
+
 
 def scenario_from_dict(data: Mapping) -> ScenarioSpec:
     """Build and validate a ScenarioSpec from a parsed mapping.
 
     Expected keys mirror the ScenarioSpec fields; ``rules`` is a list of
     mappings naming goals by label, and goals without an entry get an empty
-    rule. Positions default to the standard arc.
+    rule. Positions default to the standard arc. An unknown key or a value
+    of the wrong type raises ConfigError.
     """
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"scenario section must be a mapping, got {type(data).__name__}")
-    try:
-        labels = [str(lab) for lab in data["goals"]]
-    except KeyError:
-        raise ConfigError("scenario is missing the 'goals' list") from None
-    positions = None
-    if "positions" in data and data["positions"] is not None:
+    check_keys("scenario", data, ("goals", "positions", "rules", *_SCALARS))
+    if data.get("goals") is None:
+        raise ConfigError("scenario is missing the 'goals' list")
+    labels = [str(lab) for lab in _list("goals", data["goals"])]
+    positions = default_positions(len(labels))
+    if data.get("positions") is not None:
         pos_map = data["positions"]
+        check_keys("positions", pos_map, labels)
         missing = [lab for lab in labels if lab not in pos_map]
         if missing:
             raise ConfigError(f"positions missing for goals {missing}")
-        positions = [tuple(float(v) for v in pos_map[lab]) for lab in labels]
-    goals = _goals(labels, positions)
+        positions = [cast(f"positions.{lab}", pos_map[lab], tuple) for lab in labels]
+        for lab, point in zip(labels, positions):
+            if len(point) != 2:
+                raise ConfigError(f"positions.{lab} must be two numbers, got {pos_map[lab]!r}")
     idx = {lab: i for i, lab in enumerate(labels)}
 
     def to_index(lab) -> int:
-        if lab not in idx:
+        if not isinstance(lab, str) or lab not in idx:
             raise ConfigError(f"rule references unknown goal {lab!r}; goals are {labels}")
         return idx[lab]
 
-    rules = _empty_rules(len(labels))
+    rules = [DependencyRule(goal=i) for i in range(len(labels))]
     seen: set[int] = set()
-    for entry in data.get("rules") or []:
+    for n, entry in enumerate(_list("rules", data.get("rules"))):
+        where = f"rules[{n}]"
+        check_keys(where, entry, _RULE_KEYS)
         if "goal" not in entry:
             raise ConfigError(f"rule entry missing 'goal': {entry}")
         i = to_index(entry["goal"])
@@ -374,19 +326,14 @@ def scenario_from_dict(data: Mapping) -> ScenarioSpec:
         ctx = entry.get("requires_context")
         rules[i] = DependencyRule(
             goal=i,
-            requires_on=frozenset(to_index(x) for x in entry.get("requires_on") or []),
-            blocked_by=frozenset(to_index(x) for x in entry.get("blocked_by") or []),
-            requires_context=None if ctx is None else float(ctx),
+            requires_on=frozenset(map(to_index, _list(f"{where}.requires_on", entry.get("requires_on")))),
+            blocked_by=frozenset(map(to_index, _list(f"{where}.blocked_by", entry.get("blocked_by")))),
+            requires_context=None if ctx is None else cast(f"{where}.requires_context", ctx, float),
         )
     spec = ScenarioSpec(
-        name=str(data.get("name", "custom")),
-        goals=goals,
+        goals=tuple(Goal(i, lab, positions[i]) for i, lab in enumerate(labels)),
         rules=tuple(rules),
-        context_prob_on=float(data.get("context_prob_on", 0.0)),
-        trials_per_epoch=int(data.get("trials_per_epoch", 1)),
-        total_trials=int(data.get("total_trials", 3000)),
-        reset_policy=str(data.get("reset_policy", "per_trial")),
-        context_mode=str(data.get("context_mode", "full_state")),
+        **{key: cast(key, data.get(key, default), kind) for key, (kind, default) in _SCALARS.items()},
     )
     spec.validate()
     return spec
@@ -421,15 +368,41 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 def load_scenario(path: str) -> ScenarioSpec:
     """Load a scenario from a YAML file (top-level or under a 'scenario' key)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse scenario file {path}: {exc}") from exc
+    data = read_yaml(path, "scenario")
     if isinstance(data, Mapping) and "scenario" in data:
         data = data["scenario"]
-    if data is None:
-        raise ConfigError(f"scenario file {path} is empty")
     return scenario_from_dict(data)
+
+
+# -- built-in scenarios ---------------------------------------------------
+
+# The paper's three setups, in the scenario-file format:
+# 1. Six unconditioned goals, 3000 trials, reset every trial.
+# 2. Six goals gated by the context feature (a/c/e need cf=1, b/d/f need
+#    cf=0, cf drawn 50/50 per trial), 4000 trials, reset every trial.
+# 3. Two precondition chains d->c->e and b->f->a with the chain starts d
+#    and b mutually exclusive; 2000 epochs of 3 trials (6000 trials),
+#    reset at epoch boundaries only.
+BUILTIN_SCENARIOS = {
+    1: {"name": "independent", "goals": list("abcdef"), "context_prob_on": 0.0,
+        "trials_per_epoch": 1, "total_trials": 3000, "reset_policy": "per_trial",
+        "context_mode": "context_feature"},
+    2: {"name": "context_gated", "goals": list("abcdef"),
+        "rules": [{"goal": lab, "requires_context": 1.0} for lab in "ace"]
+        + [{"goal": lab, "requires_context": 0.0} for lab in "bdf"],
+        "context_prob_on": 0.5, "trials_per_epoch": 1, "total_trials": 4000,
+        "reset_policy": "per_trial", "context_mode": "context_feature"},
+    3: {"name": "interrelated_chains", "goals": list("abcdef"),
+        "rules": [{"goal": "c", "requires_on": ["d"]}, {"goal": "e", "requires_on": ["c"]},
+                  {"goal": "f", "requires_on": ["b"]}, {"goal": "a", "requires_on": ["f"]},
+                  {"goal": "d", "blocked_by": ["b"]}, {"goal": "b", "blocked_by": ["d"]}],
+        "context_prob_on": 0.0, "trials_per_epoch": 3, "total_trials": 6000,
+        "reset_policy": "per_epoch", "context_mode": "full_state"},
+}
+
+
+def builtin_scenario(scenario_id: int) -> ScenarioSpec:
+    """One of the stock setups in ``BUILTIN_SCENARIOS``, by id."""
+    if scenario_id not in BUILTIN_SCENARIOS:
+        raise ConfigError(f"unknown builtin scenario {scenario_id!r}; valid ids are 1, 2, 3")
+    return scenario_from_dict(BUILTIN_SCENARIOS[scenario_id])

@@ -96,6 +96,11 @@ def test_underflowing_temperature_exits_3(tmp_path, capsys):
     pytest.param("arm", {"joint_min": [1.0] * 4, "joint_max": [0.0] * 4}, id="arm-inverted_limits"),
     pytest.param("arm", {"reach": 2.0}, id="arm-unknown_key"),
     pytest.param("actor_critic", {"hidden": 8}, id="actor_critic-unknown_key"),
+    pytest.param("actor_critic", {"hidden_units": 0}, id="actor_critic-no_hidden_units"),
+    pytest.param("actor_critic", {"noise_correlation": 1.5}, id="actor_critic-noise_correlation"),
+    pytest.param("actor_critic", {"discount": -3.0}, id="actor_critic-negative_discount"),
+    pytest.param("actor_critic", {"sigma_min": 5.0}, id="actor_critic-sigma_min_above_start"),
+    ("seed", -1),
 ])
 def test_out_of_range_config_value_exits_2(tmp_path, capsys, field, value):
     cfg_path = tmp_path / "cfg.yaml"
@@ -119,9 +124,11 @@ def test_out_of_range_config_value_exits_2(tmp_path, capsys, field, value):
     ("arm", {"mirrored": "yes"}, "arm.mirrored must be true or false"),
     ("actor_critic", {"hidden_units": 9.5}, "actor_critic.hidden_units must be an integer"),
     ("actor_critic", [], "actor_critic must be a mapping"),
+    ("replications", None, "replications must be an integer"),
 ], ids=["eval_trials-text", "eval_trials-fraction", "replications-bool", "temperature-text",
         "clip_reward-text", "dump_values-int", "arm-max_step-text", "arm-link_lengths-scalar",
-        "arm-mirrored-text", "actor_critic-hidden_units-fraction", "actor_critic-list"])
+        "arm-mirrored-text", "actor_critic-hidden_units-fraction", "actor_critic-list",
+        "replications-null"])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, field, value, message):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
@@ -162,6 +169,12 @@ def test_out_dir_env_var_default(tmp_path, monkeypatch):
 def test_indivisible_trials_override_exits_2(capsys):
     assert run_cli("run", "--scenario", "3", "--trials", "100", "--out", "/tmp/x") == 2
     assert "divisible" in capsys.readouterr().err
+
+
+def test_trials_override_is_validated(capsys):
+    assert run_cli("run", "--scenario", "1", "--trials", "0", "--print-config") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "positive" in err
 
 
 def test_print_config(capsys):
@@ -234,6 +247,47 @@ def test_validate_via_config_file(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert run_cli("validate", "--config", str(path)) == 0
+
+
+def test_validate_scenario_flag_overrides_config(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"scenario": tiny_scenario_dict()}))
+    assert run_cli("validate", "--config", str(path), "--scenario", "3") == 0
+    assert "interrelated_chains" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("total_trials", "abc", "total_trials must be an integer"),
+    ("trials_per_epoch", 2.5, "trials_per_epoch must be an integer"),
+    ("context_prob_on", "hi", "context_prob_on must be a number"),
+    ("context_prob_on", True, "context_prob_on must be a number"),
+    ("rules", [{"goal": "a", "requires_context": "x"}], "rules[0].requires_context must be a number"),
+    ("positions", {lab: [0.45, 0.4] for lab in "bcdef"} | {"a": [1]}, "positions.a must be two numbers"),
+    ("goals", "ab", "goals must be a list"),
+    ("total_trial", 500, "scenario: unknown key 'total_trial'"),
+    ("rules", [{"goal": "b", "require_on": ["a"]}], "rules[0]: unknown key 'require_on'"),
+    ("rules", {"goal": "a"}, "rules must be a list"),
+    ("rules", [{"goal": "b", "requires_on": "a"}], "rules[0].requires_on must be a list"),
+    ("rules", [{"goal": "b", "requires_on": [["a"]]}], "rule references unknown goal ['a']"),
+    ("positions", [[0.45, 0.4]] * 6, "positions must be a mapping"),
+], ids=["total_trials-text", "trials_per_epoch-fraction", "context_prob_on-text",
+        "context_prob_on-bool", "requires_context-text", "position-one_number", "goals-text",
+        "unknown_key", "rule-unknown_key", "rules-mapping", "requires_on-text", "requires_on-nested",
+        "positions-list"])
+def test_mistyped_scenario_value_exits_2(tmp_path, capsys, key, value, message):
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump({**tiny_scenario_dict(), key: value}))
+    assert run_cli("validate", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+def test_validate_documented_custom_scenario(capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "custom_scenario.yaml")
+    assert run_cli("validate", "--config", path) == 0
+    assert run_cli("validate", "--scenario", path) == 0
+    assert "mini_chain" in capsys.readouterr().out
 
 
 def test_run_with_jobs_flag_matches_serial(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from lightup.errors import ConfigError
 from lightup.world import (
+    BUILTIN_SCENARIOS,
     WorldState,
     builtin_scenario,
     default_positions,
@@ -253,11 +254,9 @@ def base_dict(**overrides):
 
 
 def test_scenario_roundtrip_through_dict():
-    s3 = builtin_scenario(3)
-    again = scenario_from_dict(scenario_to_dict(s3))
-    assert again.rules == s3.rules
-    assert again.labels == s3.labels
-    assert again.total_trials == s3.total_trials
+    for sid in BUILTIN_SCENARIOS:
+        spec = builtin_scenario(sid)
+        assert scenario_from_dict(scenario_to_dict(spec)) == spec
 
 
 def test_cycle_detection_names_the_cycle():
@@ -285,6 +284,11 @@ def test_unknown_rule_goal_rejected():
     data = base_dict(rules=[{"goal": "z"}])
     with pytest.raises(ConfigError, match="unknown goal"):
         scenario_from_dict(data)
+
+
+def test_scenario_without_goals_rejected():
+    with pytest.raises(ConfigError, match="at least one goal"):
+        scenario_from_dict(base_dict(goals=[]))
 
 
 def test_indivisible_schedule_rejected():
