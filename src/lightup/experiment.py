@@ -446,6 +446,24 @@ def _replication_worker(args) -> ReplicationSeries:
     return Simulation(spec, cfg, seed=seed, replication=rep).run()
 
 
+def aggregate_competence(series: list[ReplicationSeries]) -> list[tuple[int, str, float, float, float]]:
+    """Mean and 95% band of every (trial, goal) competence row over the replications.
+
+    Every replication records the same (trial, goal) rows in the same order,
+    so the rows are read side by side; a replication whose rows differ in
+    number or order raises NumericsError.
+    """
+    if len({len(s.competence) for s in series}) > 1:
+        raise NumericsError("replications recorded different numbers of competence rows")
+    agg = []
+    for rows in zip(*(s.competence for s in series)):
+        t, label, _ = rows[0]
+        if any(row[0] != t or row[1] != label for row in rows):
+            raise NumericsError(f"replications disagree on competence row ({t}, {label!r})")
+        agg.append((t, label) + _mean_ci(np.array([v for _, _, v in rows])))
+    return agg
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all replications, aggregate, and (if configured) write CSV output."""
     cfg.validate()
@@ -457,12 +475,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         series = [_replication_worker(job) for job in jobs]
 
-    eval_points = [t for t, label, _ in series[0].competence if label == spec.labels[0]]
-    competence_agg = []
-    for t in eval_points:
-        for label in spec.labels:
-            values = np.array([s.competence_at(t)[label] for s in series])
-            competence_agg.append((t, label) + _mean_ci(values))
+    competence_agg = aggregate_competence(series)
     wasted_agg = []
     for i, (end, _) in enumerate(series[0].wasted):
         values = np.array([float(s.wasted[i][1]) for s in series])

@@ -18,38 +18,69 @@ temperature. Value rows start at zero: no reward, no preference.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
+import operator
+import sys
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericsError
 from .world import WorldState, state_key
 
+# numpy's Generator.choice tolerance on the sum of p for float64 probabilities.
+_PROBABILITY_SUM_TOLERANCE = math.sqrt(sys.float_info.epsilon)
 
-def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
-    """Softmax distribution over values at the given temperature.
+
+def softmax_probabilities(values: Sequence[float], temperature: float) -> list[float]:
+    """Softmax distribution over values at the given temperature, as a list.
 
     Numerically stable for any finite values; sums to 1 within 1e-12. The
     strictly largest value always gets the largest probability, and the
     distribution flattens to uniform as temperature grows. Raises
     ``NumericsError`` when the result is not finite (a temperature so small
     that ``values / temperature`` overflows).
+
+    The arithmetic is numpy's (divide, subtract the max, exponentiate,
+    normalize) in Python floats, with ``math.exp`` in place of ``np.exp``.
+    The two differ in the last bit for a few percent of arguments, so these
+    probabilities are not bit-identical to a numpy softmax; a draw from them
+    can differ only when the uniform number falls within an ulp of a bin
+    edge, about 1e-16 per draw.
     """
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    z = np.asarray(values, dtype=float) / temperature
-    z = z - z.max()
-    p = np.exp(z)
-    total = p.sum()
-    # z - z.max() is at most 0 unless it is NaN, so a NaN anywhere shows in the sum.
+    z = [v / temperature for v in values]
+    top = max(z)
+    p = [math.exp(x - top) for x in z]
+    # Added in order, as numpy sums fewer than eight values (Python 3.12's
+    # sum() compensates, so its last bit can differ).
+    total = functools.reduce(operator.add, p)
+    # x - top is at most 0 unless it is NaN, so a NaN anywhere shows in the sum.
     if not math.isfinite(total):
         raise NumericsError(f"softmax at temperature {temperature} is not finite")
-    return p / total
+    return [x / total for x in p]
 
 
-def sample_index(values: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    probs = softmax_probabilities(values, temperature)
-    return int(rng.choice(len(probs), p=probs))
+def choose_index(probs: Sequence[float], rng: np.random.Generator) -> int:
+    """An index drawn with probabilities ``probs``; the same draw as
+    ``rng.choice(len(probs), p=probs)``.
+
+    It makes numpy's checks (no negative probability, a sum within
+    ``sqrt(eps)`` of 1) and numpy's arithmetic: the running sum of ``probs``
+    divided by its last element, searched on the right for one
+    ``rng.random()``, which is the one double ``choice`` consumes.
+    """
+    if min(probs) < 0:
+        raise ValueError(f"probabilities are not non-negative: {list(probs)}")
+    if not abs(math.fsum(probs) - 1.0) <= _PROBABILITY_SUM_TOLERANCE:
+        raise ValueError(f"probabilities do not sum to 1: {list(probs)}")
+    cdf = list(itertools.accumulate(probs))
+    last = cdf[-1]
+    return bisect.bisect_right([c / last for c in cdf], rng.random())
 
 
 class SelectionStrategy:
@@ -83,8 +114,8 @@ class SelectionStrategy:
     def select(self, state: WorldState, rng: np.random.Generator) -> tuple[int, tuple]:
         """Sample a goal for the current state; returns (goal index, key used)."""
         key = self.state_key(state)
-        goal = sample_index(self.goal_values(key), self.temperature, rng)
-        return goal, key
+        probs = softmax_probabilities(self.goal_values(key).tolist(), self.temperature)
+        return choose_index(probs, rng), key
 
     def update(self, key: tuple, goal: int, reward: float, next_key: tuple, terminal: bool) -> None:
         """Move the selected cell toward its one-step target; no other cell changes."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .arm import ArmConfig
 from .errors import NumericsError
-from .selection import softmax_probabilities
+from .selection import choose_index, softmax_probabilities
 
 IDEALIZED_INIT_COMPETENCE = 0.02
 IDEALIZED_LEARNING_RATE = 0.05
@@ -96,8 +96,8 @@ class ExpertSelector:
         self.success_ema = np.zeros(self.n_experts)
 
     def select(self, rng: np.random.Generator) -> int:
-        probs = softmax_probabilities(self.success_ema, self.temperature)
-        return int(rng.choice(self.n_experts, p=probs))
+        probs = softmax_probabilities(self.success_ema.tolist(), self.temperature)
+        return choose_index(probs, rng)
 
     def greedy(self) -> int:
         """The arm evaluation should use (ties go to the lower index)."""

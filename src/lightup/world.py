@@ -15,7 +15,8 @@ trial bookkeeping and table keying trivially safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -65,7 +66,7 @@ class WorldState:
     def with_sphere_on(self, index: int) -> "WorldState":
         on = list(self.sphere_on)
         on[index] = True
-        return replace(self, sphere_on=tuple(on))
+        return WorldState(tuple(on), self.context_feature)
 
     def key_string(self) -> str:
         """Compact text form, e.g. ``010010/1`` (bits in goal-index order)."""
@@ -85,7 +86,7 @@ def state_key(state: WorldState, mode: str) -> tuple:
     if mode == "context_feature":
         return (int(state.context_feature),)
     if mode == "full_state":
-        return tuple(int(b) for b in state.sphere_on) + (int(state.context_feature),)
+        return (*map(int, state.sphere_on), int(state.context_feature))
     raise ConfigError(f"unknown context mode {mode!r}; expected one of {CONTEXT_MODES}")
 
 
@@ -119,16 +120,20 @@ class ScenarioSpec:
 
     # -- lookups ---------------------------------------------------------
 
-    @property
+    # Computed once per spec, as the trial loop reads them every trial;
+    # fields, equality and replace() ignore them.
+    @cached_property
     def n_goals(self) -> int:
         return len(self.goals)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(g.label for g in self.goals)
 
     def goal_index(self, goal: "int | str | Goal") -> int:
         """Normalize an index, label, or Goal to the goal index."""
+        if type(goal) is int and 0 <= goal < self.n_goals:
+            return goal
         if isinstance(goal, Goal):
             goal = goal.index
         if isinstance(goal, str):
@@ -287,13 +292,17 @@ def scenario_from_dict(data: Mapping) -> ScenarioSpec:
 
     Expected keys mirror the ScenarioSpec fields; ``rules`` is a list of
     mappings naming goals by label, and goals without an entry get an empty
-    rule. Positions default to the standard arc. An unknown key or a value
-    of the wrong type raises ConfigError.
+    rule. Positions default to the standard arc. An unknown key, a value of
+    the wrong type or a goal label that is not a string raises ConfigError.
     """
     check_keys("scenario", data, ("goals", "positions", "rules", *_SCALARS))
     if data.get("goals") is None:
         raise ConfigError("scenario is missing the 'goals' list")
-    labels = [str(lab) for lab in _list("goals", data["goals"])]
+    labels = _list("goals", data["goals"])
+    for lab in labels:
+        if not isinstance(lab, str):
+            raise ConfigError(f"goal label {lab!r} is not text; put it in quotes (YAML reads "
+                              "unquoted numbers and yes/no as numbers and booleans)")
     positions = default_positions(len(labels))
     if data.get("positions") is not None:
         pos_map = data["positions"]
@@ -367,9 +376,18 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 
 def load_scenario(path: str) -> ScenarioSpec:
-    """Load a scenario from a YAML file (top-level or under a 'scenario' key)."""
+    """Load a scenario from a YAML file: a bare scenario mapping, or a
+    mapping whose only key is ``scenario``.
+
+    A file with more beside its ``scenario`` section is a config file; its
+    other sections (an ``arm``, say) would be dropped here, so it is refused.
+    """
     data = read_yaml(path, "scenario")
     if isinstance(data, Mapping) and "scenario" in data:
+        others = sorted(str(key) for key in data if key != "scenario")
+        if others:
+            raise ConfigError(f"scenario file {path} also has {others} beside 'scenario'; "
+                              "pass a config file with --config")
         data = data["scenario"]
     return scenario_from_dict(data)
 

@@ -270,10 +270,12 @@ def test_validate_scenario_flag_overrides_config(tmp_path, capsys):
     ("rules", [{"goal": "b", "requires_on": "a"}], "rules[0].requires_on must be a list"),
     ("rules", [{"goal": "b", "requires_on": [["a"]]}], "rule references unknown goal ['a']"),
     ("positions", [[0.45, 0.4]] * 6, "positions must be a mapping"),
+    ("goals", [1, 2], "goal label 1 is not text; put it in quotes"),
+    ("goals", [True, False], "goal label True is not text; put it in quotes"),
 ], ids=["total_trials-text", "trials_per_epoch-fraction", "context_prob_on-text",
         "context_prob_on-bool", "requires_context-text", "position-one_number", "goals-text",
         "unknown_key", "rule-unknown_key", "rules-mapping", "requires_on-text", "requires_on-nested",
-        "positions-list"])
+        "positions-list", "goals-numbers", "goals-yes_no"])
 def test_mistyped_scenario_value_exits_2(tmp_path, capsys, key, value, message):
     path = tmp_path / "scn.yaml"
     path.write_text(yaml.safe_dump({**tiny_scenario_dict(), key: value}))
@@ -281,6 +283,21 @@ def test_mistyped_scenario_value_exits_2(tmp_path, capsys, key, value, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+def test_validate_scenario_refuses_a_config_file(tmp_path, capsys):
+    # The scenario's spheres are out of this arm's reach: --scenario must not
+    # check them against the default arm instead.
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"scenario": {"goals": ["a", "b"]},
+                                    "arm": {"link_lengths": [0.1, 0.1, 0.1, 0.1]}}))
+    assert run_cli("validate", "--config", str(path)) == 2
+    assert "outside arm reach" in capsys.readouterr().err
+    for command in (["validate"], ["run", "--out", str(tmp_path / "run")]):
+        assert run_cli(*command, "--scenario", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file") and "['arm']" in err and "--config" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_validate_documented_custom_scenario(capsys):

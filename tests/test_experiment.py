@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lightup.errors import ConfigError
+from lightup.errors import ConfigError, NumericsError
 from lightup.experiment import (
     ExperimentConfig,
     Simulation,
+    _mean_ci,
+    aggregate_competence,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -267,6 +269,36 @@ def test_aggregate_ci_matches_hand_computation():
     assert mean == pytest.approx(finals.mean())
     assert lo == pytest.approx(finals.mean() - 1.96 * se)
     assert hi == pytest.approx(finals.mean() + 1.96 * se)
+
+
+def competence_agg_by_lookup(series, labels):
+    """The aggregation as a per-(trial, goal) lookup in every replication."""
+    eval_points = [t for t, label, _ in series[0].competence if label == labels[0]]
+    agg = []
+    for t in eval_points:
+        for label in labels:
+            values = np.array([s.competence_at(t)[label] for s in series])
+            agg.append((t, label) + _mean_ci(values))
+    return agg
+
+
+def test_competence_agg_matches_per_row_lookup():
+    # 603 trials: eval rows every 50 trials plus a last one at 603.
+    result = run_experiment(small_cfg(3, 603, replications=3, seed=11, system="m_grail"))
+    expected = competence_agg_by_lookup(result.replications, result.scenario.labels)
+    assert [row[:2] for row in expected][-7:] == [(600, "f")] + [(603, lab) for lab in "abcdef"]
+    assert result.competence_agg == expected
+
+
+def test_competence_agg_rejects_replications_out_of_step():
+    series = run_experiment(small_cfg(3, 150, replications=3, seed=12)).replications
+    rows = series[1].competence
+    rows[7], rows[8] = rows[8], rows[7]
+    with pytest.raises(NumericsError, match="disagree"):
+        aggregate_competence(series)
+    del rows[-1]
+    with pytest.raises(NumericsError, match="numbers of competence rows"):
+        aggregate_competence(series)
 
 
 def test_csv_outputs_and_columns(tmp_path):

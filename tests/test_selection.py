@@ -1,13 +1,14 @@
 """Softmax rule, the value table at each system's parameters, and value-iteration agreement."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from lightup.errors import NumericsError
-from lightup.experiment import SYSTEMS, ExperimentConfig, Simulation
-from lightup.selection import SelectionStrategy, sample_index, softmax_probabilities
+from lightup.experiment import SYSTEM_TEMPERATURES, SYSTEMS, ExperimentConfig, Simulation
+from lightup.selection import SelectionStrategy, choose_index, softmax_probabilities
 from lightup.world import WorldState, builtin_scenario
 
 
@@ -43,7 +44,7 @@ def test_softmax_normalizes_and_respects_argmax():
         values = rng.normal(0, rng.uniform(0.01, 5.0), 6)
         tau = rng.uniform(1e-3, 10.0)
         p = softmax_probabilities(values, tau)
-        assert abs(p.sum() - 1.0) < 1e-12
+        assert abs(sum(p) - 1.0) < 1e-12
         assert np.argmax(p) == np.argmax(values)
 
 
@@ -58,11 +59,45 @@ def test_softmax_overflow_raises_numerics_error():
         softmax_probabilities(np.array([0.01, 0.0, 0.0]), 1e-320)
 
 
-def test_sample_index_is_seed_deterministic():
-    values = np.array([0.3, 0.1, 0.0, 0.0, 0.2, 0.0])
-    a = [sample_index(values, 0.1, np.random.default_rng(42)) for _ in range(5)]
-    b = [sample_index(values, 0.1, np.random.default_rng(42)) for _ in range(5)]
-    assert a == b
+def bin_edge_at(u, n):
+    """Probabilities over n indices whose running sum passes exactly through u."""
+    if n == 2:
+        return [u, 1.0 - u]
+    return [u / 2, u / 2] + [(1.0 - u) / (n - 2)] * (n - 2)
+
+
+def test_choose_index_draws_what_generator_choice_draws():
+    # Softmax distributions over 2 goals (arms) and 6 goals at every
+    # temperature the systems use; a tenth of the cases are ties, and a
+    # tenth put a bin edge exactly on the uniform number the draw will use.
+    temperatures = sorted({*SYSTEM_TEMPERATURES.values(), ExperimentConfig().expert_temperature})
+    cases = np.random.default_rng(2024)
+    ours, numpy_rng = np.random.default_rng(7), np.random.default_rng(7)
+    drawn, differ = 0, 0
+    for n in (2, 6):
+        for temperature in temperatures:
+            for i in range(17_000):
+                if i % 10 == 0:
+                    p = softmax_probabilities([0.0] * n, temperature)
+                elif i % 10 == 5:
+                    p = bin_edge_at(copy.deepcopy(ours).random(), n)
+                else:
+                    values = temperature * cases.normal(0.0, cases.uniform(0.1, 5.0), n)
+                    p = softmax_probabilities(values.tolist(), temperature)
+                differ += choose_index(p, ours) != int(numpy_rng.choice(n, p=np.array(p)))
+                drawn += 1
+    assert drawn >= 100_000
+    assert differ == 0
+    # Each draw consumed exactly what choice consumed.
+    assert ours.random() == numpy_rng.random()
+
+
+@pytest.mark.parametrize("probs", [[1.1, -0.1], [0.3, 0.3, 0.3]], ids=["negative", "sum_0.9"])
+def test_choose_index_rejects_what_choice_rejects(probs):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(probs), p=np.array(probs))
+    with pytest.raises(ValueError):
+        choose_index(probs, np.random.default_rng(0))
 
 
 # -- bandit (grail) --------------------------------------------------------------
