@@ -9,19 +9,31 @@ the low-level policy from rewardless trials.
 
 import numpy as np
 
-from lightup import AchievementPredictor, IdealizedExpert, WorldState
+from lightup import AchievementPredictor, ExperimentConfig, IdealizedExpert, WorldState
+
+# The predictor, gate and expert settings of a default run.
+cfg = ExperimentConfig()
+eta, epsilon = cfg.predictor_eta, cfg.gate_epsilon
+
+
+def expert_at(competence):
+    return IdealizedExpert(competence=competence, learning_rate=cfg.idealized_learning_rate,
+                           disruption=cfg.idealized_disruption,
+                           exploration_floor=cfg.idealized_exploration_floor,
+                           noise_scale=cfg.idealized_noise_scale)
+
 
 state = WorldState(sphere_on=(False,) * 6, context_feature=0.0)
 
 print("=== reward transient while a skill is learned ===")
-pred = AchievementPredictor(6)
-expert = IdealizedExpert()
+pred = AchievementPredictor(6, eta=eta)
+expert = expert_at(cfg.idealized_init_competence)
 rng = np.random.default_rng(7)
 for block in range(6):
     rewards = []
     for _ in range(50):
         achieved = expert.attempt(True, rng)
-        gate = pred.learning_gate(0, state, achieved)
+        gate = pred.learning_gate(0, state, achieved, epsilon)
         rewards.append(pred.update_and_reward(0, state, achieved))
         expert.learn(achieved=achieved, achievable=True, gate=gate)
     print(f"trials {block*50:3d}-{block*50+49:3d}: competence {expert.competence:.2f}  "
@@ -29,18 +41,18 @@ for block in range(6):
 print("reward has faded: nothing left to learn, selection moves elsewhere")
 
 print("\n=== the gate in action ===")
-pred = AchievementPredictor(6)
-print("prediction 0 + failure -> gate", pred.learning_gate(0, state, achieved=False),
+pred = AchievementPredictor(6, eta=eta)
+print("prediction 0 + failure -> gate", pred.learning_gate(0, state, achieved=False, epsilon=epsilon),
       "(expert protected from a hopeless trial)")
-print("prediction 0 + success -> gate", pred.learning_gate(0, state, achieved=True),
+print("prediction 0 + success -> gate", pred.learning_gate(0, state, achieved=True, epsilon=epsilon),
       "(a surprise success always trains)")
 pred.table[(0, ())] = 0.7
-print("prediction 0.7 + failure -> gate", pred.learning_gate(0, state, achieved=False),
+print("prediction 0.7 + failure -> gate", pred.learning_gate(0, state, achieved=False, epsilon=epsilon),
       "(an expected-to-work policy must feel its misses)")
 
 print("\n=== gated vs ungated experts under wasted trials ===")
-protected = IdealizedExpert(competence=0.9)
-exposed = IdealizedExpert(competence=0.9)
+protected = expert_at(0.9)
+exposed = expert_at(0.9)
 for _ in range(100):
     protected.learn(achieved=False, achievable=False, gate=False)
     exposed.learn(achieved=False, achievable=False, gate=True)

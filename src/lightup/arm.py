@@ -1,8 +1,13 @@
 """Planar 4-DOF kinematic arm with position control and touch sensing.
 
-Pure functions over joint-angle arrays. Two arms are modelled as mirrored
-copies of the same chain (the left arm reflects the end effector across the
-vertical axis); each keeps its own joint state.
+Pure functions. The per-step ones (``home_joints``, ``step_toward``,
+``forward_kinematics``, ``check_touch``) take sequences of Python floats and
+return tuples: on four joints, numpy's per-call overhead costs more than the
+arithmetic. They make the same float64 operations in the same order as the
+array formulas in ``joint_points``, so the results are the same bits. Two
+arms are modelled as mirrored copies of the same chain (the left arm
+reflects the end effector across the vertical axis); each keeps its own
+joint state.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ class ArmConfig:
         return float(sum(self.link_lengths))
 
     # Read-only numpy copies of the tuples, built once per config for the
-    # per-step functions below; fields, asdict and equality ignore them.
+    # array functions below (``joint_points`` and the IK search); fields,
+    # asdict and equality ignore them.
     @cached_property
     def lengths(self) -> np.ndarray:
         return _read_only(self.link_lengths)
@@ -73,13 +79,9 @@ def _read_only(values) -> np.ndarray:
     return array
 
 
-def clamp_to_limits(angles: np.ndarray, cfg: ArmConfig) -> np.ndarray:
-    return np.minimum(np.maximum(angles, cfg.lower), cfg.upper)
-
-
-def home_joints(cfg: ArmConfig) -> np.ndarray:
-    """Default start posture: all joints at zero (chain fully extended)."""
-    return clamp_to_limits(np.zeros(cfg.n_joints), cfg)
+def home_joints(cfg: ArmConfig) -> tuple[float, ...]:
+    """Default start posture: all joints at zero (chain fully extended), within the limits."""
+    return tuple(float(min(max(0.0, lo), hi)) for lo, hi in zip(cfg.joint_min, cfg.joint_max))
 
 
 def joint_points(angles: np.ndarray, cfg: ArmConfig) -> np.ndarray:
@@ -94,36 +96,63 @@ def joint_points(angles: np.ndarray, cfg: ArmConfig) -> np.ndarray:
     return pts
 
 
-def forward_kinematics(angles: np.ndarray, cfg: ArmConfig) -> np.ndarray:
+def forward_kinematics(angles, cfg: ArmConfig) -> tuple[float, float]:
     """End-effector position of the planar chain (deterministic).
 
-    The last row of ``joint_points``, computed by the same operations in the
-    same order without building the other rows.
+    The last row of ``joint_points``: the headings and both coordinates are
+    running sums from the base outward, as ``cumsum`` adds them.
     """
-    cum = np.asarray(angles, dtype=float).cumsum()
-    x = (cfg.lengths * np.cos(cum)).cumsum()[-1]
-    y = (cfg.lengths * np.sin(cum)).cumsum()[-1]
-    return np.array([-x if cfg.mirrored else x, y])
+    lengths = cfg.link_lengths
+    heading = angles[0]
+    x = lengths[0] * math.cos(heading)
+    y = lengths[0] * math.sin(heading)
+    for i in range(1, len(lengths)):
+        heading += angles[i]
+        x += lengths[i] * math.cos(heading)
+        y += lengths[i] * math.sin(heading)
+    return (-x if cfg.mirrored else x), y
 
 
-def step_toward(current: np.ndarray, desired: np.ndarray, cfg: ArmConfig) -> np.ndarray:
+def step_toward(current, desired, cfg: ArmConfig) -> tuple[float, ...]:
     """One position-control step: move each joint toward its target.
 
     Per-joint change is clamped to ``max_step`` and the result to the joint
     limits, so repeated calls converge to the (clamped) target and never
-    overshoot it.
+    overshoot it. Each clamp is ``max`` with the lower bound, then ``min``
+    with the upper one, written as comparisons (cheaper than the builtin
+    calls, and the same result, NaN included).
     """
-    current = np.asarray(current, dtype=float)
-    delta = np.asarray(desired, dtype=float) - current
-    delta = np.minimum(np.maximum(delta, -cfg.max_step), cfg.max_step)
-    return clamp_to_limits(current + delta, cfg)
+    step = cfg.max_step
+    low_step = -step
+    stepped = []
+    for c, d, lo, hi in zip(current, desired, cfg.joint_min, cfg.joint_max):
+        delta = d - c
+        if low_step > delta:
+            delta = low_step
+        if step < delta:
+            delta = step
+        joint = c + delta
+        if lo > joint:
+            joint = lo
+        if hi < joint:
+            joint = hi
+        stepped.append(joint)
+    return tuple(stepped)
 
 
-def check_touch(effector: np.ndarray, sphere_pos, cfg: ArmConfig) -> bool:
-    """True iff the effector is within touch_radius of the sphere (boundary inclusive)."""
-    dx = float(effector[0]) - float(sphere_pos[0])
-    dy = float(effector[1]) - float(sphere_pos[1])
-    return float(np.hypot(dx, dy)) <= cfg.touch_radius
+def check_touch(effector, sphere_pos, cfg: ArmConfig) -> bool:
+    """True iff the effector is within touch_radius of the sphere (boundary inclusive).
+
+    A point farther than the radius along either axis is rejected without
+    the distance: ``hypot(dx, dy) >= max(|dx|, |dy|)`` holds for the rounded
+    result too, so the answer is the same.
+    """
+    radius = cfg.touch_radius
+    dx = effector[0] - sphere_pos[0]
+    dy = effector[1] - sphere_pos[1]
+    if abs(dx) > radius or abs(dy) > radius:
+        return False
+    return float(np.hypot(dx, dy)) <= radius
 
 
 def reach_target(
@@ -146,9 +175,8 @@ def reach_target(
         target = np.array([-target[0], target[1]])
         cfg = cfg.mirror()
     lo, hi = cfg.lower, cfg.upper
-    starts = [home_joints(cfg)] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
+    starts = [np.array(home_joints(cfg), dtype=float)] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
     for joints in starts:
-        joints = joints.copy()
         for _ in range(iterations):
             pts = joint_points(joints, cfg)
             eff = pts[-1]

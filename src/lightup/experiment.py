@@ -237,7 +237,7 @@ class Simulation:
         ]
         self.experts = [[self._make_expert(side) for side in ARMS] for _ in range(n)]
 
-        self.sphere_positions = np.array([g.position for g in spec.goals])
+        self.sphere_positions = tuple(tuple(map(float, g.position)) for g in spec.goals)
         self.state: WorldState = spec.reset(self.rng)
         self.trial = 0  # trials completed
 
@@ -325,6 +325,9 @@ class Simulation:
 
         Only an exploring (training) rollout draws from the simulation's RNG;
         a frozen one (evaluation) acts on the policy mean and draws nothing.
+        Each step's features are computed once, for ``act``, and recorded in
+        the trajectory as ``(features, action, reward, done)`` for ``learn``.
+        Joints and positions are tuples of Python floats.
         """
         spec, cfg = self.spec, self.cfg
         arm_cfg = self.arm_cfgs[ARMS[arm_index]]
@@ -337,9 +340,10 @@ class Simulation:
         achieved = False
         steps = 0
         for step in range(1, cfg.timeout_steps + 1):
-            action = expert.act(joints, rng, explore=explore)
-            next_joints = step_toward(joints, action, arm_cfg)
-            effector = forward_kinematics(next_joints, arm_cfg)
+            feat = expert.features(joints)
+            action = expert.act(feat, rng, explore=explore)
+            joints = step_toward(joints, action, arm_cfg)
+            effector = forward_kinematics(joints, arm_cfg)
             touched = None
             for i, sphere in enumerate(self.sphere_positions):
                 if check_touch(effector, sphere, arm_cfg):
@@ -352,8 +356,7 @@ class Simulation:
                 if touched == goal and activated:
                     reward = 1.0
                     achieved = True
-            trajectory.append((joints, action, reward, next_joints, done))
-            joints = next_joints
+            trajectory.append((feat, action, reward, done))
             steps = step
             if done:
                 break

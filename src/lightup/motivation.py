@@ -11,13 +11,10 @@ policies from training on trials whose goal was never going to activate.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .errors import NumericsError
 from .world import WorldState, state_key
-
-DEFAULT_ETA = 0.1
-DEFAULT_GATE_EPSILON = 0.05
 
 
 class AchievementPredictor:
@@ -31,12 +28,10 @@ class AchievementPredictor:
     def __init__(
         self,
         n_goals: int,
-        eta: float = DEFAULT_ETA,
+        eta: float,
         context_mode: str = "none",
         clip_negative_reward: bool = True,
     ):
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {eta}")
         self.n_goals = n_goals
         self.eta = eta
         self.context_mode = context_mode
@@ -62,13 +57,11 @@ class AchievementPredictor:
         reward = p_new - p_old
         if self.clip_negative_reward:
             reward = max(0.0, reward)
-        if not np.isfinite(reward):
+        if not math.isfinite(reward):
             raise NumericsError(f"non-finite intrinsic reward for goal {goal}")
         return reward
 
-    def learning_gate(
-        self, goal: int, state: WorldState, achieved: bool, epsilon: float = DEFAULT_GATE_EPSILON
-    ) -> bool:
+    def learning_gate(self, goal: int, state: WorldState, achieved: bool, epsilon: float) -> bool:
         """False (block expert learning) iff the prediction is ~zero and the trial failed.
 
         A goal that was achieved always trains, whatever was predicted.

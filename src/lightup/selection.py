@@ -122,8 +122,10 @@ class SelectionStrategy:
         values = self.goal_values(key)
         target = reward
         if not terminal and self.discount > 0:
-            target += self.discount * float(self.goal_values(next_key).max())
-        values[goal] += self.learning_rate * (target - values[goal])
+            target += self.discount * max(self.goal_values(next_key).tolist())
+        # In Python floats: the same float64 arithmetic as on the array element.
+        value = values.item(goal)
+        values[goal] = value + self.learning_rate * (target - value)
 
     def dump_rows(self):
         """(state_key, goal, value) triples for every stored cell, sorted."""

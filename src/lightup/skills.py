@@ -28,11 +28,6 @@ from .arm import ArmConfig
 from .errors import NumericsError
 from .selection import choose_index, softmax_probabilities
 
-IDEALIZED_INIT_COMPETENCE = 0.02
-IDEALIZED_LEARNING_RATE = 0.05
-IDEALIZED_DISRUPTION = 0.03
-IDEALIZED_EXPLORATION_FLOOR = 0.22
-
 
 @dataclass
 class IdealizedExpert:
@@ -48,14 +43,15 @@ class IdealizedExpert:
     simply not good enough yet); a miss on an *unachievable* goal erodes it
     multiplicatively by ``disruption`` - the analogue of a trained policy
     being pulled apart by a rewardless trial it executed correctly.
-    ``noise_scale`` optionally jitters the attempt probability.
+    ``noise_scale`` optionally jitters the attempt probability. The
+    defaults live in ``ExperimentConfig`` (the ``idealized_*`` fields).
     """
 
-    competence: float = IDEALIZED_INIT_COMPETENCE
-    learning_rate: float = IDEALIZED_LEARNING_RATE
-    disruption: float = IDEALIZED_DISRUPTION
-    exploration_floor: float = IDEALIZED_EXPLORATION_FLOOR
-    noise_scale: float = 0.0
+    competence: float
+    learning_rate: float
+    disruption: float
+    exploration_floor: float
+    noise_scale: float
 
     def attempt(self, achievable: bool, rng: np.random.Generator) -> bool:
         if not achievable:
@@ -104,8 +100,9 @@ class ExpertSelector:
         return int(np.argmax(self.success_ema))
 
     def update(self, expert: int, success: bool) -> None:
-        outcome = 1.0 if success else 0.0
-        self.success_ema[expert] += self.smoothing * (outcome - self.success_ema[expert])
+        # In Python floats: the same float64 arithmetic as on the array element.
+        ema = self.success_ema.item(expert)
+        self.success_ema[expert] = ema + self.smoothing * ((1.0 if success else 0.0) - ema)
 
 
 # -- actor-critic backend --------------------------------------------------
@@ -151,16 +148,24 @@ class ActorCriticExpert:
     happen once per trial from the recorded trajectory: critic by one-step
     TD, actor by moving its mean toward the executed action on
     over-margin-TD steps and along the closing stretch of successful trials.
+
+    The mat-vecs and every ``tanh`` are numpy's (``math.tanh`` differs from
+    ``np.tanh`` in the last bit for many arguments). The per-joint arithmetic
+    of ``act`` and of the actor step runs on Python floats: the same float64
+    operations in the same order, without numpy's per-call overhead.
     """
 
     def __init__(self, arm_cfg: ArmConfig, cfg: ActorCriticConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.n = arm_cfg.n_joints
-        self.lo = np.array(arm_cfg.joint_min, dtype=float)
-        self.hi = np.array(arm_cfg.joint_max, dtype=float)
-        self.mid = 0.5 * (self.lo + self.hi)
-        self.half = 0.5 * (self.hi - self.lo)
-        self.scale = np.maximum(np.abs(self.lo), np.abs(self.hi))
+        lo = np.array(arm_cfg.joint_min, dtype=float)
+        hi = np.array(arm_cfg.joint_max, dtype=float)
+        self.scale = np.maximum(np.abs(lo), np.abs(hi))
+        # Per joint (mid, half, lo, hi) in Python floats, for act and the actor step.
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        self._joint_box = tuple(zip(mid.tolist(), half.tolist(), lo.tolist(), hi.tolist()))
+        # The exploration noise is an AR(1) process with stationary scale sigma.
+        self._innovation = math.sqrt(1.0 - cfg.noise_correlation * cfg.noise_correlation)
         h = cfg.hidden_units
         # Feature layer is drawn once and never trained.
         self.w_feat = rng.normal(0.0, cfg.feature_scale, size=(h, self.n))
@@ -173,22 +178,18 @@ class ActorCriticExpert:
         self.b_actor = np.zeros(self.n)
         self.w_critic = np.zeros(h)
         self.b_critic = np.zeros(1)
-        self._noise = np.zeros(self.n)
+        self._noise = [0.0] * self.n
         self.success_ema = 0.0
         self.td_error_ema = 0.0
         self.trials_trained = 0
+        self._trial_sigma = self.sigma
 
     # -- forward passes ----------------------------------------------------
 
-    def features(self, joints: np.ndarray) -> np.ndarray:
+    def features(self, joints) -> np.ndarray:
+        """The fixed tanh basis at a joint posture."""
         s = np.asarray(joints, dtype=float) / self.scale
         return np.tanh(self.w_feat @ s + self.b_feat)
-
-    def policy_mean(self, joints: np.ndarray) -> np.ndarray:
-        return self._mean_from_features(self.features(joints))
-
-    def _mean_from_features(self, feat: np.ndarray) -> np.ndarray:
-        return self.mid + self.half * np.tanh(self.w_actor @ feat + self.b_actor)
 
     @property
     def sigma(self) -> float:
@@ -196,37 +197,68 @@ class ActorCriticExpert:
         return self.cfg.sigma_min + span * (1.0 - self.success_ema)
 
     def begin_trial(self, rng: np.random.Generator) -> None:
-        """Draw a fresh exploration-noise state for the coming trial."""
-        self._noise = rng.normal(0.0, self.sigma, size=self.n)
+        """Fix the coming trial's noise scale and draw a fresh exploration-noise state."""
+        self._trial_sigma = self.sigma
+        self._noise = rng.normal(0.0, self._trial_sigma, size=self.n).tolist()
 
-    def act(self, joints: np.ndarray, rng: np.random.Generator | None = None, explore: bool = True) -> np.ndarray:
-        """Desired joint angles for this timestep (mean plus filtered noise)."""
-        mean = self.policy_mean(joints)
+    def act(self, feat: np.ndarray, rng: np.random.Generator | None = None,
+            explore: bool = True) -> tuple[float, ...]:
+        """Desired joint angles for this timestep (mean plus filtered noise),
+        from the ``features`` of the current posture.
+
+        Exploring draws at the noise scale ``begin_trial`` fixed. Each angle
+        is clamped to its joint's limits, ``max`` then ``min``, written as
+        comparisons.
+        """
+        t = np.tanh(self.w_actor @ feat + self.b_actor).tolist()
+        action = []
         if not explore or rng is None:
-            return np.minimum(np.maximum(mean, self.lo), self.hi)
-        c = self.cfg.noise_correlation
-        self._noise = c * self._noise + math.sqrt(1.0 - c * c) * rng.normal(0.0, self.sigma, size=self.n)
-        return np.minimum(np.maximum(mean + self._noise, self.lo), self.hi)
+            for tj, (mid, half, lo, hi) in zip(t, self._joint_box):
+                angle = mid + half * tj
+                if lo > angle:
+                    angle = lo
+                if hi < angle:
+                    angle = hi
+                action.append(angle)
+            return tuple(action)
+        c, k = self.cfg.noise_correlation, self._innovation
+        draws = rng.normal(0.0, self._trial_sigma, size=self.n).tolist()
+        noise = []
+        for tj, old, draw, (mid, half, lo, hi) in zip(t, self._noise, draws, self._joint_box):
+            nj = c * old + k * draw
+            noise.append(nj)
+            angle = mid + half * tj + nj
+            if lo > angle:
+                angle = lo
+            if hi < angle:
+                angle = hi
+            action.append(angle)
+        self._noise = noise
+        return tuple(action)
 
     # -- learning ------------------------------------------------------------
 
-    def _actor_step(self, feat: np.ndarray, action: np.ndarray) -> None:
-        z = self.w_actor @ feat + self.b_actor
-        t = np.tanh(z)
-        grad_z = (action - (self.mid + self.half * t)) * (1.0 - t * t) / self.half
-        self.w_actor += self.cfg.actor_lr * np.outer(grad_z, feat)
-        self.b_actor += self.cfg.actor_lr * grad_z
+    def _actor_step(self, feat: np.ndarray, action) -> None:
+        # The per-joint gradient in Python floats, as numpy would compute it
+        # elementwise: ((a - (mid + half * t)) * (1 - t * t)) / half.
+        t = np.tanh(self.w_actor @ feat + self.b_actor).tolist()
+        grad_z = np.array([(a - (mid + half * tj)) * (1.0 - tj * tj) / half
+                           for a, tj, (mid, half, _, _) in zip(action, t, self._joint_box)])
+        lr = self.cfg.actor_lr
+        self.w_actor += lr * (grad_z[:, None] * feat)
+        self.b_actor += lr * grad_z
 
     def learn(self, trajectory, gate: bool) -> None:
-        """One-step TD over the trial's (state, action, reward, next, done) steps.
+        """One-step TD over the trial's (features, action, reward, done) steps.
 
         The trajectory is one unbroken rollout, as ``Simulation._rollout``
-        records it: each step's ``next`` is the following step's ``state``,
-        and only the last step is ``done``. So the features of every state,
-        the next states included, are computed once per call, and the
-        bootstrap value of step i reads the features of step i + 1. The
-        feature layer never trains, so this is the same arithmetic as
-        recomputing them on every pass.
+        records it: each step carries the ``features`` of the posture it
+        acted from, the next step's features are those of the posture its
+        action led to, and only the last step is ``done``. So the bootstrap
+        value of step i reads the features of step i + 1, and ``learn``
+        computes no features itself. The feature layer never trains, so this
+        is the same arithmetic as recomputing them from the joints on every
+        pass.
 
         With ``gate`` false the expert is returned untouched (no parameter,
         statistic, or counter changes).
@@ -234,27 +266,32 @@ class ActorCriticExpert:
         if not gate:
             return
         cfg = self.cfg
-        success = any(reward > 0.0 for _, _, reward, _, _ in trajectory)
+        success = any(reward > 0.0 for _, _, reward, _ in trajectory)
         passes = 1 + (cfg.success_replays if success else 0)
-        feats = [self.features(joints) for joints, *_ in trajectory]
         # The sweep keeps the critic bias and the TD-error EMA in Python
         # floats (the same float64 additions) and writes them back after it.
         w_critic, b_critic, td_error_ema = self.w_critic, float(self.b_critic[0]), self.td_error_ema
+        discount, critic_lr, margin = cfg.discount, cfg.critic_lr, cfg.actor_delta_margin
+        td_clip, low_clip = cfg.td_clip, -cfg.td_clip
         imitate_from = len(trajectory) - cfg.imitate_window if success else len(trajectory)
         for _ in range(passes):
-            for i, (_, action, reward, _, done) in enumerate(trajectory):
-                feat = feats[i]
+            for i, (feat, action, reward, done) in enumerate(trajectory):
                 v = float(w_critic @ feat) + b_critic
                 if done:
                     target = reward
                 else:
-                    target = reward + cfg.discount * (float(w_critic @ feats[i + 1]) + b_critic)
-                delta = min(max(target - v, -cfg.td_clip), cfg.td_clip)
+                    target = reward + discount * (float(w_critic @ trajectory[i + 1][0]) + b_critic)
+                # Clipped to [-td_clip, td_clip]: max, then min, as comparisons.
+                delta = target - v
+                if low_clip > delta:
+                    delta = low_clip
+                if td_clip < delta:
+                    delta = td_clip
 
-                w_critic += cfg.critic_lr * delta * feat
-                b_critic += cfg.critic_lr * delta
+                w_critic += critic_lr * delta * feat
+                b_critic += critic_lr * delta
 
-                if delta > cfg.actor_delta_margin or i >= imitate_from:
+                if delta > margin or i >= imitate_from:
                     self._actor_step(feat, action)
 
                 td_error_ema += 0.01 * (abs(delta) - td_error_ema)

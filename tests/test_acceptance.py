@@ -26,7 +26,7 @@ from lightup.world import (
     WorldState,
     builtin_scenario,
 )
-from lightup.arm import ArmConfig
+from lightup.arm import ArmConfig, home_joints, step_toward
 
 SEED = 100
 REPS = 10
@@ -330,19 +330,23 @@ def test_a7_predictor_range_preservation():
 
 
 def test_a7_gate_is_strict_noop():
-    ideal = IdealizedExpert(competence=0.41)
+    ideal = IdealizedExpert(competence=0.41, learning_rate=0.05, disruption=0.03,
+                            exploration_floor=0.22, noise_scale=0.0)
     before = ideal.snapshot()
     ideal.learn(achieved=True, achievable=True, gate=False)
     ideal_ok = ideal.snapshot() == before
 
-    ac = ActorCriticExpert(ArmConfig(), ActorCriticConfig(), np.random.default_rng(0))
+    arm = ArmConfig()
+    ac = ActorCriticExpert(arm, ActorCriticConfig(), np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    joints = np.zeros(4)
+    joints = home_joints(arm)
     ac.begin_trial(rng)
     traj = []
     for i in range(4):
-        a = ac.act(joints, rng)
-        traj.append((joints, a, 1.0 if i == 3 else 0.0, joints, i == 3))
+        feat = ac.features(joints)
+        a = ac.act(feat, rng)
+        traj.append((feat, a, 1.0 if i == 3 else 0.0, i == 3))
+        joints = step_toward(joints, a, arm)
     before_ac = ac.snapshot()
     ac.learn(traj, gate=False)
     ac_ok = all(np.array_equal(np.asarray(before_ac[k]), np.asarray(v))

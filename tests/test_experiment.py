@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lightup.arm import home_joints, step_toward
 from lightup.errors import ConfigError, NumericsError
 from lightup.experiment import (
+    ARMS,
     ExperimentConfig,
     Simulation,
     _mean_ci,
@@ -18,6 +20,7 @@ from lightup.experiment import (
     resolve_scenario,
     run_experiment,
 )
+from lightup.skills import ActorCriticExpert
 from lightup.world import WorldState, builtin_scenario, scenario_from_dict
 
 
@@ -364,10 +367,10 @@ def test_actor_critic_backend_trial_records():
 
 
 def test_actor_critic_rollout_trajectory_is_unbroken():
-    # ActorCriticExpert.learn bootstraps step i from the features of step
-    # i + 1's joints, so every rollout, training or evaluation, ending on a
-    # touch or on timeout, must hand each step's next joints on as the next
-    # step's joints and set done on its last step only.
+    # ActorCriticExpert.learn bootstraps step i from the features step i + 1
+    # carries, so every rollout, training or evaluation, ending on a touch or
+    # on timeout, must record each step's features at the posture the
+    # previous step's action led to, and set done on its last step only.
     spec = scenario_from_dict({
         "name": "near_home", "goals": ["a"], "positions": {"a": [0.97, 0.1]},
         "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
@@ -377,15 +380,44 @@ def test_actor_critic_rollout_trajectory_is_unbroken():
     sim = Simulation(spec, cfg, seed=3)
     endings = set()
     for arm_index in (0, 1):
+        arm_cfg = sim.arm_cfgs[ARMS[arm_index]]
+        expert = sim.experts[0][arm_index]
         for explore in (True, False):
             for _ in range(3):
                 _, achieved, steps, traj = sim._rollout(0, arm_index, sim.state, explore=explore)
                 assert len(traj) == steps
-                for (_, _, _, nxt, done), (joints, *_) in zip(traj, traj[1:]):
-                    assert nxt is joints and not done
-                assert traj[-1][4]
+                joints = home_joints(arm_cfg)
+                for feat, action, _, _ in traj:
+                    assert np.array_equal(feat, expert.features(joints))
+                    joints = step_toward(joints, action, arm_cfg)
+                assert [done for *_, done in traj] == [False] * (steps - 1) + [True]
                 endings.add(achieved)
     assert endings == {True, False}
+
+
+def test_actor_critic_rollout_computes_features_once_per_step(monkeypatch):
+    # The rollout computes each step's features for act and carries them to
+    # learn, so a trial, learning included, and a probe rollout call
+    # features exactly once per arm step.
+    calls = []
+    features = ActorCriticExpert.features
+
+    def counted(self, joints):
+        calls.append(1)
+        return features(self, joints)
+
+    monkeypatch.setattr(ActorCriticExpert, "features", counted)
+    spec = short_scenario(1, 8)
+    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=60, replications=1)
+    sim = Simulation(spec, cfg, seed=2)
+    for _ in range(8):
+        calls.clear()
+        rec = sim.run_trial()
+        assert len(calls) == rec.steps
+    for arm_index in (0, 1):
+        calls.clear()
+        steps = sim._rollout(0, arm_index, sim.state, explore=False)[2]
+        assert len(calls) == steps
 
 
 def test_actor_critic_measure_competence_leaves_parameters_unchanged():

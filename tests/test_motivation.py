@@ -12,14 +12,14 @@ def state(cf=0.0, on=(False,) * 6):
 
 
 def test_fresh_predictor_predicts_zero_everywhere():
-    pred = AchievementPredictor(6, context_mode="full_state")
+    pred = AchievementPredictor(6, eta=0.1, context_mode="full_state")
     for goal in range(6):
         assert pred.predict(goal, state()) == 0.0
         assert pred.predict(goal, state(cf=1.0)) == 0.0
 
 
 def test_keying_none_collapses_states():
-    pred = AchievementPredictor(6, context_mode="none")
+    pred = AchievementPredictor(6, eta=0.1, context_mode="none")
     pred.update_and_reward(0, state(cf=0.0), True)
     assert pred.predict(0, state(cf=1.0)) == pred.predict(0, state(cf=0.0)) > 0.0
 
@@ -63,16 +63,16 @@ def test_signed_variant_returns_negative_changes():
 def test_gate_truth_table():
     pred = AchievementPredictor(6, eta=0.1)
     # prediction 0, not achieved -> blocked
-    assert pred.learning_gate(0, state(), achieved=False) is False
+    assert pred.learning_gate(0, state(), achieved=False, epsilon=0.05) is False
     # prediction 0, achieved -> learn anyway
-    assert pred.learning_gate(0, state(), achieved=True) is True
+    assert pred.learning_gate(0, state(), achieved=True, epsilon=0.05) is True
     # high prediction, not achieved -> learn (the policy needs the correction)
     pred.table[(0, ())] = 0.7
-    assert pred.learning_gate(0, state(), achieved=False) is True
+    assert pred.learning_gate(0, state(), achieved=False, epsilon=0.05) is True
 
 
 def test_gate_epsilon_threshold():
-    pred = AchievementPredictor(6)
+    pred = AchievementPredictor(6, eta=0.1)
     pred.table[(0, ())] = 0.04
     assert pred.learning_gate(0, state(), achieved=False, epsilon=0.05) is False
     pred.table[(0, ())] = 0.06
@@ -111,7 +111,7 @@ def test_reward_fades_under_constant_success():
 
 
 def test_context_table_isolation_under_full_keying():
-    pred = AchievementPredictor(6, context_mode="full_state")
+    pred = AchievementPredictor(6, eta=0.1, context_mode="full_state")
     ctx_a = state(on=(True,) + (False,) * 5)
     ctx_b = state(on=(False,) * 6)
     for _ in range(10):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lightup.arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward
+from lightup.experiment import ExperimentConfig
 from lightup.skills import (
     ActorCriticConfig,
     ActorCriticExpert,
@@ -18,20 +19,33 @@ from lightup.skills import (
 # -- idealized expert ---------------------------------------------------------
 
 
+def idealized(**fields):
+    """An IdealizedExpert at the ExperimentConfig defaults, with ``fields`` replaced."""
+    cfg = ExperimentConfig()
+    defaults = dict(
+        competence=cfg.idealized_init_competence,
+        learning_rate=cfg.idealized_learning_rate,
+        disruption=cfg.idealized_disruption,
+        exploration_floor=cfg.idealized_exploration_floor,
+        noise_scale=cfg.idealized_noise_scale,
+    )
+    return IdealizedExpert(**{**defaults, **fields})
+
+
 def test_idealized_success_update():
-    ex = IdealizedExpert(competence=0.5, learning_rate=0.1)
+    ex = idealized(competence=0.5, learning_rate=0.1)
     ex.learn(achieved=True, achievable=True, gate=True)
     assert ex.competence == pytest.approx(0.55)
 
 
 def test_idealized_competence_clamped_at_one():
-    ex = IdealizedExpert(competence=1.0, learning_rate=0.1)
+    ex = idealized(competence=1.0, learning_rate=0.1)
     ex.learn(achieved=True, achievable=True, gate=True)
     assert ex.competence == 1.0
 
 
 def test_idealized_gate_false_is_strict_noop():
-    ex = IdealizedExpert(competence=0.37)
+    ex = idealized(competence=0.37)
     before = ex.snapshot()
     for achieved in (False, True):
         for achievable in (False, True):
@@ -40,41 +54,41 @@ def test_idealized_gate_false_is_strict_noop():
 
 
 def test_idealized_attempt_never_succeeds_when_unachievable():
-    ex = IdealizedExpert(competence=1.0)
+    ex = idealized(competence=1.0)
     rng = np.random.default_rng(0)
     assert not any(ex.attempt(False, rng) for _ in range(1000))
 
 
 def test_idealized_attempt_always_succeeds_at_full_competence():
-    ex = IdealizedExpert(competence=1.0)
+    ex = idealized(competence=1.0)
     rng = np.random.default_rng(1)
     assert all(ex.attempt(True, rng) for _ in range(1000))
 
 
 def test_idealized_attempt_rate_matches_competence():
     # 0.5 is above the exploration floor, so the rate is the plain Bernoulli one.
-    ex = IdealizedExpert(competence=0.5)
+    ex = idealized(competence=0.5)
     rng = np.random.default_rng(2)
     rate = np.mean([ex.attempt(True, rng) for _ in range(10000)])
     assert abs(rate - 0.5) < 0.05
 
 
 def test_idealized_attempt_rate_is_exact_bernoulli_without_floor():
-    ex = IdealizedExpert(competence=0.1, exploration_floor=0.0)
+    ex = idealized(competence=0.1, exploration_floor=0.0)
     rng = np.random.default_rng(3)
     rate = np.mean([ex.attempt(True, rng) for _ in range(20000)])
     assert abs(rate - 0.1) < 0.01
 
 
 def test_idealized_untrained_attempt_succeeds_at_exploration_floor():
-    ex = IdealizedExpert(competence=0.02, exploration_floor=0.22)
+    ex = idealized(competence=0.02, exploration_floor=0.22)
     rng = np.random.default_rng(4)
     rate = np.mean([ex.attempt(True, rng) for _ in range(20000)])
     assert abs(rate - 0.22) < 0.01
 
 
 def test_idealized_monotone_under_successes():
-    ex = IdealizedExpert(competence=0.02)
+    ex = idealized(competence=0.02)
     last = ex.competence
     for _ in range(500):
         ex.learn(achieved=True, achievable=True, gate=True)
@@ -84,13 +98,13 @@ def test_idealized_monotone_under_successes():
 
 
 def test_idealized_disruption_erodes_on_wasted_ungated_trial():
-    ex = IdealizedExpert(competence=0.8, disruption=0.03)
+    ex = idealized(competence=0.8, disruption=0.03)
     ex.learn(achieved=False, achievable=False, gate=True)
     assert ex.competence == pytest.approx(0.8 * 0.97)
 
 
 def test_idealized_achievable_miss_leaves_competence_alone():
-    ex = IdealizedExpert(competence=0.8)
+    ex = idealized(competence=0.8)
     ex.learn(achieved=False, achievable=True, gate=True)
     assert ex.competence == pytest.approx(0.8)
 
@@ -145,9 +159,9 @@ def make_expert(seed=0):
 
 def test_actor_critic_eval_act_is_deterministic():
     ex = make_expert()
-    joints = np.array([0.1, -0.2, 0.3, 0.0])
-    a1 = ex.act(joints, explore=False)
-    a2 = ex.act(joints, explore=False)
+    feat = ex.features((0.1, -0.2, 0.3, 0.0))
+    a1 = ex.act(feat, explore=False)
+    a2 = ex.act(feat, explore=False)
     assert np.array_equal(a1, a2)
 
 
@@ -156,22 +170,31 @@ def test_actor_critic_untrained_output_within_limits():
     rng = np.random.default_rng(8)
     for _ in range(100):
         joints = rng.uniform(-math.pi, math.pi, 4)
-        a = ex.act(joints, rng, explore=True)
+        a = np.array(ex.act(ex.features(joints), rng, explore=True))
         assert np.all(a >= ARM.joint_min) and np.all(a <= ARM.joint_max)
 
 
-def _tiny_trajectory(ex, rng, reward_last=1.0, n=5):
-    """An unbroken rollout: each step's next joints are the next step's joints."""
-    traj = []
+def _tiny_rollout(ex, rng, reward_last=1.0, n=5):
+    """An unbroken rollout of n steps, recorded twice: as the (features,
+    action, reward, done) trajectory that learn reads, and as the (joints,
+    action, reward, next joints, done) steps that _reference_learn reads."""
+    traj, joint_steps = [], []
     joints = home_joints(ARM)
     ex.begin_trial(rng)
     for i in range(n):
-        action = ex.act(joints, rng)
+        feat = ex.features(joints)
+        action = ex.act(feat, rng)
         nxt = step_toward(joints, action, ARM)
         done = i == n - 1
-        traj.append((joints, action, reward_last if done else 0.0, nxt, done))
+        reward = reward_last if done else 0.0
+        traj.append((feat, action, reward, done))
+        joint_steps.append((joints, action, reward, nxt, done))
         joints = nxt
-    return traj
+    return traj, joint_steps
+
+
+def _tiny_trajectory(ex, rng, reward_last=1.0, n=5):
+    return _tiny_rollout(ex, rng, reward_last, n)[0]
 
 
 def _reference_learn(ex, trajectory):
@@ -205,7 +228,8 @@ def _reference_learn(ex, trajectory):
 def test_actor_critic_learn_matches_per_step_reference_bit_for_bit():
     # Successes (replayed success_replays extra times) and failures, with a
     # TD clip small enough to bind and trajectories longer and shorter than
-    # the imitation window.
+    # the imitation window. learn reads the features the rollout carried;
+    # the reference recomputes them from the joints on every pass.
     cfg = ActorCriticConfig(td_clip=0.5, imitate_window=40)
     ex = ActorCriticExpert(ARM, cfg, np.random.default_rng(21))
     ref = copy.deepcopy(ex)
@@ -213,13 +237,16 @@ def test_actor_critic_learn_matches_per_step_reference_bit_for_bit():
     clipped = actor_steps = 0
     for trial in range(40):
         reward = 0.0 if trial % 3 == 2 else 1.0
-        traj = _tiny_trajectory(ex, rng, reward_last=reward, n=1 + trial % 7 * 20)
-        # The contract learn relies on: unbroken, done on the last step only.
-        for (_, _, _, nxt, done), (joints, *_) in zip(traj, traj[1:]):
+        traj, joint_steps = _tiny_rollout(ex, rng, reward_last=reward, n=1 + trial % 7 * 20)
+        # The contract learn relies on: each step carries the features of its
+        # own posture, the rollout is unbroken, and only the last step is done.
+        for (feat, *_), (joints, *_) in zip(traj, joint_steps):
+            assert np.array_equal(feat, ex.features(joints))
+        for (_, _, _, nxt, done), (joints, *_) in zip(joint_steps, joint_steps[1:]):
             assert nxt is joints and not done
-        assert traj[-1][4]
+        assert traj[-1][3]
         ex.learn(traj, gate=True)
-        counts = _reference_learn(ref, traj)
+        counts = _reference_learn(ref, joint_steps)
         clipped += counts[0]
         actor_steps += counts[1]
         new, old = ex.snapshot(), ref.snapshot()
@@ -227,6 +254,63 @@ def test_actor_critic_learn_matches_per_step_reference_bit_for_bit():
         for name in new:
             assert np.array_equal(np.asarray(new[name]), np.asarray(old[name])), (trial, name)
     assert clipped > 0 and actor_steps > 0
+
+
+# act and the actor step as numpy array formulas, the way they were written
+# before their per-joint arithmetic moved to Python floats.
+def numpy_limits(arm):
+    lo, hi = np.array(arm.joint_min, dtype=float), np.array(arm.joint_max, dtype=float)
+    return lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def numpy_act(ex, arm, feat, noise, draws):
+    lo, hi, mid, half = numpy_limits(arm)
+    mean = mid + half * np.tanh(ex.w_actor @ feat + ex.b_actor)
+    if noise is None:
+        return np.minimum(np.maximum(mean, lo), hi), None
+    c = ex.cfg.noise_correlation
+    noise = c * noise + math.sqrt(1.0 - c * c) * draws
+    return np.minimum(np.maximum(mean + noise, lo), hi), noise
+
+
+def numpy_actor_step(ex, arm, feat, action):
+    _, _, mid, half = numpy_limits(arm)
+    t = np.tanh(ex.w_actor @ feat + ex.b_actor)
+    grad_z = (np.asarray(action) - (mid + half * t)) * (1.0 - t * t) / half
+    ex.w_actor += ex.cfg.actor_lr * np.outer(grad_z, feat)
+    ex.b_actor += ex.cfg.actor_lr * grad_z
+
+
+NARROW = ArmConfig(joint_min=(-1.0, -0.5, 0.0, -2.0), joint_max=(1.0, 0.5, 2.0, 0.0))
+
+
+@pytest.mark.parametrize("arm", (ARM, NARROW), ids=["full", "narrow"])
+def test_actor_critic_act_and_actor_step_are_bitwise_the_numpy_formulas(arm):
+    # A trained-looking actor, so means reach the limits and the clamps bind.
+    ex = ActorCriticExpert(arm, AC, np.random.default_rng(31))
+    ex.w_actor = np.random.default_rng(32).normal(0.0, 0.5, ex.w_actor.shape)
+    ex.b_actor = np.random.default_rng(33).normal(0.0, 0.5, ex.n)
+    ref = copy.deepcopy(ex)
+    rng, ref_rng = np.random.default_rng(34), np.random.default_rng(34)
+    postures = np.random.default_rng(35).uniform(-math.pi, math.pi, (600, 4))
+    ex.begin_trial(rng)
+    noise = ref_rng.normal(0.0, ref.sigma, size=ref.n)
+    clamped = 0
+    for i, joints in enumerate(postures):
+        feat = ex.features(joints)
+        frozen = ex.act(feat, explore=False)
+        expected, _ = numpy_act(ref, arm, feat, None, None)
+        assert np.array(frozen).tobytes() == expected.tobytes()
+        action = ex.act(feat, rng)
+        expected, noise = numpy_act(ref, arm, feat, noise, ref_rng.normal(0.0, ref.sigma, size=ref.n))
+        assert np.array(action).tobytes() == expected.tobytes()
+        clamped += np.any((expected == arm.joint_min) | (expected == arm.joint_max))
+        if i % 3 == 0:
+            ex._actor_step(feat, action)
+            numpy_actor_step(ref, arm, feat, action)
+            assert ex.w_actor.tobytes() == ref.w_actor.tobytes()
+            assert ex.b_actor.tobytes() == ref.b_actor.tobytes()
+    assert clamped > 0
 
 
 def test_actor_critic_gate_false_is_bitwise_noop():
@@ -280,12 +364,12 @@ def test_actor_critic_td_error_shrinks_on_fixed_reaching_task():
         ex.begin_trial(rng)
         traj = []
         for step in range(200):
-            action = ex.act(joints, rng)
-            nxt = step_toward(joints, action, ARM)
-            touched = check_touch(forward_kinematics(nxt, ARM), sphere, ARM)
+            feat = ex.features(joints)
+            action = ex.act(feat, rng)
+            joints = step_toward(joints, action, ARM)
+            touched = check_touch(forward_kinematics(joints, ARM), sphere, ARM)
             done = touched or step == 199
-            traj.append((joints, action, 1.0 if touched else 0.0, nxt, done))
-            joints = nxt
+            traj.append((feat, action, 1.0 if touched else 0.0, done))
             if done:
                 break
         ex.learn(traj, gate=True)
