@@ -13,7 +13,13 @@ from lightup import AchievementPredictor, ExperimentConfig, IdealizedExpert, Wor
 
 # The predictor, gate and expert settings of a default run.
 cfg = ExperimentConfig()
-eta, epsilon = cfg.predictor_eta, cfg.gate_epsilon
+epsilon = cfg.gate_epsilon
+
+
+def predictor():
+    # State-blind, as grail keys it: the demo stays in one state anyway.
+    return AchievementPredictor(6, eta=cfg.predictor_eta, context_mode="none",
+                                clip_negative_reward=cfg.clip_reward)
 
 
 def expert_at(competence):
@@ -26,7 +32,7 @@ def expert_at(competence):
 state = WorldState(sphere_on=(False,) * 6, context_feature=0.0)
 
 print("=== reward transient while a skill is learned ===")
-pred = AchievementPredictor(6, eta=eta)
+pred = predictor()
 expert = expert_at(cfg.idealized_init_competence)
 rng = np.random.default_rng(7)
 for block in range(6):
@@ -41,7 +47,7 @@ for block in range(6):
 print("reward has faded: nothing left to learn, selection moves elsewhere")
 
 print("\n=== the gate in action ===")
-pred = AchievementPredictor(6, eta=eta)
+pred = predictor()
 print("prediction 0 + failure -> gate", pred.learning_gate(0, state, achieved=False, epsilon=epsilon),
       "(expert protected from a hopeless trial)")
 print("prediction 0 + success -> gate", pred.learning_gate(0, state, achieved=True, epsilon=epsilon),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import logging
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -46,6 +47,8 @@ from .world import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+log = logging.getLogger(__name__)
 
 # Each system's (learning rate, discount) for the goal-value update; only
 # grail is state-blind, which Simulation sets through the context mode.
@@ -325,9 +328,12 @@ class Simulation:
 
         Only an exploring (training) rollout draws from the simulation's RNG;
         a frozen one (evaluation) acts on the policy mean and draws nothing.
-        Each step's features are computed once, for ``act``, and recorded in
-        the trajectory as ``(features, action, reward, done)`` for ``learn``.
-        Joints and positions are tuples of Python floats.
+        A training rollout computes each step's features once, for ``act``,
+        and records them in the trajectory as ``(features, action, reward,
+        done)`` for ``learn``. An evaluation rollout records no trajectory
+        (it returns None), and if the expert's actor heads are exactly zero
+        it computes no features: ``act`` then gives the mid posture. Joints
+        and positions are tuples of Python floats.
         """
         spec, cfg = self.spec, self.cfg
         arm_cfg = self.arm_cfgs[ARMS[arm_index]]
@@ -336,11 +342,14 @@ class Simulation:
         joints = home_joints(arm_cfg)
         if explore:
             expert.begin_trial(rng)
-        trajectory = []
+        trajectory = [] if explore else None
+        need_features = explore or not expert.actor_is_zero()
+        feat = None
         achieved = False
         steps = 0
         for step in range(1, cfg.timeout_steps + 1):
-            feat = expert.features(joints)
+            if need_features:
+                feat = expert.features(joints)
             action = expert.act(feat, rng, explore=explore)
             joints = step_toward(joints, action, arm_cfg)
             effector = forward_kinematics(joints, arm_cfg)
@@ -356,7 +365,8 @@ class Simulation:
                 if touched == goal and activated:
                     reward = 1.0
                     achieved = True
-            trajectory.append((feat, action, reward, done))
+            if explore:
+                trajectory.append((feat, action, reward, done))
             steps = step
             if done:
                 break
@@ -404,6 +414,14 @@ class Simulation:
             for label in spec.labels:
                 competence.append((trial_index, label, self.measure_competence(label)))
 
+        def record_interval(trial_index: int, cumulative_wasted: int) -> None:
+            record_competence(trial_index)
+            wasted.append((trial_index, cumulative_wasted))
+            values = [v for _, _, v in competence[-spec.n_goals:]]
+            log.info("replication %d, trial %d/%d: mean competence %.3f, cumulative waste %d",
+                     self.replication, trial_index, spec.total_trials,
+                     sum(values) / len(values), cumulative_wasted)
+
         record_competence(0)
         cumulative_wasted = 0
         for t in range(1, spec.total_trials + 1):
@@ -412,14 +430,12 @@ class Simulation:
             if not rec.achievable:
                 cumulative_wasted += 1
             if t % cfg.eval_interval == 0:
-                record_competence(t)
-                wasted.append((t, cumulative_wasted))
+                record_interval(t, cumulative_wasted)
                 if cfg.dump_values:
                     for key_text, g, v in self.strategy.dump_rows():
                         value_rows.append((t, key_text, g, v))
         if spec.total_trials % cfg.eval_interval != 0:
-            record_competence(spec.total_trials)
-            wasted.append((spec.total_trials, cumulative_wasted))
+            record_interval(spec.total_trials, cumulative_wasted)
         return ReplicationSeries(self.replication, records, competence, wasted, value_rows)
 
 

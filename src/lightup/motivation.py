@@ -23,15 +23,12 @@ class AchievementPredictor:
     Entries start at 0.0: a prediction of zero is what arms the learning
     gate, and an optimistic start would disable it exactly when it matters.
     The delta rule keeps every entry inside [0, 1] for any outcome sequence.
+    ``Simulation`` passes ``eta`` and ``clip_negative_reward`` from
+    ``ExperimentConfig`` (``predictor_eta``, ``clip_reward``) and the
+    scenario's ``context_mode`` (``"none"`` for grail).
     """
 
-    def __init__(
-        self,
-        n_goals: int,
-        eta: float,
-        context_mode: str = "none",
-        clip_negative_reward: bool = True,
-    ):
+    def __init__(self, n_goals: int, eta: float, context_mode: str, clip_negative_reward: bool):
         self.n_goals = n_goals
         self.eta = eta
         self.context_mode = context_mode

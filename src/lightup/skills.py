@@ -80,12 +80,14 @@ class ExpertSelector:
 
     Keeps one success EMA per arm (pessimistic zero start, so one early
     success already concentrates training on the arm that produced it) and
-    samples an arm from the softmax of the EMAs.
+    samples an arm from the softmax of the EMAs. ``smoothing`` and
+    ``temperature`` come from ``ExperimentConfig`` (``expert_smoothing``,
+    ``expert_temperature``).
     """
 
+    smoothing: float
+    temperature: float
     n_experts: int = 2
-    smoothing: float = 0.1
-    temperature: float = 0.1
     success_ema: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -150,9 +152,15 @@ class ActorCriticExpert:
     over-margin-TD steps and along the closing stretch of successful trials.
 
     The mat-vecs and every ``tanh`` are numpy's (``math.tanh`` differs from
-    ``np.tanh`` in the last bit for many arguments). The per-joint arithmetic
-    of ``act`` and of the actor step runs on Python floats: the same float64
-    operations in the same order, without numpy's per-call overhead.
+    ``np.tanh`` in the last bit for many arguments). The mat-vecs are
+    ``ndarray.dot``: the same BLAS call (``dgemv``/``ddot``) as ``@``,
+    without the matmul ufunc's dispatch. The per-joint arithmetic of ``act``
+    and of the actor step runs on Python floats: the same float64 operations
+    in the same order, without numpy's per-call overhead. Heads that are
+    still exactly zero cost no arithmetic where the result is known: a
+    frozen zero actor acts at the mid posture without features (``act``),
+    and a zero critic meets a rewardless trajectory without a TD sweep
+    (``learn``).
     """
 
     def __init__(self, arm_cfg: ArmConfig, cfg: ActorCriticConfig, rng: np.random.Generator):
@@ -188,8 +196,9 @@ class ActorCriticExpert:
 
     def features(self, joints) -> np.ndarray:
         """The fixed tanh basis at a joint posture."""
-        s = np.asarray(joints, dtype=float) / self.scale
-        return np.tanh(self.w_feat @ s + self.b_feat)
+        z = self.w_feat.dot(np.divide(joints, self.scale))
+        z += self.b_feat
+        return np.tanh(z, out=z)
 
     @property
     def sigma(self) -> float:
@@ -201,16 +210,25 @@ class ActorCriticExpert:
         self._trial_sigma = self.sigma
         self._noise = rng.normal(0.0, self._trial_sigma, size=self.n).tolist()
 
-    def act(self, feat: np.ndarray, rng: np.random.Generator | None = None,
+    def actor_is_zero(self) -> bool:
+        """Whether both actor heads are exactly zero, read off the arrays."""
+        return not (self.w_actor.any() or self.b_actor.any())
+
+    def act(self, feat: np.ndarray | None, rng: np.random.Generator | None = None,
             explore: bool = True) -> tuple[float, ...]:
         """Desired joint angles for this timestep (mean plus filtered noise),
         from the ``features`` of the current posture.
 
-        Exploring draws at the noise scale ``begin_trial`` fixed. Each angle
-        is clamped to its joint's limits, ``max`` then ``min``, written as
-        comparisons.
+        ``feat`` may be None when ``actor_is_zero()``: the mean is then the
+        mid posture, since ``tanh(0 . f + 0)`` is 0.0 for any features, and
+        no features need computing. Exploring draws at the noise scale
+        ``begin_trial`` fixed. Each angle is clamped to its joint's limits,
+        ``max`` then ``min``, written as comparisons.
         """
-        t = np.tanh(self.w_actor @ feat + self.b_actor).tolist()
+        if feat is None:
+            t = (0.0,) * self.n
+        else:
+            t = np.tanh(self.w_actor.dot(feat) + self.b_actor).tolist()
         action = []
         if not explore or rng is None:
             for tj, (mid, half, lo, hi) in zip(t, self._joint_box):
@@ -240,12 +258,16 @@ class ActorCriticExpert:
 
     def _actor_step(self, feat: np.ndarray, action) -> None:
         # The per-joint gradient in Python floats, as numpy would compute it
-        # elementwise: ((a - (mid + half * t)) * (1 - t * t)) / half.
-        t = np.tanh(self.w_actor @ feat + self.b_actor).tolist()
+        # elementwise: ((a - (mid + half * t)) * (1 - t * t)) / half. The
+        # weight update is lr * (grad_z[:, None] * feat) built in place, as
+        # (grad_z[j] * feat[k]) * lr: the same products, which commute.
+        t = np.tanh(self.w_actor.dot(feat) + self.b_actor).tolist()
         grad_z = np.array([(a - (mid + half * tj)) * (1.0 - tj * tj) / half
                            for a, tj, (mid, half, _, _) in zip(action, t, self._joint_box)])
         lr = self.cfg.actor_lr
-        self.w_actor += lr * (grad_z[:, None] * feat)
+        step = np.multiply.outer(grad_z, feat)
+        step *= lr
+        self.w_actor += step
         self.b_actor += lr * grad_z
 
     def learn(self, trajectory, gate: bool) -> None:
@@ -262,25 +284,40 @@ class ActorCriticExpert:
 
         With ``gate`` false the expert is returned untouched (no parameter,
         statistic, or counter changes).
+
+        A trajectory whose rewards are all zero, met by a critic whose heads
+        are exactly zero (as before an expert's first reward), has every TD
+        error exactly 0.0: value and target are both zero, and a zero error
+        moves no head and passes no actor margin. The heads start at +0.0
+        and only ever have products added, which never turns +0.0 into
+        -0.0, so skipping the sweep leaves them bit-for-bit as it would;
+        only the TD-error EMA decays, once per step, by the sweep's formula.
+        The condition is read off the heads on every call.
         """
         if not gate:
             return
         cfg = self.cfg
         success = any(reward > 0.0 for _, _, reward, _ in trajectory)
-        passes = 1 + (cfg.success_replays if success else 0)
         # The sweep keeps the critic bias and the TD-error EMA in Python
         # floats (the same float64 additions) and writes them back after it.
         w_critic, b_critic, td_error_ema = self.w_critic, float(self.b_critic[0]), self.td_error_ema
+        if (b_critic == 0.0 and not any(reward for _, _, reward, _ in trajectory)
+                and not w_critic.any()):
+            for _ in trajectory:
+                td_error_ema += 0.01 * (0.0 - td_error_ema)
+            passes = 0
+        else:
+            passes = 1 + (cfg.success_replays if success else 0)
         discount, critic_lr, margin = cfg.discount, cfg.critic_lr, cfg.actor_delta_margin
         td_clip, low_clip = cfg.td_clip, -cfg.td_clip
         imitate_from = len(trajectory) - cfg.imitate_window if success else len(trajectory)
         for _ in range(passes):
             for i, (feat, action, reward, done) in enumerate(trajectory):
-                v = float(w_critic @ feat) + b_critic
+                v = float(w_critic.dot(feat)) + b_critic
                 if done:
                     target = reward
                 else:
-                    target = reward + discount * (float(w_critic @ trajectory[i + 1][0]) + b_critic)
+                    target = reward + discount * (float(w_critic.dot(trajectory[i + 1][0])) + b_critic)
                 # Clipped to [-td_clip, td_clip]: max, then min, as comparisons.
                 delta = target - v
                 if low_clip > delta:

@@ -320,7 +320,8 @@ def test_a7_single_cell_update_isolation():
 
 def test_a7_predictor_range_preservation():
     rng = np.random.default_rng(3)
-    pred = AchievementPredictor(4, eta=0.35, context_mode="context_feature")
+    pred = AchievementPredictor(4, eta=0.35, context_mode="context_feature",
+                                clip_negative_reward=ExperimentConfig().clip_reward)
     for _ in range(3000):
         st = WorldState(sphere_on=(False,) * 4, context_feature=float(rng.integers(2)))
         pred.update_and_reward(int(rng.integers(4)), st, bool(rng.integers(2)))

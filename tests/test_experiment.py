@@ -1,12 +1,13 @@
 """Trial loop, scheduling, metrics, aggregation, CSV output, reproducibility."""
 
+import logging
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lightup.arm import home_joints, step_toward
+from lightup.arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward
 from lightup.errors import ConfigError, NumericsError
 from lightup.experiment import (
     ARMS,
@@ -333,6 +334,26 @@ def test_bitwise_reproducibility(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_progress_logs_one_line_per_replication_and_interval(tmp_path, caplog):
+    # 120 trials at interval 50: evaluations at 50, 100 and the final 120.
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    run_experiment(small_cfg(3, 120, system="m_grail", seed=8, out_dir=str(quiet)))
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="lightup"):
+        result = run_experiment(small_cfg(3, 120, system="m_grail", seed=8, out_dir=str(loud)))
+    lines = [r.getMessage() for r in caplog.records if r.name == "lightup.experiment"]
+    expected = []
+    for s in result.replications:
+        for end, count in s.wasted:
+            values = list(s.competence_at(end).values())
+            expected.append(f"replication {s.replication}, trial {end}/120: "
+                            f"mean competence {sum(values) / len(values):.3f}, cumulative waste {count}")
+    assert lines == expected and len(lines) == 6
+    assert sorted(os.listdir(quiet)) == sorted(os.listdir(loud))
+    for name in os.listdir(quiet):
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes()
+
+
 def test_different_seed_changes_output(tmp_path):
     texts = []
     for seed in (1, 2):
@@ -368,9 +389,10 @@ def test_actor_critic_backend_trial_records():
 
 def test_actor_critic_rollout_trajectory_is_unbroken():
     # ActorCriticExpert.learn bootstraps step i from the features step i + 1
-    # carries, so every rollout, training or evaluation, ending on a touch or
-    # on timeout, must record each step's features at the posture the
-    # previous step's action led to, and set done on its last step only.
+    # carries, so every training rollout, ending on a touch or on timeout,
+    # must record each step's features at the posture the previous step's
+    # action led to, and set done on its last step only. An evaluation
+    # rollout feeds no learner, so it records no trajectory.
     spec = scenario_from_dict({
         "name": "near_home", "goals": ["a"], "positions": {"a": [0.97, 0.1]},
         "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
@@ -382,23 +404,21 @@ def test_actor_critic_rollout_trajectory_is_unbroken():
     for arm_index in (0, 1):
         arm_cfg = sim.arm_cfgs[ARMS[arm_index]]
         expert = sim.experts[0][arm_index]
-        for explore in (True, False):
-            for _ in range(3):
-                _, achieved, steps, traj = sim._rollout(0, arm_index, sim.state, explore=explore)
-                assert len(traj) == steps
-                joints = home_joints(arm_cfg)
-                for feat, action, _, _ in traj:
-                    assert np.array_equal(feat, expert.features(joints))
-                    joints = step_toward(joints, action, arm_cfg)
-                assert [done for *_, done in traj] == [False] * (steps - 1) + [True]
-                endings.add(achieved)
+        for _ in range(3):
+            _, achieved, steps, traj = sim._rollout(0, arm_index, sim.state, explore=True)
+            assert len(traj) == steps
+            joints = home_joints(arm_cfg)
+            for feat, action, _, _ in traj:
+                assert np.array_equal(feat, expert.features(joints))
+                joints = step_toward(joints, action, arm_cfg)
+            assert [done for *_, done in traj] == [False] * (steps - 1) + [True]
+            endings.add(achieved)
+        assert sim._rollout(0, arm_index, sim.state, explore=False)[3] is None
     assert endings == {True, False}
 
 
-def test_actor_critic_rollout_computes_features_once_per_step(monkeypatch):
-    # The rollout computes each step's features for act and carries them to
-    # learn, so a trial, learning included, and a probe rollout call
-    # features exactly once per arm step.
+def count_features(monkeypatch) -> list:
+    """Patch ActorCriticExpert.features to append to the returned list on every call."""
     calls = []
     features = ActorCriticExpert.features
 
@@ -407,6 +427,22 @@ def test_actor_critic_rollout_computes_features_once_per_step(monkeypatch):
         return features(self, joints)
 
     monkeypatch.setattr(ActorCriticExpert, "features", counted)
+    return calls
+
+
+def trained_looking_actor(expert, seed):
+    """Give an expert nonzero actor heads by assigning them directly."""
+    rng = np.random.default_rng(seed)
+    expert.w_actor = rng.normal(0.0, 0.5, expert.w_actor.shape)
+    expert.b_actor = rng.normal(0.0, 0.5, expert.b_actor.shape)
+
+
+def test_actor_critic_rollout_computes_features_once_per_step(monkeypatch):
+    # The rollout computes each step's features for act and carries them to
+    # learn, so a trial, learning included, calls features exactly once per
+    # arm step. A probe rollout does too, unless the actor heads are still
+    # exactly zero: its mean is then the mid posture whatever the features.
+    calls = count_features(monkeypatch)
     spec = short_scenario(1, 8)
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=60, replications=1)
     sim = Simulation(spec, cfg, seed=2)
@@ -415,9 +451,64 @@ def test_actor_critic_rollout_computes_features_once_per_step(monkeypatch):
         rec = sim.run_trial()
         assert len(calls) == rec.steps
     for arm_index in (0, 1):
-        calls.clear()
-        steps = sim._rollout(0, arm_index, sim.state, explore=False)[2]
-        assert len(calls) == steps
+        expert = sim.experts[0][arm_index]
+        for trained in (False, True):
+            if trained:
+                trained_looking_actor(expert, arm_index)
+            calls.clear()
+            steps = sim._rollout(0, arm_index, sim.state, explore=False)[2]
+            assert len(calls) == (steps if trained or not expert.actor_is_zero() else 0)
+
+
+def reference_frozen_rollout(sim, goal, arm_index, state):
+    """The evaluation rollout computing every step's features, ending like _rollout."""
+    arm_cfg = sim.arm_cfgs[ARMS[arm_index]]
+    expert = sim.experts[goal][arm_index]
+    joints = home_joints(arm_cfg)
+    for step in range(1, sim.cfg.timeout_steps + 1):
+        action = expert.act(expert.features(joints), None, explore=False)
+        joints = step_toward(joints, action, arm_cfg)
+        effector = forward_kinematics(joints, arm_cfg)
+        for i, sphere in enumerate(sim.sphere_positions):
+            if check_touch(effector, sphere, arm_cfg):
+                state, activated = sim.spec.apply_touch(i, state)
+                return state, i == goal and activated, step
+    return state, False, sim.cfg.timeout_steps
+
+
+def test_actor_critic_frozen_zero_actor_rollout_matches_a_rollout_with_features(monkeypatch):
+    # Joint limits whose mid posture is not the home posture, so a zero
+    # actor moves the arm; sphere "a" sits where the right arm's mid posture
+    # puts the effector, sphere "b" out of that path. The right arm touches
+    # "a" (its own goal, or another one's), the mirrored left arm times out.
+    arm = ArmConfig(joint_min=(-1.0, -0.5, 0.0, -2.0), joint_max=(1.0, 0.5, 2.0, 0.0))
+    mid = tuple(0.5 * (lo + hi) for lo, hi in zip(arm.joint_min, arm.joint_max))
+    x, y = forward_kinematics(mid, arm)
+    spec = scenario_from_dict({
+        "name": "mid_posture", "goals": ["a", "b"], "positions": {"a": [x, y], "b": [-0.2, -0.6]},
+        "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
+        "reset_policy": "per_trial", "context_mode": "none",
+    })
+    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", arm=arm, timeout_steps=80,
+                           replications=1)
+    sim = Simulation(spec, cfg, seed=4)
+    calls = count_features(monkeypatch)
+    endings = set()
+    for goal in (0, 1):
+        for arm_index in (0, 1):
+            expert = sim.experts[goal][arm_index]
+            for trained in (False, True):
+                if trained:
+                    trained_looking_actor(expert, 10 * goal + arm_index)
+                assert expert.actor_is_zero() is not trained
+                calls.clear()
+                result = sim._rollout(goal, arm_index, sim.state, explore=False)
+                steps = result[2]
+                assert len(calls) == (steps if trained else 0)
+                assert result[:3] == reference_frozen_rollout(sim, goal, arm_index, sim.state)
+                if not trained:
+                    endings.add((ARMS[arm_index], result[1], steps < cfg.timeout_steps))
+    assert endings == {("right", True, True), ("right", False, True), ("left", False, False)}
 
 
 def test_actor_critic_measure_competence_leaves_parameters_unchanged():

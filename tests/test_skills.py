@@ -112,15 +112,22 @@ def test_idealized_achievable_miss_leaves_competence_alone():
 # -- expert selector ------------------------------------------------------------
 
 
+def selector(**fields):
+    """An ExpertSelector at the ExperimentConfig defaults, with ``fields`` replaced."""
+    cfg = ExperimentConfig()
+    defaults = dict(smoothing=cfg.expert_smoothing, temperature=cfg.expert_temperature)
+    return ExpertSelector(**{**defaults, **fields})
+
+
 def test_selector_even_split_when_emas_equal():
-    sel = ExpertSelector()
+    sel = selector()
     rng = np.random.default_rng(5)
     picks = [sel.select(rng) for _ in range(4000)]
     assert abs(np.mean(picks) - 0.5) < 0.03
 
 
 def test_selector_softmax_point_value():
-    sel = ExpertSelector(temperature=0.1)
+    sel = selector(temperature=0.1)
     sel.success_ema = np.array([0.9, 0.1])
     from lightup.selection import softmax_probabilities
     p = softmax_probabilities(sel.success_ema, sel.temperature)
@@ -129,7 +136,7 @@ def test_selector_softmax_point_value():
 
 
 def test_selector_concentrates_after_repeated_single_arm_success():
-    sel = ExpertSelector()
+    sel = selector()
     rng = np.random.default_rng(6)
     for _ in range(200):
         sel.update(0, True)
@@ -139,7 +146,7 @@ def test_selector_concentrates_after_repeated_single_arm_success():
 
 
 def test_selector_emas_stay_in_unit_interval():
-    sel = ExpertSelector()
+    sel = selector()
     rng = np.random.default_rng(7)
     for _ in range(1000):
         sel.update(int(rng.integers(2)), bool(rng.integers(2)))
@@ -150,6 +157,7 @@ def test_selector_emas_stay_in_unit_interval():
 
 
 ARM = ArmConfig()
+NARROW = ArmConfig(joint_min=(-1.0, -0.5, 0.0, -2.0), joint_max=(1.0, 0.5, 2.0, 0.0))
 AC = ActorCriticConfig()
 
 
@@ -256,6 +264,63 @@ def test_actor_critic_learn_matches_per_step_reference_bit_for_bit():
     assert clipped > 0 and actor_steps > 0
 
 
+class DotCounter(np.ndarray):
+    """A critic weight array that counts the dot products taken with it."""
+
+    calls = 0
+
+    def dot(self, other):
+        DotCounter.calls += 1
+        return np.ndarray.dot(self, other)
+
+
+def assert_bitwise_snapshots(new, old, where):
+    assert new.keys() == old.keys()
+    for name in new:
+        assert np.asarray(new[name]).tobytes() == np.asarray(old[name]).tobytes(), (where, name)
+
+
+def test_actor_critic_zero_critic_skips_the_sweep_only_on_rewardless_trials():
+    # Rewardless trials met by a critic that is still exactly zero take no
+    # TD sweep; the first rewarded trial, and every trial after it, does.
+    # Each must leave every snapshot entry bit-for-bit as the per-step
+    # reference does, the decayed TD-error EMA included.
+    ex = ActorCriticExpert(ARM, AC, np.random.default_rng(41))
+    ex.td_error_ema = 0.37
+    ref = copy.deepcopy(ex)
+    ex.w_critic = ex.w_critic.view(DotCounter)
+    rng = np.random.default_rng(42)
+    swept = []
+    for trial, reward in enumerate([0.0] * 5 + [1.0] + [0.0] * 3):
+        traj, joint_steps = _tiny_rollout(ex, rng, reward_last=reward, n=25 + trial)
+        DotCounter.calls = 0
+        ex.learn(traj, gate=True)
+        _reference_learn(ref, joint_steps)
+        assert_bitwise_snapshots(ex.snapshot(), ref.snapshot(), trial)
+        swept.append(DotCounter.calls > 0)
+    assert swept == [False] * 5 + [True] * 4
+    assert ex.td_error_ema != 0.37 and ex.trials_trained == 9
+
+
+@pytest.mark.parametrize("arm", (ARM, NARROW), ids=["full", "narrow"])
+def test_actor_critic_dot_is_bitwise_the_matmul(arm):
+    # features, the act mean and the critic value use ndarray.dot; @ calls
+    # the same BLAS routine, and they must agree to the bit.
+    ex = ActorCriticExpert(arm, AC, np.random.default_rng(51))
+    rng = np.random.default_rng(52)
+    for _ in range(3000):
+        joints = tuple(rng.uniform(-math.pi, math.pi, 4).tolist())
+        feat = ex.features(joints)
+        expected = np.tanh(ex.w_feat @ (np.asarray(joints, dtype=float) / ex.scale) + ex.b_feat)
+        assert feat.tobytes() == expected.tobytes()
+        ex.w_actor = rng.normal(0.0, 0.5, ex.w_actor.shape)
+        ex.b_actor = rng.normal(0.0, 0.5, ex.n)
+        mean, _ = numpy_act(ex, arm, feat, None, None)
+        assert np.array(ex.act(feat, explore=False)).tobytes() == mean.tobytes()
+        w_critic = rng.normal(0.0, 0.5, feat.shape)
+        assert w_critic.dot(feat).tobytes() == (w_critic @ feat).tobytes()
+
+
 # act and the actor step as numpy array formulas, the way they were written
 # before their per-joint arithmetic moved to Python floats.
 def numpy_limits(arm):
@@ -279,9 +344,6 @@ def numpy_actor_step(ex, arm, feat, action):
     grad_z = (np.asarray(action) - (mid + half * t)) * (1.0 - t * t) / half
     ex.w_actor += ex.cfg.actor_lr * np.outer(grad_z, feat)
     ex.b_actor += ex.cfg.actor_lr * grad_z
-
-
-NARROW = ArmConfig(joint_min=(-1.0, -0.5, 0.0, -2.0), joint_max=(1.0, 0.5, 2.0, 0.0))
 
 
 @pytest.mark.parametrize("arm", (ARM, NARROW), ids=["full", "narrow"])
