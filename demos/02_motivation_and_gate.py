@@ -25,8 +25,7 @@ def predictor():
 def expert_at(competence):
     return IdealizedExpert(competence=competence, learning_rate=cfg.idealized_learning_rate,
                            disruption=cfg.idealized_disruption,
-                           exploration_floor=cfg.idealized_exploration_floor,
-                           noise_scale=cfg.idealized_noise_scale)
+                           exploration_floor=cfg.idealized_exploration_floor)
 
 
 state = WorldState(sphere_on=(False,) * 6, context_feature=0.0)

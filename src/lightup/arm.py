@@ -4,10 +4,10 @@ Pure functions. The per-step ones (``home_joints``, ``step_toward``,
 ``forward_kinematics``, ``check_touch``) take sequences of Python floats and
 return tuples: on four joints, numpy's per-call overhead costs more than the
 arithmetic. They make the same float64 operations in the same order as the
-array formulas in ``joint_points``, so the results are the same bits. Two
-arms are modelled as mirrored copies of the same chain (the left arm
-reflects the end effector across the vertical axis); each keeps its own
-joint state.
+array formulas in ``joint_points``, so the results are the same bits.
+There is one chain. The two arms mirror each other, but both run this
+chain; the left arm gets its mirror image from the simulation, which checks
+its effector against the spheres reflected across the vertical axis.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class ArmConfig:
     joint_max: tuple[float, ...] = (math.pi,) * 4
     max_step: float = 0.05
     touch_radius: float = 0.05
-    mirrored: bool = False
 
     @property
     def n_joints(self) -> int:
@@ -58,19 +57,10 @@ class ArmConfig:
             raise ValueError("max_step and touch_radius must be positive")
         if len(self.joint_min) != self.n_joints or len(self.joint_max) != self.n_joints:
             raise ValueError("joint limit arity does not match link count")
-        if not all(lo <= hi for lo, hi in zip(self.joint_min, self.joint_max)):
-            raise ValueError("joint limits must satisfy min <= max")
-
-    def mirror(self) -> "ArmConfig":
-        """The opposite arm: same chain, reflected workspace."""
-        return ArmConfig(
-            link_lengths=self.link_lengths,
-            joint_min=self.joint_min,
-            joint_max=self.joint_max,
-            max_step=self.max_step,
-            touch_radius=self.touch_radius,
-            mirrored=not self.mirrored,
-        )
+        # Each joint needs a range to move in: the actor update divides by
+        # its half-width, and the features by its larger absolute limit.
+        if not all(lo < hi for lo, hi in zip(self.joint_min, self.joint_max)):
+            raise ValueError("joint limits must satisfy min < max")
 
 
 def _read_only(values) -> np.ndarray:
@@ -91,8 +81,6 @@ def joint_points(angles: np.ndarray, cfg: ArmConfig) -> np.ndarray:
     pts = np.zeros((cfg.n_joints + 1, 2))
     pts[1:, 0] = np.cumsum(cfg.lengths * np.cos(cum))
     pts[1:, 1] = np.cumsum(cfg.lengths * np.sin(cum))
-    if cfg.mirrored:
-        pts[:, 0] = -pts[:, 0]
     return pts
 
 
@@ -110,7 +98,7 @@ def forward_kinematics(angles, cfg: ArmConfig) -> tuple[float, float]:
         heading += angles[i]
         x += lengths[i] * math.cos(heading)
         y += lengths[i] * math.sin(heading)
-    return (-x if cfg.mirrored else x), y
+    return x, y
 
 
 def step_toward(current, desired, cfg: ArmConfig) -> tuple[float, ...]:
@@ -170,10 +158,6 @@ def reach_target(
     coverage, never as a control shortcut.
     """
     target = np.asarray(target, dtype=float)
-    if cfg.mirrored:
-        # Solve in the unmirrored frame, the joint solution is identical.
-        target = np.array([-target[0], target[1]])
-        cfg = cfg.mirror()
     lo, hi = cfg.lower, cfg.upper
     starts = [np.array(home_joints(cfg), dtype=float)] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
     for joints in starts:

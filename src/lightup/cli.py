@@ -13,7 +13,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
 import yaml
 
 from . import experiment as exp
@@ -90,6 +89,13 @@ def _resolve_run_config(args) -> exp.ExperimentConfig:
     return exp.apply_overrides(cfg, scenario=spec)
 
 
+def _check_reach(spec, cfg: exp.ExperimentConfig) -> None:
+    """ConfigError naming every sphere the arm cannot touch."""
+    bad = unreachable_goals(spec, cfg.arm)
+    if bad:
+        raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
+
+
 def cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
     if args.print_config:
@@ -98,9 +104,7 @@ def cmd_run(args) -> int:
     if not cfg.out_dir:
         raise ConfigError(f"no output directory: pass --out or set ${OUT_DIR_ENV}")
     spec = exp.resolve_scenario(cfg)
-    bad = unreachable_goals(spec, cfg.arm)
-    if bad:
-        raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
+    _check_reach(spec, cfg)
     log.info("running %s on scenario %s: %d replications x %d trials",
              cfg.system, spec.name, cfg.replications, spec.total_trials)
     result = exp.run_experiment(cfg)
@@ -185,9 +189,7 @@ def cmd_validate(args) -> int:
         raise ConfigError("validate needs --scenario or --config")
     cfg = exp.apply_overrides(_base_config(args), scenario=args.scenario)
     spec = exp.resolve_scenario(cfg)
-    bad = unreachable_goals(spec, cfg.arm, np.random.default_rng(0))
-    if bad:
-        raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
+    _check_reach(spec, cfg)
     print(f"scenario {spec.name!r}: {spec.n_goals} goals, "
           f"{spec.total_trials} trials ({spec.trials_per_epoch} per epoch, "
           f"reset {spec.reset_policy})")

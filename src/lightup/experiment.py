@@ -83,7 +83,6 @@ _RANGES = (
     ("idealized_learning_rate", 0.0, 1.0, False, True),
     ("idealized_disruption", 0.0, 1.0, True, True),
     ("idealized_exploration_floor", 0.0, 1.0, True, True),
-    ("idealized_noise_scale", 0.0, math.inf, True, False),
     ("actor_critic.hidden_units", 1, math.inf, True, False),
     ("actor_critic.feature_scale", 0.0, math.inf, True, False),
     ("actor_critic.feature_offset", 0.0, math.inf, True, False),
@@ -121,7 +120,6 @@ class ExperimentConfig:
     idealized_learning_rate: float = 0.05
     idealized_disruption: float = 0.03
     idealized_exploration_floor: float = 0.22
-    idealized_noise_scale: float = 0.0
     arm: ArmConfig = field(default_factory=ArmConfig)
     actor_critic: ActorCriticConfig = field(default_factory=ActorCriticConfig)
     out_dir: str | None = None
@@ -210,7 +208,14 @@ class ReplicationSeries:
 
 
 class Simulation:
-    """One replication of one system on one scenario."""
+    """One replication of one system on one scenario.
+
+    Each goal has one expert per arm. The two arms mirror each other but are
+    one chain, ``cfg.arm``: the left arm gets its mirror image by checking
+    its effector against the spheres reflected across the vertical axis.
+    ``sphere_positions`` holds one tuple of sphere positions per arm,
+    indexed like ``ARMS``, each in goal order.
+    """
 
     def __init__(self, spec: ScenarioSpec, cfg: ExperimentConfig, seed: int, replication: int = 0):
         cfg.validate()
@@ -232,19 +237,19 @@ class Simulation:
         )
         self.use_gate = cfg.system != "grail"
 
-        right_arm = cfg.arm if not cfg.arm.mirrored else cfg.arm.mirror()
-        self.arm_cfgs = {"right": right_arm, "left": right_arm.mirror()}
         self.selectors = [
             ExpertSelector(smoothing=cfg.expert_smoothing, temperature=cfg.expert_temperature)
             for _ in range(n)
         ]
-        self.experts = [[self._make_expert(side) for side in ARMS] for _ in range(n)]
+        self.experts = [[self._make_expert() for _ in ARMS] for _ in range(n)]
 
-        self.sphere_positions = tuple(tuple(map(float, g.position)) for g in spec.goals)
+        right = tuple(tuple(map(float, g.position)) for g in spec.goals)
+        left = tuple((-x, y) for x, y in right)
+        self.sphere_positions = (left, right)
         self.state: WorldState = spec.reset(self.rng)
         self.trial = 0  # trials completed
 
-    def _make_expert(self, side: str):
+    def _make_expert(self):
         cfg = self.cfg
         if cfg.backend == "idealized":
             return IdealizedExpert(
@@ -252,9 +257,8 @@ class Simulation:
                 learning_rate=cfg.idealized_learning_rate,
                 disruption=cfg.idealized_disruption,
                 exploration_floor=cfg.idealized_exploration_floor,
-                noise_scale=cfg.idealized_noise_scale,
             )
-        return ActorCriticExpert(self.arm_cfgs[side], cfg.actor_critic, self.rng)
+        return ActorCriticExpert(cfg.arm, cfg.actor_critic, self.rng)
 
     # -- trial loop --------------------------------------------------------
 
@@ -286,7 +290,7 @@ class Simulation:
             steps = 0
             trajectory = None
         else:
-            new_state, achieved, steps, trajectory = self._rollout(goal, arm_index, state, explore=True)
+            new_state, achieved, steps, trajectory = self._rollout(goal, arm_index, state, self.rng)
 
         gate = True if not self.use_gate else self.predictor.learning_gate(
             goal, state, achieved, epsilon=cfg.gate_epsilon
@@ -323,22 +327,31 @@ class Simulation:
             raise NumericsError(f"trial {trial}: achieved a goal that was not achievable")
         return record
 
-    def _rollout(self, goal: int, arm_index: int, state: WorldState, explore: bool):
+    def _rollout(self, goal: int, arm_index: int, state: WorldState,
+                 rng: np.random.Generator | None = None):
         """Arm rollout from home: ends at the first touch of any sphere or on timeout.
 
-        Only an exploring (training) rollout draws from the simulation's RNG;
-        a frozen one (evaluation) acts on the policy mean and draws nothing.
-        A training rollout computes each step's features once, for ``act``,
-        and records them in the trajectory as ``(features, action, reward,
-        done)`` for ``learn``. An evaluation rollout records no trajectory
-        (it returns None), and if the expert's actor heads are exactly zero
-        it computes no features: ``act`` then gives the mid posture. Joints
-        and positions are tuples of Python floats.
+        The touch check reads the arm's own sphere tuple, in goal order, so
+        the first sphere hit wins. For the left arm ``check_touch`` sees
+        ``x - (-sx)``, the exact negation of ``(-x) - sx`` (the reflected
+        effector against the sphere), since rounding is symmetric in sign; it
+        reads only ``|dx|``, ``|dy|`` and their ``hypot``, so both decide
+        every touch alike.
+
+        With ``rng`` the rollout explores (training) and draws from it;
+        without, it is frozen (evaluation), acts on the policy mean and draws
+        nothing. A training rollout computes each step's features once, for
+        ``act``, and records them in the trajectory as ``(features, action,
+        reward, done)`` for ``learn``. An evaluation rollout records no
+        trajectory (it returns None), and if the expert's actor heads are
+        exactly zero it computes no features: ``act`` then gives the mid
+        posture. Joints and positions are tuples of Python floats.
         """
         spec, cfg = self.spec, self.cfg
-        arm_cfg = self.arm_cfgs[ARMS[arm_index]]
+        arm_cfg = cfg.arm
+        spheres = self.sphere_positions[arm_index]
         expert = self.experts[goal][arm_index]
-        rng = self.rng if explore else None
+        explore = rng is not None
         joints = home_joints(arm_cfg)
         if explore:
             expert.begin_trial(rng)
@@ -350,11 +363,11 @@ class Simulation:
         for step in range(1, cfg.timeout_steps + 1):
             if need_features:
                 feat = expert.features(joints)
-            action = expert.act(feat, rng, explore=explore)
+            action = expert.act(feat, rng)
             joints = step_toward(joints, action, arm_cfg)
             effector = forward_kinematics(joints, arm_cfg)
             touched = None
-            for i, sphere in enumerate(self.sphere_positions):
+            for i, sphere in enumerate(spheres):
                 if check_touch(effector, sphere, arm_cfg):
                     touched = i
                     break
@@ -389,7 +402,7 @@ class Simulation:
         if self.cfg.backend == "idealized":
             return float(self.experts[goal][arm_index].competence)
         state = self._forced_precondition_state(goal)
-        successes = sum(self._rollout(goal, arm_index, state, explore=False)[1]
+        successes = sum(self._rollout(goal, arm_index, state)[1]
                         for _ in range(self.cfg.eval_trials))
         return successes / self.cfg.eval_trials
 

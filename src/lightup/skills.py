@@ -42,8 +42,7 @@ class IdealizedExpert:
     ``learning_rate``; an achievable miss leaves it alone (the policy was
     simply not good enough yet); a miss on an *unachievable* goal erodes it
     multiplicatively by ``disruption`` - the analogue of a trained policy
-    being pulled apart by a rewardless trial it executed correctly.
-    ``noise_scale`` optionally jitters the attempt probability. The
+    being pulled apart by a rewardless trial it executed correctly. The
     defaults live in ``ExperimentConfig`` (the ``idealized_*`` fields).
     """
 
@@ -51,15 +50,11 @@ class IdealizedExpert:
     learning_rate: float
     disruption: float
     exploration_floor: float
-    noise_scale: float
 
     def attempt(self, achievable: bool, rng: np.random.Generator) -> bool:
         if not achievable:
             return False
-        p = max(self.competence, self.exploration_floor)
-        if self.noise_scale > 0.0:
-            p = float(np.clip(p + rng.normal(0.0, self.noise_scale), 0.0, 1.0))
-        return bool(rng.random() < p)
+        return bool(rng.random() < max(self.competence, self.exploration_floor))
 
     def learn(self, achieved: bool, achievable: bool, gate: bool) -> None:
         if not gate:
@@ -78,20 +73,16 @@ class IdealizedExpert:
 class ExpertSelector:
     """Per-goal choice between the two arms' experts.
 
-    Keeps one success EMA per arm (pessimistic zero start, so one early
-    success already concentrates training on the arm that produced it) and
-    samples an arm from the softmax of the EMAs. ``smoothing`` and
-    ``temperature`` come from ``ExperimentConfig`` (``expert_smoothing``,
-    ``expert_temperature``).
+    Keeps one success EMA per arm, two in all (pessimistic zero start, so
+    one early success already concentrates training on the arm that
+    produced it) and samples an arm from the softmax of the EMAs.
+    ``smoothing`` and ``temperature`` come from ``ExperimentConfig``
+    (``expert_smoothing``, ``expert_temperature``).
     """
 
     smoothing: float
     temperature: float
-    n_experts: int = 2
-    success_ema: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.success_ema = np.zeros(self.n_experts)
+    success_ema: np.ndarray = field(init=False, default_factory=lambda: np.zeros(2))
 
     def select(self, rng: np.random.Generator) -> int:
         probs = softmax_probabilities(self.success_ema.tolist(), self.temperature)
@@ -214,15 +205,15 @@ class ActorCriticExpert:
         """Whether both actor heads are exactly zero, read off the arrays."""
         return not (self.w_actor.any() or self.b_actor.any())
 
-    def act(self, feat: np.ndarray | None, rng: np.random.Generator | None = None,
-            explore: bool = True) -> tuple[float, ...]:
+    def act(self, feat: np.ndarray | None, rng: np.random.Generator | None = None) -> tuple[float, ...]:
         """Desired joint angles for this timestep (mean plus filtered noise),
         from the ``features`` of the current posture.
 
         ``feat`` may be None when ``actor_is_zero()``: the mean is then the
         mid posture, since ``tanh(0 . f + 0)`` is 0.0 for any features, and
-        no features need computing. Exploring draws at the noise scale
-        ``begin_trial`` fixed. Each angle is clamped to its joint's limits,
+        no features need computing. With ``rng`` the expert explores, drawing
+        at the noise scale ``begin_trial`` fixed; without, it is frozen and
+        gives the mean. Each angle is clamped to its joint's limits,
         ``max`` then ``min``, written as comparisons.
         """
         if feat is None:
@@ -230,7 +221,7 @@ class ActorCriticExpert:
         else:
             t = np.tanh(self.w_actor.dot(feat) + self.b_actor).tolist()
         action = []
-        if not explore or rng is None:
+        if rng is None:
             for tj, (mid, half, lo, hi) in zip(t, self._joint_box):
                 angle = mid + half * tj
                 if lo > angle:

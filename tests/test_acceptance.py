@@ -332,7 +332,7 @@ def test_a7_predictor_range_preservation():
 
 def test_a7_gate_is_strict_noop():
     ideal = IdealizedExpert(competence=0.41, learning_rate=0.05, disruption=0.03,
-                            exploration_floor=0.22, noise_scale=0.0)
+                            exploration_floor=0.22)
     before = ideal.snapshot()
     ideal.learn(achieved=True, achievable=True, gate=False)
     ideal_ok = ideal.snapshot() == before

@@ -15,7 +15,8 @@ from lightup.arm import (
     step_toward,
     unreachable_goals,
 )
-from lightup.world import builtin_scenario
+from lightup.experiment import ARMS, ExperimentConfig, Simulation
+from lightup.world import builtin_scenario, scenario_from_dict
 
 
 CFG = ArmConfig()
@@ -49,24 +50,14 @@ def test_fk_matches_per_link_oracle_on_random_joints():
         assert np.allclose(forward_kinematics(joints, CFG), oracle_fk(joints, CFG), atol=1e-12)
 
 
-def test_mirrored_arm_reflects_x():
-    left = CFG.mirror()
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        joints = rng.uniform(-math.pi, math.pi, 4)
-        r = forward_kinematics(joints, CFG)
-        l = forward_kinematics(joints, left)
-        assert np.allclose([[-1, 0], [0, 1]] @ np.array(r), l, atol=1e-12)
-
-
 def test_joint_points_shape_and_base():
     pts = joint_points(np.zeros(4), CFG)
     assert pts.shape == (5, 2)
     assert np.allclose(pts[0], [0, 0])
 
 
-# Both arms, and one whose joint limits bind inside the sampled range.
-EXACT_CFGS = (CFG, CFG.mirror(), ArmConfig(joint_min=(-1.0, -0.5, 0.0, -2.0), joint_max=(1.0, 0.5, 2.0, 0.0)))
+# The default arm, and one whose joint limits bind inside the sampled range.
+EXACT_CFGS = (CFG, ArmConfig(joint_min=(-1.0, -0.5, 0.0, -2.0), joint_max=(1.0, 0.5, 2.0, 0.0)))
 
 
 # The per-step functions as numpy array formulas, the way they were written
@@ -75,7 +66,7 @@ def numpy_forward_kinematics(angles, cfg):
     cum = np.asarray(angles, dtype=float).cumsum()
     x = (cfg.lengths * np.cos(cum)).cumsum()[-1]
     y = (cfg.lengths * np.sin(cum)).cumsum()[-1]
-    return np.array([-x if cfg.mirrored else x, y])
+    return np.array([x, y])
 
 
 def numpy_step_toward(current, desired, cfg):
@@ -89,7 +80,7 @@ def same_bits(floats, array):
     return np.array(floats, dtype=float).tobytes() == np.asarray(array, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("cfg", EXACT_CFGS, ids=["right", "left", "narrow"])
+@pytest.mark.parametrize("cfg", EXACT_CFGS, ids=["right", "narrow"])
 def test_fk_is_bitwise_last_joint_point(cfg):
     rng = np.random.default_rng(5)
     postures = [rng.uniform(-2 * math.pi, 2 * math.pi, 4) for _ in range(2000)]
@@ -101,7 +92,7 @@ def test_fk_is_bitwise_last_joint_point(cfg):
         assert same_bits(effector, numpy_forward_kinematics(joints, cfg))
 
 
-@pytest.mark.parametrize("cfg", EXACT_CFGS, ids=["right", "left", "narrow"])
+@pytest.mark.parametrize("cfg", EXACT_CFGS, ids=["right", "narrow"])
 def test_step_toward_is_bitwise_the_clip_formula(cfg):
     rng = np.random.default_rng(6)
     for i in range(2000):
@@ -218,12 +209,42 @@ def test_far_point_unreachable():
     assert reach_target((2.0, 2.0), CFG, rng) is None
 
 
-def test_mirrored_arm_reaches_mirrored_point():
-    rng = np.random.default_rng(3)
-    left = CFG.mirror()
-    joints = reach_target((-0.4, 0.4), left, rng)
-    assert joints is not None
-    assert check_touch(forward_kinematics(joints, left), (-0.4, 0.4), left)
+def test_left_arm_checks_reflected_spheres_as_a_mirrored_effector_did():
+    # Both arms run one chain; the left arm's mirror image lives in its
+    # sphere tuple, the exact reflection of the right arm's. Checked against
+    # the reflected sphere, an effector must touch exactly when its own
+    # reflection touches the sphere itself, on and just off the radius.
+    spec = scenario_from_dict({
+        "name": "off_axis", "goals": ["a", "b", "c", "d"],
+        "positions": {"a": [0.4, 0.4], "b": [-0.55, 0.3], "c": [0.0, 0.6], "d": [-0.1, -0.7]},
+        "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
+        "reset_policy": "per_trial", "context_mode": "none",
+    })
+    sim = Simulation(spec, ExperimentConfig(scenario=spec, replications=1), seed=0)
+    left, right = (sim.sphere_positions[ARMS.index(side)] for side in ("left", "right"))
+    assert right == tuple(tuple(g.position) for g in spec.goals)
+    assert same_bits(left, [(-x, y) for x, y in right])
+
+    rng = np.random.default_rng(11)
+    r = CFG.touch_radius
+    outcomes = set()
+    for i in range(4000):
+        ex, ey = forward_kinematics(tuple(rng.uniform(-math.pi, math.pi, 4).tolist()), CFG)
+        # Spheres around the reflected effector: on the radius give or take
+        # about an ulp, exactly one radius off along an axis, or anywhere.
+        angle = rng.uniform(0.0, 2 * math.pi)
+        if i % 3 == 0:
+            d = r * (1.0 + rng.uniform(-1e-12, 1e-12))
+            sx, sy = -ex + d * math.cos(angle), ey + d * math.sin(angle)
+        elif i % 3 == 1:
+            sx, sy = (-ex + r, ey) if i % 2 else (-ex, ey - r)
+        else:
+            d = rng.uniform(0.0, 1.5)
+            sx, sy = -ex + d * math.cos(angle), ey + d * math.sin(angle)
+        touched = check_touch((ex, ey), (-sx, sy), CFG)
+        assert touched == check_touch((-ex, ey), (sx, sy), CFG), (ex, ey, sx, sy)
+        outcomes.add(touched)
+    assert outcomes == {True, False}
 
 
 def test_home_joints_within_limits():

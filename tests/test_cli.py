@@ -90,10 +90,10 @@ def test_underflowing_temperature_exits_3(tmp_path, capsys):
     ("idealized_learning_rate", 0.0),
     ("idealized_disruption", -0.1),
     ("idealized_exploration_floor", 2.0),
-    ("idealized_noise_scale", -1.0),
     pytest.param("arm", {"link_lengths": [0, 0.25, 0.25, 0.25]}, id="arm-zero_link"),
     pytest.param("arm", {"max_step": -1}, id="arm-negative_max_step"),
     pytest.param("arm", {"joint_min": [1.0] * 4, "joint_max": [0.0] * 4}, id="arm-inverted_limits"),
+    pytest.param("arm", {"joint_min": [0.0] * 4, "joint_max": [0.0] * 4}, id="arm-fixed_joints"),
     pytest.param("arm", {"reach": 2.0}, id="arm-unknown_key"),
     pytest.param("actor_critic", {"hidden": 8}, id="actor_critic-unknown_key"),
     pytest.param("actor_critic", {"hidden_units": 0}, id="actor_critic-no_hidden_units"),
@@ -121,15 +121,29 @@ def test_out_of_range_config_value_exits_2(tmp_path, capsys, field, value):
     ("dump_values", 1, "dump_values must be true or false"),
     ("arm", {"max_step": "abc"}, "arm.max_step must be a number"),
     ("arm", {"link_lengths": 0.25}, "arm.link_lengths must be a list of numbers"),
-    ("arm", {"mirrored": "yes"}, "arm.mirrored must be true or false"),
     ("actor_critic", {"hidden_units": 9.5}, "actor_critic.hidden_units must be an integer"),
     ("actor_critic", [], "actor_critic must be a mapping"),
     ("replications", None, "replications must be an integer"),
 ], ids=["eval_trials-text", "eval_trials-fraction", "replications-bool", "temperature-text",
         "clip_reward-text", "dump_values-int", "arm-max_step-text", "arm-link_lengths-scalar",
-        "arm-mirrored-text", "actor_critic-hidden_units-fraction", "actor_critic-list",
+        "actor_critic-hidden_units-fraction", "actor_critic-list",
         "replications-null"])
 def test_mistyped_config_value_exits_2(tmp_path, capsys, field, value, message):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("arm", {"mirrored": True}, "arm: unknown key 'mirrored'"),
+    ("idealized_noise_scale", 0.1, "unknown config key 'idealized_noise_scale'"),
+], ids=["arm-mirrored", "idealized_noise_scale"])
+def test_removed_config_key_exits_2(tmp_path, capsys, field, value, message):
+    # Both arms run one chain and the idealized attempt has no jitter, so
+    # neither key configures anything: a config file that sets one is
+    # rejected as naming an unknown key.
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
     assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 2

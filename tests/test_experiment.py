@@ -402,18 +402,17 @@ def test_actor_critic_rollout_trajectory_is_unbroken():
     sim = Simulation(spec, cfg, seed=3)
     endings = set()
     for arm_index in (0, 1):
-        arm_cfg = sim.arm_cfgs[ARMS[arm_index]]
         expert = sim.experts[0][arm_index]
         for _ in range(3):
-            _, achieved, steps, traj = sim._rollout(0, arm_index, sim.state, explore=True)
+            _, achieved, steps, traj = sim._rollout(0, arm_index, sim.state, sim.rng)
             assert len(traj) == steps
-            joints = home_joints(arm_cfg)
+            joints = home_joints(cfg.arm)
             for feat, action, _, _ in traj:
                 assert np.array_equal(feat, expert.features(joints))
-                joints = step_toward(joints, action, arm_cfg)
+                joints = step_toward(joints, action, cfg.arm)
             assert [done for *_, done in traj] == [False] * (steps - 1) + [True]
             endings.add(achieved)
-        assert sim._rollout(0, arm_index, sim.state, explore=False)[3] is None
+        assert sim._rollout(0, arm_index, sim.state)[3] is None
     assert endings == {True, False}
 
 
@@ -456,21 +455,26 @@ def test_actor_critic_rollout_computes_features_once_per_step(monkeypatch):
             if trained:
                 trained_looking_actor(expert, arm_index)
             calls.clear()
-            steps = sim._rollout(0, arm_index, sim.state, explore=False)[2]
+            steps = sim._rollout(0, arm_index, sim.state)[2]
             assert len(calls) == (steps if trained or not expert.actor_is_zero() else 0)
 
 
 def reference_frozen_rollout(sim, goal, arm_index, state):
-    """The evaluation rollout computing every step's features, ending like _rollout."""
-    arm_cfg = sim.arm_cfgs[ARMS[arm_index]]
+    """The evaluation rollout computing every step's features, ending like _rollout.
+
+    It mirrors the left arm the other way round: it reflects the effector
+    and checks it against the spheres where the scenario puts them.
+    """
+    arm_cfg = sim.cfg.arm
     expert = sim.experts[goal][arm_index]
     joints = home_joints(arm_cfg)
     for step in range(1, sim.cfg.timeout_steps + 1):
-        action = expert.act(expert.features(joints), None, explore=False)
+        action = expert.act(expert.features(joints))
         joints = step_toward(joints, action, arm_cfg)
-        effector = forward_kinematics(joints, arm_cfg)
-        for i, sphere in enumerate(sim.sphere_positions):
-            if check_touch(effector, sphere, arm_cfg):
+        x, y = forward_kinematics(joints, arm_cfg)
+        effector = (-x, y) if ARMS[arm_index] == "left" else (x, y)
+        for i, goal_spec in enumerate(sim.spec.goals):
+            if check_touch(effector, goal_spec.position, arm_cfg):
                 state, activated = sim.spec.apply_touch(i, state)
                 return state, i == goal and activated, step
     return state, False, sim.cfg.timeout_steps
@@ -480,7 +484,8 @@ def test_actor_critic_frozen_zero_actor_rollout_matches_a_rollout_with_features(
     # Joint limits whose mid posture is not the home posture, so a zero
     # actor moves the arm; sphere "a" sits where the right arm's mid posture
     # puts the effector, sphere "b" out of that path. The right arm touches
-    # "a" (its own goal, or another one's), the mirrored left arm times out.
+    # "a" (its own goal, or another one's), the left arm, its mirror image,
+    # times out.
     arm = ArmConfig(joint_min=(-1.0, -0.5, 0.0, -2.0), joint_max=(1.0, 0.5, 2.0, 0.0))
     mid = tuple(0.5 * (lo + hi) for lo, hi in zip(arm.joint_min, arm.joint_max))
     x, y = forward_kinematics(mid, arm)
@@ -502,13 +507,44 @@ def test_actor_critic_frozen_zero_actor_rollout_matches_a_rollout_with_features(
                     trained_looking_actor(expert, 10 * goal + arm_index)
                 assert expert.actor_is_zero() is not trained
                 calls.clear()
-                result = sim._rollout(goal, arm_index, sim.state, explore=False)
+                result = sim._rollout(goal, arm_index, sim.state)
                 steps = result[2]
                 assert len(calls) == (steps if trained else 0)
                 assert result[:3] == reference_frozen_rollout(sim, goal, arm_index, sim.state)
                 if not trained:
                     endings.add((ARMS[arm_index], result[1], steps < cfg.timeout_steps))
     assert endings == {("right", True, True), ("right", False, True), ("left", False, False)}
+
+
+def test_actor_critic_left_arm_touches_the_mirror_image_of_the_right_arm():
+    # Both arms run one chain, and a zero actor drives either to the same
+    # mid posture; sphere "r" sits at its effector, sphere "l" at the
+    # effector's reflection. The right arm touches "r", the left arm "l",
+    # and every rollout, trained-looking actors included, ends as the
+    # reference that reflects the effector instead of the spheres.
+    arm = ArmConfig(joint_min=(-1.0, -0.5, 0.0, -2.0), joint_max=(1.0, 0.5, 2.0, 0.0))
+    mid = tuple(0.5 * (lo + hi) for lo, hi in zip(arm.joint_min, arm.joint_max))
+    x, y = forward_kinematics(mid, arm)
+    spec = scenario_from_dict({
+        "name": "mirror_pair", "goals": ["r", "l"], "positions": {"r": [x, y], "l": [-x, y]},
+        "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
+        "reset_policy": "per_trial", "context_mode": "none",
+    })
+    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", arm=arm, timeout_steps=80,
+                           replications=1)
+    sim = Simulation(spec, cfg, seed=6)
+    endings = set()
+    for goal in (0, 1):
+        for arm_index in (0, 1):
+            for trained in (False, True):
+                if trained:
+                    trained_looking_actor(sim.experts[goal][arm_index], 20 + 10 * goal + arm_index)
+                result = sim._rollout(goal, arm_index, sim.state)
+                assert result[:3] == reference_frozen_rollout(sim, goal, arm_index, sim.state)
+                if not trained:
+                    endings.add((ARMS[arm_index], spec.labels[goal], result[1]))
+    assert endings == {("right", "r", True), ("right", "l", False),
+                       ("left", "r", False), ("left", "l", True)}
 
 
 def test_actor_critic_measure_competence_leaves_parameters_unchanged():

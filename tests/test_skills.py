@@ -27,7 +27,6 @@ def idealized(**fields):
         learning_rate=cfg.idealized_learning_rate,
         disruption=cfg.idealized_disruption,
         exploration_floor=cfg.idealized_exploration_floor,
-        noise_scale=cfg.idealized_noise_scale,
     )
     return IdealizedExpert(**{**defaults, **fields})
 
@@ -168,8 +167,8 @@ def make_expert(seed=0):
 def test_actor_critic_eval_act_is_deterministic():
     ex = make_expert()
     feat = ex.features((0.1, -0.2, 0.3, 0.0))
-    a1 = ex.act(feat, explore=False)
-    a2 = ex.act(feat, explore=False)
+    a1 = ex.act(feat)
+    a2 = ex.act(feat)
     assert np.array_equal(a1, a2)
 
 
@@ -178,7 +177,7 @@ def test_actor_critic_untrained_output_within_limits():
     rng = np.random.default_rng(8)
     for _ in range(100):
         joints = rng.uniform(-math.pi, math.pi, 4)
-        a = np.array(ex.act(ex.features(joints), rng, explore=True))
+        a = np.array(ex.act(ex.features(joints), rng))
         assert np.all(a >= ARM.joint_min) and np.all(a <= ARM.joint_max)
 
 
@@ -316,7 +315,7 @@ def test_actor_critic_dot_is_bitwise_the_matmul(arm):
         ex.w_actor = rng.normal(0.0, 0.5, ex.w_actor.shape)
         ex.b_actor = rng.normal(0.0, 0.5, ex.n)
         mean, _ = numpy_act(ex, arm, feat, None, None)
-        assert np.array(ex.act(feat, explore=False)).tobytes() == mean.tobytes()
+        assert np.array(ex.act(feat)).tobytes() == mean.tobytes()
         w_critic = rng.normal(0.0, 0.5, feat.shape)
         assert w_critic.dot(feat).tobytes() == (w_critic @ feat).tobytes()
 
@@ -360,7 +359,7 @@ def test_actor_critic_act_and_actor_step_are_bitwise_the_numpy_formulas(arm):
     clamped = 0
     for i, joints in enumerate(postures):
         feat = ex.features(joints)
-        frozen = ex.act(feat, explore=False)
+        frozen = ex.act(feat)
         expected, _ = numpy_act(ref, arm, feat, None, None)
         assert np.array(frozen).tobytes() == expected.tobytes()
         action = ex.act(feat, rng)
