@@ -184,18 +184,20 @@ def reach_target(
 
 
 def unreachable_goals(spec, cfg: ArmConfig, rng: np.random.Generator | None = None) -> list[str]:
-    """Labels of scenario goals no sampled IK solution can touch.
+    """Labels of scenario goals that neither arm touches in a sampled IK search.
 
-    Checked at scenario load/validation time. Positions outside the annulus
-    [sum(l) as outer radius] are rejected without search.
+    Checked at scenario load/validation time. The right arm runs the chain
+    as it is and the left arm its mirror image, so a goal at ``(x, y)`` is
+    reachable if the chain reaches it or its reflection ``(-x, y)``; the
+    reflection is searched only when the goal itself is not found, so a
+    scenario whose goals the right arm reaches draws the same numbers.
+    Positions beyond the outer radius [sum(l)] are rejected without search.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     bad = []
     for goal in spec.goals:
-        r = math.hypot(goal.position[0], goal.position[1])
-        if r > cfg.max_reach + cfg.touch_radius:
-            bad.append(goal.label)
-            continue
-        if reach_target(goal.position, cfg, rng) is None:
+        x, y = goal.position
+        if (math.hypot(x, y) > cfg.max_reach + cfg.touch_radius
+                or (reach_target((x, y), cfg, rng) is None and reach_target((-x, y), cfg, rng) is None)):
             bad.append(goal.label)
     return bad

@@ -82,16 +82,14 @@ def _resolve_run_config(args) -> exp.ExperimentConfig:
         out_dir=args.out or cfg.out_dir or os.environ.get(OUT_DIR_ENV),
         dump_values=args.dump_values,
     )
-    spec = exp.resolve_scenario(cfg)
     if args.trials is not None:
-        spec = replace(spec, total_trials=args.trials)
-        spec.validate()
-    return exp.apply_overrides(cfg, scenario=spec)
+        cfg = replace(cfg, scenario=replace(cfg.scenario, total_trials=args.trials))
+    return cfg
 
 
-def _check_reach(spec, cfg: exp.ExperimentConfig) -> None:
-    """ConfigError naming every sphere the arm cannot touch."""
-    bad = unreachable_goals(spec, cfg.arm)
+def _check_reach(cfg: exp.ExperimentConfig) -> None:
+    """ConfigError naming every sphere neither arm can touch."""
+    bad = unreachable_goals(cfg.scenario, cfg.arm)
     if bad:
         raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
 
@@ -103,10 +101,9 @@ def cmd_run(args) -> int:
         return 0
     if not cfg.out_dir:
         raise ConfigError(f"no output directory: pass --out or set ${OUT_DIR_ENV}")
-    spec = exp.resolve_scenario(cfg)
-    _check_reach(spec, cfg)
+    _check_reach(cfg)
     log.info("running %s on scenario %s: %d replications x %d trials",
-             cfg.system, spec.name, cfg.replications, spec.total_trials)
+             cfg.system, cfg.scenario.name, cfg.replications, cfg.scenario.total_trials)
     result = exp.run_experiment(cfg)
     finals = result.replications[0].final_competence()
     log.info("replication 0 final competence: %s",
@@ -188,8 +185,8 @@ def cmd_validate(args) -> int:
     if args.config is None and args.scenario is None:
         raise ConfigError("validate needs --scenario or --config")
     cfg = exp.apply_overrides(_base_config(args), scenario=args.scenario)
-    spec = exp.resolve_scenario(cfg)
-    _check_reach(spec, cfg)
+    _check_reach(cfg)
+    spec = cfg.scenario
     print(f"scenario {spec.name!r}: {spec.n_goals} goals, "
           f"{spec.total_trials} trials ({spec.trials_per_epoch} per epoch, "
           f"reset {spec.reset_policy})")

@@ -102,7 +102,15 @@ _RANGES = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scenario: "int | str | ScenarioSpec" = 1
+    """One goal-selection system run on one scenario, with every setting.
+
+    A config is checked once, when it is built (``replace`` builds a new
+    one): an invalid field or scenario raises ConfigError there, and
+    ``scenario``, given as a builtin id, its digits, a scenario file path, a
+    scenario mapping or a spec, is always a validated ScenarioSpec after.
+    """
+
+    scenario: "ScenarioSpec | int | str | Mapping" = 1
     system: str = "grail"
     backend: str = "idealized"
     replications: int = 10
@@ -126,7 +134,8 @@ class ExperimentConfig:
     jobs: int = 1
     dump_values: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Check the fields, then the scenario, which becomes a spec."""
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}; valid systems: {sorted(SYSTEMS)}")
         if self.backend not in BACKENDS:
@@ -150,24 +159,23 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"arm: {exc}") from None
 
+        sc = self.scenario
+        if isinstance(sc, ScenarioSpec):
+            sc.validate()
+        elif isinstance(sc, Mapping):
+            sc = scenario_from_dict(sc)
+        elif isinstance(sc, int) and not isinstance(sc, bool):
+            sc = builtin_scenario(sc)
+        elif isinstance(sc, str):
+            sc = builtin_scenario(int(sc)) if sc.isdigit() else load_scenario(sc)
+        else:
+            raise ConfigError(f"cannot interpret scenario reference {sc!r}")
+        object.__setattr__(self, "scenario", sc)
+
     def resolved_temperature(self) -> float:
         if self.temperature is not None:
             return self.temperature
         return SYSTEM_TEMPERATURES[self.system]
-
-
-def resolve_scenario(cfg: ExperimentConfig) -> ScenarioSpec:
-    """Instantiate the configured scenario (builtin id, file path, or spec)."""
-    sc = cfg.scenario
-    if isinstance(sc, ScenarioSpec):
-        return sc
-    if isinstance(sc, int) and not isinstance(sc, bool):
-        return builtin_scenario(sc)
-    if isinstance(sc, str):
-        if sc.isdigit():
-            return builtin_scenario(int(sc))
-        return load_scenario(sc)
-    raise ConfigError(f"cannot interpret scenario reference {sc!r}")
 
 
 @dataclass
@@ -208,7 +216,7 @@ class ReplicationSeries:
 
 
 class Simulation:
-    """One replication of one system on one scenario.
+    """One replication of ``cfg.system`` on ``cfg.scenario``, seeded by ``seed``.
 
     Each goal has one expert per arm. The two arms mirror each other but are
     one chain, ``cfg.arm``: the left arm gets its mirror image by checking
@@ -217,10 +225,8 @@ class Simulation:
     indexed like ``ARMS``, each in goal order.
     """
 
-    def __init__(self, spec: ScenarioSpec, cfg: ExperimentConfig, seed: int, replication: int = 0):
-        cfg.validate()
-        spec.validate()
-        self.spec = spec
+    def __init__(self, cfg: ExperimentConfig, seed: int, replication: int = 0):
+        self.spec = spec = cfg.scenario
         self.cfg = cfg
         self.replication = replication
         self.rng = np.random.default_rng(seed)
@@ -458,7 +464,6 @@ class Simulation:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    scenario: ScenarioSpec
     replications: list[ReplicationSeries]
     competence_agg: list[tuple[int, str, float, float, float]]  # trial, goal, mean, lo, hi
     wasted_agg: list[tuple[int, float, float, float]]           # interval_end, mean, lo, hi
@@ -474,46 +479,43 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float, float]:
 
 
 def _replication_worker(args) -> ReplicationSeries:
-    spec, cfg, seed, rep = args
-    return Simulation(spec, cfg, seed=seed, replication=rep).run()
+    cfg, seed, rep = args
+    return Simulation(cfg, seed=seed, replication=rep).run()
 
 
-def aggregate_competence(series: list[ReplicationSeries]) -> list[tuple[int, str, float, float, float]]:
-    """Mean and 95% band of every (trial, goal) competence row over the replications.
+def aggregate_rows(tables: list[list[tuple]], what: str) -> list[tuple]:
+    """Mean and 95% band of each row's last value over the replications.
 
-    Every replication records the same (trial, goal) rows in the same order,
-    so the rows are read side by side; a replication whose rows differ in
-    number or order raises NumericsError.
+    ``tables`` holds one row list per replication, ``what`` names the rows
+    in errors. Every replication records the same rows (all but the value)
+    in the same order, so the rows are read side by side; a replication
+    whose rows differ in number or order raises NumericsError.
     """
-    if len({len(s.competence) for s in series}) > 1:
-        raise NumericsError("replications recorded different numbers of competence rows")
+    if len({len(rows) for rows in tables}) > 1:
+        raise NumericsError(f"replications recorded different numbers of {what} rows")
     agg = []
-    for rows in zip(*(s.competence for s in series)):
-        t, label, _ = rows[0]
-        if any(row[0] != t or row[1] != label for row in rows):
-            raise NumericsError(f"replications disagree on competence row ({t}, {label!r})")
-        agg.append((t, label) + _mean_ci(np.array([v for _, _, v in rows])))
+    for rows in zip(*tables):
+        key = rows[0][:-1]
+        if any(row[:-1] != key for row in rows):
+            raise NumericsError(f"replications disagree on {what} row {key}")
+        agg.append(key + _mean_ci(np.array([float(row[-1]) for row in rows])))
     return agg
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all replications, aggregate, and (if configured) write CSV output."""
-    cfg.validate()
-    spec = resolve_scenario(cfg)
-    jobs = [(spec, cfg, cfg.seed + rep, rep) for rep in range(cfg.replications)]
+    jobs = [(cfg, cfg.seed + rep, rep) for rep in range(cfg.replications)]
     if cfg.jobs > 1 and cfg.replications > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             series = list(pool.map(_replication_worker, jobs))
     else:
         series = [_replication_worker(job) for job in jobs]
 
-    competence_agg = aggregate_competence(series)
-    wasted_agg = []
-    for i, (end, _) in enumerate(series[0].wasted):
-        values = np.array([float(s.wasted[i][1]) for s in series])
-        wasted_agg.append((end,) + _mean_ci(values))
-
-    result = ExperimentResult(cfg, spec, series, competence_agg, wasted_agg)
+    result = ExperimentResult(
+        cfg, series,
+        aggregate_rows([s.competence for s in series], "competence"),
+        aggregate_rows([s.wasted for s in series], "wasted"),
+    )
     if cfg.out_dir:
         write_outputs(result, cfg.out_dir)
     return result
@@ -572,7 +574,7 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
             w.writerow(["replication", "trial", "state_key", "goal", "value"])
             for s in result.replications:
                 for t, key_text, g, v in s.value_rows:
-                    w.writerow([s.replication, t, key_text, result.scenario.labels[g], repr(v)])
+                    w.writerow([s.replication, t, key_text, cfg.scenario.labels[g], repr(v)])
 
     meta = config_to_dict(cfg)
     # Where the run was written and how it was parallelized do not affect the
@@ -611,23 +613,18 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
     for key, value in data.items():
         if key not in kinds:
             raise ConfigError(f"unknown config key {key!r}")
-        if key == "scenario":
-            kwargs[key] = scenario_from_dict(value) if isinstance(value, Mapping) else value
+        if key == "scenario" or (value is None and key in _NONE_DEFAULT_KINDS):
+            kwargs[key] = value  # as given: the config resolves a scenario itself
         elif is_dataclass(kinds[key]):
             kwargs[key] = _section(key, kinds[key], value)
-        elif value is None and key in _NONE_DEFAULT_KINDS:
-            kwargs[key] = None
         else:
             kwargs[key] = cast(key, value, kinds[key])
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     data = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    if isinstance(cfg.scenario, ScenarioSpec):
-        data["scenario"] = scenario_to_dict(cfg.scenario)
+    data["scenario"] = scenario_to_dict(cfg.scenario)
     data["arm"] = asdict(cfg.arm)
     data["actor_critic"] = asdict(cfg.actor_critic)
     return data
@@ -638,8 +635,5 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Replace selected fields, re-validating; None values are ignored."""
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    new = replace(cfg, **clean)
-    new.validate()
-    return new
+    """A new config with selected fields replaced; None values are ignored."""
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

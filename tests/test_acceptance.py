@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lightup.experiment import SYSTEMS, ExperimentConfig, Simulation, resolve_scenario, run_experiment
+from lightup.experiment import SYSTEMS, ExperimentConfig, Simulation, run_experiment
 from lightup.motivation import AchievementPredictor
 from lightup.selection import SelectionStrategy, softmax_probabilities
 from lightup.skills import ActorCriticConfig, ActorCriticExpert, IdealizedExpert
@@ -40,8 +40,7 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 def run_system(scenario_id: int, system: str):
     cfg = ExperimentConfig(scenario=scenario_id, system=system,
                            replications=REPS, seed=SEED)
-    spec = resolve_scenario(cfg)
-    return [Simulation(spec, cfg, seed=SEED + r, replication=r).run() for r in range(REPS)]
+    return [Simulation(cfg, seed=SEED + r, replication=r).run() for r in range(REPS)]
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +265,7 @@ def test_a6_actor_critic_learns_single_reach():
     passing = 0
     firsts = []
     for rep in range(REPS):
-        sim = Simulation(spec, cfg, seed=SEED + rep, replication=rep)
+        sim = Simulation(cfg, seed=SEED + rep, replication=rep)
         first = None
         for t in range(1, spec.total_trials + 1):
             sim.run_trial()

@@ -209,6 +209,28 @@ def test_far_point_unreachable():
     assert reach_target((2.0, 2.0), CFG, rng) is None
 
 
+def test_goal_only_the_left_arm_reaches_is_reachable():
+    # Joints within [-0.5, 0.5] keep the chain near the +x axis: the right
+    # arm reaches "b" at (0.9, 0.1) but not "a" at (-0.9, 0.1), which the
+    # left arm, its mirror image, does reach; "c" at (0.3, 0.0) needs a fold
+    # neither arm can make, and "d" lies beyond both arms' outer radius.
+    arm = ArmConfig(joint_min=(-0.5,) * 4, joint_max=(0.5,) * 4)
+    rng = np.random.default_rng(0)
+    assert reach_target((-0.9, 0.1), arm, rng) is None
+    spec = scenario_from_dict({
+        "goals": ["a", "b", "c", "d"],
+        "positions": {"a": [-0.9, 0.1], "b": [0.9, 0.1], "c": [0.3, 0.0], "d": [-1.2, 0.0]},
+    })
+    assert unreachable_goals(spec, arm) == ["c", "d"]
+    # The reflection is searched only after the goal itself is not found,
+    # so a goal the right arm reaches draws what one direct search draws.
+    rng, direct = np.random.default_rng(5), np.random.default_rng(5)
+    right_only = scenario_from_dict({"goals": ["b"], "positions": {"b": [0.9, 0.1]}})
+    assert unreachable_goals(right_only, arm, rng) == []
+    assert reach_target((0.9, 0.1), arm, direct) is not None
+    assert rng.bit_generator.state == direct.bit_generator.state
+
+
 def test_left_arm_checks_reflected_spheres_as_a_mirrored_effector_did():
     # Both arms run one chain; the left arm's mirror image lives in its
     # sphere tuple, the exact reflection of the right arm's. Checked against
@@ -220,7 +242,7 @@ def test_left_arm_checks_reflected_spheres_as_a_mirrored_effector_did():
         "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
         "reset_policy": "per_trial", "context_mode": "none",
     })
-    sim = Simulation(spec, ExperimentConfig(scenario=spec, replications=1), seed=0)
+    sim = Simulation(ExperimentConfig(scenario=spec, replications=1), seed=0)
     left, right = (sim.sphere_positions[ARMS.index(side)] for side in ("left", "right"))
     assert right == tuple(tuple(g.position) for g in spec.goals)
     assert same_bits(left, [(-x, y) for x, y in right])

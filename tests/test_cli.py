@@ -251,6 +251,23 @@ def test_validate_unreachable_sphere_exits_2_naming_goal(tmp_path, capsys):
     assert "outside arm reach" in err and "c" in err
 
 
+def test_validate_sphere_reachable_by_either_arm(tmp_path, capsys):
+    # With every joint in [-0.5, 0.5] the right arm reaches (0.9, 0.1) and
+    # only the left arm, its mirror image, reaches (-0.9, 0.1); neither arm
+    # folds back to (0.3, 0.0).
+    arm = {"joint_min": [-0.5] * 4, "joint_max": [0.5] * 4}
+    scenario = {"goals": ["a", "b"], "positions": {"a": [-0.9, 0.1], "b": [0.9, 0.1]}}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"scenario": scenario, "arm": arm}))
+    assert run_cli("validate", "--config", str(path)) == 0
+    assert capsys.readouterr().out.endswith("ok\n")
+    scenario["goals"].append("c")
+    scenario["positions"]["c"] = [0.3, 0.0]
+    path.write_text(yaml.safe_dump({"scenario": scenario, "arm": arm}))
+    assert run_cli("validate", "--config", str(path)) == 2
+    assert capsys.readouterr().err == "error: sphere(s) outside arm reach: c\n"
+
+
 def test_validate_needs_an_argument(capsys):
     assert run_cli("validate") == 2
 
@@ -319,6 +336,22 @@ def test_validate_documented_custom_scenario(capsys):
     assert run_cli("validate", "--config", path) == 0
     assert run_cli("validate", "--scenario", path) == 0
     assert "mini_chain" in capsys.readouterr().out
+
+
+def test_python_api_run_matches_cli_run(tmp_path):
+    # A config holds its resolved scenario, so run.yaml is the same whether
+    # the scenario was named by id from Python or resolved by the CLI.
+    from lightup import ExperimentConfig, run_experiment
+
+    api, cli = tmp_path / "api", tmp_path / "cli"
+    run_experiment(ExperimentConfig(scenario=3, system="m_grail", replications=1, seed=5,
+                                    out_dir=str(api)))
+    assert run_cli("run", "--scenario", "3", "--system", "m_grail", "--replications", "1",
+                   "--seed", "5", "--out", str(cli)) == 0
+    assert sorted(os.listdir(api)) == sorted(os.listdir(cli))
+    for name in os.listdir(api):
+        assert (api / name).read_bytes() == (cli / name).read_bytes(), name
+    assert yaml.safe_load((api / "run.yaml").read_text())["scenario"]["name"] == "interrelated_chains"
 
 
 def test_run_with_jobs_flag_matches_serial(tmp_path):

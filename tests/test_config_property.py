@@ -1,5 +1,6 @@
-"""Property test: a generated config is rejected with ConfigError, or it runs
-a short simulation to completion and writes only finite values.
+"""Property tests: a generated config is rejected with ConfigError, or it runs
+a short simulation to completion and writes only finite values; and an
+accepted config survives a trip through YAML unchanged.
 
 Values are drawn from ranges that keep a run small (few trials, short
 rollouts, a narrow feature layer), never from extremes that spawn work. One
@@ -14,10 +15,11 @@ import tempfile
 from dataclasses import replace
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from lightup.errors import ConfigError
-from lightup.experiment import BACKENDS, SYSTEMS, config_from_dict, resolve_scenario, run_experiment
+from lightup.experiment import BACKENDS, SYSTEMS, config_from_dict, config_to_dict, run_experiment
 
 
 def unit(open_low=False):
@@ -117,9 +119,20 @@ def test_generated_config_is_rejected_or_runs_to_finite_outputs(case, epochs):
     except ConfigError:
         return
     assert not must_reject, data
-    spec = resolve_scenario(cfg)
+    spec = cfg.scenario
     spec = replace(spec, total_trials=spec.trials_per_epoch * epochs)
     with tempfile.TemporaryDirectory() as out_dir:
         run_experiment(replace(cfg, scenario=spec, out_dir=out_dir))
         for name, key, value in csv_values(out_dir):
             assert math.isfinite(value), (name, key, value, data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(config_dicts())
+def test_accepted_config_round_trips_through_yaml(case):
+    data, _ = case
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    assert config_from_dict(yaml.safe_load(yaml.safe_dump(config_to_dict(cfg)))) == cfg

@@ -14,15 +14,14 @@ from lightup.experiment import (
     ExperimentConfig,
     Simulation,
     _mean_ci,
-    aggregate_competence,
+    aggregate_rows,
     config_from_dict,
     config_to_dict,
     load_config,
-    resolve_scenario,
     run_experiment,
 )
 from lightup.skills import ActorCriticExpert
-from lightup.world import WorldState, builtin_scenario, scenario_from_dict
+from lightup.world import BUILTIN_SCENARIOS, WorldState, builtin_scenario, scenario_from_dict
 
 
 def short_scenario(sid, trials):
@@ -40,12 +39,32 @@ def small_cfg(sid=1, trials=300, **kw):
 
 def test_unknown_system_rejected():
     with pytest.raises(ConfigError, match="grail"):
-        ExperimentConfig(system="sarsa").validate()
+        ExperimentConfig(system="sarsa")
 
 
 def test_unknown_backend_rejected():
     with pytest.raises(ConfigError, match="backend"):
-        ExperimentConfig(backend="tabular").validate()
+        ExperimentConfig(backend="tabular")
+
+
+def test_config_holds_its_validated_scenario(tmp_path):
+    import yaml
+
+    # Every way of naming a scenario gives the same spec at construction.
+    spec = builtin_scenario(3)
+    path = tmp_path / "scn.yaml"
+    path.write_text(yaml.safe_dump(BUILTIN_SCENARIOS[3]))
+    for ref in (3, "3", str(path), BUILTIN_SCENARIOS[3], spec):
+        assert ExperimentConfig(scenario=ref).scenario == spec
+    # A spec given directly, or changed with replace, is validated too.
+    cfg = ExperimentConfig(scenario=spec)
+    with pytest.raises(ConfigError, match="divisible"):
+        replace(cfg, scenario=replace(spec, total_trials=100))
+    with pytest.raises(ConfigError, match="cannot interpret"):
+        ExperimentConfig(scenario=3.0)
+    # The fields are checked before the scenario.
+    with pytest.raises(ConfigError, match="eval_trials"):
+        ExperimentConfig(scenario=replace(spec, total_trials=100), eval_trials=0)
 
 
 def test_per_system_temperature_defaults():
@@ -59,7 +78,7 @@ def test_config_roundtrip_through_dict():
     cfg = ExperimentConfig(scenario=3, system="m_grail", seed=9, replications=4)
     again = config_from_dict(config_to_dict(cfg))
     assert again.system == "m_grail" and again.seed == 9 and again.replications == 4
-    assert resolve_scenario(again).name == "interrelated_chains"
+    assert again.scenario.name == "interrelated_chains"
 
 
 def test_config_rejects_unknown_keys():
@@ -89,7 +108,7 @@ def test_load_config_with_inline_scenario(tmp_path):
     }
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(data))
-    spec = resolve_scenario(load_config(str(path)))
+    spec = load_config(str(path)).scenario
     assert spec.n_goals == 2
     assert spec.rules[1].requires_on == frozenset({0})
 
@@ -100,8 +119,7 @@ def test_load_config_with_inline_scenario(tmp_path):
 def test_trial_counts_match_schedule():
     for sid, total in ((1, 3000), (2, 4000), (3, 6000)):
         cfg = ExperimentConfig(scenario=sid, replications=1, seed=0)
-        spec = resolve_scenario(cfg)
-        series = Simulation(spec, cfg, seed=0).run()
+        series = Simulation(cfg, seed=0).run()
         assert len(series.records) == total
         assert series.records[-1].trial == total
 
@@ -110,16 +128,14 @@ def test_achieved_implies_achievable_across_systems():
     for system in ("grail", "c_grail", "m_grail"):
         for sid in (1, 2, 3):
             cfg = small_cfg(sid, 600, system=system)
-            spec = resolve_scenario(cfg)
-            series = Simulation(spec, cfg, seed=3).run()
+            series = Simulation(cfg, seed=3).run()
             for rec in series.records:
                 assert not (rec.achieved and not rec.achievable)
 
 
 def test_per_epoch_reset_boundaries():
     cfg = small_cfg(3, 300, system="m_grail")
-    spec = resolve_scenario(cfg)
-    series = Simulation(spec, cfg, seed=1).run()
+    series = Simulation(cfg, seed=1).run()
     for rec in series.records:
         if (rec.trial - 1) % 3 == 0:  # first trial of an epoch
             assert rec.state_key.startswith("000000")
@@ -128,15 +144,13 @@ def test_per_epoch_reset_boundaries():
 
 def test_per_trial_reset_gives_fresh_state_every_trial():
     cfg = small_cfg(1, 200)
-    spec = resolve_scenario(cfg)
-    series = Simulation(spec, cfg, seed=2).run()
+    series = Simulation(cfg, seed=2).run()
     assert all(r.state_key.startswith("000000") for r in series.records)
 
 
 def test_epoch_state_persists_within_epoch():
     cfg = small_cfg(3, 3000, system="m_grail", replications=1)
-    spec = resolve_scenario(cfg)
-    series = Simulation(spec, cfg, seed=4).run()
+    series = Simulation(cfg, seed=4).run()
     achieved_mid_epoch = [
         (a, b) for a, b in zip(series.records, series.records[1:])
         if a.achieved and b.trial % 3 != 1
@@ -148,8 +162,7 @@ def test_epoch_state_persists_within_epoch():
 
 def test_mgrail_selecting_chain_end_on_fresh_epoch_is_wasted_with_zero_reward():
     cfg = ExperimentConfig(scenario=3, system="m_grail", seed=0)
-    spec = resolve_scenario(cfg)
-    sim = Simulation(spec, cfg, seed=0)
+    sim = Simulation(cfg, seed=0)
     # Find a fresh-epoch trial where the stock selector picked the chain end e.
     rec = None
     for _ in range(3000):
@@ -163,8 +176,7 @@ def test_mgrail_selecting_chain_end_on_fresh_epoch_is_wasted_with_zero_reward():
 
 def test_gate_blocks_expert_learning_in_context_systems():
     cfg = ExperimentConfig(scenario=3, system="c_grail", seed=0)
-    spec = resolve_scenario(cfg)
-    sim = Simulation(spec, cfg, seed=0)
+    sim = Simulation(cfg, seed=0)
     before = [[e.competence for e in pair] for pair in sim.experts]
     # First trial from all-off: whatever is selected has prediction 0. If the
     # attempt fails, the gate must leave the attempted expert untouched.
@@ -176,8 +188,8 @@ def test_gate_blocks_expert_learning_in_context_systems():
 
 def test_grail_has_no_gate_and_erodes_on_wasted_trials():
     cfg = ExperimentConfig(scenario=2, system="grail", seed=0)
-    spec = resolve_scenario(cfg)
-    sim = Simulation(spec, cfg, seed=5)
+    spec = cfg.scenario
+    sim = Simulation(cfg, seed=5)
     goal = 0
     for pair in sim.experts:
         for e in pair:
@@ -197,16 +209,15 @@ def test_grail_has_no_gate_and_erodes_on_wasted_trials():
 
 def test_untrained_competence_is_init_constant():
     cfg = small_cfg(1, 100)
-    spec = resolve_scenario(cfg)
-    sim = Simulation(spec, cfg, seed=0)
+    spec = cfg.scenario
+    sim = Simulation(cfg, seed=0)
     for label in spec.labels:
         assert sim.measure_competence(label) == pytest.approx(0.02)
 
 
 def test_trained_competence_reads_greedy_arm():
     cfg = small_cfg(1, 100)
-    spec = resolve_scenario(cfg)
-    sim = Simulation(spec, cfg, seed=0)
+    sim = Simulation(cfg, seed=0)
     sim.experts[0][1].competence = 1.0
     sim.selectors[0].update(1, True)
     assert sim.measure_competence(0) == 1.0
@@ -217,16 +228,14 @@ def test_trained_competence_reads_greedy_arm():
 
 def test_scenario1_has_zero_wasted_trials():
     cfg = small_cfg(1, 500, replications=1)
-    spec = resolve_scenario(cfg)
-    series = Simulation(spec, cfg, seed=0).run()
+    series = Simulation(cfg, seed=0).run()
     assert series.cumulative_wasted_at(500) == 0
     assert series.wasted[-1] == (500, 0)
 
 
 def test_scenario2_grail_wastes_about_half_early():
     cfg = ExperimentConfig(scenario=2, system="grail", seed=0)
-    spec = resolve_scenario(cfg)
-    series = Simulation(spec, cfg, seed=11).run()
+    series = Simulation(cfg, seed=11).run()
     early = series.cumulative_wasted_at(400)
     # Context-blind selection over balanced contexts wastes ~half.
     assert 120 <= early <= 280
@@ -234,8 +243,7 @@ def test_scenario2_grail_wastes_about_half_early():
 
 def test_wasted_rows_count_unachievable_records():
     cfg = small_cfg(2, 230, system="grail", replications=1)
-    spec = resolve_scenario(cfg)
-    series = Simulation(spec, cfg, seed=0).run()
+    series = Simulation(cfg, seed=0).run()
     assert [end for end, _ in series.wasted] == [50, 100, 150, 200, 230]
     for end, count in series.wasted:
         assert count == sum(1 for r in series.records if r.trial <= end and not r.achievable)
@@ -244,8 +252,7 @@ def test_wasted_rows_count_unachievable_records():
 
 def test_wasted_series_cumulative_nondecreasing():
     cfg = small_cfg(3, 600, system="c_grail", replications=1)
-    spec = resolve_scenario(cfg)
-    series = Simulation(spec, cfg, seed=0).run()
+    series = Simulation(cfg, seed=0).run()
     counts = [c for _, c in series.wasted]
     assert counts == sorted(counts)
 
@@ -286,23 +293,31 @@ def competence_agg_by_lookup(series, labels):
     return agg
 
 
-def test_competence_agg_matches_per_row_lookup():
+def test_aggregate_rows_matches_per_row_lookup():
     # 603 trials: eval rows every 50 trials plus a last one at 603.
     result = run_experiment(small_cfg(3, 603, replications=3, seed=11, system="m_grail"))
-    expected = competence_agg_by_lookup(result.replications, result.scenario.labels)
+    expected = competence_agg_by_lookup(result.replications, result.config.scenario.labels)
     assert [row[:2] for row in expected][-7:] == [(600, "f")] + [(603, lab) for lab in "abcdef"]
     assert result.competence_agg == expected
+    ends = [end for end, _ in result.replications[0].wasted]
+    assert ends[-2:] == [600, 603]
+    assert result.wasted_agg == [
+        (end,) + _mean_ci(np.array([float(s.cumulative_wasted_at(end)) for s in result.replications]))
+        for end in ends
+    ]
 
 
-def test_competence_agg_rejects_replications_out_of_step():
+def test_aggregate_rows_rejects_replications_out_of_step():
     series = run_experiment(small_cfg(3, 150, replications=3, seed=12)).replications
-    rows = series[1].competence
-    rows[7], rows[8] = rows[8], rows[7]
-    with pytest.raises(NumericsError, match="disagree"):
-        aggregate_competence(series)
-    del rows[-1]
-    with pytest.raises(NumericsError, match="numbers of competence rows"):
-        aggregate_competence(series)
+    for what in ("competence", "wasted"):
+        tables = [getattr(s, what) for s in series]
+        rows = tables[1]
+        rows[1], rows[2] = rows[2], rows[1]
+        with pytest.raises(NumericsError, match=f"disagree on {what} row"):
+            aggregate_rows(tables, what)
+        del rows[-1]
+        with pytest.raises(NumericsError, match=f"numbers of {what} rows"):
+            aggregate_rows(tables, what)
 
 
 def test_csv_outputs_and_columns(tmp_path):
@@ -380,7 +395,7 @@ def test_actor_critic_backend_trial_records():
     spec = replace(builtin_scenario(1), total_trials=6)
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40,
                            replications=1, eval_interval=6, eval_trials=2)
-    sim = Simulation(spec, cfg, seed=0)
+    sim = Simulation(cfg, seed=0)
     for _ in range(6):
         rec = sim.run_trial()
         assert 1 <= rec.steps <= 40
@@ -399,7 +414,7 @@ def test_actor_critic_rollout_trajectory_is_unbroken():
         "reset_policy": "per_trial", "context_mode": "none",
     })
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40, replications=1)
-    sim = Simulation(spec, cfg, seed=3)
+    sim = Simulation(cfg, seed=3)
     endings = set()
     for arm_index in (0, 1):
         expert = sim.experts[0][arm_index]
@@ -444,7 +459,7 @@ def test_actor_critic_rollout_computes_features_once_per_step(monkeypatch):
     calls = count_features(monkeypatch)
     spec = short_scenario(1, 8)
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=60, replications=1)
-    sim = Simulation(spec, cfg, seed=2)
+    sim = Simulation(cfg, seed=2)
     for _ in range(8):
         calls.clear()
         rec = sim.run_trial()
@@ -496,7 +511,7 @@ def test_actor_critic_frozen_zero_actor_rollout_matches_a_rollout_with_features(
     })
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", arm=arm, timeout_steps=80,
                            replications=1)
-    sim = Simulation(spec, cfg, seed=4)
+    sim = Simulation(cfg, seed=4)
     calls = count_features(monkeypatch)
     endings = set()
     for goal in (0, 1):
@@ -532,7 +547,7 @@ def test_actor_critic_left_arm_touches_the_mirror_image_of_the_right_arm():
     })
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", arm=arm, timeout_steps=80,
                            replications=1)
-    sim = Simulation(spec, cfg, seed=6)
+    sim = Simulation(cfg, seed=6)
     endings = set()
     for goal in (0, 1):
         for arm_index in (0, 1):
@@ -551,7 +566,7 @@ def test_actor_critic_measure_competence_leaves_parameters_unchanged():
     spec = replace(builtin_scenario(3), total_trials=9)
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=30,
                            replications=1, eval_trials=3)
-    sim = Simulation(spec, cfg, seed=1)
+    sim = Simulation(cfg, seed=1)
     before = [[e.snapshot() for e in pair] for pair in sim.experts]
     rng_before = sim.rng.bit_generator.state
     for label in spec.labels:
