@@ -242,6 +242,9 @@ class Simulation:
             clip_negative_reward=cfg.clip_reward,
         )
         self.use_gate = cfg.system != "grail"
+        # Read on every trial, so compared once here.
+        self.idealized = cfg.backend == "idealized"
+        self.reset_every_trial = spec.reset_policy == "per_trial"
 
         self.selectors = [
             ExpertSelector(smoothing=cfg.expert_smoothing, temperature=cfg.expert_temperature)
@@ -257,7 +260,7 @@ class Simulation:
 
     def _make_expert(self):
         cfg = self.cfg
-        if cfg.backend == "idealized":
+        if self.idealized:
             return IdealizedExpert(
                 competence=cfg.idealized_init_competence,
                 learning_rate=cfg.idealized_learning_rate,
@@ -281,7 +284,7 @@ class Simulation:
         """Advance the simulation by one trial and return its record."""
         spec, cfg = self.spec, self.cfg
         trial = self.trial + 1
-        if spec.reset_policy == "per_trial" or self._is_epoch_start(trial):
+        if self.reset_every_trial or self._is_epoch_start(trial):
             self.state = spec.reset(self.rng)
         state = self.state
 
@@ -290,7 +293,7 @@ class Simulation:
         arm_index = self.selectors[goal].select(self.rng)
         expert = self.experts[goal][arm_index]
 
-        if cfg.backend == "idealized":
+        if self.idealized:
             achieved = expert.attempt(achievable, self.rng)
             new_state = spec.apply_touch(goal, state)[0] if achieved else state
             steps = 0
@@ -302,7 +305,7 @@ class Simulation:
             goal, state, achieved, epsilon=cfg.gate_epsilon
         )
         reward = self.predictor.update_and_reward(goal, state, achieved)
-        if cfg.backend == "idealized":
+        if self.idealized:
             expert.learn(achieved=achieved, achievable=achievable, gate=gate)
         else:
             expert.learn(trajectory, gate=gate)
@@ -313,7 +316,7 @@ class Simulation:
             self.selectors[goal].update(arm_index, achieved)
 
         next_key = self.strategy.state_key(new_state)
-        terminal = spec.reset_policy == "per_trial" or self._is_epoch_end(trial)
+        terminal = self.reset_every_trial or self._is_epoch_end(trial)
         self.strategy.update(key, goal, reward, next_key, terminal)
 
         self.state = new_state
@@ -405,7 +408,7 @@ class Simulation:
         """
         goal = self.spec.goal_index(goal)
         arm_index = self.selectors[goal].greedy()
-        if self.cfg.backend == "idealized":
+        if self.idealized:
             return float(self.experts[goal][arm_index].competence)
         state = self._forced_precondition_state(goal)
         successes = sum(self._rollout(goal, arm_index, state)[1]

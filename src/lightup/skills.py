@@ -83,9 +83,16 @@ class ExpertSelector:
     smoothing: float
     temperature: float
     success_ema: np.ndarray = field(init=False, default_factory=lambda: np.zeros(2))
+    # The EMA pair of the last select() and its softmax probabilities, reused
+    # while the EMAs are unchanged; a cache, not learner state.
+    _last: tuple = field(init=False, default=(None, None), repr=False, compare=False)
 
     def select(self, rng: np.random.Generator) -> int:
-        probs = softmax_probabilities(self.success_ema.tolist(), self.temperature)
+        ema = self.success_ema.tolist()
+        last_ema, probs = self._last
+        if ema != last_ema:
+            probs = softmax_probabilities(ema, self.temperature)
+            self._last = ema, probs
         return choose_index(probs, rng)
 
     def greedy(self) -> int:

@@ -9,7 +9,13 @@ spheres stay on until the next reset; resets happen per trial or per epoch
 depending on the scenario schedule.
 
 World state is an immutable value: touching returns a new state, which keeps
-trial bookkeeping and table keying trivially safe.
+trial bookkeeping and table keying trivially safe. The states are interned:
+a ScenarioSpec builds its reachable states lazily, one object per distinct
+state, as a run first visits them, and hands out the same object every time.
+Each object caches what the trial loop derives from it (its sphere bitmask,
+its state keys, its key text and its successor per touched goal). Object
+identity is only a cache: equality and hashing are by field, and a state
+built directly compares equal to, and behaves like, the interned one.
 """
 
 from __future__ import annotations
@@ -63,6 +69,26 @@ class WorldState:
     sphere_on: tuple[bool, ...]
     context_feature: float
 
+    # Set by the ScenarioSpec that interns this object: that spec's rule
+    # masks and this state's successor table (see ScenarioSpec._intern).
+    _rule_masks = None
+
+    # Derived once per object, on first use; fields, equality, hashing and
+    # replace() ignore them.
+    @cached_property
+    def mask(self) -> int:
+        """The sphere statuses as bits: bit i is set iff sphere i is on."""
+        return sum(1 << i for i, on in enumerate(self.sphere_on) if on)
+
+    @cached_property
+    def _full_key(self) -> tuple[int, ...]:
+        return (*map(int, self.sphere_on), int(self.context_feature))
+
+    @cached_property
+    def _text(self) -> str:
+        bits = "".join("1" if b else "0" for b in self.sphere_on)
+        return f"{bits}/{int(self.context_feature)}"
+
     def with_sphere_on(self, index: int) -> "WorldState":
         on = list(self.sphere_on)
         on[index] = True
@@ -70,8 +96,7 @@ class WorldState:
 
     def key_string(self) -> str:
         """Compact text form, e.g. ``010010/1`` (bits in goal-index order)."""
-        bits = "".join("1" if b else "0" for b in self.sphere_on)
-        return f"{bits}/{int(self.context_feature)}"
+        return self._text
 
 
 def state_key(state: WorldState, mode: str) -> tuple:
@@ -86,7 +111,7 @@ def state_key(state: WorldState, mode: str) -> tuple:
     if mode == "context_feature":
         return (int(state.context_feature),)
     if mode == "full_state":
-        return (*map(int, state.sphere_on), int(state.context_feature))
+        return state._full_key
     raise ConfigError(f"unknown context mode {mode!r}; expected one of {CONTEXT_MODES}")
 
 
@@ -130,6 +155,40 @@ class ScenarioSpec:
     def labels(self) -> tuple[str, ...]:
         return tuple(g.label for g in self.goals)
 
+    @cached_property
+    def _rule_masks(self) -> tuple[tuple[int, int, int, float | None], ...]:
+        """Each goal's rule as (its bit, requires_on bits, blocked_by bits, requires_context).
+
+        A state this spec interned holds this tuple as the mark that its
+        successor table follows these rules; a pickled spec keeps the two
+        together.
+        """
+        return tuple((1 << i, sum(1 << r for r in rule.requires_on),
+                      sum(1 << b for b in rule.blocked_by), rule.requires_context)
+                     for i, rule in enumerate(self.rules))
+
+    @cached_property
+    def _states(self) -> dict[WorldState, WorldState]:
+        """The interned states, each its own key, added as they are first reached."""
+        return {}
+
+    @cached_property
+    def _reset_states(self) -> tuple[WorldState, WorldState]:
+        """The all-off state with context 0.0, then with context 1.0."""
+        return tuple(self._intern(WorldState((False,) * self.n_goals, cf)) for cf in (0.0, 1.0))
+
+    def _intern(self, state: WorldState) -> WorldState:
+        """The one object of this spec equal to ``state``; ``state`` itself if it is new.
+
+        A new state gets an empty successor table: entry i is filled with
+        ``apply_touch(i, state)``'s result the first time goal i is touched.
+        """
+        interned = self._states.setdefault(state, state)
+        if interned is state:
+            object.__setattr__(state, "_rule_masks", self._rule_masks)
+            object.__setattr__(state, "_successors", [None] * self.n_goals)
+        return interned
+
     def goal_index(self, goal: "int | str | Goal") -> int:
         """Normalize an index, label, or Goal to the goal index."""
         if type(goal) is int and 0 <= goal < self.n_goals:
@@ -154,29 +213,32 @@ class ScenarioSpec:
         A sphere that is already on is not achievable again within the
         epoch: re-touching it has no effect and earns no reward.
         """
-        index = self.goal_index(goal)
-        if state.sphere_on[index]:
-            return False
-        rule = self.rules[index]
-        if any(not state.sphere_on[r] for r in rule.requires_on):
-            return False
-        if any(state.sphere_on[b] for b in rule.blocked_by):
-            return False
-        if rule.requires_context is not None and rule.requires_context != state.context_feature:
-            return False
-        return True
+        bit, requires, blocked, context = self._rule_masks[self.goal_index(goal)]
+        on = state.mask
+        return (not on & (bit | blocked) and on & requires == requires
+                and (context is None or context == state.context_feature))
 
     def apply_touch(self, goal: "int | str | Goal", state: WorldState) -> tuple[WorldState, bool]:
-        """Touch a sphere: activate it iff achievable. No other sphere changes."""
+        """Touch a sphere: activate it iff achievable. No other sphere changes.
+
+        The new state is interned. A state this spec interned keeps the
+        result per goal and returns that same tuple on every later touch.
+        """
         index = self.goal_index(goal)
+        cached = state._rule_masks is self._rule_masks
+        if cached and state._successors[index] is not None:
+            return state._successors[index]
         if self.is_achievable(index, state):
-            return state.with_sphere_on(index), True
-        return state, False
+            result = self._intern(state.with_sphere_on(index)), True
+        else:
+            result = state, False
+        if cached:
+            state._successors[index] = result
+        return result
 
     def reset(self, rng: np.random.Generator) -> WorldState:
         """All spheres off; context feature redrawn (1.0 w.p. context_prob_on)."""
-        cf = 1.0 if rng.random() < self.context_prob_on else 0.0
-        return WorldState(sphere_on=(False,) * self.n_goals, context_feature=cf)
+        return self._reset_states[rng.random() < self.context_prob_on]
 
     # -- validation ------------------------------------------------------
 

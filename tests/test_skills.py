@@ -152,6 +152,42 @@ def test_selector_emas_stay_in_unit_interval():
         assert np.all(sel.success_ema >= 0.0) and np.all(sel.success_ema <= 1.0)
 
 
+def test_selector_draws_match_a_fresh_softmax_and_leave_the_emas_alone(monkeypatch):
+    import lightup.skills
+    from lightup.selection import choose_index, softmax_probabilities
+
+    softmaxes = []
+
+    def counted(values, temperature):
+        softmaxes.append(list(values))
+        return softmax_probabilities(values, temperature)
+
+    monkeypatch.setattr(lightup.skills, "softmax_probabilities", counted)
+    sel = selector()
+    params = (sel.smoothing, sel.temperature)
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    # Between draws: nothing, updates that leave both EMAs at zero or move
+    # one, and an EMA pair assigned from outside.
+    script = [(), (), [(0, False)], [(1, False), (0, False)], [(0, True)], (), [(0, True)],
+              [(1, True)], (), "assign", (), [(1, False)], ()] * 3
+    for between in script:
+        if between == "assign":
+            sel.success_ema = np.array([0.25, 0.75])
+        else:
+            for arm, success in between:
+                sel.update(arm, success)
+        ema = sel.success_ema.copy()
+        drawn = sel.select(rng)
+        assert drawn == choose_index(softmax_probabilities(ema.tolist(), sel.temperature), twin)
+        # select reads the learner and changes none of it.
+        assert sel.success_ema.tobytes() == ema.tobytes()
+        assert (sel.smoothing, sel.temperature) == params
+    assert rng.random() == twin.random()
+    # Only a changed EMA pair is softmaxed again.
+    assert len(softmaxes) < len(script)
+    assert all(a != b for a, b in zip(softmaxes, softmaxes[1:]))
+
+
 # -- actor-critic expert -----------------------------------------------------------
 
 

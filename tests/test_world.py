@@ -1,13 +1,17 @@
 """World dynamics: rules, touching, resets, builtin scenarios, files."""
 
 import itertools
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lightup.errors import ConfigError
+from lightup.experiment import ExperimentConfig, Simulation
 from lightup.world import (
     BUILTIN_SCENARIOS,
+    CONTEXT_MODES,
     WorldState,
     builtin_scenario,
     default_positions,
@@ -200,6 +204,109 @@ def test_sphere_monotone_within_epoch():
         before = state.sphere_on
         state, _ = s3.apply_touch(int(rng.integers(6)), state)
         assert all(b or not a for a, b in zip(before, state.sphere_on))
+
+
+# -- interned states ------------------------------------------------------------
+
+
+def walk(spec):
+    """Every state ``spec`` hands out from a reset through apply_touch chains,
+    by (sphere_on, context_feature)."""
+    reached = {}
+    frontier = [spec.reset(np.random.default_rng(0))]
+    while frontier:
+        state = frontier.pop()
+        if (state.sphere_on, state.context_feature) not in reached:
+            reached[state.sphere_on, state.context_feature] = state
+            frontier.extend(spec.apply_touch(goal, state)[0] for goal in range(spec.n_goals))
+    return reached
+
+
+def reached_states(spec):
+    """(spec, state) pairs by (sphere_on, context_feature), for both context values.
+
+    States are walked from the resets of two copies of ``spec``, with
+    ``context_prob_on`` 0 and 1, so both contexts are reached whatever the
+    scenario draws; each state comes with the copy that handed it out.
+    """
+    reached = {}
+    for prob in (0.0, 1.0):
+        owner = replace(spec, context_prob_on=prob)
+        reached.update((key, (owner, state)) for key, state in walk(owner).items())
+    return reached
+
+
+@pytest.mark.parametrize("sid", sorted(BUILTIN_SCENARIOS))
+def test_interned_states_behave_like_fresh_ones(sid):
+    spec = builtin_scenario(sid)
+    reached = reached_states(spec)
+    # Scenario 1 reaches every pattern; scenario 2 the subsets of a/c/e under
+    # cf=1 and of b/d/f under cf=0; scenario 3 the seven chain prefixes per cf.
+    assert len(reached) == {1: 128, 2: 16, 3: 14}[sid]
+    for fresh_state in all_states(spec):
+        if (fresh_state.sphere_on, fresh_state.context_feature) not in reached:
+            continue
+        owner, state = reached[fresh_state.sphere_on, fresh_state.context_feature]
+        assert state == fresh_state and hash(state) == hash(fresh_state)
+        bits = "".join(str(int(b)) for b in fresh_state.sphere_on)
+        assert state.key_string() == fresh_state.key_string() == f"{bits}/{int(fresh_state.context_feature)}"
+        for mode in CONTEXT_MODES:
+            assert state_key(state, mode) == state_key(fresh_state, mode)
+        for goal in range(spec.n_goals):
+            expected = oracle_achievable(spec, goal, fresh_state)
+            assert owner.is_achievable(goal, state) == expected
+            assert owner.is_achievable(goal, fresh_state) == expected
+            assert owner.apply_touch(goal, state) == owner.apply_touch(goal, fresh_state)
+
+
+@pytest.mark.parametrize("sid", sorted(BUILTIN_SCENARIOS))
+def test_repeated_touch_returns_the_same_object(sid):
+    for owner, state in reached_states(builtin_scenario(sid)).values():
+        for goal in range(owner.n_goals):
+            first = owner.apply_touch(goal, state)
+            assert owner.apply_touch(goal, state) is first
+            if not first[1]:
+                assert first[0] is state
+
+
+def test_one_object_per_state_whatever_the_touch_order():
+    s1 = builtin_scenario(1)
+    start = s1.reset(np.random.default_rng(0))
+    assert s1.reset(np.random.default_rng(1)) is start
+    a_then_b = s1.apply_touch("b", s1.apply_touch("a", start)[0])[0]
+    b_then_a = s1.apply_touch("a", s1.apply_touch("b", start)[0])[0]
+    assert a_then_b is b_then_a
+
+
+def test_another_spec_touches_an_interned_state_by_its_own_rules():
+    s1, s3 = builtin_scenario(1), builtin_scenario(3)
+    start = s3.reset(np.random.default_rng(0))
+    assert s3.apply_touch("e", start) == (start, False)
+    state, ok = s1.apply_touch("e", start)
+    assert ok and state.key_string() == "000010/0"
+    assert s3.apply_touch("e", start) == (start, False)
+
+
+def test_spec_with_warm_caches_survives_pickling():
+    # --jobs N pickles the config, and so the spec with its state table.
+    cfg = ExperimentConfig(scenario=3, system="m_grail")
+    warm = Simulation(cfg, seed=3)
+    for _ in range(300):
+        warm.run_trial()
+    spec = cfg.scenario
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec
+    reached = walk(copy)
+    assert reached == walk(spec) and len(reached) == 7
+    for state in reached.values():
+        for goal in range(copy.n_goals):
+            assert copy.is_achievable(goal, state) == oracle_achievable(spec, goal, state)
+            assert copy.apply_touch(goal, state) is copy.apply_touch(goal, state)
+
+    cold = Simulation(ExperimentConfig(scenario=3, system="m_grail"), seed=9)
+    thawed = Simulation(replace(cfg, scenario=copy), seed=9)
+    for _ in range(300):
+        assert thawed.run_trial() == cold.run_trial()
 
 
 # -- reset -------------------------------------------------------------------
