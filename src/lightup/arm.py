@@ -1,10 +1,13 @@
 """Planar 4-DOF kinematic arm with position control and touch sensing.
 
-Pure functions. The per-step ones (``home_joints``, ``step_toward``,
-``forward_kinematics``, ``check_touch``) take sequences of Python floats and
-return tuples: on four joints, numpy's per-call overhead costs more than the
-arithmetic. They make the same float64 operations in the same order as the
-array formulas in ``joint_points``, so the results are the same bits.
+Pure functions on sequences of Python floats; postures come back as
+tuples. On four joints numpy's per-call overhead costs more than the
+arithmetic, so the per-step functions (``home_joints``, ``step_toward``,
+``forward_kinematics``, ``check_touch``) and the IK search behind
+``unreachable_goals`` run on floats. Each makes the float64 operations of
+the array formula it replaced (``np.cumsum`` of headings and link vectors,
+``np.clip``, ``np.hypot``) in the same order, so the results are the same
+bits.
 There is one chain. The two arms mirror each other, but both run this
 chain; the left arm gets its mirror image from the simulation, which checks
 its effector against the spheres reflected across the vertical axis.
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,21 +37,6 @@ class ArmConfig:
     def max_reach(self) -> float:
         return float(sum(self.link_lengths))
 
-    # Read-only numpy copies of the tuples, built once per config for the
-    # array functions below (``joint_points`` and the IK search); fields,
-    # asdict and equality ignore them.
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        return _read_only(self.link_lengths)
-
-    @cached_property
-    def lower(self) -> np.ndarray:
-        return _read_only(self.joint_min)
-
-    @cached_property
-    def upper(self) -> np.ndarray:
-        return _read_only(self.joint_max)
-
     def validate(self) -> None:
         if not all(l > 0 for l in self.link_lengths):
             raise ValueError(f"link lengths must be positive: {self.link_lengths}")
@@ -63,32 +50,16 @@ class ArmConfig:
             raise ValueError("joint limits must satisfy min < max")
 
 
-def _read_only(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
-
-
 def home_joints(cfg: ArmConfig) -> tuple[float, ...]:
     """Default start posture: all joints at zero (chain fully extended), within the limits."""
     return tuple(float(min(max(0.0, lo), hi)) for lo, hi in zip(cfg.joint_min, cfg.joint_max))
 
 
-def joint_points(angles: np.ndarray, cfg: ArmConfig) -> np.ndarray:
-    """Positions of the base and every joint tip, shape (n_joints+1, 2)."""
-    angles = np.asarray(angles, dtype=float)
-    cum = np.cumsum(angles)
-    pts = np.zeros((cfg.n_joints + 1, 2))
-    pts[1:, 0] = np.cumsum(cfg.lengths * np.cos(cum))
-    pts[1:, 1] = np.cumsum(cfg.lengths * np.sin(cum))
-    return pts
-
-
 def forward_kinematics(angles, cfg: ArmConfig) -> tuple[float, float]:
     """End-effector position of the planar chain (deterministic).
 
-    The last row of ``joint_points``: the headings and both coordinates are
-    running sums from the base outward, as ``cumsum`` adds them.
+    The headings and both coordinates are running sums from the base
+    outward, as ``np.cumsum`` adds them.
     """
     lengths = cfg.link_lengths
     heading = angles[0]
@@ -143,54 +114,94 @@ def check_touch(effector, sphere_pos, cfg: ArmConfig) -> bool:
     return float(np.hypot(dx, dy)) <= radius
 
 
+def _place_links(joints, lengths, headings, xs, ys, first: int = 0) -> None:
+    """Set the headings and tips of links ``first`` onward, in place.
+
+    ``headings[i]`` is the angle of link i against the x axis and
+    ``(xs[i + 1], ys[i + 1])`` its tip; ``(xs[0], ys[0])`` is the base. All
+    are running sums from the base outward, as ``np.cumsum`` adds them, the
+    way ``forward_kinematics`` computes the last tip. The entries before
+    ``first`` are read, not recomputed, so after turning joint j, placing
+    links j onward gives the same bits as placing the whole chain.
+    """
+    if first == 0:
+        heading = joints[0]
+        headings[0] = heading
+        xs[1] = lengths[0] * math.cos(heading)
+        ys[1] = lengths[0] * math.sin(heading)
+        first = 1
+    for i in range(first, len(lengths)):
+        heading = headings[i - 1] + joints[i]
+        headings[i] = heading
+        xs[i + 1] = xs[i] + lengths[i] * math.cos(heading)
+        ys[i + 1] = ys[i] + lengths[i] * math.sin(heading)
+
+
+def _within(dx: float, dy: float, radius: float) -> bool:
+    """``hypot(dx, dy) <= radius``, skipping the distance when an axis decides it.
+
+    ``hypot(dx, dy) >= max(|dx|, |dy|)`` holds for the rounded result too,
+    so the early answer is the one the distance would give.
+    """
+    if abs(dx) > radius or abs(dy) > radius:
+        return False
+    return float(np.hypot(dx, dy)) <= radius
+
+
 def reach_target(
     target,
     cfg: ArmConfig,
     rng: np.random.Generator,
     restarts: int = 8,
     iterations: int = 80,
-) -> np.ndarray | None:
+) -> tuple[float, ...] | None:
     """Sampled inverse-kinematics search (cyclic coordinate descent).
 
-    Runs CCD from the home posture plus random restarts; returns a joint
-    configuration whose effector lies within touch_radius of the target, or
-    None if none of the restarts gets there. Used only to check workspace
-    coverage, never as a control shortcut.
+    Runs CCD from the home posture plus random restarts, all drawn before
+    the search starts; returns a joint configuration whose effector lies
+    within touch_radius of the target, or None if none of the restarts gets
+    there. Used only to check workspace coverage, never as a control
+    shortcut.
     """
-    target = np.asarray(target, dtype=float)
-    lo, hi = cfg.lower, cfg.upper
-    starts = [np.array(home_joints(cfg), dtype=float)] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
-    for joints in starts:
+    tx, ty = float(target[0]), float(target[1])
+    lengths, lower, upper = cfg.link_lengths, cfg.joint_min, cfg.joint_max
+    radius = cfg.touch_radius
+    n = cfg.n_joints
+    starts = [home_joints(cfg)] + [rng.uniform(lower, upper).tolist() for _ in range(restarts - 1)]
+    for start in starts:
+        joints = list(start)
+        headings, xs, ys = [0.0] * n, [0.0] * (n + 1), [0.0] * (n + 1)
+        _place_links(joints, lengths, headings, xs, ys)
         for _ in range(iterations):
-            pts = joint_points(joints, cfg)
-            eff = pts[-1]
-            if float(np.hypot(*(eff - target))) <= cfg.touch_radius:
-                return joints
-            for j in range(cfg.n_joints - 1, -1, -1):
-                pts = joint_points(joints, cfg)
-                eff = pts[-1]
-                pivot = pts[j]
-                a = eff - pivot
-                b = target - pivot
-                if np.hypot(*a) < 1e-12 or np.hypot(*b) < 1e-12:
+            if _within(xs[n] - tx, ys[n] - ty, radius):
+                return tuple(joints)
+            for j in range(n - 1, -1, -1):
+                ax, ay = xs[n] - xs[j], ys[n] - ys[j]
+                bx, by = tx - xs[j], ty - ys[j]
+                # Joint j cannot turn the effector when it or the target
+                # sits on the pivot; a distance under 1e-12 needs both axes
+                # under it, so only then is it computed.
+                if (abs(ax) < 1e-12 and abs(ay) < 1e-12 and np.hypot(ax, ay) < 1e-12
+                        or abs(bx) < 1e-12 and abs(by) < 1e-12 and np.hypot(bx, by) < 1e-12):
                     continue
-                rot = math.atan2(b[1], b[0]) - math.atan2(a[1], a[0])
+                rot = math.atan2(by, bx) - math.atan2(ay, ax)
                 rot = (rot + math.pi) % (2.0 * math.pi) - math.pi
-                joints[j] = float(np.clip(joints[j] + rot, lo[j], hi[j]))
-        pts = joint_points(joints, cfg)
-        if float(np.hypot(*(pts[-1] - target))) <= cfg.touch_radius:
-            return joints
+                joints[j] = min(max(joints[j] + rot, lower[j]), upper[j])
+                _place_links(joints, lengths, headings, xs, ys, j)
+        if _within(xs[n] - tx, ys[n] - ty, radius):
+            return tuple(joints)
     return None
 
 
 def unreachable_goals(spec, cfg: ArmConfig, rng: np.random.Generator | None = None) -> list[str]:
     """Labels of scenario goals that neither arm touches in a sampled IK search.
 
-    Checked at scenario load/validation time. The right arm runs the chain
-    as it is and the left arm its mirror image, so a goal at ``(x, y)`` is
-    reachable if the chain reaches it or its reflection ``(-x, y)``; the
-    reflection is searched only when the goal itself is not found, so a
-    scenario whose goals the right arm reaches draws the same numbers.
+    Run by ``lightup run`` and ``lightup validate`` (``cli._check_reach``),
+    not by ``run_experiment``. The right arm runs the chain as it is and the
+    left arm its mirror image, so a goal at ``(x, y)`` is reachable if the
+    chain reaches it or its reflection ``(-x, y)``; the reflection is
+    searched only when the goal itself is not found, so a scenario whose
+    goals the right arm reaches draws the same numbers.
     Positions beyond the outer radius [sum(l)] are rejected without search.
     """
     rng = rng if rng is not None else np.random.default_rng(0)

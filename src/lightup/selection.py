@@ -65,14 +65,12 @@ def softmax_probabilities(values: Sequence[float], temperature: float) -> list[f
     return [x / total for x in p]
 
 
-def choose_index(probs: Sequence[float], rng: np.random.Generator) -> int:
-    """An index drawn with probabilities ``probs``; the same draw as
-    ``rng.choice(len(probs), p=probs)``.
+def cumulative_probabilities(probs: Sequence[float]) -> list[float]:
+    """The bin edges ``rng.choice(len(probs), p=probs)`` searches.
 
     It makes numpy's checks (no negative probability, a sum within
     ``sqrt(eps)`` of 1) and numpy's arithmetic: the running sum of ``probs``
-    divided by its last element, searched on the right for one
-    ``rng.random()``, which is the one double ``choice`` consumes.
+    divided by its last element.
     """
     if min(probs) < 0:
         raise ValueError(f"probabilities are not non-negative: {list(probs)}")
@@ -80,7 +78,15 @@ def choose_index(probs: Sequence[float], rng: np.random.Generator) -> int:
         raise ValueError(f"probabilities do not sum to 1: {list(probs)}")
     cdf = list(itertools.accumulate(probs))
     last = cdf[-1]
-    return bisect.bisect_right([c / last for c in cdf], rng.random())
+    return [c / last for c in cdf]
+
+
+def choose_index(probs: Sequence[float], rng: np.random.Generator) -> int:
+    """An index drawn with probabilities ``probs``; the same draw as
+    ``rng.choice(len(probs), p=probs)``: ``cumulative_probabilities`` searched
+    on the right for one ``rng.random()``, the one double ``choice`` consumes.
+    """
+    return bisect.bisect_right(cumulative_probabilities(probs), rng.random())
 
 
 class SelectionStrategy:

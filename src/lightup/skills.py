@@ -19,6 +19,7 @@ unchanged.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .arm import ArmConfig
 from .errors import NumericsError
-from .selection import choose_index, softmax_probabilities
+from .selection import cumulative_probabilities, softmax_probabilities
 
 
 @dataclass
@@ -83,17 +84,18 @@ class ExpertSelector:
     smoothing: float
     temperature: float
     success_ema: np.ndarray = field(init=False, default_factory=lambda: np.zeros(2))
-    # The EMA pair of the last select() and its softmax probabilities, reused
-    # while the EMAs are unchanged; a cache, not learner state.
+    # The EMA pair of the last select() and the bin edges of its softmax,
+    # reused while the EMAs are unchanged; a cache, not learner state.
     _last: tuple = field(init=False, default=(None, None), repr=False, compare=False)
 
     def select(self, rng: np.random.Generator) -> int:
+        """An arm drawn as ``choose_index(softmax_probabilities(ema), rng)`` draws it."""
         ema = self.success_ema.tolist()
-        last_ema, probs = self._last
+        last_ema, cdf = self._last
         if ema != last_ema:
-            probs = softmax_probabilities(ema, self.temperature)
-            self._last = ema, probs
-        return choose_index(probs, rng)
+            cdf = cumulative_probabilities(softmax_probabilities(ema, self.temperature))
+            self._last = ema, cdf
+        return bisect.bisect_right(cdf, rng.random())
 
     def greedy(self) -> int:
         """The arm evaluation should use (ties go to the lower index)."""

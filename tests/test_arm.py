@@ -9,8 +9,8 @@ from lightup.arm import (
     ArmConfig,
     check_touch,
     forward_kinematics,
+    _place_links,
     home_joints,
-    joint_points,
     reach_target,
     step_toward,
     unreachable_goals,
@@ -50,30 +50,27 @@ def test_fk_matches_per_link_oracle_on_random_joints():
         assert np.allclose(forward_kinematics(joints, CFG), oracle_fk(joints, CFG), atol=1e-12)
 
 
-def test_joint_points_shape_and_base():
-    pts = joint_points(np.zeros(4), CFG)
-    assert pts.shape == (5, 2)
-    assert np.allclose(pts[0], [0, 0])
-
-
 # The default arm, and one whose joint limits bind inside the sampled range.
 EXACT_CFGS = (CFG, ArmConfig(joint_min=(-1.0, -0.5, 0.0, -2.0), joint_max=(1.0, 0.5, 2.0, 0.0)))
 
 
-# The per-step functions as numpy array formulas, the way they were written
+# The arm's functions as numpy array formulas, the way they were written
 # before they moved to Python floats; the float versions must give the same bits.
-def numpy_forward_kinematics(angles, cfg):
+def numpy_joint_points(angles, lengths):
+    """Base and joint-tip positions, shape (n_joints + 1, 2)."""
     cum = np.asarray(angles, dtype=float).cumsum()
-    x = (cfg.lengths * np.cos(cum)).cumsum()[-1]
-    y = (cfg.lengths * np.sin(cum)).cumsum()[-1]
-    return np.array([x, y])
+    lengths = np.asarray(lengths, dtype=float)
+    pts = np.zeros((len(lengths) + 1, 2))
+    pts[1:, 0] = (lengths * np.cos(cum)).cumsum()
+    pts[1:, 1] = (lengths * np.sin(cum)).cumsum()
+    return pts
 
 
 def numpy_step_toward(current, desired, cfg):
     current = np.asarray(current, dtype=float)
     delta = np.asarray(desired, dtype=float) - current
     delta = np.minimum(np.maximum(delta, -cfg.max_step), cfg.max_step)
-    return np.minimum(np.maximum(current + delta, cfg.lower), cfg.upper)
+    return np.minimum(np.maximum(current + delta, cfg.joint_min), cfg.joint_max)
 
 
 def same_bits(floats, array):
@@ -88,8 +85,28 @@ def test_fk_is_bitwise_last_joint_point(cfg):
     for joints in postures:
         effector = forward_kinematics(tuple(joints.tolist()), cfg)
         assert type(effector) is tuple and all(type(v) is float for v in effector)
-        assert same_bits(effector, joint_points(joints, cfg)[-1])
-        assert same_bits(effector, numpy_forward_kinematics(joints, cfg))
+        assert same_bits(effector, numpy_joint_points(joints, cfg.link_lengths)[-1])
+
+
+def test_place_links_is_bitwise_the_cumsum_formula():
+    # Whole chains, and chains placed again from a turned joint outward, as
+    # the IK search does, on random postures and link lengths.
+    rng = np.random.default_rng(8)
+    for i in range(2000):
+        n = 4 if i % 5 else int(rng.integers(1, 7))
+        lengths = tuple(rng.uniform(0.01, 1.0, n).tolist())
+        joints = rng.uniform(-2 * math.pi, 2 * math.pi, n).tolist()
+        if i % 10 == 0:
+            joints[0] = -0.0  # the first tip's y is then -0.0, not 0.0
+        headings, xs, ys = [0.0] * n, [0.0] * (n + 1), [0.0] * (n + 1)
+        _place_links(joints, lengths, headings, xs, ys)
+        assert same_bits(list(zip(xs, ys)), numpy_joint_points(joints, lengths))
+        assert same_bits(headings, np.cumsum(joints))
+        j = int(rng.integers(n))
+        joints[j] += rng.normal(0.0, 1.0)
+        _place_links(joints, lengths, headings, xs, ys, j)
+        assert same_bits(list(zip(xs, ys)), numpy_joint_points(joints, lengths))
+        assert same_bits(headings, np.cumsum(joints))
 
 
 @pytest.mark.parametrize("cfg", EXACT_CFGS, ids=["right", "narrow"])
@@ -209,6 +226,61 @@ def test_far_point_unreachable():
     assert reach_target((2.0, 2.0), CFG, rng) is None
 
 
+# Postures the numpy search returned at default_rng(0), before the search
+# moved to Python floats: the six scenario-1 spheres and their reflections,
+# the A6 sphere, a target found only from a random restart, and a target
+# the restricted arm misses from every start.
+RESTRICTED = ArmConfig(joint_min=(-0.5,) * 4, joint_max=(0.5,) * 4)
+GOLDEN_POSTURES = [
+    (CFG, (0.5196152422706632, 0.29999999999999993),
+     (0.027657829621113184, 0.12076795601985957, 0.2839395684446848, 2.029052457847587)),
+    (CFG, (0.3526711513754839, 0.4854101966249684),
+     (0.17761630442070775, 0.4546711038817701, 0.3508630073191572, 1.8243885908187245)),
+    (CFG, (0.12474701449065553, 0.5868885604402834),
+     (0.7521588050371504, 1.248453286005995, 0.5305029451359156, -2.4074881309688365)),
+    (CFG, (-0.12474701449065546, 0.5868885604402834),
+     (1.07809696121183, 1.4407004474111833, 0.3759110379467385, -2.2956434556895475)),
+    (CFG, (-0.3526711513754838, 0.4854101966249684),
+     (1.0852794793441856, 2.162811573453174, -0.20215865079946926, -1.6487369825862226)),
+    (CFG, (-0.5196152422706632, 0.29999999999999993),
+     (1.0542749005636733, 2.45312235512178, -0.08792469239418788, -1.3194362619618887)),
+    (CFG, (-0.5196152422706632, 0.29999999999999993),
+     (1.0542749005636733, 2.45312235512178, -0.08792469239418788, -1.3194362619618887)),
+    (CFG, (-0.3526711513754839, 0.4854101966249684),
+     (1.0852794793441856, 2.162811573453174, -0.20215865079946926, -1.6487369825862226)),
+    (CFG, (-0.12474701449065553, 0.5868885604402834),
+     (1.0780969612118296, 1.4407004474111837, 0.3759110379467385, -2.2956434556895475)),
+    (CFG, (0.12474701449065546, 0.5868885604402834),
+     (0.7521588050371508, 1.2484532860059947, 0.5305029451359156, -2.407488130968836)),
+    (CFG, (0.3526711513754838, 0.4854101966249684),
+     (0.1776163044207082, 0.454671103881771, 0.35086300731915454, 1.8243885908187272)),
+    (CFG, (0.5196152422706632, 0.29999999999999993),
+     (0.027657829621113184, 0.12076795601985957, 0.2839395684446848, 2.029052457847587)),
+    (CFG, (0.0, 0.6),
+     (0.9101671380063396, 1.3568217994264957, 0.442254290217597, -2.348602792393521)),
+    (CFG, (0.02, 0.9),
+     (1.076330581080509, 1.029575020106308, -0.04337523247171027, -1.1151795509711238)),
+    (RESTRICTED, (-0.9, 0.1), None),
+]
+
+
+def test_reach_target_returns_the_recorded_postures():
+    spheres = [tuple(g.position) for g in builtin_scenario(1).goals]
+    assert [target for _, target, _ in GOLDEN_POSTURES[:12]] == spheres + [(-x, y) for x, y in spheres]
+    for cfg, target, posture in GOLDEN_POSTURES:
+        rng = np.random.default_rng(0)
+        found = reach_target(target, cfg, rng)
+        if posture is None:
+            assert found is None, target
+        else:
+            assert type(found) is tuple and all(type(v) is float for v in found), target
+            assert same_bits(found, posture), (target, found)
+        # Every restart is drawn up front, found or not.
+        drawn = np.random.default_rng(0)
+        drawn.uniform(cfg.joint_min, cfg.joint_max, (7, 4))
+        assert rng.bit_generator.state == drawn.bit_generator.state
+
+
 def test_goal_only_the_left_arm_reaches_is_reachable():
     # Joints within [-0.5, 0.5] keep the chain near the +x axis: the right
     # arm reaches "b" at (0.9, 0.1) but not "a" at (-0.9, 0.1), which the
@@ -276,7 +348,7 @@ def test_home_joints_within_limits():
     for cfg in EXACT_CFGS + (cfg,):
         home = home_joints(cfg)
         assert type(home) is tuple and all(type(v) is float for v in home)
-        assert same_bits(home, np.minimum(np.maximum(np.zeros(4), cfg.lower), cfg.upper))
+        assert same_bits(home, np.minimum(np.maximum(np.zeros(4), cfg.joint_min), cfg.joint_max))
 
 
 def test_arm_config_validation():

@@ -188,6 +188,33 @@ def test_selector_draws_match_a_fresh_softmax_and_leave_the_emas_alone(monkeypat
     assert all(a != b for a, b in zip(softmaxes, softmaxes[1:]))
 
 
+def test_selector_checks_each_new_softmax_once(monkeypatch):
+    import lightup.skills
+    from lightup.selection import cumulative_probabilities, softmax_probabilities
+
+    softmaxes, checked = [], []
+
+    def counted_softmax(values, temperature):
+        softmaxes.append(softmax_probabilities(values, temperature))
+        return softmaxes[-1]
+
+    def counted_cdf(probs):
+        checked.append(probs)
+        return cumulative_probabilities(probs)
+
+    monkeypatch.setattr(lightup.skills, "softmax_probabilities", counted_softmax)
+    monkeypatch.setattr(lightup.skills, "cumulative_probabilities", counted_cdf)
+    sel = selector()
+    rng = np.random.default_rng(3)
+    for step in range(200):
+        sel.select(rng)
+        if step % 3 == 0:
+            sel.update(step % 2, step % 4 == 0)
+    # Every new probability vector, and only those, passes numpy's checks.
+    assert 1 < len(checked) < 200
+    assert len(checked) == len(softmaxes) and all(c is s for c, s in zip(checked, softmaxes))
+
+
 # -- actor-critic expert -----------------------------------------------------------
 
 
