@@ -196,8 +196,8 @@ def reach_target(
 def unreachable_goals(spec, cfg: ArmConfig, rng: np.random.Generator | None = None) -> list[str]:
     """Labels of scenario goals that neither arm touches in a sampled IK search.
 
-    Run by ``lightup run`` and ``lightup validate`` (``cli._check_reach``),
-    not by ``run_experiment``. The right arm runs the chain as it is and the
+    Run by ``run_experiment`` before any replication starts and by
+    ``lightup validate``. The right arm runs the chain as it is and the
     left arm its mirror image, so a goal at ``(x, y)`` is reachable if the
     chain reaches it or its reflection ``(-x, y)``; the reflection is
     searched only when the goal itself is not found, so a scenario whose

@@ -87,13 +87,6 @@ def _resolve_run_config(args) -> exp.ExperimentConfig:
     return cfg
 
 
-def _check_reach(cfg: exp.ExperimentConfig) -> None:
-    """ConfigError naming every sphere neither arm can touch."""
-    bad = unreachable_goals(cfg.scenario, cfg.arm)
-    if bad:
-        raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
-
-
 def cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
     if args.print_config:
@@ -101,7 +94,6 @@ def cmd_run(args) -> int:
         return 0
     if not cfg.out_dir:
         raise ConfigError(f"no output directory: pass --out or set ${OUT_DIR_ENV}")
-    _check_reach(cfg)
     log.info("running %s on scenario %s: %d replications x %d trials",
              cfg.system, cfg.scenario.name, cfg.replications, cfg.scenario.total_trials)
     result = exp.run_experiment(cfg)
@@ -185,7 +177,9 @@ def cmd_validate(args) -> int:
     if args.config is None and args.scenario is None:
         raise ConfigError("validate needs --scenario or --config")
     cfg = exp.apply_overrides(_base_config(args), scenario=args.scenario)
-    _check_reach(cfg)
+    bad = unreachable_goals(cfg.scenario, cfg.arm)
+    if bad:
+        raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
     spec = cfg.scenario
     print(f"scenario {spec.name!r}: {spec.n_goals} goals, "
           f"{spec.total_trials} trials ({spec.trials_per_epoch} per epoch, "

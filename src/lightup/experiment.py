@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 import yaml
 
-from .arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward
+from .arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward, unreachable_goals
 from .errors import ConfigError, NumericsError
 from .inputs import cast, check_keys, read_yaml
 from .motivation import AchievementPredictor
@@ -506,7 +506,14 @@ def aggregate_rows(tables: list[list[tuple]], what: str) -> list[tuple]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run all replications, aggregate, and (if configured) write CSV output."""
+    """Run all replications, aggregate, and (if configured) write CSV output.
+
+    A sphere that neither arm can touch raises ConfigError before any
+    replication starts.
+    """
+    bad = unreachable_goals(cfg.scenario, cfg.arm)
+    if bad:
+        raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
     jobs = [(cfg, cfg.seed + rep, rep) for rep in range(cfg.replications)]
     if cfg.jobs > 1 and cfg.replications > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -527,57 +534,37 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # -- CSV output ----------------------------------------------------------------
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_outputs(result: ExperimentResult, out_dir: str) -> None:
     """Write the full CSV set; byte-identical for identical config and seed."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
-
-    with open(os.path.join(out_dir, "trials.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["replication", "trial", "epoch", "state_key", "goal",
-                    "achievable", "achieved", "reward", "steps"])
-        for s in result.replications:
-            for r in s.records:
-                w.writerow([r.replication, r.trial, r.epoch, r.state_key, r.goal,
-                            int(r.achievable), int(r.achieved), repr(float(r.reward)), r.steps])
-
-    with open(os.path.join(out_dir, "competence.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["replication", "trial_index", "goal", "competence"])
-        for s in result.replications:
-            for t, label, v in s.competence:
-                w.writerow([s.replication, t, label, repr(float(v))])
-
-    with open(os.path.join(out_dir, "wasted.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["replication", "interval_end", "cumulative_wasted"])
-        for s in result.replications:
-            for end, count in s.wasted:
-                w.writerow([s.replication, end, count])
-
-    with open(os.path.join(out_dir, "competence_agg.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["trial_index", "goal", "mean", "ci_low", "ci_high"])
-        for t, label, mean, lo, hi in result.competence_agg:
-            w.writerow([t, label, repr(mean), repr(lo), repr(hi)])
-
-    with open(os.path.join(out_dir, "wasted_agg.csv"), "w", encoding="utf-8", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["interval_end", "mean", "ci_low", "ci_high"])
-        for end, mean, lo, hi in result.wasted_agg:
-            w.writerow([end, repr(mean), repr(lo), repr(hi)])
-
+    reps = result.replications
+    _write_csv(out_dir, "trials.csv",
+               ["replication", "trial", "epoch", "state_key", "goal",
+                "achievable", "achieved", "reward", "steps"],
+               ([r.replication, r.trial, r.epoch, r.state_key, r.goal,
+                 int(r.achievable), int(r.achieved), repr(float(r.reward)), r.steps]
+                for s in reps for r in s.records))
+    _write_csv(out_dir, "competence.csv", ["replication", "trial_index", "goal", "competence"],
+               ([s.replication, t, label, repr(float(v))] for s in reps for t, label, v in s.competence))
+    _write_csv(out_dir, "wasted.csv", ["replication", "interval_end", "cumulative_wasted"],
+               ([s.replication, end, count] for s in reps for end, count in s.wasted))
+    _write_csv(out_dir, "competence_agg.csv", ["trial_index", "goal", "mean", "ci_low", "ci_high"],
+               ([t, label, repr(mean), repr(lo), repr(hi)]
+                for t, label, mean, lo, hi in result.competence_agg))
+    _write_csv(out_dir, "wasted_agg.csv", ["interval_end", "mean", "ci_low", "ci_high"],
+               ([end, repr(mean), repr(lo), repr(hi)] for end, mean, lo, hi in result.wasted_agg))
     if cfg.dump_values:
-        with open(os.path.join(out_dir, "values.csv"), "w", encoding="utf-8", newline="") as fh:
-            w = _writer(fh)
-            w.writerow(["replication", "trial", "state_key", "goal", "value"])
-            for s in result.replications:
-                for t, key_text, g, v in s.value_rows:
-                    w.writerow([s.replication, t, key_text, cfg.scenario.labels[g], repr(v)])
+        _write_csv(out_dir, "values.csv", ["replication", "trial", "state_key", "goal", "value"],
+                   ([s.replication, t, key_text, cfg.scenario.labels[g], repr(v)]
+                    for s in reps for t, key_text, g, v in s.value_rows))
 
     meta = config_to_dict(cfg)
     # Where the run was written and how it was parallelized do not affect the

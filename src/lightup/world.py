@@ -9,17 +9,18 @@ spheres stay on until the next reset; resets happen per trial or per epoch
 depending on the scenario schedule.
 
 World state is an immutable value: touching returns a new state, which keeps
-trial bookkeeping and table keying trivially safe. The states are interned:
-a ScenarioSpec builds its reachable states lazily, one object per distinct
-state, as a run first visits them, and hands out the same object every time.
-Each object caches what the trial loop derives from it (its sphere bitmask,
-its state keys, its key text and its successor per touched goal). Object
-identity is only a cache: equality and hashing are by field, and a state
-built directly compares equal to, and behaves like, the interned one.
+trial bookkeeping and table keying trivially safe. The touch dynamics are the
+scenario's transition function, and the ScenarioSpec owns them as one table:
+``apply_touch`` fills it per (state, goal) on first use and hands out the same
+result, and one object per distinct state, from then on. A state's sphere
+bitmask, ``full_state`` key and key text are derived once per object;
+equality and hashing are by field, so a state built directly touches, keys
+and compares like the one the spec handed out.
 """
 
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,10 +69,6 @@ class WorldState:
 
     sphere_on: tuple[bool, ...]
     context_feature: float
-
-    # Set by the ScenarioSpec that interns this object: that spec's rule
-    # masks and this state's successor table (see ScenarioSpec._intern).
-    _rule_masks = None
 
     # Derived once per object, on first use; fields, equality, hashing and
     # replace() ignore them.
@@ -157,37 +154,26 @@ class ScenarioSpec:
 
     @cached_property
     def _rule_masks(self) -> tuple[tuple[int, int, int, float | None], ...]:
-        """Each goal's rule as (its bit, requires_on bits, blocked_by bits, requires_context).
-
-        A state this spec interned holds this tuple as the mark that its
-        successor table follows these rules; a pickled spec keeps the two
-        together.
-        """
+        """Each goal's rule as (its bit, requires_on bits, blocked_by bits, requires_context)."""
         return tuple((1 << i, sum(1 << r for r in rule.requires_on),
                       sum(1 << b for b in rule.blocked_by), rule.requires_context)
                      for i, rule in enumerate(self.rules))
 
     @cached_property
     def _states(self) -> dict[WorldState, WorldState]:
-        """The interned states, each its own key, added as they are first reached."""
+        """One object per distinct state, each its own key, added as it is first handed out."""
+        return {}
+
+    @cached_property
+    def _touches(self) -> dict[tuple[WorldState, int], tuple[WorldState, bool]]:
+        """``apply_touch`` results by (state, goal index), added on first use."""
         return {}
 
     @cached_property
     def _reset_states(self) -> tuple[WorldState, WorldState]:
         """The all-off state with context 0.0, then with context 1.0."""
-        return tuple(self._intern(WorldState((False,) * self.n_goals, cf)) for cf in (0.0, 1.0))
-
-    def _intern(self, state: WorldState) -> WorldState:
-        """The one object of this spec equal to ``state``; ``state`` itself if it is new.
-
-        A new state gets an empty successor table: entry i is filled with
-        ``apply_touch(i, state)``'s result the first time goal i is touched.
-        """
-        interned = self._states.setdefault(state, state)
-        if interned is state:
-            object.__setattr__(state, "_rule_masks", self._rule_masks)
-            object.__setattr__(state, "_successors", [None] * self.n_goals)
-        return interned
+        off = (False,) * self.n_goals
+        return tuple(self._states.setdefault(s, s) for s in (WorldState(off, 0.0), WorldState(off, 1.0)))
 
     def goal_index(self, goal: "int | str | Goal") -> int:
         """Normalize an index, label, or Goal to the goal index."""
@@ -221,19 +207,17 @@ class ScenarioSpec:
     def apply_touch(self, goal: "int | str | Goal", state: WorldState) -> tuple[WorldState, bool]:
         """Touch a sphere: activate it iff achievable. No other sphere changes.
 
-        The new state is interned. A state this spec interned keeps the
-        result per goal and returns that same tuple on every later touch.
+        Returns (state after the touch, whether the sphere lit up). The result
+        is computed once per (state, goal) and the same tuple is returned on
+        every later touch, for any object equal to ``state``.
         """
         index = self.goal_index(goal)
-        cached = state._rule_masks is self._rule_masks
-        if cached and state._successors[index] is not None:
-            return state._successors[index]
-        if self.is_achievable(index, state):
-            result = self._intern(state.with_sphere_on(index)), True
-        else:
-            result = state, False
-        if cached:
-            state._successors[index] = result
+        result = self._touches.get((state, index))
+        if result is None:
+            activated = self.is_achievable(index, state)
+            after = state.with_sphere_on(index) if activated else state
+            result = self._states.setdefault(after, after), activated
+            self._touches[state, index] = result
         return result
 
     def reset(self, rng: np.random.Generator) -> WorldState:
@@ -268,10 +252,13 @@ class ScenarioSpec:
                 raise ConfigError(
                     f"goal {labels[i]!r} requires_context {rule.requires_context}; must be 0.0 or 1.0"
                 )
-        cycle = self._find_requires_cycle()
-        if cycle:
-            pretty = " -> ".join(labels[i] for i in cycle)
-            raise ConfigError(f"cyclic requires_on chain: {pretty}")
+        try:
+            graphlib.TopologicalSorter({i: rule.requires_on for i, rule in enumerate(self.rules)}).prepare()
+        except graphlib.CycleError as exc:
+            # The error's path follows the edges from a required goal to the
+            # goals that require it; reversed, each goal requires the next.
+            pretty = " -> ".join(labels[i] for i in reversed(exc.args[1]))
+            raise ConfigError(f"cyclic requires_on chain: {pretty}") from None
         if not 0.0 <= self.context_prob_on <= 1.0:
             raise ConfigError(f"context_prob_on {self.context_prob_on} outside [0, 1]")
         if self.reset_policy not in RESET_POLICIES:
@@ -284,33 +271,6 @@ class ScenarioSpec:
             raise ConfigError(
                 f"total_trials {self.total_trials} not divisible by trials_per_epoch {self.trials_per_epoch}"
             )
-
-    def _find_requires_cycle(self) -> list[int] | None:
-        # DFS over requires_on edges; returns one cycle as an index path.
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = [WHITE] * self.n_goals
-        stack: list[int] = []
-
-        def visit(i: int) -> list[int] | None:
-            color[i] = GREY
-            stack.append(i)
-            for j in sorted(self.rules[i].requires_on):
-                if color[j] == GREY:
-                    return stack[stack.index(j):] + [j]
-                if color[j] == WHITE:
-                    found = visit(j)
-                    if found:
-                        return found
-            stack.pop()
-            color[i] = BLACK
-            return None
-
-        for i in range(self.n_goals):
-            if color[i] == WHITE:
-                found = visit(i)
-                if found:
-                    return found
-        return None
 
     def describe_dependencies(self) -> str:
         """Human-readable dependency graph, one arc per line."""

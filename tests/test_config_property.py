@@ -1,6 +1,7 @@
-"""Property tests: a generated config is rejected with ConfigError, or it runs
-a short simulation to completion and writes only finite values; and an
-accepted config survives a trip through YAML unchanged.
+"""Property tests: a generated config is rejected with ConfigError, or
+``run_experiment`` refuses it for exactly the spheres ``unreachable_goals``
+names, or it runs a short simulation to completion and writes only finite
+values; and an accepted config survives a trip through YAML unchanged.
 
 Values are drawn from ranges that keep a run small (few trials, short
 rollouts, a narrow feature layer), never from extremes that spawn work. One
@@ -18,6 +19,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from lightup.arm import unreachable_goals
 from lightup.errors import ConfigError
 from lightup.experiment import BACKENDS, SYSTEMS, config_from_dict, config_to_dict, run_experiment
 
@@ -74,10 +76,20 @@ def config_dicts(draw):
     data["scenario"] = draw(st.sampled_from([1, 2, 3]))
     data["jobs"] = 1
     n = draw(st.integers(2, 5))
+    # Three arms in four are drawn to reach the builtin spheres, which sit on
+    # an arc of radius 0.6: their links add up past it and each joint turns
+    # at least a quarter turn either way. The rest are drawn freely, so
+    # their joint limits may be equal and their spheres out of reach.
+    if draw(st.sampled_from([True, True, True, False])):
+        link = st.floats(0.7 / n, 0.5)
+        low, high = st.floats(-math.pi, -math.pi / 2), st.floats(math.pi / 2, math.pi)
+    else:
+        link = st.floats(0.05, 0.5)
+        low, high = st.floats(-math.pi, 0.0), st.floats(0.0, math.pi)
     data["arm"] = {
-        "link_lengths": draw(st.lists(st.floats(0.05, 0.5), min_size=n, max_size=n)),
-        "joint_min": draw(st.lists(st.floats(-math.pi, 0.0), min_size=n, max_size=n)),
-        "joint_max": draw(st.lists(st.floats(0.0, math.pi), min_size=n, max_size=n)),
+        "link_lengths": draw(st.lists(link, min_size=n, max_size=n)),
+        "joint_min": draw(st.lists(low, min_size=n, max_size=n)),
+        "joint_max": draw(st.lists(high, min_size=n, max_size=n)),
         "max_step": draw(st.floats(1e-3, 0.5)),
         "touch_radius": draw(st.floats(1e-3, 0.2)),
     }
@@ -110,7 +122,7 @@ def csv_values(out_dir):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(config_dicts(), st.integers(1, 4))
 def test_generated_config_is_rejected_or_runs_to_finite_outputs(case, epochs):
     data, must_reject = case
@@ -121,8 +133,16 @@ def test_generated_config_is_rejected_or_runs_to_finite_outputs(case, epochs):
     assert not must_reject, data
     spec = cfg.scenario
     spec = replace(spec, total_trials=spec.trials_per_epoch * epochs)
+    bad = unreachable_goals(spec, cfg.arm)
     with tempfile.TemporaryDirectory() as out_dir:
-        run_experiment(replace(cfg, scenario=spec, out_dir=out_dir))
+        cfg = replace(cfg, scenario=spec, out_dir=out_dir)
+        if bad:
+            with pytest.raises(ConfigError) as caught:
+                run_experiment(cfg)
+            assert str(caught.value) == f"sphere(s) outside arm reach: {', '.join(bad)}"
+            assert os.listdir(out_dir) == []
+            return
+        run_experiment(cfg)
         for name, key, value in csv_values(out_dir):
             assert math.isfinite(value), (name, key, value, data)
 

@@ -270,6 +270,20 @@ def test_run_experiment_aggregates_shapes():
     assert labels == set("abcdef")
 
 
+def test_run_experiment_refuses_an_out_of_reach_sphere_before_any_trial(tmp_path, monkeypatch):
+    def no_trial(self):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(Simulation, "run_trial", no_trial)
+    far = scenario_from_dict({"goals": ["a", "b"], "positions": {"a": [0.0, 0.6], "b": [5.0, 5.0]},
+                              "total_trials": 10})
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError) as caught:
+        run_experiment(ExperimentConfig(scenario=far, out_dir=str(out)))
+    assert str(caught.value) == "sphere(s) outside arm reach: b"
+    assert not out.exists()
+
+
 def test_aggregate_ci_matches_hand_computation():
     cfg = small_cfg(1, 100, replications=4, seed=20)
     result = run_experiment(cfg)

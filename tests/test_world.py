@@ -206,7 +206,7 @@ def test_sphere_monotone_within_epoch():
         assert all(b or not a for a, b in zip(before, state.sphere_on))
 
 
-# -- interned states ------------------------------------------------------------
+# -- the touch table and one object per state -------------------------------------
 
 
 def walk(spec):
@@ -276,6 +276,18 @@ def test_one_object_per_state_whatever_the_touch_order():
     a_then_b = s1.apply_touch("b", s1.apply_touch("a", start)[0])[0]
     b_then_a = s1.apply_touch("a", s1.apply_touch("b", start)[0])[0]
     assert a_then_b is b_then_a
+
+
+def test_a_state_built_directly_shares_the_reset_states_touch_results():
+    s3 = builtin_scenario(3)
+    start = s3.reset(np.random.default_rng(0))
+    built = WorldState((False,) * s3.n_goals, 0.0)
+    assert built == start and built is not start
+    for goal in range(s3.n_goals):
+        first = s3.apply_touch(goal, built)
+        assert s3.apply_touch(goal, start) is first
+        if not first[1]:
+            assert first[0] is start
 
 
 def test_another_spec_touches_an_interned_state_by_its_own_rules():
@@ -373,6 +385,16 @@ def test_cycle_detection_names_the_cycle():
     ])
     with pytest.raises(ConfigError, match="cyclic"):
         scenario_from_dict(data)
+    # Each goal on the path requires the next.
+    data = base_dict(goals=["a", "b", "c", "d"], rules=[
+        {"goal": "a", "requires_on": ["b"]},
+        {"goal": "b", "requires_on": ["c"]},
+        {"goal": "c", "requires_on": ["d"]},
+        {"goal": "d", "requires_on": ["b"]},
+    ])
+    with pytest.raises(ConfigError) as caught:
+        scenario_from_dict(data)
+    assert str(caught.value) == "cyclic requires_on chain: b -> c -> d -> b"
 
 
 def test_requires_and_blocked_overlap_rejected():
