@@ -1,7 +1,7 @@
 """Command-line entry point: run experiments, plot their curves, validate scenarios.
 
-Exit codes: 0 success, 2 configuration problems (bad scenario, missing
-file, unknown system), 3 runtime numeric failure.
+Exit codes: 0 success, 2 configuration or file problems (bad scenario,
+missing or unwritable file, unknown system), 3 runtime numeric failure.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "plot": cmd_plot, "validate": cmd_validate}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -22,6 +22,7 @@ import csv
 import logging
 import math
 import os
+import tempfile
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Mapping
 
@@ -308,7 +309,7 @@ class Simulation:
         if self.idealized:
             expert.learn(achieved=achieved, achievable=achievable, gate=gate)
         else:
-            expert.learn(trajectory, gate=gate)
+            expert.learn(trajectory, achieved, gate=gate)
         if gate:
             # The gate protects the whole skill-learning side, arm choice
             # included: a trial the predictor flagged as hopeless says
@@ -340,6 +341,8 @@ class Simulation:
                  rng: np.random.Generator | None = None):
         """Arm rollout from home: ends at the first touch of any sphere or on timeout.
 
+        Returns ``(state after it, achieved, steps, trajectory)``.
+
         The touch check reads the arm's own sphere tuple, in goal order, so
         the first sphere hit wins. For the left arm ``check_touch`` sees
         ``x - (-sx)``, the exact negation of ``(-x) - sx`` (the reflected
@@ -350,11 +353,12 @@ class Simulation:
         With ``rng`` the rollout explores (training) and draws from it;
         without, it is frozen (evaluation), acts on the policy mean and draws
         nothing. A training rollout computes each step's features once, for
-        ``act``, and records them in the trajectory as ``(features, action,
-        reward, done)`` for ``learn``. An evaluation rollout records no
-        trajectory (it returns None), and if the expert's actor heads are
-        exactly zero it computes no features: ``act`` then gives the mid
-        posture. Joints and positions are tuples of Python floats.
+        ``act``, and records one ``(features, action)`` pair per step for
+        ``learn``; the trial's reward and end need no per-step record, as
+        they are ``achieved`` and the last step. An evaluation rollout
+        records no trajectory (it returns None), and if the expert's actor
+        heads are exactly zero it computes no features: ``act`` then gives
+        the mid posture. Joints and positions are tuples of Python floats.
         """
         spec, cfg = self.spec, self.cfg
         arm_cfg = cfg.arm
@@ -367,32 +371,19 @@ class Simulation:
         trajectory = [] if explore else None
         need_features = explore or not expert.actor_is_zero()
         feat = None
-        achieved = False
-        steps = 0
         for step in range(1, cfg.timeout_steps + 1):
             if need_features:
                 feat = expert.features(joints)
             action = expert.act(feat, rng)
+            if explore:
+                trajectory.append((feat, action))
             joints = step_toward(joints, action, arm_cfg)
             effector = forward_kinematics(joints, arm_cfg)
-            touched = None
             for i, sphere in enumerate(spheres):
                 if check_touch(effector, sphere, arm_cfg):
-                    touched = i
-                    break
-            reward = 0.0
-            done = touched is not None or step == cfg.timeout_steps
-            if touched is not None:
-                state, activated = spec.apply_touch(touched, state)
-                if touched == goal and activated:
-                    reward = 1.0
-                    achieved = True
-            if explore:
-                trajectory.append((feat, action, reward, done))
-            steps = step
-            if done:
-                break
-        return state, achieved, steps, trajectory
+                    state, activated = spec.apply_touch(i, state)
+                    return state, i == goal and activated, step, trajectory
+        return state, False, cfg.timeout_steps, trajectory
 
     # -- evaluation ----------------------------------------------------------
 
@@ -426,38 +417,31 @@ class Simulation:
     # -- full replication ----------------------------------------------------
 
     def run(self) -> ReplicationSeries:
+        """Run every trial, measuring competence before the first and at each
+        evaluation point: every ``eval_interval`` trials and the last trial.
+        An evaluation point also records the cumulative waste, the value
+        table (with ``dump_values``) and one progress log line.
+        """
         spec, cfg = self.spec, self.cfg
         records: list[TrialRecord] = []
-        competence: list[tuple[int, str, float]] = []
+        competence = [(0, label, self.measure_competence(label)) for label in spec.labels]
         wasted: list[tuple[int, int]] = []
         value_rows: list[tuple[int, str, int, float]] = []
-
-        def record_competence(trial_index: int) -> None:
-            for label in spec.labels:
-                competence.append((trial_index, label, self.measure_competence(label)))
-
-        def record_interval(trial_index: int, cumulative_wasted: int) -> None:
-            record_competence(trial_index)
-            wasted.append((trial_index, cumulative_wasted))
-            values = [v for _, _, v in competence[-spec.n_goals:]]
-            log.info("replication %d, trial %d/%d: mean competence %.3f, cumulative waste %d",
-                     self.replication, trial_index, spec.total_trials,
-                     sum(values) / len(values), cumulative_wasted)
-
-        record_competence(0)
         cumulative_wasted = 0
         for t in range(1, spec.total_trials + 1):
             rec = self.run_trial()
             records.append(rec)
             if not rec.achievable:
                 cumulative_wasted += 1
-            if t % cfg.eval_interval == 0:
-                record_interval(t, cumulative_wasted)
-                if cfg.dump_values:
-                    for key_text, g, v in self.strategy.dump_rows():
-                        value_rows.append((t, key_text, g, v))
-        if spec.total_trials % cfg.eval_interval != 0:
-            record_interval(spec.total_trials, cumulative_wasted)
+            if t % cfg.eval_interval != 0 and t != spec.total_trials:
+                continue
+            values = [self.measure_competence(label) for label in spec.labels]
+            competence.extend((t, label, v) for label, v in zip(spec.labels, values))
+            wasted.append((t, cumulative_wasted))
+            if cfg.dump_values:
+                value_rows.extend((t, key_text, g, v) for key_text, g, v in self.strategy.dump_rows())
+            log.info("replication %d, trial %d/%d: mean competence %.3f, cumulative waste %d",
+                     self.replication, t, spec.total_trials, sum(values) / len(values), cumulative_wasted)
         return ReplicationSeries(self.replication, records, competence, wasted, value_rows)
 
 
@@ -542,37 +526,54 @@ def _write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
 
 
 def write_outputs(result: ExperimentResult, out_dir: str) -> None:
-    """Write the full CSV set; byte-identical for identical config and seed."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write the full CSV set; byte-identical for identical config and seed.
+
+    The files are written into a temporary directory beside ``out_dir``,
+    then moved into ``out_dir`` one by one, ``run.yaml`` last, and a
+    ``values.csv`` this run did not write is deleted. So a directory holds
+    one run's files, and a write that fails leaves ``out_dir`` as it was
+    and removes the temporary directory.
+    """
     cfg = result.config
     reps = result.replications
-    _write_csv(out_dir, "trials.csv",
-               ["replication", "trial", "epoch", "state_key", "goal",
-                "achievable", "achieved", "reward", "steps"],
-               ([r.replication, r.trial, r.epoch, r.state_key, r.goal,
-                 int(r.achievable), int(r.achieved), repr(float(r.reward)), r.steps]
-                for s in reps for r in s.records))
-    _write_csv(out_dir, "competence.csv", ["replication", "trial_index", "goal", "competence"],
-               ([s.replication, t, label, repr(float(v))] for s in reps for t, label, v in s.competence))
-    _write_csv(out_dir, "wasted.csv", ["replication", "interval_end", "cumulative_wasted"],
-               ([s.replication, end, count] for s in reps for end, count in s.wasted))
-    _write_csv(out_dir, "competence_agg.csv", ["trial_index", "goal", "mean", "ci_low", "ci_high"],
-               ([t, label, repr(mean), repr(lo), repr(hi)]
-                for t, label, mean, lo, hi in result.competence_agg))
-    _write_csv(out_dir, "wasted_agg.csv", ["interval_end", "mean", "ci_low", "ci_high"],
-               ([end, repr(mean), repr(lo), repr(hi)] for end, mean, lo, hi in result.wasted_agg))
-    if cfg.dump_values:
-        _write_csv(out_dir, "values.csv", ["replication", "trial", "state_key", "goal", "value"],
-                   ([s.replication, t, key_text, cfg.scenario.labels[g], repr(v)]
-                    for s in reps for t, key_text, g, v in s.value_rows))
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".lightup-", dir=parent) as tmp:
+        _write_csv(tmp, "trials.csv",
+                   ["replication", "trial", "epoch", "state_key", "goal",
+                    "achievable", "achieved", "reward", "steps"],
+                   ([r.replication, r.trial, r.epoch, r.state_key, r.goal,
+                     int(r.achievable), int(r.achieved), repr(float(r.reward)), r.steps]
+                    for s in reps for r in s.records))
+        _write_csv(tmp, "competence.csv", ["replication", "trial_index", "goal", "competence"],
+                   ([s.replication, t, label, repr(float(v))] for s in reps for t, label, v in s.competence))
+        _write_csv(tmp, "wasted.csv", ["replication", "interval_end", "cumulative_wasted"],
+                   ([s.replication, end, count] for s in reps for end, count in s.wasted))
+        _write_csv(tmp, "competence_agg.csv", ["trial_index", "goal", "mean", "ci_low", "ci_high"],
+                   ([t, label, repr(mean), repr(lo), repr(hi)]
+                    for t, label, mean, lo, hi in result.competence_agg))
+        _write_csv(tmp, "wasted_agg.csv", ["interval_end", "mean", "ci_low", "ci_high"],
+                   ([end, repr(mean), repr(lo), repr(hi)] for end, mean, lo, hi in result.wasted_agg))
+        if cfg.dump_values:
+            _write_csv(tmp, "values.csv", ["replication", "trial", "state_key", "goal", "value"],
+                       ([s.replication, t, key_text, cfg.scenario.labels[g], repr(v)]
+                        for s in reps for t, key_text, g, v in s.value_rows))
 
-    meta = config_to_dict(cfg)
-    # Where the run was written and how it was parallelized do not affect the
-    # results; leave them out so identical configs yield identical metadata.
-    meta.pop("out_dir", None)
-    meta.pop("jobs", None)
-    with open(os.path.join(out_dir, "run.yaml"), "w", encoding="utf-8") as fh:
-        yaml.safe_dump(meta, fh, sort_keys=True)
+        meta = config_to_dict(cfg)
+        # Where the run was written and how it was parallelized do not affect the
+        # results; leave them out so identical configs yield identical metadata.
+        meta.pop("out_dir", None)
+        meta.pop("jobs", None)
+        with open(os.path.join(tmp, "run.yaml"), "w", encoding="utf-8") as fh:
+            yaml.safe_dump(meta, fh, sort_keys=True)
+
+        os.makedirs(out_dir, exist_ok=True)
+        stale = os.path.join(out_dir, "values.csv")
+        if not cfg.dump_values and os.path.exists(stale):
+            os.remove(stale)
+        names = [name for name in os.listdir(tmp) if name != "run.yaml"]
+        for name in names + ["run.yaml"]:
+            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
 
 
 # -- config files ----------------------------------------------------------------

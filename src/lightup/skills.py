@@ -159,8 +159,7 @@ class ActorCriticExpert:
     in the same order, without numpy's per-call overhead. Heads that are
     still exactly zero cost no arithmetic where the result is known: a
     frozen zero actor acts at the mid posture without features (``act``),
-    and a zero critic meets a rewardless trajectory without a TD sweep
-    (``learn``).
+    and a zero critic meets a failed trial without a TD sweep (``learn``).
     """
 
     def __init__(self, arm_cfg: ArmConfig, cfg: ActorCriticConfig, rng: np.random.Generator):
@@ -174,6 +173,8 @@ class ActorCriticExpert:
         self._joint_box = tuple(zip(mid.tolist(), half.tolist(), lo.tolist(), hi.tolist()))
         # The exploration noise is an AR(1) process with stationary scale sigma.
         self._innovation = math.sqrt(1.0 - cfg.noise_correlation * cfg.noise_correlation)
+        # A zero actor's tanh, and a frozen act's noise and draws (c, k >= 0 are finite).
+        self._zeros = (0.0,) * self.n
         h = cfg.hidden_units
         # Feature layer is drawn once and never trained.
         self.w_feat = rng.normal(0.0, cfg.feature_scale, size=(h, self.n))
@@ -189,7 +190,6 @@ class ActorCriticExpert:
         self._noise = [0.0] * self.n
         self.success_ema = 0.0
         self.td_error_ema = 0.0
-        self.trials_trained = 0
         self._trial_sigma = self.sigma
 
     # -- forward passes ----------------------------------------------------
@@ -220,30 +220,26 @@ class ActorCriticExpert:
 
         ``feat`` may be None when ``actor_is_zero()``: the mean is then the
         mid posture, since ``tanh(0 . f + 0)`` is 0.0 for any features, and
-        no features need computing. With ``rng`` the expert explores, drawing
-        at the noise scale ``begin_trial`` fixed; without, it is frozen and
-        gives the mean. Each angle is clamped to its joint's limits,
-        ``max`` then ``min``, written as comparisons.
+        no features need computing. With ``rng`` the expert explores: it
+        draws at the noise scale ``begin_trial`` fixed and advances the
+        filtered noise. Without, it is frozen, draws nothing and adds 0.0
+        noise, which gives the mean to the bit: ``mid + half * t`` is never
+        -0.0, as ``mid`` is not (the limits differ). Each angle is clamped
+        to its joint's limits, ``max`` then ``min``, written as comparisons.
         """
         if feat is None:
-            t = (0.0,) * self.n
+            t = self._zeros
         else:
             t = np.tanh(self.w_actor.dot(feat) + self.b_actor).tolist()
-        action = []
         if rng is None:
-            for tj, (mid, half, lo, hi) in zip(t, self._joint_box):
-                angle = mid + half * tj
-                if lo > angle:
-                    angle = lo
-                if hi < angle:
-                    angle = hi
-                action.append(angle)
-            return tuple(action)
+            old = draws = self._zeros
+        else:
+            old = self._noise
+            draws = rng.normal(0.0, self._trial_sigma, size=self.n).tolist()
         c, k = self.cfg.noise_correlation, self._innovation
-        draws = rng.normal(0.0, self._trial_sigma, size=self.n).tolist()
-        noise = []
-        for tj, old, draw, (mid, half, lo, hi) in zip(t, self._noise, draws, self._joint_box):
-            nj = c * old + k * draw
+        noise, action = [], []
+        for tj, o, draw, (mid, half, lo, hi) in zip(t, old, draws, self._joint_box):
+            nj = c * o + k * draw
             noise.append(nj)
             angle = mid + half * tj + nj
             if lo > angle:
@@ -251,7 +247,8 @@ class ActorCriticExpert:
             if hi < angle:
                 angle = hi
             action.append(angle)
-        self._noise = noise
+        if rng is not None:
+            self._noise = noise
         return tuple(action)
 
     # -- learning ------------------------------------------------------------
@@ -270,39 +267,39 @@ class ActorCriticExpert:
         self.w_actor += step
         self.b_actor += lr * grad_z
 
-    def learn(self, trajectory, gate: bool) -> None:
-        """One-step TD over the trial's (features, action, reward, done) steps.
+    def learn(self, trajectory, success: bool, *, gate: bool) -> None:
+        """One-step TD over the trial's (features, action) steps.
 
         The trajectory is one unbroken rollout, as ``Simulation._rollout``
         records it: each step carries the ``features`` of the posture it
-        acted from, the next step's features are those of the posture its
-        action led to, and only the last step is ``done``. So the bootstrap
-        value of step i reads the features of step i + 1, and ``learn``
-        computes no features itself. The feature layer never trains, so this
-        is the same arithmetic as recomputing them from the joints on every
-        pass.
+        acted from, and the next step's features are those of the posture
+        its action led to. So the bootstrap value of step i reads the
+        features of step i + 1, and ``learn`` computes no features itself.
+        The feature layer never trains, so this is the same arithmetic as
+        recomputing them from the joints on every pass. The rollout ends at
+        its last step, and the trial's only reward is 1.0 there when it
+        achieved its goal (``success``): the last step's TD target is that
+        reward, every other step's is ``0.0 + discount * v'``.
 
-        With ``gate`` false the expert is returned untouched (no parameter,
-        statistic, or counter changes).
+        With ``gate`` false the expert is returned untouched (no parameter or
+        statistic changes).
 
-        A trajectory whose rewards are all zero, met by a critic whose heads
-        are exactly zero (as before an expert's first reward), has every TD
-        error exactly 0.0: value and target are both zero, and a zero error
-        moves no head and passes no actor margin. The heads start at +0.0
-        and only ever have products added, which never turns +0.0 into
-        -0.0, so skipping the sweep leaves them bit-for-bit as it would;
-        only the TD-error EMA decays, once per step, by the sweep's formula.
-        The condition is read off the heads on every call.
+        A failed trial met by a critic whose heads are exactly zero (as
+        before an expert's first success) has every TD error exactly 0.0:
+        value and target are both zero, and a zero error moves no head and
+        passes no actor margin. The heads start at +0.0 and only ever have
+        products added, which never turns +0.0 into -0.0, so skipping the
+        sweep leaves them bit-for-bit as it would; only the TD-error EMA
+        decays, once per step, by the sweep's formula. The condition is read
+        off the heads on every call.
         """
         if not gate:
             return
         cfg = self.cfg
-        success = any(reward > 0.0 for _, _, reward, _ in trajectory)
         # The sweep keeps the critic bias and the TD-error EMA in Python
         # floats (the same float64 additions) and writes them back after it.
         w_critic, b_critic, td_error_ema = self.w_critic, float(self.b_critic[0]), self.td_error_ema
-        if (b_critic == 0.0 and not any(reward for _, _, reward, _ in trajectory)
-                and not w_critic.any()):
+        if b_critic == 0.0 and not success and not w_critic.any():
             for _ in trajectory:
                 td_error_ema += 0.01 * (0.0 - td_error_ema)
             passes = 0
@@ -310,14 +307,16 @@ class ActorCriticExpert:
             passes = 1 + (cfg.success_replays if success else 0)
         discount, critic_lr, margin = cfg.discount, cfg.critic_lr, cfg.actor_delta_margin
         td_clip, low_clip = cfg.td_clip, -cfg.td_clip
+        last = len(trajectory) - 1
         imitate_from = len(trajectory) - cfg.imitate_window if success else len(trajectory)
+        final_reward = 1.0 if success else 0.0
         for _ in range(passes):
-            for i, (feat, action, reward, done) in enumerate(trajectory):
+            for i, (feat, action) in enumerate(trajectory):
                 v = float(w_critic.dot(feat)) + b_critic
-                if done:
-                    target = reward
+                if i == last:
+                    target = final_reward
                 else:
-                    target = reward + discount * (float(w_critic.dot(trajectory[i + 1][0])) + b_critic)
+                    target = 0.0 + discount * (float(w_critic.dot(trajectory[i + 1][0])) + b_critic)
                 # Clipped to [-td_clip, td_clip]: max, then min, as comparisons.
                 delta = target - v
                 if low_clip > delta:
@@ -334,8 +333,7 @@ class ActorCriticExpert:
                 td_error_ema += 0.01 * (abs(delta) - td_error_ema)
         self.b_critic[0] = b_critic
         self.td_error_ema = td_error_ema
-        self.success_ema += cfg.success_smoothing * ((1.0 if success else 0.0) - self.success_ema)
-        self.trials_trained += 1
+        self.success_ema += cfg.success_smoothing * (final_reward - self.success_ema)
         self._check_finite()
 
     def _check_finite(self) -> None:
@@ -356,5 +354,4 @@ class ActorCriticExpert:
         data = {name: p.copy() for name, p in self.parameters().items()}
         data["success_ema"] = self.success_ema
         data["td_error_ema"] = self.td_error_ema
-        data["trials_trained"] = self.trials_trained
         return data

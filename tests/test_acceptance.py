@@ -345,10 +345,10 @@ def test_a7_gate_is_strict_noop():
     for i in range(4):
         feat = ac.features(joints)
         a = ac.act(feat, rng)
-        traj.append((feat, a, 1.0 if i == 3 else 0.0, i == 3))
+        traj.append((feat, a))
         joints = step_toward(joints, a, arm)
     before_ac = ac.snapshot()
-    ac.learn(traj, gate=False)
+    ac.learn(traj, True, gate=False)
     ac_ok = all(np.array_equal(np.asarray(before_ac[k]), np.asarray(v))
                 for k, v in ac.snapshot().items())
     assert report("A7.gate", ideal_ok and ac_ok,

@@ -1,5 +1,6 @@
 """CLI surface: run/plot/validate subcommands, exit codes, determinism."""
 
+import csv
 import os
 
 import pytest
@@ -164,6 +165,42 @@ def test_config_values_read_exactly(tmp_path, capsys):
     assert data["temperature"] == 1.0 and isinstance(data["temperature"], float)
     assert data["arm"]["max_step"] == 1.0 and data["arm"]["link_lengths"] == [1.0] * 4
     assert data["actor_critic"]["hidden_units"] == 12 and isinstance(data["actor_critic"]["hidden_units"], int)
+
+
+def test_values_csv_holds_every_evaluation_point(tmp_path):
+    # 120 trials at interval 50: every output evaluates at 50, 100 and the
+    # last trial, 120.
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", "1", "--seed", "5", "--replications", "1",
+                   "--trials", "120", "--eval-interval", "50", "--dump-values",
+                   "--out", str(out)) == 0
+
+    def column(name, key):
+        with open(out / name, encoding="utf-8") as fh:
+            return sorted({int(row[key]) for row in csv.DictReader(fh)})
+
+    assert column("values.csv", "trial") == [50, 100, 120]
+    assert column("wasted.csv", "interval_end") == [50, 100, 120]
+    assert column("competence.csv", "trial_index") == [0, 50, 100, 120]
+
+
+@pytest.mark.parametrize("command", ["run-out-file", "run-out-under-file", "plot-out-missing-dir"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    if command == "plot-out-missing-dir":
+        run = tmp_path / "run"
+        assert run_cli("run", "--scenario", "1", "--replications", "1", "--trials", "50",
+                       "--out", str(run)) == 0
+        argv = ["plot", str(run), "--out", str(tmp_path / "missing" / "x.svg")]
+    else:
+        out = blocker if command == "run-out-file" else blocker / "sub"
+        argv = ["run", "--scenario", "1", "--replications", "1", "--trials", "50", "--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_run_without_out_dir_exits_2(capsys, monkeypatch):

@@ -351,6 +351,49 @@ def test_csv_outputs_and_columns(tmp_path):
     assert n_rows == 2 * 100
 
 
+def run_dir_bytes(path) -> dict:
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def test_failing_write_leaves_out_dir_as_it_was(tmp_path, monkeypatch):
+    # A run whose output fails part-way (here the third CSV) changes no file
+    # of the run directory it would have replaced, and leaves no temporary
+    # directory beside it.
+    import lightup.experiment
+
+    out = tmp_path / "run"
+    run_experiment(small_cfg(1, 100, replications=1, seed=3, out_dir=str(out), dump_values=True))
+    before = run_dir_bytes(out)
+    write_csv = lightup.experiment._write_csv
+    written = []
+
+    def failing_write_csv(out_dir, name, header, rows):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(name)
+        write_csv(out_dir, name, header, rows)
+
+    monkeypatch.setattr(lightup.experiment, "_write_csv", failing_write_csv)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(small_cfg(1, 100, replications=1, seed=4, out_dir=str(out)))
+    assert written == ["trials.csv", "competence.csv"]
+    assert run_dir_bytes(out) == before
+    assert os.listdir(tmp_path) == ["run"]
+
+
+def test_rerun_replaces_the_whole_run_directory(tmp_path):
+    # A rerun without dump_values deletes the values.csv of the run before
+    # it, so no file left in the directory contradicts its run.yaml.
+    out, fresh = tmp_path / "run", tmp_path / "fresh"
+    run_experiment(small_cfg(1, 100, replications=1, seed=3, out_dir=str(out), dump_values=True))
+    assert (out / "values.csv").exists()
+    run_experiment(small_cfg(1, 100, replications=1, seed=4, out_dir=str(out)))
+    run_experiment(small_cfg(1, 100, replications=1, seed=4, out_dir=str(fresh)))
+    assert run_dir_bytes(out) == run_dir_bytes(fresh)
+    assert "values.csv" not in run_dir_bytes(out)
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "run"]
+
+
 def test_bitwise_reproducibility(tmp_path):
     outs = []
     for name in ("one", "two"):
@@ -420,8 +463,8 @@ def test_actor_critic_rollout_trajectory_is_unbroken():
     # ActorCriticExpert.learn bootstraps step i from the features step i + 1
     # carries, so every training rollout, ending on a touch or on timeout,
     # must record each step's features at the posture the previous step's
-    # action led to, and set done on its last step only. An evaluation
-    # rollout feeds no learner, so it records no trajectory.
+    # action led to. An evaluation rollout feeds no learner, so it records
+    # no trajectory.
     spec = scenario_from_dict({
         "name": "near_home", "goals": ["a"], "positions": {"a": [0.97, 0.1]},
         "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
@@ -436,13 +479,45 @@ def test_actor_critic_rollout_trajectory_is_unbroken():
             _, achieved, steps, traj = sim._rollout(0, arm_index, sim.state, sim.rng)
             assert len(traj) == steps
             joints = home_joints(cfg.arm)
-            for feat, action, _, _ in traj:
+            for feat, action in traj:
                 assert np.array_equal(feat, expert.features(joints))
                 joints = step_toward(joints, action, cfg.arm)
-            assert [done for *_, done in traj] == [False] * (steps - 1) + [True]
             endings.add(achieved)
         assert sim._rollout(0, arm_index, sim.state)[3] is None
     assert endings == {True, False}
+
+
+def test_actor_critic_training_trajectory_is_steps_pairs(monkeypatch):
+    # A training rollout hands learn one (features, action) pair per arm
+    # step, and whether the trial achieved its goal as the success flag.
+    spec = scenario_from_dict({
+        "name": "near_home", "goals": ["a"], "positions": {"a": [0.97, 0.1]},
+        "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 12,
+        "reset_policy": "per_trial", "context_mode": "none",
+    })
+    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40, replications=1)
+    sim = Simulation(cfg, seed=3)
+    calls = []
+    learn = ActorCriticExpert.learn
+
+    def recorded(self, trajectory, success, *, gate):
+        calls.append((trajectory, success))
+        learn(self, trajectory, success, gate=gate)
+
+    monkeypatch.setattr(ActorCriticExpert, "learn", recorded)
+    outcomes = set()
+    for _ in range(12):
+        calls.clear()
+        rec = sim.run_trial()
+        [(traj, success)] = calls
+        assert success is rec.achieved
+        assert len(traj) == rec.steps
+        for step in traj:
+            assert type(step) is tuple and len(step) == 2
+            feat, action = step
+            assert feat.shape == (cfg.actor_critic.hidden_units,) and len(action) == 4
+        outcomes.add(success)
+    assert outcomes == {True, False}
 
 
 def count_features(monkeypatch) -> list:

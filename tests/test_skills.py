@@ -244,10 +244,12 @@ def test_actor_critic_untrained_output_within_limits():
         assert np.all(a >= ARM.joint_min) and np.all(a <= ARM.joint_max)
 
 
-def _tiny_rollout(ex, rng, reward_last=1.0, n=5):
-    """An unbroken rollout of n steps, recorded twice: as the (features,
-    action, reward, done) trajectory that learn reads, and as the (joints,
-    action, reward, next joints, done) steps that _reference_learn reads."""
+def _tiny_rollout(ex, rng, success=True, n=5):
+    """An unbroken rollout of n steps that ends in success or not, recorded
+    twice: as the (features, action) trajectory that learn reads with the
+    success flag, and as the (joints, action, reward, next joints, done)
+    steps that _reference_learn reads, rewarded and done, as a rollout
+    ends, on the last step only."""
     traj, joint_steps = [], []
     joints = home_joints(ARM)
     ex.begin_trial(rng)
@@ -256,15 +258,15 @@ def _tiny_rollout(ex, rng, reward_last=1.0, n=5):
         action = ex.act(feat, rng)
         nxt = step_toward(joints, action, ARM)
         done = i == n - 1
-        reward = reward_last if done else 0.0
-        traj.append((feat, action, reward, done))
+        reward = 1.0 if done and success else 0.0
+        traj.append((feat, action))
         joint_steps.append((joints, action, reward, nxt, done))
         joints = nxt
     return traj, joint_steps
 
 
-def _tiny_trajectory(ex, rng, reward_last=1.0, n=5):
-    return _tiny_rollout(ex, rng, reward_last, n)[0]
+def _tiny_trajectory(ex, rng, success=True, n=5):
+    return _tiny_rollout(ex, rng, success, n)[0]
 
 
 def _reference_learn(ex, trajectory):
@@ -291,7 +293,6 @@ def _reference_learn(ex, trajectory):
                 actor_steps += 1
             ex.td_error_ema += 0.01 * (abs(delta) - ex.td_error_ema)
     ex.success_ema += cfg.success_smoothing * ((1.0 if success else 0.0) - ex.success_ema)
-    ex.trials_trained += 1
     return clipped, actor_steps
 
 
@@ -306,16 +307,16 @@ def test_actor_critic_learn_matches_per_step_reference_bit_for_bit():
     rng = np.random.default_rng(21)
     clipped = actor_steps = 0
     for trial in range(40):
-        reward = 0.0 if trial % 3 == 2 else 1.0
-        traj, joint_steps = _tiny_rollout(ex, rng, reward_last=reward, n=1 + trial % 7 * 20)
+        success = trial % 3 != 2
+        traj, joint_steps = _tiny_rollout(ex, rng, success=success, n=1 + trial % 7 * 20)
         # The contract learn relies on: each step carries the features of its
         # own posture, the rollout is unbroken, and only the last step is done.
-        for (feat, *_), (joints, *_) in zip(traj, joint_steps):
+        for (feat, _), (joints, *_) in zip(traj, joint_steps):
             assert np.array_equal(feat, ex.features(joints))
         for (_, _, _, nxt, done), (joints, *_) in zip(joint_steps, joint_steps[1:]):
             assert nxt is joints and not done
-        assert traj[-1][3]
-        ex.learn(traj, gate=True)
+        assert joint_steps[-1][4]
+        ex.learn(traj, success, gate=True)
         counts = _reference_learn(ref, joint_steps)
         clipped += counts[0]
         actor_steps += counts[1]
@@ -353,15 +354,15 @@ def test_actor_critic_zero_critic_skips_the_sweep_only_on_rewardless_trials():
     ex.w_critic = ex.w_critic.view(DotCounter)
     rng = np.random.default_rng(42)
     swept = []
-    for trial, reward in enumerate([0.0] * 5 + [1.0] + [0.0] * 3):
-        traj, joint_steps = _tiny_rollout(ex, rng, reward_last=reward, n=25 + trial)
+    for trial, success in enumerate([False] * 5 + [True] + [False] * 3):
+        traj, joint_steps = _tiny_rollout(ex, rng, success=success, n=25 + trial)
         DotCounter.calls = 0
-        ex.learn(traj, gate=True)
+        ex.learn(traj, success, gate=True)
         _reference_learn(ref, joint_steps)
         assert_bitwise_snapshots(ex.snapshot(), ref.snapshot(), trial)
         swept.append(DotCounter.calls > 0)
     assert swept == [False] * 5 + [True] * 4
-    assert ex.td_error_ema != 0.37 and ex.trials_trained == 9
+    assert ex.td_error_ema != 0.37
 
 
 @pytest.mark.parametrize("arm", (ARM, NARROW), ids=["full", "narrow"])
@@ -437,12 +438,36 @@ def test_actor_critic_act_and_actor_step_are_bitwise_the_numpy_formulas(arm):
     assert clamped > 0
 
 
+@pytest.mark.parametrize("arm", (ARM, NARROW), ids=["full", "narrow"])
+@pytest.mark.parametrize("seeded", (False, True), ids=["zero", "seeded"])
+def test_actor_critic_frozen_act_is_the_clamped_mean(arm, seeded):
+    # A frozen act runs the exploring loop with 0.0 noise. It must give the
+    # per-joint clamp of mid + half * tanh(w . f + b) to the bit, with or
+    # without features for a zero actor, and leave the noise state alone.
+    ex = ActorCriticExpert(arm, AC, np.random.default_rng(61))
+    if seeded:
+        ex.w_actor = np.random.default_rng(62).normal(0.0, 0.5, ex.w_actor.shape)
+        ex.b_actor = np.random.default_rng(63).normal(0.0, 0.5, ex.n)
+    ex.begin_trial(np.random.default_rng(64))
+    noise = list(ex._noise)
+    for joints in np.random.default_rng(65).uniform(-math.pi, math.pi, (500, 4)):
+        feat = ex.features(joints)
+        t = np.tanh(ex.w_actor @ feat + ex.b_actor).tolist()
+        expected = []
+        for tj, lo, hi in zip(t, map(float, arm.joint_min), map(float, arm.joint_max)):
+            expected.append(min(max(0.5 * (lo + hi) + 0.5 * (hi - lo) * tj, lo), hi))
+        assert np.array(ex.act(feat)).tobytes() == np.array(expected).tobytes()
+        if not seeded:
+            assert np.array(ex.act(None)).tobytes() == np.array(expected).tobytes()
+    assert ex._noise == noise
+
+
 def test_actor_critic_gate_false_is_bitwise_noop():
     ex = make_expert(4)
     rng = np.random.default_rng(9)
     traj = _tiny_trajectory(ex, rng)
     before = ex.snapshot()
-    ex.learn(traj, gate=False)
+    ex.learn(traj, True, gate=False)
     after = ex.snapshot()
     for name in before:
         assert np.array_equal(np.asarray(before[name]), np.asarray(after[name]))
@@ -453,7 +478,7 @@ def test_actor_critic_learn_updates_and_stays_finite():
     rng = np.random.default_rng(10)
     before = ex.snapshot()
     for _ in range(30):
-        ex.learn(_tiny_trajectory(ex, rng), gate=True)
+        ex.learn(_tiny_trajectory(ex, rng), True, gate=True)
     moved = any(
         not np.array_equal(np.asarray(before[k]), np.asarray(v))
         for k, v in ex.snapshot().items()
@@ -468,7 +493,7 @@ def test_actor_critic_identical_seeds_identical_parameters():
         ex = make_expert(seed)
         rng = np.random.default_rng(seed + 100)
         for _ in range(20):
-            ex.learn(_tiny_trajectory(ex, rng), gate=True)
+            ex.learn(_tiny_trajectory(ex, rng), True, gate=True)
         return ex.snapshot()
 
     s1, s2 = train(7), train(7)
@@ -492,11 +517,10 @@ def test_actor_critic_td_error_shrinks_on_fixed_reaching_task():
             action = ex.act(feat, rng)
             joints = step_toward(joints, action, ARM)
             touched = check_touch(forward_kinematics(joints, ARM), sphere, ARM)
-            done = touched or step == 199
-            traj.append((feat, action, 1.0 if touched else 0.0, done))
-            if done:
+            traj.append((feat, action))
+            if touched:
                 break
-        ex.learn(traj, gate=True)
+        ex.learn(traj, touched, gate=True)
         ema_trace.append(ex.td_error_ema)
     peak = max(ema_trace)
     assert peak > 0.0
