@@ -32,27 +32,28 @@ state = WorldState(sphere_on=(False,) * 6, context_feature=0.0)
 
 print("=== reward transient while a skill is learned ===")
 pred = predictor()
+key = pred.key(state)  # the predictor's methods take the state's key
 expert = expert_at(cfg.idealized_init_competence)
 rng = np.random.default_rng(7)
 for block in range(6):
     rewards = []
     for _ in range(50):
         achieved = expert.attempt(True, rng)
-        gate = pred.learning_gate(0, state, achieved, epsilon)
-        rewards.append(pred.update_and_reward(0, state, achieved))
+        gate = pred.learning_gate(0, key, achieved, epsilon)
+        rewards.append(pred.update_and_reward(0, key, achieved))
         expert.learn(achieved=achieved, achievable=True, gate=gate)
     print(f"trials {block*50:3d}-{block*50+49:3d}: competence {expert.competence:.2f}  "
-          f"prediction {pred.predict(0, state):.2f}  mean reward {np.mean(rewards):.4f}")
+          f"prediction {pred.predict(0, key):.2f}  mean reward {np.mean(rewards):.4f}")
 print("reward has faded: nothing left to learn, selection moves elsewhere")
 
 print("\n=== the gate in action ===")
 pred = predictor()
-print("prediction 0 + failure -> gate", pred.learning_gate(0, state, achieved=False, epsilon=epsilon),
+print("prediction 0 + failure -> gate", pred.learning_gate(0, key, achieved=False, epsilon=epsilon),
       "(expert protected from a hopeless trial)")
-print("prediction 0 + success -> gate", pred.learning_gate(0, state, achieved=True, epsilon=epsilon),
+print("prediction 0 + success -> gate", pred.learning_gate(0, key, achieved=True, epsilon=epsilon),
       "(a surprise success always trains)")
-pred.table[(0, ())] = 0.7
-print("prediction 0.7 + failure -> gate", pred.learning_gate(0, state, achieved=False, epsilon=epsilon),
+pred.table[(0, key)] = 0.7
+print("prediction 0.7 + failure -> gate", pred.learning_gate(0, key, achieved=False, epsilon=epsilon),
       "(an expected-to-work policy must feel its misses)")
 
 print("\n=== gated vs ungated experts under wasted trials ===")

@@ -24,7 +24,7 @@ print("bandit after one reward of 1.0 on goal 2:", np.round(bandit.goal_values((
 ctx = SelectionStrategy(6, 0.01, *SYSTEMS["c_grail"], context_mode="context_feature")
 ctx.update((1,), 0, 0.5, (0,), False)
 print("contextual cell (cf=1, goal a):", ctx.goal_values((1,))[0],
-      " cf=0 row untouched:", ctx.goal_values((0,)).tolist())
+      " cf=0 row untouched:", ctx.goal_values((0,)))
 
 print("\n=== softmax selection ===")
 values = np.array([0.5, 0, 0, 0, 0, 0])

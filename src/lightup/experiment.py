@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import errno
 import logging
 import math
 import os
@@ -179,7 +180,7 @@ class ExperimentConfig:
         return SYSTEM_TEMPERATURES[self.system]
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     replication: int
     trial: int
@@ -272,42 +273,33 @@ class Simulation:
 
     # -- trial loop --------------------------------------------------------
 
-    def _epoch_of(self, trial: int) -> int:
-        return (trial - 1) // self.spec.trials_per_epoch
-
-    def _is_epoch_start(self, trial: int) -> bool:
-        return (trial - 1) % self.spec.trials_per_epoch == 0
-
-    def _is_epoch_end(self, trial: int) -> bool:
-        return trial % self.spec.trials_per_epoch == 0
-
     def run_trial(self) -> TrialRecord:
         """Advance the simulation by one trial and return its record."""
-        spec, cfg = self.spec, self.cfg
+        spec, rng, strategy, predictor = self.spec, self.rng, self.strategy, self.predictor
         trial = self.trial + 1
-        if self.reset_every_trial or self._is_epoch_start(trial):
-            self.state = spec.reset(self.rng)
+        epoch, step_in_epoch = divmod(trial - 1, spec.trials_per_epoch)
+        if self.reset_every_trial or step_in_epoch == 0:
+            self.state = spec.reset(rng)
         state = self.state
+        key = strategy.state_key(state)  # the predictor's key too: they share a context mode
 
-        goal, key = self.strategy.select(state, self.rng)
+        goal = strategy.select(key, rng)
         achievable = spec.is_achievable(goal, state)
-        arm_index = self.selectors[goal].select(self.rng)
+        arm_index = self.selectors[goal].select(rng)
         expert = self.experts[goal][arm_index]
 
         if self.idealized:
-            achieved = expert.attempt(achievable, self.rng)
+            achieved = expert.attempt(achievable, rng)
             new_state = spec.apply_touch(goal, state)[0] if achieved else state
             steps = 0
             trajectory = None
         else:
-            new_state, achieved, steps, trajectory = self._rollout(goal, arm_index, state, self.rng)
+            new_state, achieved, steps, trajectory = self._rollout(goal, arm_index, state, rng)
 
-        gate = True if not self.use_gate else self.predictor.learning_gate(
-            goal, state, achieved, epsilon=cfg.gate_epsilon
-        )
-        reward = self.predictor.update_and_reward(goal, state, achieved)
+        gate = not self.use_gate or predictor.learning_gate(goal, key, achieved, self.cfg.gate_epsilon)
+        reward = predictor.update_and_reward(goal, key, achieved)
         if self.idealized:
-            expert.learn(achieved=achieved, achievable=achievable, gate=gate)
+            expert.learn(achieved, achievable, gate)
         else:
             expert.learn(trajectory, achieved, gate=gate)
         if gate:
@@ -316,26 +308,16 @@ class Simulation:
             # nothing about which arm is better.
             self.selectors[goal].update(arm_index, achieved)
 
-        next_key = self.strategy.state_key(new_state)
-        terminal = self.reset_every_trial or self._is_epoch_end(trial)
-        self.strategy.update(key, goal, reward, next_key, terminal)
+        terminal = self.reset_every_trial or step_in_epoch == spec.trials_per_epoch - 1
+        bootstrap = strategy.discount > 0 and not terminal
+        strategy.update(key, goal, reward, strategy.state_key(new_state) if bootstrap else None, terminal)
 
         self.state = new_state
         self.trial = trial
-        record = TrialRecord(
-            replication=self.replication,
-            trial=trial,
-            epoch=self._epoch_of(trial),
-            state_key=state.key_string(),
-            goal=spec.labels[goal],
-            achievable=achievable,
-            achieved=achieved,
-            reward=reward,
-            steps=steps,
-        )
         if achieved and not achievable:
             raise NumericsError(f"trial {trial}: achieved a goal that was not achievable")
-        return record
+        return TrialRecord(self.replication, trial, epoch, state.key_string(), spec.labels[goal],
+                           achievable, achieved, reward, steps)
 
     def _rollout(self, goal: int, arm_index: int, state: WorldState,
                  rng: np.random.Generator | None = None):
@@ -492,12 +474,19 @@ def aggregate_rows(tables: list[list[tuple]], what: str) -> list[tuple]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all replications, aggregate, and (if configured) write CSV output.
 
-    A sphere that neither arm can touch raises ConfigError before any
-    replication starts.
+    A sphere that neither arm can touch raises ConfigError, and an
+    ``out_dir`` that is a file or lies under one raises NotADirectoryError,
+    before any replication starts.
     """
     bad = unreachable_goals(cfg.scenario, cfg.arm)
     if bad:
         raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
+    if cfg.out_dir:
+        existing = os.path.abspath(cfg.out_dir)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise NotADirectoryError(errno.ENOTDIR, "not a directory", existing)
     jobs = [(cfg, cfg.seed + rep, rep) for rep in range(cfg.replications)]
     if cfg.jobs > 1 and cfg.replications > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:

@@ -36,18 +36,19 @@ class AchievementPredictor:
         self.table: dict[tuple[int, tuple], float] = {}
 
     def key(self, state: WorldState) -> tuple:
+        """The key the other methods take: ``SelectionStrategy.state_key`` at the same mode."""
         return state_key(state, self.context_mode)
 
-    def predict(self, goal: int, state: WorldState) -> float:
-        return self.table.get((goal, self.key(state)), 0.0)
+    def predict(self, goal: int, key: tuple) -> float:
+        return self.table.get((goal, key), 0.0)
 
-    def update_and_reward(self, goal: int, state: WorldState, achieved: bool) -> float:
+    def update_and_reward(self, goal: int, key: tuple, achieved: bool) -> float:
         """Delta-rule update toward the trial outcome; returns the intrinsic reward.
 
         Reward is the prediction improvement ``p_new - p_old``, clipped to
         zero from below unless the signed variant was configured.
         """
-        cell = (goal, self.key(state))
+        cell = (goal, key)
         p_old = self.table.get(cell, 0.0)
         p_new = p_old + self.eta * ((1.0 if achieved else 0.0) - p_old)
         self.table[cell] = p_new
@@ -58,7 +59,7 @@ class AchievementPredictor:
             raise NumericsError(f"non-finite intrinsic reward for goal {goal}")
         return reward
 
-    def learning_gate(self, goal: int, state: WorldState, achieved: bool, epsilon: float) -> bool:
+    def learning_gate(self, goal: int, key: tuple, achieved: bool, epsilon: float) -> bool:
         """False (block expert learning) iff the prediction is ~zero and the trial failed.
 
         A goal that was achieved always trains, whatever was predicted.
@@ -67,4 +68,4 @@ class AchievementPredictor:
         """
         if achieved:
             return True
-        return self.predict(goal, state) > epsilon
+        return self.predict(goal, key) > epsilon

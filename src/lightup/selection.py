@@ -49,13 +49,15 @@ def softmax_probabilities(values: Sequence[float], temperature: float) -> list[f
     The two differ in the last bit for a few percent of arguments, so these
     probabilities are not bit-identical to a numpy softmax; a draw from them
     can differ only when the uniform number falls within an ulp of a bin
-    edge, about 1e-16 per draw.
+    edge, about 1e-16 per draw. The max is taken before dividing, in one
+    pass fewer: dividing by a positive temperature keeps the order, so
+    ``max(values) / temperature`` is ``max(v / temperature for v in values)``
+    wherever the exponent can tell (ties, signed zeros and NaN included).
     """
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
-    z = [v / temperature for v in values]
-    top = max(z)
-    p = [math.exp(x - top) for x in z]
+    top = max(values) / temperature
+    p = [math.exp(v / temperature - top) for v in values]
     # Added in order, as numpy sums fewer than eight values (Python 3.12's
     # sum() compensates, so its last bit can differ).
     total = functools.reduce(operator.add, p)
@@ -93,11 +95,12 @@ class SelectionStrategy:
     """A value table keyed by state, sampled by softmax.
 
     ``context_mode`` controls what part of the world state the strategy can
-    condition on (``none`` collapses every state to one key). The one-step
-    target bootstraps on the best value of the post-trial key only when the
-    trial is not terminal and ``discount`` is positive: across an epoch
-    boundary the post-reset state is independent of the last choice, so
-    bootstrapping there would inject spurious value.
+    condition on (``none`` collapses every state to one key); ``state_key``
+    makes the key the other methods take. The one-step target bootstraps on
+    the best value of the post-trial key only when the trial is not terminal
+    and ``discount`` is positive: across an epoch boundary the post-reset
+    state is independent of the last choice, so bootstrapping there would
+    inject spurious value. Each row is a list of Python floats.
     """
 
     def __init__(self, n_goals: int, temperature: float, learning_rate: float,
@@ -107,30 +110,28 @@ class SelectionStrategy:
         self.learning_rate = learning_rate
         self.discount = discount
         self.context_mode = context_mode
-        self.table: dict[tuple, np.ndarray] = {}
+        self.table: dict[tuple, list[float]] = {}
 
     def state_key(self, state: WorldState) -> tuple:
         return state_key(state, self.context_mode)
 
-    def goal_values(self, key: tuple) -> np.ndarray:
-        if key not in self.table:
-            self.table[key] = np.zeros(self.n_goals)
-        return self.table[key]
+    def goal_values(self, key: tuple) -> list[float]:
+        values = self.table.get(key)
+        if values is None:
+            values = self.table[key] = [0.0] * self.n_goals
+        return values
 
-    def select(self, state: WorldState, rng: np.random.Generator) -> tuple[int, tuple]:
-        """Sample a goal for the current state; returns (goal index, key used)."""
-        key = self.state_key(state)
-        probs = softmax_probabilities(self.goal_values(key).tolist(), self.temperature)
-        return choose_index(probs, rng), key
+    def select(self, key: tuple, rng: np.random.Generator) -> int:
+        """Sample a goal index for the state keyed ``key``."""
+        return choose_index(softmax_probabilities(self.goal_values(key), self.temperature), rng)
 
-    def update(self, key: tuple, goal: int, reward: float, next_key: tuple, terminal: bool) -> None:
+    def update(self, key: tuple, goal: int, reward: float, next_key: tuple | None, terminal: bool) -> None:
         """Move the selected cell toward its one-step target; no other cell changes."""
         values = self.goal_values(key)
         target = reward
         if not terminal and self.discount > 0:
-            target += self.discount * max(self.goal_values(next_key).tolist())
-        # In Python floats: the same float64 arithmetic as on the array element.
-        value = values.item(goal)
+            target += self.discount * max(self.goal_values(next_key))
+        value = values[goal]
         values[goal] = value + self.learning_rate * (target - value)
 
     def dump_rows(self):
@@ -138,4 +139,4 @@ class SelectionStrategy:
         for key, values in sorted(self.table.items()):
             key_text = "|".join(str(k) for k in key)
             for goal, value in enumerate(values):
-                yield key_text, goal, float(value)
+                yield key_text, goal, value

@@ -83,27 +83,26 @@ class ExpertSelector:
 
     smoothing: float
     temperature: float
-    success_ema: np.ndarray = field(init=False, default_factory=lambda: np.zeros(2))
-    # The EMA pair of the last select() and the bin edges of its softmax,
-    # reused while the EMAs are unchanged; a cache, not learner state.
+    success_ema: list[float] = field(init=False, default_factory=lambda: [0.0, 0.0])
+    # A copy of the EMA pair of the last select() and the bin edges of its
+    # softmax, reused while the EMAs are unchanged; a cache, not learner state.
     _last: tuple = field(init=False, default=(None, None), repr=False, compare=False)
 
     def select(self, rng: np.random.Generator) -> int:
         """An arm drawn as ``choose_index(softmax_probabilities(ema), rng)`` draws it."""
-        ema = self.success_ema.tolist()
+        ema = self.success_ema
         last_ema, cdf = self._last
         if ema != last_ema:
             cdf = cumulative_probabilities(softmax_probabilities(ema, self.temperature))
-            self._last = ema, cdf
+            self._last = ema.copy(), cdf  # update() changes the list in place
         return bisect.bisect_right(cdf, rng.random())
 
     def greedy(self) -> int:
         """The arm evaluation should use (ties go to the lower index)."""
-        return int(np.argmax(self.success_ema))
+        return self.success_ema.index(max(self.success_ema))
 
     def update(self, expert: int, success: bool) -> None:
-        # In Python floats: the same float64 arithmetic as on the array element.
-        ema = self.success_ema.item(expert)
+        ema = self.success_ema[expert]
         self.success_ema[expert] = ema + self.smoothing * ((1.0 if success else 0.0) - ema)
 
 

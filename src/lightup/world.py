@@ -13,7 +13,7 @@ trial bookkeeping and table keying trivially safe. The touch dynamics are the
 scenario's transition function, and the ScenarioSpec owns them as one table:
 ``apply_touch`` fills it per (state, goal) on first use and hands out the same
 result, and one object per distinct state, from then on. A state's sphere
-bitmask, ``full_state`` key and key text are derived once per object;
+bitmask, hash, ``full_state`` key and key text are derived once per object;
 equality and hashing are by field, so a state built directly touches, keys
 and compares like the one the spec handed out.
 """
@@ -70,8 +70,15 @@ class WorldState:
     sphere_on: tuple[bool, ...]
     context_feature: float
 
-    # Derived once per object, on first use; fields, equality, hashing and
-    # replace() ignore them.
+    # Derived once per object, on first use; fields, equality and replace()
+    # ignore them.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.sphere_on, self.context_feature))  # the dataclass's own, by field
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @cached_property
     def mask(self) -> int:
         """The sphere statuses as bits: bit i is set iff sphere i is on."""

@@ -305,11 +305,11 @@ def test_a7_single_cell_update_isolation():
             k, nk = keys[rng.integers(4)], keys[rng.integers(4)]
             g = int(rng.integers(6))
             before = {kk: vv.copy() for kk, vv in store.table.items()}
-            before.setdefault(k, np.zeros(6))
+            before.setdefault(k, [0.0] * 6)
             store.update(k, g, float(rng.normal()), nk, bool(rng.integers(2)))
             for kk, vv in store.table.items():
-                base = before.get(kk, np.zeros(6))
-                changed = set(np.nonzero(vv != base)[0])
+                base = before.get(kk, [0.0] * 6)
+                changed = {i for i in range(6) if vv[i] != base[i]}
                 if kk == k:
                     clean &= changed <= {g}
                 else:

@@ -185,7 +185,9 @@ def test_values_csv_holds_every_evaluation_point(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run-out-file", "run-out-under-file", "plot-out-missing-dir"])
-def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, command):
+    from lightup.experiment import Simulation
+
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
     if command == "plot-out-missing-dir":
@@ -195,9 +197,12 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
         argv = ["plot", str(run), "--out", str(tmp_path / "missing" / "x.svg")]
     else:
         out = blocker if command == "run-out-file" else blocker / "sub"
-        argv = ["run", "--scenario", "1", "--replications", "1", "--trials", "50", "--out", str(out)]
+        argv = ["run", "--scenario", "1", "--replications", "3", "--out", str(out)]
+    trials = []
+    monkeypatch.setattr(Simulation, "run_trial", lambda self: trials.append(1))
     capsys.readouterr()
     assert run_cli(*argv) == 2
+    assert trials == []  # a run fails before its first trial
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert blocker.read_text() == "not a directory\n"

@@ -284,6 +284,52 @@ def test_run_experiment_refuses_an_out_of_reach_sphere_before_any_trial(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_run_experiment_refuses_an_out_dir_that_cannot_be_a_directory_before_any_trial(
+        tmp_path, monkeypatch, where):
+    def no_trial(self):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(Simulation, "run_trial", no_trial)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker if where == "file" else blocker / "sub"
+    with pytest.raises(NotADirectoryError):
+        run_experiment(ExperimentConfig(scenario=1, replications=3, out_dir=str(out)))
+    assert blocker.read_text() == "not a directory\n"
+    assert os.listdir(tmp_path) == ["file"]
+
+
+@pytest.mark.parametrize("sid, system", [(1, "grail"), (2, "c_grail"), (3, "m_grail")])
+def test_idealized_trial_keys_its_state_once(sid, system, monkeypatch):
+    """One key serves selection and the predictor; m_grail also keys the
+    post-trial state, only where its update bootstraps (within an epoch)."""
+    import lightup.motivation
+    import lightup.selection
+    from lightup.world import state_key
+
+    calls = []
+
+    def counted(state, mode):
+        calls.append(mode)
+        return state_key(state, mode)
+
+    monkeypatch.setattr(lightup.selection, "state_key", counted)
+    monkeypatch.setattr(lightup.motivation, "state_key", counted)
+    sim = Simulation(ExperimentConfig(scenario=short_scenario(sid, 300), system=system), seed=5)
+    per_trial = []
+    for _ in range(300):
+        before = len(calls)
+        sim.run_trial()
+        per_trial.append(len(calls) - before)
+    if system == "m_grail":
+        per_epoch = sim.spec.trials_per_epoch
+        assert per_epoch > 1
+        assert per_trial == [1 if t % per_epoch == 0 else 2 for t in range(1, 301)]
+    else:
+        assert per_trial == [1] * 300
+
+
 def test_aggregate_ci_matches_hand_computation():
     cfg = small_cfg(1, 100, replications=4, seed=20)
     result = run_experiment(cfg)

@@ -1,10 +1,13 @@
 """Softmax rule, the value table at each system's parameters, and value-iteration agreement."""
 
 import copy
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lightup.errors import NumericsError
 from lightup.experiment import SYSTEM_TEMPERATURES, SYSTEMS, ExperimentConfig, Simulation
@@ -57,6 +60,43 @@ def test_softmax_overflow_raises_numerics_error():
     # 0.01 / 1e-320 overflows to inf, and inf - inf is NaN.
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
         softmax_probabilities(np.array([0.01, 0.0, 0.0]), 1e-320)
+
+
+def two_pass_softmax(values, temperature):
+    """The reference: every value divided by the temperature before the max is taken."""
+    z = [v / temperature for v in values]
+    top = max(z)
+    p = [math.exp(x - top) for x in z]
+    total = functools.reduce(operator.add, p)
+    if not math.isfinite(total):
+        raise NumericsError("not finite")
+    return [x / total for x in p]
+
+
+# Any float, with ties, signed zeros, subnormals and values whose quotients
+# overflow or underflow drawn often; temperatures down to the smallest double.
+SOFTMAX_VALUES = st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-3, -1e-3, 0.5, 1e300, -1e300])
+                          | st.floats(), min_size=1, max_size=8)
+TEMPERATURES = st.sampled_from([5e-324, 1e-320, 1e-300, 1e-3, 0.01, 0.1]) | st.floats(5e-324, 1e6)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(SOFTMAX_VALUES, TEMPERATURES)
+def test_softmax_equals_the_two_pass_reference_bit_for_bit(values, temperature):
+    try:
+        expected = two_pass_softmax(values, temperature)
+    except NumericsError:
+        with pytest.raises(NumericsError):
+            softmax_probabilities(values, temperature)
+        return
+    assert [p.hex() for p in softmax_probabilities(values, temperature)] == [p.hex() for p in expected]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(SOFTMAX_VALUES, st.sampled_from([math.nan, math.inf]), st.integers(0, 8), TEMPERATURES)
+def test_softmax_with_a_nan_or_inf_value_raises_numerics_error(values, bad, at, temperature):
+    with pytest.raises(NumericsError):
+        softmax_probabilities(values[:at] + [bad] + values[at:], temperature)
 
 
 def bin_edge_at(u, n):
@@ -139,7 +179,7 @@ def test_contextual_key_isolation():
     cv.update((1,), 0, 0.5, (0,), False)
     # Without a discount nothing bootstraps, so the next key gets no row.
     assert list(cv.table) == [(1,)]
-    assert np.all(cv.goal_values((0,)) == 0.0)
+    assert cv.goal_values((0,)) == [0.0] * 6
     assert all(cv.goal_values((1,))[g] == 0.0 for g in range(1, 6))
 
 
@@ -161,12 +201,12 @@ def test_single_cell_isolation_random_updates():
         reward = float(rng.normal())
         for store in stores:
             before = {k: v.copy() for k, v in store.table.items()}
-            before.setdefault(key, np.zeros(6))
+            before.setdefault(key, [0.0] * 6)
             store.update(key, goal, reward, nxt, bool(rng.integers(2)))
             after = store.table
             for k, v in after.items():
-                base = before.get(k, np.zeros(6))
-                diff = np.nonzero(v != base)[0]
+                base = before.get(k, [0.0] * 6)
+                diff = [g for g in range(6) if v[g] != base[g]]
                 if k == key:
                     assert set(diff) <= {goal}
                 else:
@@ -232,7 +272,7 @@ def test_q_values_bounded_by_rmax_over_one_minus_gamma():
                   bool(rng.integers(2)))
     bound = r_max / (1.0 - qv.discount) + 1e-9
     for values in qv.table.values():
-        assert np.all(values >= 0.0) and np.all(values <= bound)
+        assert all(0.0 <= v <= bound for v in values)
 
 
 def test_backpropagation_vs_fading_bandit():
@@ -271,7 +311,7 @@ def test_strategy_select_uses_softmax_over_goal_values():
     for _ in range(21):
         strat.update((1,), 2, 1.0, (1,), True)  # strongly prefer goal 2 in cf=1
     rng = np.random.default_rng(0)
-    picks = [strat.select(state, rng)[0] for _ in range(200)]
+    picks = [strat.select(strat.state_key(state), rng) for _ in range(200)]
     assert picks.count(2) > 150
 
 

@@ -127,7 +127,7 @@ def test_selector_even_split_when_emas_equal():
 
 def test_selector_softmax_point_value():
     sel = selector(temperature=0.1)
-    sel.success_ema = np.array([0.9, 0.1])
+    sel.success_ema = [0.9, 0.1]
     from lightup.selection import softmax_probabilities
     p = softmax_probabilities(sel.success_ema, sel.temperature)
     assert p[0] == pytest.approx(1.0 / (1.0 + math.exp(-8.0)), abs=1e-12)
@@ -149,7 +149,7 @@ def test_selector_emas_stay_in_unit_interval():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         sel.update(int(rng.integers(2)), bool(rng.integers(2)))
-        assert np.all(sel.success_ema >= 0.0) and np.all(sel.success_ema <= 1.0)
+        assert all(0.0 <= ema <= 1.0 for ema in sel.success_ema)
 
 
 def test_selector_draws_match_a_fresh_softmax_and_leave_the_emas_alone(monkeypatch):
@@ -172,15 +172,15 @@ def test_selector_draws_match_a_fresh_softmax_and_leave_the_emas_alone(monkeypat
               [(1, True)], (), "assign", (), [(1, False)], ()] * 3
     for between in script:
         if between == "assign":
-            sel.success_ema = np.array([0.25, 0.75])
+            sel.success_ema = [0.25, 0.75]
         else:
             for arm, success in between:
                 sel.update(arm, success)
         ema = sel.success_ema.copy()
         drawn = sel.select(rng)
-        assert drawn == choose_index(softmax_probabilities(ema.tolist(), sel.temperature), twin)
-        # select reads the learner and changes none of it.
-        assert sel.success_ema.tobytes() == ema.tobytes()
+        assert drawn == choose_index(softmax_probabilities(ema, sel.temperature), twin)
+        # select reads the learner and changes none of it, bit for bit.
+        assert [x.hex() for x in sel.success_ema] == [x.hex() for x in ema]
         assert (sel.smoothing, sel.temperature) == params
     assert rng.random() == twin.random()
     # Only a changed EMA pair is softmaxed again.

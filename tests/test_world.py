@@ -290,6 +290,19 @@ def test_a_state_built_directly_shares_the_reset_states_touch_results():
             assert first[0] is start
 
 
+def test_a_state_hashes_once_by_field_and_finds_the_interned_touch_entry():
+    s3 = builtin_scenario(3)
+    start = s3.reset(np.random.default_rng(0))
+    built = WorldState((False,) * s3.n_goals, start.context_feature)
+    assert "_hash" not in vars(built)
+    assert hash(built) == hash(start) == hash((built.sphere_on, built.context_feature))
+    assert vars(built)["_hash"] == hash(built)  # kept on the object after the first hash()
+    d = s3.goal_index("d")
+    first = s3.apply_touch(d, start)
+    assert s3._touches[built, d] is first
+    assert {start: 1}[built] == 1
+
+
 def test_another_spec_touches_an_interned_state_by_its_own_rules():
     s1, s3 = builtin_scenario(1), builtin_scenario(3)
     start = s3.reset(np.random.default_rng(0))
