@@ -107,61 +107,73 @@ def cmd_run(args) -> int:
 # -- plot ----------------------------------------------------------------------
 
 
-def _read_rows(path: str) -> list[dict]:
+def _read_rows(path: str, numbers: tuple[str, ...], text: tuple[str, ...] = ()) -> list[dict]:
+    """A run CSV's rows, with the ``numbers`` columns parsed as floats."""
     if not os.path.exists(path):
         raise ConfigError(f"missing CSV: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read CSV {path}: {exc}") from None
     if not rows:
         raise ConfigError(f"CSV has no data rows: {path}")
+    missing = [name for name in text + numbers if name not in reader.fieldnames]
+    if missing:
+        raise ConfigError(f"CSV {path} has no {', '.join(missing)} column")
+    for n, row in enumerate(rows, start=1):
+        for name in numbers:
+            try:
+                row[name] = float(row[name])
+            except (TypeError, ValueError):  # TypeError: a short row's None
+                raise ConfigError(f"CSV {path} row {n}: {name} is not a number: {row[name]!r}") from None
     return rows
 
 
 def _run_label(run_dir: str) -> str:
+    """The system in the directory's run.yaml, else the directory's name."""
     meta = os.path.join(run_dir, "run.yaml")
-    if os.path.exists(meta):
+    try:
         with open(meta, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
-        if isinstance(data.get("system"), str):
-            return data["system"]
-    return os.path.basename(os.path.normpath(run_dir))
+            data = yaml.safe_load(fh)
+    except FileNotFoundError:
+        data = None
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse run file {meta}: {exc}") from None
+    if data is not None and not isinstance(data, dict):
+        raise ConfigError(f"run file {meta} must be a mapping, got {type(data).__name__}")
+    system = (data or {}).get("system")
+    return system if isinstance(system, str) else os.path.basename(os.path.normpath(run_dir))
 
 
-def _competence_chart(run_dir: str) -> Chart:
-    rows = _read_rows(os.path.join(run_dir, "competence_agg.csv"))
-    goals = sorted({r["goal"] for r in rows})
-    chart = Chart(title=f"competence: {_run_label(run_dir)}", x_label="trial",
+def _band_series(name: str, rows: list[dict], x: str, **style) -> Series:
+    """One mean curve with its confidence band, read from aggregate rows."""
+    return Series(name=name, xs=[r[x] for r in rows], ys=[r["mean"] for r in rows],
+                  band_low=[r["ci_low"] for r in rows], band_high=[r["ci_high"] for r in rows], **style)
+
+
+def _competence_chart(run_dir: str, label: str) -> Chart:
+    rows = _read_rows(os.path.join(run_dir, "competence_agg.csv"),
+                      ("trial_index", "mean", "ci_low", "ci_high"), ("goal",))
+    chart = Chart(title=f"competence: {label}", x_label="trial",
                   y_label="competence", y_min=0.0, y_max=1.0)
-    for goal in goals:
-        sub = [r for r in rows if r["goal"] == goal]
-        chart.series.append(Series(
-            name=goal,
-            xs=[float(r["trial_index"]) for r in sub],
-            ys=[float(r["mean"]) for r in sub],
-            band_low=[float(r["ci_low"]) for r in sub],
-            band_high=[float(r["ci_high"]) for r in sub],
-        ))
+    for goal in sorted({r["goal"] for r in rows}):
+        chart.series.append(_band_series(goal, [r for r in rows if r["goal"] == goal], "trial_index"))
     return chart
 
 
-def _wasted_chart(run_dir: str) -> Chart:
-    rows = _read_rows(os.path.join(run_dir, "wasted_agg.csv"))
-    chart = Chart(title=f"wasted trials: {_run_label(run_dir)}", x_label="trial",
+def _wasted_chart(run_dir: str, label: str) -> Chart:
+    rows = _read_rows(os.path.join(run_dir, "wasted_agg.csv"), ("interval_end", "mean", "ci_low", "ci_high"))
+    chart = Chart(title=f"wasted trials: {label}", x_label="trial",
                   y_label="cumulative wasted", y_min=0.0)
-    chart.series.append(Series(
-        name="wasted",
-        xs=[float(r["interval_end"]) for r in rows],
-        ys=[float(r["mean"]) for r in rows],
-        band_low=[float(r["ci_low"]) for r in rows],
-        band_high=[float(r["ci_high"]) for r in rows],
-        color="#d62728",
-    ))
+    chart.series.append(_band_series("wasted", rows, "interval_end", color="#d62728"))
     return chart
 
 
 def cmd_plot(args) -> int:
-    charts = [_competence_chart(d) for d in args.run_dirs]
-    charts += [_wasted_chart(d) for d in args.run_dirs]
+    runs = [(d, _run_label(d)) for d in args.run_dirs]
+    charts = [_competence_chart(*run) for run in runs] + [_wasted_chart(*run) for run in runs]
     svg = render_panels(charts, columns=len(args.run_dirs))
     out = args.out or os.path.join(args.run_dirs[0], "curves.svg")
     with open(out, "w", encoding="utf-8") as fh:

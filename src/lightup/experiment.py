@@ -24,7 +24,10 @@ import logging
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import chain, repeat
+from operator import floordiv
 from typing import Mapping
 
 import numpy as np
@@ -195,10 +198,16 @@ class TrialRecord:
 
 @dataclass
 class ReplicationSeries:
-    """Everything recorded for one replication."""
+    """Everything recorded for one replication. Entry i of each trial column
+    (``state_key`` to ``steps``) is trial i + 1, of epoch i // trials_per_epoch."""
 
     replication: int
-    records: list[TrialRecord]
+    state_key: list[str]
+    goal: list[str]
+    achievable: bytearray
+    achieved: bytearray
+    reward: array  # 'd'
+    steps: array   # 'q'
     competence: list[tuple[int, str, float]]  # (trial_index, goal label, value)
     wasted: list[tuple[int, int]]             # (interval_end, cumulative count)
     value_rows: list[tuple[int, str, int, float]] = field(default_factory=list)
@@ -217,6 +226,17 @@ class ReplicationSeries:
         raise KeyError(f"no wasted-count row at trial {trial_index}")
 
 
+class UniformBlock:
+    """``gen``'s uniform doubles drawn ``SIZE`` at a time: ``random()`` gives
+    what scalar ``gen.random()`` calls would, without a numpy call each."""
+
+    SIZE = 4096
+
+    def __init__(self, gen: np.random.Generator):
+        blocks = iter(lambda: gen.random(self.SIZE).tolist(), None)
+        self.random = chain.from_iterable(blocks).__next__
+
+
 class Simulation:
     """One replication of ``cfg.system`` on ``cfg.scenario``, seeded by ``seed``.
 
@@ -231,7 +251,9 @@ class Simulation:
         self.spec = spec = cfg.scenario
         self.cfg = cfg
         self.replication = replication
-        self.rng = np.random.default_rng(seed)
+        self.idealized = cfg.backend == "idealized"  # read on every trial
+        gen = np.random.default_rng(seed)  # the actor-critic backend also draws normals
+        self.rng = UniformBlock(gen) if self.idealized else gen
         n = spec.n_goals
 
         context_mode = "none" if cfg.system == "grail" else spec.context_mode
@@ -244,8 +266,6 @@ class Simulation:
             clip_negative_reward=cfg.clip_reward,
         )
         self.use_gate = cfg.system != "grail"
-        # Read on every trial, so compared once here.
-        self.idealized = cfg.backend == "idealized"
         self.reset_every_trial = spec.reset_policy == "per_trial"
 
         self.selectors = [
@@ -405,26 +425,30 @@ class Simulation:
         table (with ``dump_values``) and one progress log line.
         """
         spec, cfg = self.spec, self.cfg
-        records: list[TrialRecord] = []
+        keys, goals, achievable, achieved = [], [], bytearray(), bytearray()
+        rewards, steps = array("d"), array("q")
         competence = [(0, label, self.measure_competence(label)) for label in spec.labels]
         wasted: list[tuple[int, int]] = []
         value_rows: list[tuple[int, str, int, float]] = []
-        cumulative_wasted = 0
         for t in range(1, spec.total_trials + 1):
             rec = self.run_trial()
-            records.append(rec)
-            if not rec.achievable:
-                cumulative_wasted += 1
+            keys.append(rec.state_key)
+            goals.append(rec.goal)
+            achievable.append(rec.achievable)
+            achieved.append(rec.achieved)
+            rewards.append(rec.reward)
+            steps.append(rec.steps)
             if t % cfg.eval_interval != 0 and t != spec.total_trials:
                 continue
             values = [self.measure_competence(label) for label in spec.labels]
             competence.extend((t, label, v) for label, v in zip(spec.labels, values))
-            wasted.append((t, cumulative_wasted))
+            wasted.append((t, achievable.count(0)))
             if cfg.dump_values:
                 value_rows.extend((t, key_text, g, v) for key_text, g, v in self.strategy.dump_rows())
             log.info("replication %d, trial %d/%d: mean competence %.3f, cumulative waste %d",
-                     self.replication, t, spec.total_trials, sum(values) / len(values), cumulative_wasted)
-        return ReplicationSeries(self.replication, records, competence, wasted, value_rows)
+                     self.replication, t, spec.total_trials, sum(values) / len(values), wasted[-1][1])
+        return ReplicationSeries(self.replication, keys, goals, achievable, achieved, rewards, steps,
+                                 competence, wasted, value_rows)
 
 
 # -- experiment-level runs --------------------------------------------------
@@ -528,12 +552,15 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
     parent = os.path.dirname(os.path.abspath(out_dir))
     os.makedirs(parent, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".lightup-", dir=parent) as tmp:
+        per_epoch = cfg.scenario.trials_per_epoch
         _write_csv(tmp, "trials.csv",
                    ["replication", "trial", "epoch", "state_key", "goal",
                     "achievable", "achieved", "reward", "steps"],
-                   ([r.replication, r.trial, r.epoch, r.state_key, r.goal,
-                     int(r.achievable), int(r.achieved), repr(float(r.reward)), r.steps]
-                    for s in reps for r in s.records))
+                   chain.from_iterable(
+                       zip(repeat(s.replication), range(1, len(s.goal) + 1),
+                           map(floordiv, range(len(s.goal)), repeat(per_epoch)),
+                           s.state_key, s.goal, s.achievable, s.achieved, s.reward, s.steps)
+                       for s in reps))
         _write_csv(tmp, "competence.csv", ["replication", "trial_index", "goal", "competence"],
                    ([s.replication, t, label, repr(float(v))] for s in reps for t, label, v in s.competence))
         _write_csv(tmp, "wasted.csv", ["replication", "interval_end", "cumulative_wasted"],

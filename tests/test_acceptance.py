@@ -360,9 +360,9 @@ def test_a7_achieved_implies_achievable(s1_grail, s2_grail, s2_cgrail, s3_cgrail
     violations = 0
     for series in (s1_grail, s2_grail, s2_cgrail, s3_cgrail, s3_mgrail):
         for s in series:
-            for rec in s.records:
+            for achievable, achieved in zip(s.achievable, s.achieved, strict=True):
                 total += 1
-                violations += rec.achieved and not rec.achievable
+                violations += achieved and not achievable
     assert report("A7.achieved", violations == 0,
                   f"{violations} violations in {total} logged trials")
 

@@ -457,3 +457,63 @@ def test_plot_empty_csv_exits_2_without_partial_file(tmp_path, capsys):
     assert run_cli("plot", str(out), "--out", str(svg_path)) == 2
     assert "no data rows" in capsys.readouterr().err
     assert not svg_path.exists()
+
+
+def _drop_goal_column(text):
+    rows = list(csv.reader(text.splitlines()))
+    i = rows[0].index("goal")
+    return "".join(",".join(r[:i] + r[i + 1:]) + "\n" for r in rows).encode()
+
+
+def _non_numeric_mean(text):
+    rows = list(csv.reader(text.splitlines()))
+    rows[3][rows[0].index("mean")] = "lots"
+    return "".join(",".join(r) + "\n" for r in rows).encode()
+
+
+# Each case: the run file it corrupts, and its new bytes from its old text.
+CORRUPT_RUN_FILES = {
+    "unparsable-run-yaml": ("run.yaml", lambda text: b"system: [\n"),
+    "list-run-yaml": ("run.yaml", lambda text: b"- grail\n- c_grail\n"),
+    "undecodable-run-yaml": ("run.yaml", lambda text: b"system: \xff\n"),
+    "undecodable-csv": ("wasted_agg.csv", lambda text: b"interval_end,\xff\n"),
+    "no-goal-column": ("competence_agg.csv", _drop_goal_column),
+    "non-numeric-mean": ("competence_agg.csv", _non_numeric_mean),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_RUN_FILES))
+def test_plot_of_a_corrupt_run_file_exits_2_naming_it(tmp_path, capsys, case):
+    out = make_run(tmp_path, "p4")
+    name, corrupt = CORRUPT_RUN_FILES[case]
+    path = out / name
+    path.write_bytes(corrupt(path.read_text()))
+    svg_path = tmp_path / "bad.svg"
+    assert run_cli("plot", str(out), "--out", str(svg_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "Traceback" not in err
+    assert not svg_path.exists()
+
+
+@pytest.mark.parametrize("run_yaml", [None, "", "seed: 7\n", "system: 3\n"])
+def test_plot_labels_a_run_without_a_text_system_by_its_directory(tmp_path, run_yaml):
+    out = make_run(tmp_path, "unlabeled")
+    if run_yaml is None:
+        (out / "run.yaml").unlink()
+    else:
+        (out / "run.yaml").write_text(run_yaml)
+    svg_path = tmp_path / "u.svg"
+    assert run_cli("plot", str(out), "--out", str(svg_path)) == 0
+    svg = svg_path.read_text()
+    assert "competence: unlabeled" in svg and "wasted trials: unlabeled" in svg
+
+
+def test_plot_reads_each_run_yaml_once(tmp_path, monkeypatch):
+    a = make_run(tmp_path, "a", system="grail")
+    b = make_run(tmp_path, "b", system="c_grail")
+    loads = []
+    real_load = yaml.safe_load
+    monkeypatch.setattr(yaml, "safe_load", lambda stream: loads.append(stream.name) or real_load(stream))
+    assert run_cli("plot", str(a), str(b), "--out", str(tmp_path / "ab.svg")) == 0
+    assert loads == [str(a / "run.yaml"), str(b / "run.yaml")]

@@ -1,5 +1,6 @@
 """Trial loop, scheduling, metrics, aggregation, CSV output, reproducibility."""
 
+import csv
 import logging
 import os
 from dataclasses import replace
@@ -13,6 +14,7 @@ from lightup.experiment import (
     ARMS,
     ExperimentConfig,
     Simulation,
+    UniformBlock,
     _mean_ci,
     aggregate_rows,
     config_from_dict,
@@ -120,8 +122,10 @@ def test_trial_counts_match_schedule():
     for sid, total in ((1, 3000), (2, 4000), (3, 6000)):
         cfg = ExperimentConfig(scenario=sid, replications=1, seed=0)
         series = Simulation(cfg, seed=0).run()
-        assert len(series.records) == total
-        assert series.records[-1].trial == total
+        # Entry i of every column is trial i + 1, so the last one is trial ``total``.
+        columns = (series.state_key, series.goal, series.achievable, series.achieved,
+                   series.reward, series.steps)
+        assert [len(column) for column in columns] == [total] * len(columns)
 
 
 def test_achieved_implies_achievable_across_systems():
@@ -129,35 +133,43 @@ def test_achieved_implies_achievable_across_systems():
         for sid in (1, 2, 3):
             cfg = small_cfg(sid, 600, system=system)
             series = Simulation(cfg, seed=3).run()
-            for rec in series.records:
-                assert not (rec.achieved and not rec.achievable)
+            assert len(series.achieved) == len(series.achievable) == 600
+            for achievable, achieved in zip(series.achievable, series.achieved):
+                assert not (achieved and not achievable)
 
 
-def test_per_epoch_reset_boundaries():
-    cfg = small_cfg(3, 300, system="m_grail")
-    series = Simulation(cfg, seed=1).run()
-    for rec in series.records:
-        if (rec.trial - 1) % 3 == 0:  # first trial of an epoch
-            assert rec.state_key.startswith("000000")
-        assert rec.epoch == (rec.trial - 1) // 3
+def test_per_epoch_reset_boundaries(tmp_path):
+    # The epoch is derived when trials.csv is written, so read it there.
+    cfg = small_cfg(3, 300, system="m_grail", seed=1, out_dir=str(tmp_path))
+    run_experiment(cfg)
+    with open(tmp_path / "trials.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 300
+    for row in rows:
+        trial = int(row["trial"])
+        if (trial - 1) % 3 == 0:  # first trial of an epoch
+            assert row["state_key"].startswith("000000")
+        assert int(row["epoch"]) == (trial - 1) // 3
 
 
 def test_per_trial_reset_gives_fresh_state_every_trial():
     cfg = small_cfg(1, 200)
     series = Simulation(cfg, seed=2).run()
-    assert all(r.state_key.startswith("000000") for r in series.records)
+    assert len(series.state_key) == 200
+    assert all(key.startswith("000000") for key in series.state_key)
 
 
 def test_epoch_state_persists_within_epoch():
     cfg = small_cfg(3, 3000, system="m_grail", replications=1)
     series = Simulation(cfg, seed=4).run()
+    # Entry i is trial i + 1: the next trial, i + 2, is mid-epoch unless it starts one.
     achieved_mid_epoch = [
-        (a, b) for a, b in zip(series.records, series.records[1:])
-        if a.achieved and b.trial % 3 != 1
+        i for i in range(len(series.achieved) - 1)
+        if series.achieved[i] and (i + 2) % 3 != 1
     ]
     assert achieved_mid_epoch, "expected at least one mid-epoch achievement"
-    for a, b in achieved_mid_epoch:
-        assert b.state_key.count("1") >= 1
+    for i in achieved_mid_epoch:
+        assert series.state_key[i + 1].count("1") >= 1
 
 
 def test_mgrail_selecting_chain_end_on_fresh_epoch_is_wasted_with_zero_reward():
@@ -246,7 +258,7 @@ def test_wasted_rows_count_unachievable_records():
     series = Simulation(cfg, seed=0).run()
     assert [end for end, _ in series.wasted] == [50, 100, 150, 200, 230]
     for end, count in series.wasted:
-        assert count == sum(1 for r in series.records if r.trial <= end and not r.achievable)
+        assert count == sum(1 for achievable in series.achievable[:end] if not achievable)
     assert series.wasted[-1][1] > 0
 
 
@@ -489,6 +501,59 @@ def test_parallel_jobs_match_serial(tmp_path):
     run_experiment(ExperimentConfig(out_dir=str(serial), jobs=1, **base))
     run_experiment(ExperimentConfig(out_dir=str(parallel), jobs=3, **base))
     assert (serial / "trials.csv").read_bytes() == (parallel / "trials.csv").read_bytes()
+
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_trials_csv_rows_are_the_trial_records_of_run_trial(tmp_path, jobs):
+    # trial, epoch and replication are derived when the columns are written;
+    # the per-trial API must see the same trials, in the same order.
+    cfg = small_cfg(3, 300, system="m_grail", seed=8, jobs=jobs, out_dir=str(tmp_path))
+    run_experiment(cfg)
+    with open(tmp_path / "trials.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    expected = [["replication", "trial", "epoch", "state_key", "goal",
+                 "achievable", "achieved", "reward", "steps"]]
+    for rep in range(cfg.replications):
+        sim = Simulation(cfg, seed=cfg.seed + rep, replication=rep)
+        for _ in range(cfg.scenario.total_trials):
+            r = sim.run_trial()
+            expected.append([str(r.replication), str(r.trial), str(r.epoch), r.state_key, r.goal,
+                             str(int(r.achievable)), str(int(r.achieved)), repr(r.reward), str(r.steps)])
+    assert len(rows) == 1 + 2 * 300
+    assert rows == expected
+
+
+def test_uniform_block_gives_the_scalar_draws_of_its_generator():
+    n = 3 * UniformBlock.SIZE + 7  # three refills after the first block
+    block = UniformBlock(np.random.default_rng(11))
+    scalar = np.random.default_rng(11)
+    drawn = [block.random() for _ in range(n)]
+    assert all(type(x) is float for x in drawn)
+    assert [x.hex() for x in drawn] == [float(scalar.random()).hex() for _ in range(n)]
+
+
+def test_only_the_idealized_backend_draws_from_a_uniform_block():
+    spec = replace(builtin_scenario(1), total_trials=6)
+    assert isinstance(Simulation(ExperimentConfig(scenario=spec), seed=0).rng, UniformBlock)
+    ac = Simulation(ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=5), seed=0)
+    assert isinstance(ac.rng, np.random.Generator)
+
+
+def test_a_replication_keeps_its_trials_in_under_100_bytes_each():
+    import tracemalloc
+
+    cfg = ExperimentConfig(scenario=3, system="m_grail", replications=1, seed=0)
+    tracemalloc.start()
+    try:
+        sim = Simulation(cfg, seed=0)
+        before = tracemalloc.get_traced_memory()[0]
+        series = sim.run()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(series.goal) == 6000
+    assert kept / 6000 <= 100  # one TrialRecord per trial kept 191
 
 
 # -- actor-critic integration --------------------------------------------------------
