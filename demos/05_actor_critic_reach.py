@@ -42,8 +42,8 @@ def main():
     hits = 0
     print("trial   train-hits   eval-success   sigma")
     for t in range(1, spec.total_trials + 1):
-        rec = sim.run_trial()
-        hits += rec.achieved
+        sim.run_trial()
+        hits += sim.series.achieved[-1]
         if t % 100 == 0:
             ev = sim.measure_competence(0)
             expert = sim.experts[0][sim.selectors[0].greedy()]

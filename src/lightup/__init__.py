@@ -13,7 +13,6 @@ from .experiment import (
     ExperimentConfig,
     ExperimentResult,
     Simulation,
-    TrialRecord,
     load_config,
     run_experiment,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "ScenarioSpec",
     "SelectionStrategy",
     "Simulation",
-    "TrialRecord",
     "WorldState",
     "builtin_scenario",
     "check_touch",

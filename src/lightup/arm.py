@@ -137,17 +137,6 @@ def _place_links(joints, lengths, headings, xs, ys, first: int = 0) -> None:
         ys[i + 1] = ys[i] + lengths[i] * math.sin(heading)
 
 
-def _within(dx: float, dy: float, radius: float) -> bool:
-    """``hypot(dx, dy) <= radius``, skipping the distance when an axis decides it.
-
-    ``hypot(dx, dy) >= max(|dx|, |dy|)`` holds for the rounded result too,
-    so the early answer is the one the distance would give.
-    """
-    if abs(dx) > radius or abs(dy) > radius:
-        return False
-    return float(np.hypot(dx, dy)) <= radius
-
-
 def reach_target(
     target,
     cfg: ArmConfig,
@@ -165,7 +154,6 @@ def reach_target(
     """
     tx, ty = float(target[0]), float(target[1])
     lengths, lower, upper = cfg.link_lengths, cfg.joint_min, cfg.joint_max
-    radius = cfg.touch_radius
     n = cfg.n_joints
     starts = [home_joints(cfg)] + [rng.uniform(lower, upper).tolist() for _ in range(restarts - 1)]
     for start in starts:
@@ -173,7 +161,7 @@ def reach_target(
         headings, xs, ys = [0.0] * n, [0.0] * (n + 1), [0.0] * (n + 1)
         _place_links(joints, lengths, headings, xs, ys)
         for _ in range(iterations):
-            if _within(xs[n] - tx, ys[n] - ty, radius):
+            if check_touch((xs[n], ys[n]), (tx, ty), cfg):
                 return tuple(joints)
             for j in range(n - 1, -1, -1):
                 ax, ay = xs[n] - xs[j], ys[n] - ys[j]
@@ -188,7 +176,7 @@ def reach_target(
                 rot = (rot + math.pi) % (2.0 * math.pi) - math.pi
                 joints[j] = min(max(joints[j] + rot, lower[j]), upper[j])
                 _place_links(joints, lengths, headings, xs, ys, j)
-        if _within(xs[n] - tx, ys[n] - ty, radius):
+        if check_touch((xs[n], ys[n]), (tx, ty), cfg):
             return tuple(joints)
     return None
 

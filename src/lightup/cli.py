@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -108,7 +109,7 @@ def cmd_run(args) -> int:
 
 
 def _read_rows(path: str, numbers: tuple[str, ...], text: tuple[str, ...] = ()) -> list[dict]:
-    """A run CSV's rows, with the ``numbers`` columns parsed as floats."""
+    """A run CSV's rows, with the ``numbers`` columns parsed as finite floats."""
     if not os.path.exists(path):
         raise ConfigError(f"missing CSV: {path}")
     try:
@@ -125,9 +126,12 @@ def _read_rows(path: str, numbers: tuple[str, ...], text: tuple[str, ...] = ()) 
     for n, row in enumerate(rows, start=1):
         for name in numbers:
             try:
-                row[name] = float(row[name])
+                value = float(row[name])
             except (TypeError, ValueError):  # TypeError: a short row's None
-                raise ConfigError(f"CSV {path} row {n}: {name} is not a number: {row[name]!r}") from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(f"CSV {path} row {n}: {name} is not a finite number: {row[name]!r}")
+            row[name] = value
     return rows
 
 

@@ -183,23 +183,12 @@ class ExperimentConfig:
         return SYSTEM_TEMPERATURES[self.system]
 
 
-@dataclass(slots=True)
-class TrialRecord:
-    replication: int
-    trial: int
-    epoch: int
-    state_key: str
-    goal: str
-    achievable: bool
-    achieved: bool
-    reward: float
-    steps: int
-
-
 @dataclass
 class ReplicationSeries:
     """Everything recorded for one replication. Entry i of each trial column
-    (``state_key`` to ``steps``) is trial i + 1, of epoch i // trials_per_epoch."""
+    (``state_key`` to ``steps``) is trial i + 1, of epoch i // trials_per_epoch;
+    ``Simulation.run_trial`` appends to them and ``Simulation.run`` records
+    each evaluation point."""
 
     replication: int
     state_key: list[str]
@@ -208,8 +197,8 @@ class ReplicationSeries:
     achieved: bytearray
     reward: array  # 'd'
     steps: array   # 'q'
-    competence: list[tuple[int, str, float]]  # (trial_index, goal label, value)
-    wasted: list[tuple[int, int]]             # (interval_end, cumulative count)
+    competence: list[tuple[int, str, float]] = field(default_factory=list)  # (trial_index, goal, value)
+    wasted: list[tuple[int, int]] = field(default_factory=list)             # (interval_end, count)
     value_rows: list[tuple[int, str, int, float]] = field(default_factory=list)
 
     def competence_at(self, trial_index: int) -> dict[str, float]:
@@ -250,7 +239,8 @@ class Simulation:
     def __init__(self, cfg: ExperimentConfig, seed: int, replication: int = 0):
         self.spec = spec = cfg.scenario
         self.cfg = cfg
-        self.replication = replication
+        self.series = ReplicationSeries(replication, [], [], bytearray(), bytearray(),
+                                        array("d"), array("q"))
         self.idealized = cfg.backend == "idealized"  # read on every trial
         gen = np.random.default_rng(seed)  # the actor-critic backend also draws normals
         self.rng = UniformBlock(gen) if self.idealized else gen
@@ -278,7 +268,6 @@ class Simulation:
         left = tuple((-x, y) for x, y in right)
         self.sphere_positions = (left, right)
         self.state: WorldState = spec.reset(self.rng)
-        self.trial = 0  # trials completed
 
     def _make_expert(self):
         cfg = self.cfg
@@ -293,11 +282,11 @@ class Simulation:
 
     # -- trial loop --------------------------------------------------------
 
-    def run_trial(self) -> TrialRecord:
-        """Advance the simulation by one trial and return its record."""
+    def run_trial(self) -> None:
+        """Advance the simulation by one trial and append it to ``self.series``."""
         spec, rng, strategy, predictor = self.spec, self.rng, self.strategy, self.predictor
-        trial = self.trial + 1
-        epoch, step_in_epoch = divmod(trial - 1, spec.trials_per_epoch)
+        series = self.series
+        step_in_epoch = len(series.goal) % spec.trials_per_epoch
         if self.reset_every_trial or step_in_epoch == 0:
             self.state = spec.reset(rng)
         state = self.state
@@ -333,11 +322,14 @@ class Simulation:
         strategy.update(key, goal, reward, strategy.state_key(new_state) if bootstrap else None, terminal)
 
         self.state = new_state
-        self.trial = trial
         if achieved and not achievable:
-            raise NumericsError(f"trial {trial}: achieved a goal that was not achievable")
-        return TrialRecord(self.replication, trial, epoch, state.key_string(), spec.labels[goal],
-                           achievable, achieved, reward, steps)
+            raise NumericsError(f"trial {len(series.goal) + 1}: achieved a goal that was not achievable")
+        series.state_key.append(state.key_string())
+        series.goal.append(spec.labels[goal])
+        series.achievable.append(achievable)
+        series.achieved.append(achieved)
+        series.reward.append(reward)
+        series.steps.append(steps)
 
     def _rollout(self, goal: int, arm_index: int, state: WorldState,
                  rng: np.random.Generator | None = None):
@@ -419,36 +411,27 @@ class Simulation:
     # -- full replication ----------------------------------------------------
 
     def run(self) -> ReplicationSeries:
-        """Run every trial, measuring competence before the first and at each
-        evaluation point: every ``eval_interval`` trials and the last trial.
+        """Run every trial into ``self.series`` and return it, measuring
+        competence before the first trial and at each evaluation point:
+        every ``eval_interval`` trials and the last trial.
         An evaluation point also records the cumulative waste, the value
         table (with ``dump_values``) and one progress log line.
         """
-        spec, cfg = self.spec, self.cfg
-        keys, goals, achievable, achieved = [], [], bytearray(), bytearray()
-        rewards, steps = array("d"), array("q")
-        competence = [(0, label, self.measure_competence(label)) for label in spec.labels]
-        wasted: list[tuple[int, int]] = []
-        value_rows: list[tuple[int, str, int, float]] = []
+        spec, cfg, series = self.spec, self.cfg, self.series
+        series.competence.extend((0, label, self.measure_competence(label)) for label in spec.labels)
         for t in range(1, spec.total_trials + 1):
-            rec = self.run_trial()
-            keys.append(rec.state_key)
-            goals.append(rec.goal)
-            achievable.append(rec.achievable)
-            achieved.append(rec.achieved)
-            rewards.append(rec.reward)
-            steps.append(rec.steps)
+            self.run_trial()
             if t % cfg.eval_interval != 0 and t != spec.total_trials:
                 continue
             values = [self.measure_competence(label) for label in spec.labels]
-            competence.extend((t, label, v) for label, v in zip(spec.labels, values))
-            wasted.append((t, achievable.count(0)))
+            series.competence.extend((t, label, v) for label, v in zip(spec.labels, values))
+            series.wasted.append((t, series.achievable.count(0)))
             if cfg.dump_values:
-                value_rows.extend((t, key_text, g, v) for key_text, g, v in self.strategy.dump_rows())
+                series.value_rows.extend((t, key_text, g, v) for key_text, g, v in self.strategy.dump_rows())
             log.info("replication %d, trial %d/%d: mean competence %.3f, cumulative waste %d",
-                     self.replication, t, spec.total_trials, sum(values) / len(values), wasted[-1][1])
-        return ReplicationSeries(self.replication, keys, goals, achievable, achieved, rewards, steps,
-                                 competence, wasted, value_rows)
+                     series.replication, t, spec.total_trials,
+                     sum(values) / len(values), series.wasted[-1][1])
+        return series
 
 
 # -- experiment-level runs --------------------------------------------------

@@ -465,10 +465,12 @@ def _drop_goal_column(text):
     return "".join(",".join(r[:i] + r[i + 1:]) + "\n" for r in rows).encode()
 
 
-def _non_numeric_mean(text):
-    rows = list(csv.reader(text.splitlines()))
-    rows[3][rows[0].index("mean")] = "lots"
-    return "".join(",".join(r) + "\n" for r in rows).encode()
+def _mean_cell(cell):
+    def corrupt(text):
+        rows = list(csv.reader(text.splitlines()))
+        rows[3][rows[0].index("mean")] = cell
+        return "".join(",".join(r) + "\n" for r in rows).encode()
+    return corrupt
 
 
 # Each case: the run file it corrupts, and its new bytes from its old text.
@@ -478,7 +480,10 @@ CORRUPT_RUN_FILES = {
     "undecodable-run-yaml": ("run.yaml", lambda text: b"system: \xff\n"),
     "undecodable-csv": ("wasted_agg.csv", lambda text: b"interval_end,\xff\n"),
     "no-goal-column": ("competence_agg.csv", _drop_goal_column),
-    "non-numeric-mean": ("competence_agg.csv", _non_numeric_mean),
+    "non-numeric-mean": ("competence_agg.csv", _mean_cell("lots")),
+    "nan-mean": ("competence_agg.csv", _mean_cell("nan")),
+    "inf-mean": ("competence_agg.csv", _mean_cell("inf")),
+    "minus-inf-mean": ("competence_agg.csv", _mean_cell("-inf")),
 }
 
 
@@ -492,6 +497,8 @@ def test_plot_of_a_corrupt_run_file_exits_2_naming_it(tmp_path, capsys, case):
     assert run_cli("plot", str(out), "--out", str(svg_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+    if case.endswith("-mean"):
+        assert "row 3: mean is not a finite number" in err
     assert "Traceback" not in err
     assert not svg_path.exists()
 

@@ -176,14 +176,14 @@ def test_mgrail_selecting_chain_end_on_fresh_epoch_is_wasted_with_zero_reward():
     cfg = ExperimentConfig(scenario=3, system="m_grail", seed=0)
     sim = Simulation(cfg, seed=0)
     # Find a fresh-epoch trial where the stock selector picked the chain end e.
-    rec = None
+    series = sim.series
     for _ in range(3000):
-        r = sim.run_trial()
-        if r.goal == "e" and r.state_key == "000000/0":
-            rec = r
+        sim.run_trial()
+        if series.goal[-1] == "e" and series.state_key[-1] == "000000/0":
             break
-    assert rec is not None
-    assert rec.achievable is False and rec.achieved is False and rec.reward == 0.0
+    else:
+        raise AssertionError("no fresh-epoch trial selected e")
+    assert series.achievable[-1] == 0 and series.achieved[-1] == 0 and series.reward[-1] == 0.0
 
 
 def test_gate_blocks_expert_learning_in_context_systems():
@@ -192,8 +192,8 @@ def test_gate_blocks_expert_learning_in_context_systems():
     before = [[e.competence for e in pair] for pair in sim.experts]
     # First trial from all-off: whatever is selected has prediction 0. If the
     # attempt fails, the gate must leave the attempted expert untouched.
-    rec = sim.run_trial()
-    if not rec.achieved:
+    sim.run_trial()
+    if not sim.series.achieved[-1]:
         after = [[e.competence for e in pair] for pair in sim.experts]
         assert after == before
 
@@ -507,21 +507,45 @@ def test_parallel_jobs_match_serial(tmp_path):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_trials_csv_rows_are_the_trial_records_of_run_trial(tmp_path, jobs):
     # trial, epoch and replication are derived when the columns are written;
-    # the per-trial API must see the same trials, in the same order.
+    # each row must be the trial that run_trial appended to its replication's
+    # series, in the same order, with trial, epoch and replication derived here.
     cfg = small_cfg(3, 300, system="m_grail", seed=8, jobs=jobs, out_dir=str(tmp_path))
     run_experiment(cfg)
     with open(tmp_path / "trials.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     expected = [["replication", "trial", "epoch", "state_key", "goal",
                  "achievable", "achieved", "reward", "steps"]]
+    per_epoch = cfg.scenario.trials_per_epoch
     for rep in range(cfg.replications):
-        sim = Simulation(cfg, seed=cfg.seed + rep, replication=rep)
-        for _ in range(cfg.scenario.total_trials):
-            r = sim.run_trial()
-            expected.append([str(r.replication), str(r.trial), str(r.epoch), r.state_key, r.goal,
-                             str(int(r.achievable)), str(int(r.achieved)), repr(r.reward), str(r.steps)])
+        s = Simulation(cfg, seed=cfg.seed + rep, replication=rep).run()
+        assert s.replication == rep
+        columns = zip(s.state_key, s.goal, s.achievable, s.achieved, s.reward, s.steps, strict=True)
+        for i, (key, goal, achievable, achieved, reward, steps) in enumerate(columns):
+            expected.append([str(rep), str(i + 1), str(i // per_epoch), key, goal,
+                             str(achievable), str(achieved), repr(reward), str(steps)])
     assert len(rows) == 1 + 2 * 300
     assert rows == expected
+
+
+def test_run_trial_appends_to_every_column_and_run_returns_the_series():
+    cfg = small_cfg(3, 42, system="m_grail", seed=2)
+    sim = Simulation(cfg, seed=2, replication=4)
+    series = sim.series
+    columns = (series.state_key, series.goal, series.achievable, series.achieved,
+               series.reward, series.steps)
+    assert series.replication == 4
+    assert series.competence == series.wasted == series.value_rows == []
+    assert [type(c) for c in columns[:4]] == [list, list, bytearray, bytearray]
+    assert (series.reward.typecode, series.steps.typecode) == ("d", "q")
+    for k in range(1, 8):
+        assert sim.run_trial() is None
+        assert [len(c) for c in columns] == [k] * 6
+    assert not hasattr(sim, "trial")
+
+    fresh = Simulation(cfg, seed=2, replication=4)
+    assert fresh.run() is fresh.series
+    assert [len(c) for c in (fresh.series.goal, fresh.series.steps)] == [42, 42]
+    assert fresh.series.goal[:7] == series.goal and fresh.series.reward[:7] == series.reward
 
 
 def test_uniform_block_gives_the_scalar_draws_of_its_generator():
@@ -553,7 +577,7 @@ def test_a_replication_keeps_its_trials_in_under_100_bytes_each():
     finally:
         tracemalloc.stop()
     assert len(series.goal) == 6000
-    assert kept / 6000 <= 100  # one TrialRecord per trial kept 191
+    assert kept / 6000 <= 100  # one record object per trial kept 191
 
 
 # -- actor-critic integration --------------------------------------------------------
@@ -565,9 +589,9 @@ def test_actor_critic_backend_trial_records():
                            replications=1, eval_interval=6, eval_trials=2)
     sim = Simulation(cfg, seed=0)
     for _ in range(6):
-        rec = sim.run_trial()
-        assert 1 <= rec.steps <= 40
-        assert rec.achievable  # scenario 1: everything always achievable
+        sim.run_trial()
+        assert 1 <= sim.series.steps[-1] <= 40
+        assert sim.series.achievable[-1]  # scenario 1: everything always achievable
 
 
 def test_actor_critic_rollout_trajectory_is_unbroken():
@@ -619,10 +643,10 @@ def test_actor_critic_training_trajectory_is_steps_pairs(monkeypatch):
     outcomes = set()
     for _ in range(12):
         calls.clear()
-        rec = sim.run_trial()
+        sim.run_trial()
         [(traj, success)] = calls
-        assert success is rec.achieved
-        assert len(traj) == rec.steps
+        assert success is bool(sim.series.achieved[-1])
+        assert len(traj) == sim.series.steps[-1]
         for step in traj:
             assert type(step) is tuple and len(step) == 2
             feat, action = step
@@ -662,8 +686,8 @@ def test_actor_critic_rollout_computes_features_once_per_step(monkeypatch):
     sim = Simulation(cfg, seed=2)
     for _ in range(8):
         calls.clear()
-        rec = sim.run_trial()
-        assert len(calls) == rec.steps
+        sim.run_trial()
+        assert len(calls) == sim.series.steps[-1]
     for arm_index in (0, 1):
         expert = sim.experts[0][arm_index]
         for trained in (False, True):

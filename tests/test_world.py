@@ -331,7 +331,10 @@ def test_spec_with_warm_caches_survives_pickling():
     cold = Simulation(ExperimentConfig(scenario=3, system="m_grail"), seed=9)
     thawed = Simulation(replace(cfg, scenario=copy), seed=9)
     for _ in range(300):
-        assert thawed.run_trial() == cold.run_trial()
+        thawed.run_trial()
+        cold.run_trial()
+    assert len(cold.series.goal) == 300
+    assert thawed.series == cold.series
 
 
 # -- reset -------------------------------------------------------------------
