@@ -16,9 +16,10 @@ from lightup.cli import main as cli_main
 
 
 def summarize(result, name):
-    finals = [s.final_competence() for s in result.replications]
-    mean_final = {lab: sum(f[lab] for f in finals) / len(finals) for lab in finals[0]}
-    wasted = sum(s.wasted[-1][1] for s in result.replications) / len(result.replications)
+    finals = [s.competence[-1] for s in result.replications]
+    mean_final = {lab: sum(f[g] for f in finals) / len(finals)
+                  for g, lab in enumerate(result.config.scenario.labels)}
+    wasted = sum(s.achievable.count(0) for s in result.replications) / len(result.replications)
     pretty = " ".join(f"{lab}={v:.2f}" for lab, v in sorted(mean_final.items()))
     print(f"{name:22s} final competence {pretty}  mean wasted {wasted:.0f}")
     return mean_final

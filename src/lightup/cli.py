@@ -98,9 +98,9 @@ def cmd_run(args) -> int:
     log.info("running %s on scenario %s: %d replications x %d trials",
              cfg.system, cfg.scenario.name, cfg.replications, cfg.scenario.total_trials)
     result = exp.run_experiment(cfg)
-    finals = result.replications[0].final_competence()
+    finals = zip(cfg.scenario.labels, result.replications[0].competence[-1])
     log.info("replication 0 final competence: %s",
-             " ".join(f"{k}={v:.2f}" for k, v in sorted(finals.items())))
+             " ".join(f"{k}={v:.2f}" for k, v in sorted(finals)))
     print(f"wrote {cfg.out_dir}/trials.csv, competence.csv, wasted.csv (+ _agg, run.yaml)")
     return 0
 

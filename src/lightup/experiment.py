@@ -187,32 +187,26 @@ class ExperimentConfig:
 class ReplicationSeries:
     """Everything recorded for one replication. Entry i of each trial column
     (``state_key`` to ``steps``) is trial i + 1, of epoch i // trials_per_epoch;
-    ``Simulation.run_trial`` appends to them and ``Simulation.run`` records
-    each evaluation point."""
+    ``Simulation.run_trial`` appends to them. Entry i of ``competence`` holds
+    each goal's competence, in goal order, at ``evaluation_points(cfg)[i]``;
+    the waste up to trial t is ``achievable.count(0, 0, t)``."""
 
     replication: int
-    state_key: list[str]
-    goal: list[str]
-    achievable: bytearray
-    achieved: bytearray
-    reward: array  # 'd'
-    steps: array   # 'q'
-    competence: list[tuple[int, str, float]] = field(default_factory=list)  # (trial_index, goal, value)
-    wasted: list[tuple[int, int]] = field(default_factory=list)             # (interval_end, count)
+    state_key: list[str] = field(default_factory=list)
+    goal: list[str] = field(default_factory=list)
+    achievable: bytearray = field(default_factory=bytearray)
+    achieved: bytearray = field(default_factory=bytearray)
+    reward: array = field(default_factory=lambda: array("d"))
+    steps: array = field(default_factory=lambda: array("q"))
+    competence: list[list[float]] = field(default_factory=list)
     value_rows: list[tuple[int, str, int, float]] = field(default_factory=list)
 
-    def competence_at(self, trial_index: int) -> dict[str, float]:
-        return {label: v for t, label, v in self.competence if t == trial_index}
 
-    def final_competence(self) -> dict[str, float]:
-        last = max(t for t, _, _ in self.competence)
-        return self.competence_at(last)
-
-    def cumulative_wasted_at(self, trial_index: int) -> int:
-        for end, count in self.wasted:
-            if end == trial_index:
-                return count
-        raise KeyError(f"no wasted-count row at trial {trial_index}")
+def evaluation_points(cfg: ExperimentConfig) -> list[int]:
+    """The trials after which competence is measured: trial 0 (before the
+    first trial), every ``eval_interval`` trials and the last trial."""
+    total = cfg.scenario.total_trials
+    return [*range(0, total, cfg.eval_interval), total]
 
 
 class UniformBlock:
@@ -239,8 +233,7 @@ class Simulation:
     def __init__(self, cfg: ExperimentConfig, seed: int, replication: int = 0):
         self.spec = spec = cfg.scenario
         self.cfg = cfg
-        self.series = ReplicationSeries(replication, [], [], bytearray(), bytearray(),
-                                        array("d"), array("q"))
+        self.series = ReplicationSeries(replication)
         self.idealized = cfg.backend == "idealized"  # read on every trial
         gen = np.random.default_rng(seed)  # the actor-critic backend also draws normals
         self.rng = UniformBlock(gen) if self.idealized else gen
@@ -381,8 +374,8 @@ class Simulation:
 
     # -- evaluation ----------------------------------------------------------
 
-    def measure_competence(self, goal: "int | str") -> float:
-        """Current skill level for a goal; never updates any learner.
+    def measure_competence(self, goal: int) -> float:
+        """Current skill level for a goal index; never updates any learner.
 
         Idealized backend: the competence of the arm the expert selector
         would pick greedily. Actor-critic: the success rate of that arm's
@@ -391,7 +384,6 @@ class Simulation:
         rollout starts from the home posture and draws no noise, so all of
         them are the same rollout and the result is always 0 or 1.
         """
-        goal = self.spec.goal_index(goal)
         arm_index = self.selectors[goal].greedy()
         if self.idealized:
             return float(self.experts[goal][arm_index].competence)
@@ -412,25 +404,24 @@ class Simulation:
 
     def run(self) -> ReplicationSeries:
         """Run every trial into ``self.series`` and return it, measuring
-        competence before the first trial and at each evaluation point:
-        every ``eval_interval`` trials and the last trial.
-        An evaluation point also records the cumulative waste, the value
-        table (with ``dump_values``) and one progress log line.
+        competence at each of ``evaluation_points(cfg)``. A point after
+        trial 0 also records the value table (with ``dump_values``) and
+        logs one progress line.
         """
-        spec, cfg, series = self.spec, self.cfg, self.series
-        series.competence.extend((0, label, self.measure_competence(label)) for label in spec.labels)
-        for t in range(1, spec.total_trials + 1):
-            self.run_trial()
-            if t % cfg.eval_interval != 0 and t != spec.total_trials:
+        cfg, series = self.cfg, self.series
+        goals = range(self.spec.n_goals)
+        for t in evaluation_points(cfg):
+            for _ in range(t - len(series.goal)):
+                self.run_trial()
+            values = [self.measure_competence(g) for g in goals]
+            series.competence.append(values)
+            if t == 0:
                 continue
-            values = [self.measure_competence(label) for label in spec.labels]
-            series.competence.extend((t, label, v) for label, v in zip(spec.labels, values))
-            series.wasted.append((t, series.achievable.count(0)))
             if cfg.dump_values:
                 series.value_rows.extend((t, key_text, g, v) for key_text, g, v in self.strategy.dump_rows())
             log.info("replication %d, trial %d/%d: mean competence %.3f, cumulative waste %d",
-                     series.replication, t, spec.total_trials,
-                     sum(values) / len(values), series.wasted[-1][1])
+                     series.replication, t, self.spec.total_trials,
+                     sum(values) / len(values), series.achievable.count(0))
         return series
 
 
@@ -459,25 +450,6 @@ def _replication_worker(args) -> ReplicationSeries:
     return Simulation(cfg, seed=seed, replication=rep).run()
 
 
-def aggregate_rows(tables: list[list[tuple]], what: str) -> list[tuple]:
-    """Mean and 95% band of each row's last value over the replications.
-
-    ``tables`` holds one row list per replication, ``what`` names the rows
-    in errors. Every replication records the same rows (all but the value)
-    in the same order, so the rows are read side by side; a replication
-    whose rows differ in number or order raises NumericsError.
-    """
-    if len({len(rows) for rows in tables}) > 1:
-        raise NumericsError(f"replications recorded different numbers of {what} rows")
-    agg = []
-    for rows in zip(*tables):
-        key = rows[0][:-1]
-        if any(row[:-1] != key for row in rows):
-            raise NumericsError(f"replications disagree on {what} row {key}")
-        agg.append(key + _mean_ci(np.array([float(row[-1]) for row in rows])))
-    return agg
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all replications, aggregate, and (if configured) write CSV output.
 
@@ -501,10 +473,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     else:
         series = [_replication_worker(job) for job in jobs]
 
+    # One 1-D array per point and goal: a 2-D mean over axis 0 would sum
+    # in another order and change the bits.
+    points = evaluation_points(cfg)
     result = ExperimentResult(
         cfg, series,
-        aggregate_rows([s.competence for s in series], "competence"),
-        aggregate_rows([s.wasted for s in series], "wasted"),
+        [(t, label) + _mean_ci(np.array([s.competence[i][g] for s in series]))
+         for i, t in enumerate(points) for g, label in enumerate(cfg.scenario.labels)],
+        [(t,) + _mean_ci(np.array([float(s.achievable.count(0, 0, t)) for s in series]))
+         for t in points[1:]],
     )
     if cfg.out_dir:
         write_outputs(result, cfg.out_dir)
@@ -544,10 +521,12 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
                            map(floordiv, range(len(s.goal)), repeat(per_epoch)),
                            s.state_key, s.goal, s.achievable, s.achieved, s.reward, s.steps)
                        for s in reps))
+        points, labels = evaluation_points(cfg), cfg.scenario.labels
         _write_csv(tmp, "competence.csv", ["replication", "trial_index", "goal", "competence"],
-                   ([s.replication, t, label, repr(float(v))] for s in reps for t, label, v in s.competence))
+                   ([s.replication, t, label, repr(v)]
+                    for s in reps for t, row in zip(points, s.competence) for label, v in zip(labels, row)))
         _write_csv(tmp, "wasted.csv", ["replication", "interval_end", "cumulative_wasted"],
-                   ([s.replication, end, count] for s in reps for end, count in s.wasted))
+                   ([s.replication, t, s.achievable.count(0, 0, t)] for s in reps for t in points[1:]))
         _write_csv(tmp, "competence_agg.csv", ["trial_index", "goal", "mean", "ci_low", "ci_high"],
                    ([t, label, repr(mean), repr(lo), repr(hi)]
                     for t, label, mean, lo, hi in result.competence_agg))

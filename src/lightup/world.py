@@ -182,12 +182,10 @@ class ScenarioSpec:
         off = (False,) * self.n_goals
         return tuple(self._states.setdefault(s, s) for s in (WorldState(off, 0.0), WorldState(off, 1.0)))
 
-    def goal_index(self, goal: "int | str | Goal") -> int:
-        """Normalize an index, label, or Goal to the goal index."""
+    def goal_index(self, goal: "int | str") -> int:
+        """Normalize an index or label to the goal index."""
         if type(goal) is int and 0 <= goal < self.n_goals:
             return goal
-        if isinstance(goal, Goal):
-            goal = goal.index
         if isinstance(goal, str):
             try:
                 return self.labels.index(goal)
@@ -200,7 +198,7 @@ class ScenarioSpec:
 
     # -- core dynamics ---------------------------------------------------
 
-    def is_achievable(self, goal: "int | str | Goal", state: WorldState) -> bool:
+    def is_achievable(self, goal: "int | str", state: WorldState) -> bool:
         """Whether touching the goal's sphere right now would activate it.
 
         A sphere that is already on is not achievable again within the
@@ -211,7 +209,7 @@ class ScenarioSpec:
         return (not on & (bit | blocked) and on & requires == requires
                 and (context is None or context == state.context_feature))
 
-    def apply_touch(self, goal: "int | str | Goal", state: WorldState) -> tuple[WorldState, bool]:
+    def apply_touch(self, goal: "int | str", state: WorldState) -> tuple[WorldState, bool]:
         """Touch a sphere: activate it iff achievable. No other sphere changes.
 
         Returns (state after the touch, whether the sphere lit up). The result

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lightup.experiment import SYSTEMS, ExperimentConfig, Simulation, run_experiment
+from lightup.experiment import SYSTEMS, ExperimentConfig, Simulation, evaluation_points, run_experiment
 from lightup.motivation import AchievementPredictor
 from lightup.selection import SelectionStrategy, softmax_probabilities
 from lightup.skills import ActorCriticConfig, ActorCriticExpert, IdealizedExpert
@@ -41,7 +41,6 @@ def run_system(scenario_id: int, system: str):
     cfg = ExperimentConfig(scenario=scenario_id, system=system,
                            replications=REPS, seed=SEED)
     return [Simulation(cfg, seed=SEED + r, replication=r).run() for r in range(REPS)]
-
 
 @pytest.fixture(scope="module")
 def s1_grail():
@@ -73,7 +72,7 @@ def s3_mgrail():
 
 def test_a1_bandit_masters_independent_tasks(s1_grail):
     passing = sum(1 for s in s1_grail
-                  if all(v >= 0.95 for v in s.final_competence().values()))
+                  if all(v >= 0.95 for v in s.competence[-1]))
     ok = passing >= 9
     assert report("A1", ok, f"grail on scenario 1: all-6 goals >=0.95 in {passing}/10 replications")
 
@@ -83,9 +82,9 @@ def test_a1_bandit_masters_independent_tasks(s1_grail):
 
 def test_a2_contextual_bandit_beats_plain_bandit(s2_cgrail, s2_grail):
     c_pass = sum(1 for s in s2_cgrail
-                 if all(v >= 0.9 for v in s.final_competence().values()))
+                 if all(v >= 0.9 for v in s.competence[-1]))
     g_pass = sum(1 for s in s2_grail
-                 if sum(1 for v in s.final_competence().values() if v > 0.8) <= 4)
+                 if sum(1 for v in s.competence[-1] if v > 0.8) <= 4)
     ok = c_pass >= 9 and g_pass >= 9
     assert report(
         "A2", ok,
@@ -97,10 +96,11 @@ def test_a2_contextual_bandit_beats_plain_bandit(s2_cgrail, s2_grail):
 
 
 def test_a3_markov_selection_learns_chain_ends(s3_mgrail, s3_cgrail):
+    a, e = map(builtin_scenario(3).goal_index, "ae")
     m_pass = sum(1 for s in s3_mgrail
-                 if all(v >= 0.85 for v in s.final_competence().values()))
+                 if all(v >= 0.85 for v in s.competence[-1]))
     c_fail = sum(1 for s in s3_cgrail
-                 if s.final_competence()["a"] < 0.8 and s.final_competence()["e"] < 0.8)
+                 if s.competence[-1][a] < 0.8 and s.competence[-1][e] < 0.8)
     ok = m_pass >= 9 and c_fail >= 6
     assert report(
         "A3", ok,
@@ -113,7 +113,7 @@ def test_a3_markov_selection_learns_chain_ends(s3_mgrail, s3_cgrail):
 
 def test_a4_markov_wastes_fewer_trials_first_half(s3_mgrail, s3_cgrail):
     pairs = sum(1 for m, c in zip(s3_mgrail, s3_cgrail)
-                if m.cumulative_wasted_at(3000) < c.cumulative_wasted_at(3000))
+                if m.achievable.count(0, 0, 3000) < c.achievable.count(0, 0, 3000))
     ok = pairs >= 8
     assert report("A4.1", ok,
                   f"m_grail cumulative waste at trial 3000 below c_grail's in {pairs}/10 pairs")
@@ -142,26 +142,20 @@ def test_a4_wasted_rate_low_until_mastery(s3_mgrail, s3_cgrail):
     The comparison is made at t* only: per interval, ties in the first few
     intervals bring the cold-start fault back.
     """
-    interval = 50
+    cfg = ExperimentConfig(scenario=3, system="m_grail", replications=REPS, seed=SEED)
+    points, interval = evaluation_points(cfg), cfg.eval_interval
     rep_ok = 0
     for m, c in zip(s3_mgrail, s3_cgrail):
-        eval_points = sorted({t for t, _, _ in m.competence})
-        t_star = next((t for t in eval_points
-                       if all(v > 0.8 for v in m.competence_at(t).values())), None)
+        t_star = next((t for t, row in zip(points, m.competence)
+                       if all(v > 0.8 for v in row)), None)
         if t_star is None:
             print(f"A4.2 replication {m.replication}: no mastery point")
             continue
-        m_wasted, c_wasted = m.cumulative_wasted_at(t_star), c.cumulative_wasted_at(t_star)
+        m_wasted, c_wasted = m.achievable.count(0, 0, t_star), c.achievable.count(0, 0, t_star)
         if m_wasted < c_wasted:
             rep_ok += 1
-        prev = 0
-        over = 0
-        for end, cum in m.wasted:
-            if end > t_star:
-                break
-            if (cum - prev) / interval >= 0.10:
-                over += 1
-            prev = cum
+        over = sum(m.achievable.count(0, start, end) / interval >= 0.10
+                   for start, end in zip(points, points[1:]) if end <= t_star)
         print(f"A4.2 replication {m.replication}: mastery at {t_star}, waste rate until then "
               f"m_grail {m_wasted / t_star:.2f} vs c_grail {c_wasted / t_star:.2f}, "
               f"{over} of {t_star // interval} intervals over 10%")

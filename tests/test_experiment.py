@@ -3,6 +3,7 @@
 import csv
 import logging
 import os
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +14,13 @@ from lightup.errors import ConfigError, NumericsError
 from lightup.experiment import (
     ARMS,
     ExperimentConfig,
+    ReplicationSeries,
     Simulation,
     UniformBlock,
     _mean_ci,
-    aggregate_rows,
     config_from_dict,
     config_to_dict,
+    evaluation_points,
     load_config,
     run_experiment,
 )
@@ -224,7 +226,7 @@ def test_untrained_competence_is_init_constant():
     spec = cfg.scenario
     sim = Simulation(cfg, seed=0)
     for label in spec.labels:
-        assert sim.measure_competence(label) == pytest.approx(0.02)
+        assert sim.measure_competence(spec.goal_index(label)) == pytest.approx(0.02)
 
 
 def test_trained_competence_reads_greedy_arm():
@@ -241,14 +243,14 @@ def test_trained_competence_reads_greedy_arm():
 def test_scenario1_has_zero_wasted_trials():
     cfg = small_cfg(1, 500, replications=1)
     series = Simulation(cfg, seed=0).run()
-    assert series.cumulative_wasted_at(500) == 0
-    assert series.wasted[-1] == (500, 0)
+    assert len(series.achievable) == 500
+    assert series.achievable.count(0) == 0
 
 
 def test_scenario2_grail_wastes_about_half_early():
     cfg = ExperimentConfig(scenario=2, system="grail", seed=0)
     series = Simulation(cfg, seed=11).run()
-    early = series.cumulative_wasted_at(400)
+    early = series.achievable.count(0, 0, 400)
     # Context-blind selection over balanced contexts wastes ~half.
     assert 120 <= early <= 280
 
@@ -256,17 +258,31 @@ def test_scenario2_grail_wastes_about_half_early():
 def test_wasted_rows_count_unachievable_records():
     cfg = small_cfg(2, 230, system="grail", replications=1)
     series = Simulation(cfg, seed=0).run()
-    assert [end for end, _ in series.wasted] == [50, 100, 150, 200, 230]
-    for end, count in series.wasted:
-        assert count == sum(1 for achievable in series.achievable[:end] if not achievable)
-    assert series.wasted[-1][1] > 0
+    ends = evaluation_points(cfg)[1:]
+    assert ends == [50, 100, 150, 200, 230]
+    for end in ends:
+        assert series.achievable.count(0, 0, end) == sum(1 for a in series.achievable[:end] if not a)
+    assert series.achievable.count(0, 0, 230) > 0
 
 
 def test_wasted_series_cumulative_nondecreasing():
     cfg = small_cfg(3, 600, system="c_grail", replications=1)
     series = Simulation(cfg, seed=0).run()
-    counts = [c for _, c in series.wasted]
+    counts = [series.achievable.count(0, 0, t) for t in evaluation_points(cfg)]
     assert counts == sorted(counts)
+
+
+# -- evaluation schedule -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("trials, interval, points", [
+    (3000, 50, list(range(0, 3001, 50))),
+    (603, 50, list(range(0, 601, 50)) + [603]),
+    (1, 1, [0, 1]),
+    (30, 50, [0, 30]),
+])
+def test_evaluation_points_are_trial_0_every_interval_and_the_last_trial(trials, interval, points):
+    assert evaluation_points(small_cfg(1, trials, eval_interval=interval)) == points
 
 
 # -- aggregation and output ------------------------------------------------------------
@@ -345,7 +361,7 @@ def test_idealized_trial_keys_its_state_once(sid, system, monkeypatch):
 def test_aggregate_ci_matches_hand_computation():
     cfg = small_cfg(1, 100, replications=4, seed=20)
     result = run_experiment(cfg)
-    finals = np.array([s.final_competence()["a"] for s in result.replications])
+    finals = np.array([s.competence[-1][cfg.scenario.goal_index("a")] for s in result.replications])
     row = next(r for r in result.competence_agg if r[0] == 100 and r[1] == "a")
     mean, lo, hi = row[2:]
     se = finals.std(ddof=1) / np.sqrt(len(finals))
@@ -354,42 +370,25 @@ def test_aggregate_ci_matches_hand_computation():
     assert hi == pytest.approx(finals.mean() + 1.96 * se)
 
 
-def competence_agg_by_lookup(series, labels):
-    """The aggregation as a per-(trial, goal) lookup in every replication."""
-    eval_points = [t for t, label, _ in series[0].competence if label == labels[0]]
-    agg = []
-    for t in eval_points:
-        for label in labels:
-            values = np.array([s.competence_at(t)[label] for s in series])
-            agg.append((t, label) + _mean_ci(values))
-    return agg
+def read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
-def test_aggregate_rows_matches_per_row_lookup():
-    # 603 trials: eval rows every 50 trials plus a last one at 603.
-    result = run_experiment(small_cfg(3, 603, replications=3, seed=11, system="m_grail"))
-    expected = competence_agg_by_lookup(result.replications, result.config.scenario.labels)
-    assert [row[:2] for row in expected][-7:] == [(600, "f")] + [(603, lab) for lab in "abcdef"]
-    assert result.competence_agg == expected
-    ends = [end for end, _ in result.replications[0].wasted]
-    assert ends[-2:] == [600, 603]
-    assert result.wasted_agg == [
-        (end,) + _mean_ci(np.array([float(s.cumulative_wasted_at(end)) for s in result.replications]))
-        for end in ends
-    ]
-
-
-def test_aggregate_rows_rejects_replications_out_of_step():
-    series = run_experiment(small_cfg(3, 150, replications=3, seed=12)).replications
-    for what in ("competence", "wasted"):
-        tables = [getattr(s, what) for s in series]
-        rows = tables[1]
-        rows[1], rows[2] = rows[2], rows[1]
-        with pytest.raises(NumericsError, match=f"disagree on {what} row"):
-            aggregate_rows(tables, what)
-        del rows[-1]
-        with pytest.raises(NumericsError, match=f"numbers of {what} rows"):
-            aggregate_rows(tables, what)
+def test_agg_rows_are_per_point_means_of_the_replication_rows(tmp_path):
+    # 603 trials: evaluation points every 50 trials plus a last one at 603.
+    result = run_experiment(small_cfg(3, 603, replications=3, seed=11, system="m_grail",
+                                      out_dir=str(tmp_path)))
+    competence = defaultdict(list)
+    for row in read_csv(tmp_path / "competence.csv"):
+        competence[int(row["trial_index"]), row["goal"]].append(float(row["competence"]))
+    assert list(competence)[-7:] == [(600, "f")] + [(603, lab) for lab in "abcdef"]
+    assert result.competence_agg == [key + _mean_ci(np.array(v)) for key, v in competence.items()]
+    wasted = defaultdict(list)
+    for row in read_csv(tmp_path / "wasted.csv"):
+        wasted[int(row["interval_end"])].append(float(row["cumulative_wasted"]))
+    assert list(wasted)[-2:] == [600, 603]
+    assert result.wasted_agg == [(end,) + _mean_ci(np.array(v)) for end, v in wasted.items()]
 
 
 def test_csv_outputs_and_columns(tmp_path):
@@ -473,11 +472,12 @@ def test_progress_logs_one_line_per_replication_and_interval(tmp_path, caplog):
         result = run_experiment(small_cfg(3, 120, system="m_grail", seed=8, out_dir=str(loud)))
     lines = [r.getMessage() for r in caplog.records if r.name == "lightup.experiment"]
     expected = []
+    points = evaluation_points(result.config)
     for s in result.replications:
-        for end, count in s.wasted:
-            values = list(s.competence_at(end).values())
+        for end, values in zip(points[1:], s.competence[1:], strict=True):
             expected.append(f"replication {s.replication}, trial {end}/120: "
-                            f"mean competence {sum(values) / len(values):.3f}, cumulative waste {count}")
+                            f"mean competence {sum(values) / len(values):.3f}, "
+                            f"cumulative waste {s.achievable.count(0, 0, end)}")
     assert lines == expected and len(lines) == 6
     assert sorted(os.listdir(quiet)) == sorted(os.listdir(loud))
     for name in os.listdir(quiet):
@@ -509,7 +509,8 @@ def test_trials_csv_rows_are_the_trial_records_of_run_trial(tmp_path, jobs):
     # trial, epoch and replication are derived when the columns are written;
     # each row must be the trial that run_trial appended to its replication's
     # series, in the same order, with trial, epoch and replication derived here.
-    cfg = small_cfg(3, 300, system="m_grail", seed=8, jobs=jobs, out_dir=str(tmp_path))
+    # 603 trials: the last evaluation point is off the 50-trial interval.
+    cfg = small_cfg(3, 603, system="m_grail", seed=8, jobs=jobs, out_dir=str(tmp_path))
     run_experiment(cfg)
     with open(tmp_path / "trials.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -523,8 +524,19 @@ def test_trials_csv_rows_are_the_trial_records_of_run_trial(tmp_path, jobs):
         for i, (key, goal, achievable, achieved, reward, steps) in enumerate(columns):
             expected.append([str(rep), str(i + 1), str(i // per_epoch), key, goal,
                              str(achievable), str(achieved), repr(reward), str(steps)])
-    assert len(rows) == 1 + 2 * 300
+    assert len(rows) == 1 + 2 * 603
     assert rows == expected
+    # Each wasted.csv row is the number of unachievable trials.csv rows of
+    # its replication up to its interval end.
+    wasted = read_csv(tmp_path / "wasted.csv")
+    ends = evaluation_points(cfg)[1:]
+    assert ends[-2:] == [600, 603]
+    assert [(row["replication"], int(row["interval_end"])) for row in wasted] == [
+        (str(rep), end) for rep in range(cfg.replications) for end in ends]
+    for row in wasted:
+        assert int(row["cumulative_wasted"]) == sum(
+            1 for r in rows[1:]
+            if r[0] == row["replication"] and int(r[1]) <= int(row["interval_end"]) and r[5] == "0")
 
 
 def test_run_trial_appends_to_every_column_and_run_returns_the_series():
@@ -533,8 +545,7 @@ def test_run_trial_appends_to_every_column_and_run_returns_the_series():
     series = sim.series
     columns = (series.state_key, series.goal, series.achievable, series.achieved,
                series.reward, series.steps)
-    assert series.replication == 4
-    assert series.competence == series.wasted == series.value_rows == []
+    assert series == ReplicationSeries(4)
     assert [type(c) for c in columns[:4]] == [list, list, bytearray, bytearray]
     assert (series.reward.typecode, series.steps.typecode) == ("d", "q")
     for k in range(1, 8):
@@ -544,6 +555,9 @@ def test_run_trial_appends_to_every_column_and_run_returns_the_series():
 
     fresh = Simulation(cfg, seed=2, replication=4)
     assert fresh.run() is fresh.series
+    # One competence row per evaluation point, trial 0 and 42, in goal order.
+    assert len(fresh.series.competence) == len(evaluation_points(cfg)) == 2
+    assert fresh.series.competence[-1] == [fresh.measure_competence(g) for g in range(6)]
     assert [len(c) for c in (fresh.series.goal, fresh.series.steps)] == [42, 42]
     assert fresh.series.goal[:7] == series.goal and fresh.series.reward[:7] == series.reward
 
@@ -794,7 +808,7 @@ def test_actor_critic_measure_competence_leaves_parameters_unchanged():
     before = [[e.snapshot() for e in pair] for pair in sim.experts]
     rng_before = sim.rng.bit_generator.state
     for label in spec.labels:
-        v = sim.measure_competence(label)
+        v = sim.measure_competence(spec.goal_index(label))
         assert 0.0 <= v <= 1.0
     assert sim.rng.bit_generator.state == rng_before  # evaluation draws no training noise
     after = [[e.snapshot() for e in pair] for pair in sim.experts]
