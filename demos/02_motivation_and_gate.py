@@ -18,7 +18,7 @@ epsilon = cfg.gate_epsilon
 
 def predictor():
     # State-blind, as grail keys it: the demo stays in one state anyway.
-    return AchievementPredictor(6, eta=cfg.predictor_eta, context_mode="none",
+    return AchievementPredictor(eta=cfg.predictor_eta, context_mode="none",
                                 clip_negative_reward=cfg.clip_reward)
 
 

@@ -10,18 +10,14 @@ import argparse
 import time
 
 from lightup import ExperimentConfig, Simulation
-from lightup.world import DependencyRule, Goal, ScenarioSpec
+from lightup.world import Goal, ScenarioSpec
 
 
 def single_goal_scenario(trials):
     return ScenarioSpec(
         name="single_reach",
-        goals=(Goal(0, "a", (0.0, 0.6)),),
-        rules=(DependencyRule(goal=0),),
-        context_prob_on=0.0,
-        trials_per_epoch=1,
+        goals=(Goal("a", (0.0, 0.6)),),
         total_trials=trials,
-        reset_policy="per_trial",
         context_mode="none",
     )
 

@@ -20,7 +20,6 @@ from .motivation import AchievementPredictor
 from .selection import SelectionStrategy, softmax_probabilities
 from .skills import ActorCriticConfig, ActorCriticExpert, ExpertSelector, IdealizedExpert
 from .world import (
-    DependencyRule,
     Goal,
     ScenarioSpec,
     WorldState,
@@ -37,7 +36,6 @@ __all__ = [
     "ActorCriticConfig",
     "ActorCriticExpert",
     "ConfigError",
-    "DependencyRule",
     "ExperimentConfig",
     "ExperimentResult",
     "ExpertSelector",

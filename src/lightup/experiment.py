@@ -140,7 +140,7 @@ class ExperimentConfig:
     dump_values: bool = False
 
     def __post_init__(self) -> None:
-        """Check the fields, then the scenario, which becomes a spec."""
+        """Check the fields, then resolve the scenario to a spec (which was checked when built)."""
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}; valid systems: {sorted(SYSTEMS)}")
         if self.backend not in BACKENDS:
@@ -165,15 +165,13 @@ class ExperimentConfig:
             raise ConfigError(f"arm: {exc}") from None
 
         sc = self.scenario
-        if isinstance(sc, ScenarioSpec):
-            sc.validate()
-        elif isinstance(sc, Mapping):
+        if isinstance(sc, Mapping):
             sc = scenario_from_dict(sc)
         elif isinstance(sc, int) and not isinstance(sc, bool):
             sc = builtin_scenario(sc)
         elif isinstance(sc, str):
             sc = builtin_scenario(int(sc)) if sc.isdigit() else load_scenario(sc)
-        else:
+        elif not isinstance(sc, ScenarioSpec):
             raise ConfigError(f"cannot interpret scenario reference {sc!r}")
         object.__setattr__(self, "scenario", sc)
 
@@ -245,8 +243,7 @@ class Simulation:
             n, cfg.resolved_temperature(), learning_rate, discount, context_mode
         )
         self.predictor = AchievementPredictor(
-            n, eta=cfg.predictor_eta, context_mode=context_mode,
-            clip_negative_reward=cfg.clip_reward,
+            eta=cfg.predictor_eta, context_mode=context_mode, clip_negative_reward=cfg.clip_reward,
         )
         self.use_gate = cfg.system != "grail"
         self.reset_every_trial = spec.reset_policy == "per_trial"
@@ -393,7 +390,7 @@ class Simulation:
         return successes / self.cfg.eval_trials
 
     def _forced_precondition_state(self, goal: int) -> WorldState:
-        rule = self.spec.rules[goal]
+        rule = self.spec.goals[goal]
         on = [False] * self.spec.n_goals
         for i in rule.requires_on:
             on[i] = True

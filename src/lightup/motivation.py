@@ -28,8 +28,7 @@ class AchievementPredictor:
     scenario's ``context_mode`` (``"none"`` for grail).
     """
 
-    def __init__(self, n_goals: int, eta: float, context_mode: str, clip_negative_reward: bool):
-        self.n_goals = n_goals
+    def __init__(self, eta: float, context_mode: str, clip_negative_reward: bool):
         self.eta = eta
         self.context_mode = context_mode
         self.clip_negative_reward = clip_negative_reward

@@ -1,4 +1,4 @@
-"""Sphere-activation world: goals, dependency rules, context feature, resets.
+"""Sphere-activation world: goals and their rules, context feature, resets.
 
 A scenario places a handful of spheres in the arm workspace. Touching a
 sphere activates it ("lights it up") only if its dependency rule is
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import graphlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Mapping
 
@@ -39,25 +39,19 @@ CONTEXT_MODES = ("none", "context_feature", "full_state")
 
 @dataclass(frozen=True)
 class Goal:
-    """One sphere the agent can learn to activate."""
+    """One sphere the agent can learn to activate, with its activation rule.
 
-    index: int
-    label: str
-    position: Point
-
-
-@dataclass(frozen=True)
-class DependencyRule:
-    """Activation conditions for one goal, evaluated on current state only.
-
-    ``requires_on`` spheres must all be active, no ``blocked_by`` sphere may
-    be active, and ``requires_context`` (if not None) must equal the context
-    feature. Mutual exclusion between two chains is encoded as the chain
-    starts blocking each other; the rest of the exclusion follows through
+    A goal's index is its position in ``ScenarioSpec.goals``. The rule is
+    evaluated on current state only: ``requires_on`` spheres (goal indices)
+    must all be active, no ``blocked_by`` sphere may be active, and
+    ``requires_context`` (if not None) must equal the context feature.
+    Mutual exclusion between two chains is encoded as the chain starts
+    blocking each other; the rest of the exclusion follows through
     ``requires_on`` transitivity.
     """
 
-    goal: int
+    label: str
+    position: Point
     requires_on: frozenset[int] = frozenset()
     blocked_by: frozenset[int] = frozenset()
     requires_context: float | None = None
@@ -133,19 +127,63 @@ def default_positions(n: int, radius: float = 0.6) -> tuple[Point, ...]:
 class ScenarioSpec:
     """Static description of one experimental scenario.
 
-    Exactly one DependencyRule per goal, index-aligned with ``goals``.
     ``context_mode`` declares what contextual input state-aware goal
-    selectors and predictors receive in this scenario.
+    selectors and predictors receive in this scenario. The scalars default
+    to what a scenario file that leaves them out gets. A spec is checked
+    when it is built (``replace`` builds a new one): a structural violation
+    raises ConfigError there, so a spec that exists is valid.
     """
 
-    name: str
     goals: tuple[Goal, ...]
-    rules: tuple[DependencyRule, ...]
-    context_prob_on: float
-    trials_per_epoch: int
-    total_trials: int
-    reset_policy: str
+    name: str = "custom"
+    context_prob_on: float = 0.0
+    trials_per_epoch: int = 1
+    total_trials: int = 3000
+    reset_policy: str = "per_trial"
     context_mode: str = "full_state"
+
+    def __post_init__(self) -> None:
+        """Raise ConfigError on any structural violation."""
+        labels = self.labels
+        if not labels:
+            raise ConfigError("scenario needs at least one goal")
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"duplicate goal labels in {labels}")
+        for i, goal in enumerate(self.goals):
+            label = goal.label
+            if len(goal.position) != 2 or not all(map(math.isfinite, goal.position)):
+                raise ConfigError(f"goal {label!r} position {goal.position} must be two finite numbers")
+            if i in goal.requires_on:
+                raise ConfigError(f"goal {label!r} requires itself")
+            if goal.requires_on & goal.blocked_by:
+                both = sorted(labels[j] for j in goal.requires_on & goal.blocked_by)
+                raise ConfigError(f"goal {label!r} both requires and is blocked by {both}")
+            for j in goal.requires_on | goal.blocked_by:
+                if not 0 <= j < self.n_goals:
+                    raise ConfigError(f"rule for {label!r} references goal index {j}")
+            if goal.requires_context is not None and goal.requires_context not in (0.0, 1.0):
+                raise ConfigError(
+                    f"goal {label!r} requires_context {goal.requires_context}; must be 0.0 or 1.0"
+                )
+        try:
+            graphlib.TopologicalSorter({i: goal.requires_on for i, goal in enumerate(self.goals)}).prepare()
+        except graphlib.CycleError as exc:
+            # The error's path follows the edges from a required goal to the
+            # goals that require it; reversed, each goal requires the next.
+            pretty = " -> ".join(labels[i] for i in reversed(exc.args[1]))
+            raise ConfigError(f"cyclic requires_on chain: {pretty}") from None
+        if not 0.0 <= self.context_prob_on <= 1.0:
+            raise ConfigError(f"context_prob_on {self.context_prob_on} outside [0, 1]")
+        if self.reset_policy not in RESET_POLICIES:
+            raise ConfigError(f"reset_policy {self.reset_policy!r}; expected one of {RESET_POLICIES}")
+        if self.context_mode not in CONTEXT_MODES:
+            raise ConfigError(f"context_mode {self.context_mode!r}; expected one of {CONTEXT_MODES}")
+        if self.trials_per_epoch < 1 or self.total_trials < 1:
+            raise ConfigError("trials_per_epoch and total_trials must be positive")
+        if self.total_trials % self.trials_per_epoch != 0:
+            raise ConfigError(
+                f"total_trials {self.total_trials} not divisible by trials_per_epoch {self.trials_per_epoch}"
+            )
 
     # -- lookups ---------------------------------------------------------
 
@@ -162,9 +200,9 @@ class ScenarioSpec:
     @cached_property
     def _rule_masks(self) -> tuple[tuple[int, int, int, float | None], ...]:
         """Each goal's rule as (its bit, requires_on bits, blocked_by bits, requires_context)."""
-        return tuple((1 << i, sum(1 << r for r in rule.requires_on),
-                      sum(1 << b for b in rule.blocked_by), rule.requires_context)
-                     for i, rule in enumerate(self.rules))
+        return tuple((1 << i, sum(1 << r for r in goal.requires_on),
+                      sum(1 << b for b in goal.blocked_by), goal.requires_context)
+                     for i, goal in enumerate(self.goals))
 
     @cached_property
     def _states(self) -> dict[WorldState, WorldState]:
@@ -229,79 +267,24 @@ class ScenarioSpec:
         """All spheres off; context feature redrawn (1.0 w.p. context_prob_on)."""
         return self._reset_states[rng.random() < self.context_prob_on]
 
-    # -- validation ------------------------------------------------------
-
-    def validate(self) -> None:
-        """Raise ConfigError on any structural violation."""
-        labels = self.labels
-        if not labels:
-            raise ConfigError("scenario needs at least one goal")
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"duplicate goal labels in {labels}")
-        if len(self.rules) != self.n_goals:
-            raise ConfigError(
-                f"expected exactly one rule per goal ({self.n_goals}), got {len(self.rules)}"
-            )
-        for i, rule in enumerate(self.rules):
-            if rule.goal != i:
-                raise ConfigError(f"rule {i} is for goal {rule.goal}; rules must be index-aligned")
-            if i in rule.requires_on:
-                raise ConfigError(f"goal {labels[i]!r} requires itself")
-            if rule.requires_on & rule.blocked_by:
-                both = sorted(labels[j] for j in rule.requires_on & rule.blocked_by)
-                raise ConfigError(f"goal {labels[i]!r} both requires and is blocked by {both}")
-            for j in rule.requires_on | rule.blocked_by:
-                if not 0 <= j < self.n_goals:
-                    raise ConfigError(f"rule for {labels[i]!r} references goal index {j}")
-            if rule.requires_context is not None and rule.requires_context not in (0.0, 1.0):
-                raise ConfigError(
-                    f"goal {labels[i]!r} requires_context {rule.requires_context}; must be 0.0 or 1.0"
-                )
-        try:
-            graphlib.TopologicalSorter({i: rule.requires_on for i, rule in enumerate(self.rules)}).prepare()
-        except graphlib.CycleError as exc:
-            # The error's path follows the edges from a required goal to the
-            # goals that require it; reversed, each goal requires the next.
-            pretty = " -> ".join(labels[i] for i in reversed(exc.args[1]))
-            raise ConfigError(f"cyclic requires_on chain: {pretty}") from None
-        if not 0.0 <= self.context_prob_on <= 1.0:
-            raise ConfigError(f"context_prob_on {self.context_prob_on} outside [0, 1]")
-        if self.reset_policy not in RESET_POLICIES:
-            raise ConfigError(f"reset_policy {self.reset_policy!r}; expected one of {RESET_POLICIES}")
-        if self.context_mode not in CONTEXT_MODES:
-            raise ConfigError(f"context_mode {self.context_mode!r}; expected one of {CONTEXT_MODES}")
-        if self.trials_per_epoch < 1 or self.total_trials < 1:
-            raise ConfigError("trials_per_epoch and total_trials must be positive")
-        if self.total_trials % self.trials_per_epoch != 0:
-            raise ConfigError(
-                f"total_trials {self.total_trials} not divisible by trials_per_epoch {self.trials_per_epoch}"
-            )
-
     def describe_dependencies(self) -> str:
         """Human-readable dependency graph, one arc per line."""
         lines = []
-        for rule in self.rules:
-            label = self.labels[rule.goal]
-            for r in sorted(rule.requires_on):
+        for goal in self.goals:
+            label = goal.label
+            for r in sorted(goal.requires_on):
                 lines.append(f"{self.labels[r]} -> {label}  (precondition)")
-            for b in sorted(rule.blocked_by):
+            for b in sorted(goal.blocked_by):
                 lines.append(f"{self.labels[b]} -| {label}  (blocks)")
-            if rule.requires_context is not None:
-                lines.append(f"cf={rule.requires_context:g} -> {label}  (context)")
+            if goal.requires_context is not None:
+                lines.append(f"cf={goal.requires_context:g} -> {label}  (context)")
         return "\n".join(lines) if lines else "(no dependencies)"
 
 
 # -- scenario files --------------------------------------------------------
 
-# Scenario-file scalars, which are also ScenarioSpec fields: key -> (type, default).
-_SCALARS = {
-    "name": (str, "custom"),
-    "context_prob_on": (float, 0.0),
-    "trials_per_epoch": (int, 1),
-    "total_trials": (int, 3000),
-    "reset_policy": (str, "per_trial"),
-    "context_mode": (str, "full_state"),
-}
+# Scenario-file scalars, which are ScenarioSpec's fields after goals: key -> (type, default).
+_SCALARS = {f.name: (type(f.default), f.default) for f in fields(ScenarioSpec)[1:]}
 _RULE_KEYS = ("goal", "requires_on", "blocked_by", "requires_context")
 
 
@@ -315,7 +298,7 @@ def _list(name: str, value) -> list:
 
 
 def scenario_from_dict(data: Mapping) -> ScenarioSpec:
-    """Build and validate a ScenarioSpec from a parsed mapping.
+    """Build a ScenarioSpec, which checks itself, from a parsed mapping.
 
     Expected keys mirror the ScenarioSpec fields; ``rules`` is a list of
     mappings naming goals by label, and goals without an entry get an empty
@@ -348,57 +331,45 @@ def scenario_from_dict(data: Mapping) -> ScenarioSpec:
             raise ConfigError(f"rule references unknown goal {lab!r}; goals are {labels}")
         return idx[lab]
 
-    rules = [DependencyRule(goal=i) for i in range(len(labels))]
-    seen: set[int] = set()
+    rules: dict[int, dict] = {}
     for n, entry in enumerate(_list("rules", data.get("rules"))):
         where = f"rules[{n}]"
         check_keys(where, entry, _RULE_KEYS)
         if "goal" not in entry:
             raise ConfigError(f"rule entry missing 'goal': {entry}")
         i = to_index(entry["goal"])
-        if i in seen:
+        if i in rules:
             raise ConfigError(f"multiple rules for goal {labels[i]!r}")
-        seen.add(i)
         ctx = entry.get("requires_context")
-        rules[i] = DependencyRule(
-            goal=i,
+        rules[i] = dict(
             requires_on=frozenset(map(to_index, _list(f"{where}.requires_on", entry.get("requires_on")))),
             blocked_by=frozenset(map(to_index, _list(f"{where}.blocked_by", entry.get("blocked_by")))),
             requires_context=None if ctx is None else cast(f"{where}.requires_context", ctx, float),
         )
-    spec = ScenarioSpec(
-        goals=tuple(Goal(i, lab, positions[i]) for i, lab in enumerate(labels)),
-        rules=tuple(rules),
+    return ScenarioSpec(
+        goals=tuple(Goal(lab, positions[i], **rules.get(i, {})) for i, lab in enumerate(labels)),
         **{key: cast(key, data.get(key, default), kind) for key, (kind, default) in _SCALARS.items()},
     )
-    spec.validate()
-    return spec
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
     """Inverse of scenario_from_dict (positions always written out)."""
     rules = []
-    for rule in spec.rules:
-        if not (rule.requires_on or rule.blocked_by or rule.requires_context is not None):
-            continue
-        entry: dict = {"goal": spec.labels[rule.goal]}
-        if rule.requires_on:
-            entry["requires_on"] = sorted(spec.labels[i] for i in rule.requires_on)
-        if rule.blocked_by:
-            entry["blocked_by"] = sorted(spec.labels[i] for i in rule.blocked_by)
-        if rule.requires_context is not None:
-            entry["requires_context"] = rule.requires_context
-        rules.append(entry)
+    for goal in spec.goals:
+        entry: dict = {"goal": goal.label}
+        if goal.requires_on:
+            entry["requires_on"] = sorted(spec.labels[i] for i in goal.requires_on)
+        if goal.blocked_by:
+            entry["blocked_by"] = sorted(spec.labels[i] for i in goal.blocked_by)
+        if goal.requires_context is not None:
+            entry["requires_context"] = goal.requires_context
+        if len(entry) > 1:
+            rules.append(entry)
     return {
-        "name": spec.name,
         "goals": list(spec.labels),
         "positions": {g.label: [g.position[0], g.position[1]] for g in spec.goals},
         "rules": rules,
-        "context_prob_on": spec.context_prob_on,
-        "trials_per_epoch": spec.trials_per_epoch,
-        "total_trials": spec.total_trials,
-        "reset_policy": spec.reset_policy,
-        "context_mode": spec.context_mode,
+        **{key: getattr(spec, key) for key in _SCALARS},
     }
 
 

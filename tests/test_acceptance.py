@@ -20,7 +20,6 @@ from lightup.motivation import AchievementPredictor
 from lightup.selection import SelectionStrategy, softmax_probabilities
 from lightup.skills import ActorCriticConfig, ActorCriticExpert, IdealizedExpert
 from lightup.world import (
-    DependencyRule,
     Goal,
     ScenarioSpec,
     WorldState,
@@ -241,12 +240,8 @@ def test_a5_q_learning_matches_value_iteration():
 def single_goal_scenario(trials=5000):
     return ScenarioSpec(
         name="single_reach",
-        goals=(Goal(0, "a", (0.0, 0.6)),),
-        rules=(DependencyRule(goal=0),),
-        context_prob_on=0.0,
-        trials_per_epoch=1,
+        goals=(Goal("a", (0.0, 0.6)),),
         total_trials=trials,
-        reset_policy="per_trial",
         context_mode="none",
     )
 
@@ -313,7 +308,7 @@ def test_a7_single_cell_update_isolation():
 
 def test_a7_predictor_range_preservation():
     rng = np.random.default_rng(3)
-    pred = AchievementPredictor(4, eta=0.35, context_mode="context_feature",
+    pred = AchievementPredictor(eta=0.35, context_mode="context_feature",
                                 clip_negative_reward=ExperimentConfig().clip_reward)
     for _ in range(3000):
         st = WorldState(sphere_on=(False,) * 4, context_feature=float(rng.integers(2)))

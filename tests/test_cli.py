@@ -293,6 +293,18 @@ def test_validate_unreachable_sphere_exits_2_naming_goal(tmp_path, capsys):
     assert "outside arm reach" in err and "c" in err
 
 
+def test_nan_sphere_position_exits_2_naming_goal(tmp_path, capsys):
+    bad = tiny_scenario_dict()
+    bad["positions"] = {lab: [0.45, 0.4] for lab in "abcdef"}
+    bad["positions"]["c"] = [float("nan"), 0.6]
+    path = tmp_path / "nan.yaml"
+    path.write_text(yaml.safe_dump(bad))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "run")]):
+        assert run_cli(*command, "--scenario", str(path)) == 2
+        assert capsys.readouterr().err == "error: goal 'c' position (nan, 0.6) must be two finite numbers\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_validate_sphere_reachable_by_either_arm(tmp_path, capsys):
     # With every joint in [-0.5, 0.5] the right arm reaches (0.9, 0.1) and
     # only the left arm, its mirror image, reaches (-0.9, 0.1); neither arm

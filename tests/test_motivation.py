@@ -10,9 +10,9 @@ from lightup.world import WorldState
 CFG = ExperimentConfig()
 
 
-def predictor(n_goals, eta, context_mode="none", clip_negative_reward=CFG.clip_reward):
+def predictor(eta, context_mode="none", clip_negative_reward=CFG.clip_reward):
     """A predictor with the default run's reward clipping, state-blind unless told."""
-    return AchievementPredictor(n_goals, eta, context_mode, clip_negative_reward)
+    return AchievementPredictor(eta, context_mode, clip_negative_reward)
 
 
 def state(cf=0.0, on=(False,) * 6):
@@ -20,21 +20,21 @@ def state(cf=0.0, on=(False,) * 6):
 
 
 def test_fresh_predictor_predicts_zero_everywhere():
-    pred = predictor(6, eta=0.1, context_mode="full_state")
+    pred = predictor(eta=0.1, context_mode="full_state")
     for goal in range(6):
         assert pred.predict(goal, pred.key(state())) == 0.0
         assert pred.predict(goal, pred.key(state(cf=1.0))) == 0.0
 
 
 def test_keying_none_collapses_states():
-    pred = predictor(6, eta=0.1, context_mode="none")
+    pred = predictor(eta=0.1, context_mode="none")
     assert pred.key(state(cf=0.0)) == pred.key(state(cf=1.0)) == ()
     pred.update_and_reward(0, pred.key(state(cf=0.0)), True)
     assert pred.predict(0, pred.key(state(cf=1.0))) == pred.predict(0, pred.key(state(cf=0.0))) > 0.0
 
 
 def test_fifty_successes_saturate_prediction():
-    pred = predictor(6, eta=0.1)
+    pred = predictor(eta=0.1)
     for _ in range(50):
         pred.update_and_reward(0, (), True)
     # 1 - 0.9^50 = 0.99485
@@ -42,7 +42,7 @@ def test_fifty_successes_saturate_prediction():
 
 
 def test_update_success_delta_and_reward():
-    pred = predictor(6, eta=0.1)
+    pred = predictor(eta=0.1)
     pred.table[(0, ())] = 0.5
     reward = pred.update_and_reward(0, (), True)
     assert pred.predict(0, ()) == pytest.approx(0.55)
@@ -50,13 +50,13 @@ def test_update_success_delta_and_reward():
 
 
 def test_reward_zero_at_saturation():
-    pred = predictor(6, eta=0.1)
+    pred = predictor(eta=0.1)
     pred.table[(0, ())] = 1.0
     assert pred.update_and_reward(0, (), True) == 0.0
 
 
 def test_failure_reward_clipped_to_zero():
-    pred = predictor(6, eta=0.1)
+    pred = predictor(eta=0.1)
     pred.table[(0, ())] = 0.5
     reward = pred.update_and_reward(0, (), False)
     assert pred.predict(0, ()) == pytest.approx(0.45)
@@ -64,13 +64,13 @@ def test_failure_reward_clipped_to_zero():
 
 
 def test_signed_variant_returns_negative_changes():
-    pred = predictor(6, eta=0.1, clip_negative_reward=False)
+    pred = predictor(eta=0.1, clip_negative_reward=False)
     pred.table[(0, ())] = 0.5
     assert pred.update_and_reward(0, (), False) == pytest.approx(-0.05)
 
 
 def test_gate_truth_table():
-    pred = predictor(6, eta=0.1)
+    pred = predictor(eta=0.1)
     # prediction 0, not achieved -> blocked
     assert pred.learning_gate(0, (), achieved=False, epsilon=0.05) is False
     # prediction 0, achieved -> learn anyway
@@ -81,7 +81,7 @@ def test_gate_truth_table():
 
 
 def test_gate_epsilon_threshold():
-    pred = predictor(6, eta=0.1)
+    pred = predictor(eta=0.1)
     pred.table[(0, ())] = 0.04
     assert pred.learning_gate(0, (), achieved=False, epsilon=0.05) is False
     pred.table[(0, ())] = 0.06
@@ -90,7 +90,7 @@ def test_gate_epsilon_threshold():
 
 def test_prediction_stays_in_unit_interval():
     rng = np.random.default_rng(17)
-    pred = predictor(3, eta=0.3, context_mode="context_feature")
+    pred = predictor(eta=0.3, context_mode="context_feature")
     for _ in range(2000):
         goal = int(rng.integers(3))
         st = state(cf=float(rng.integers(2)))
@@ -101,7 +101,7 @@ def test_prediction_stays_in_unit_interval():
 
 def test_prediction_tracks_bernoulli_rate():
     rng = np.random.default_rng(23)
-    pred = predictor(1, eta=0.1)
+    pred = predictor(eta=0.1)
     p_true = 0.3
     tail = []
     for i in range(3000):
@@ -112,7 +112,7 @@ def test_prediction_tracks_bernoulli_rate():
 
 
 def test_reward_fades_under_constant_success():
-    pred = predictor(1, eta=0.1)
+    pred = predictor(eta=0.1)
     rewards = [pred.update_and_reward(0, (), True) for _ in range(400)]
     # Geometric tail: everything after the first hundred updates is negligible.
     assert sum(rewards[:100]) > 0.99
@@ -121,7 +121,7 @@ def test_reward_fades_under_constant_success():
 
 
 def test_context_table_isolation_under_full_keying():
-    pred = predictor(6, eta=0.1, context_mode="full_state")
+    pred = predictor(eta=0.1, context_mode="full_state")
     ctx_a = pred.key(state(on=(True,) + (False,) * 5))
     ctx_b = pred.key(state(on=(False,) * 6))
     assert ctx_a != ctx_b

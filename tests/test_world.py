@@ -1,17 +1,22 @@
 """World dynamics: rules, touching, resets, builtin scenarios, files."""
 
 import itertools
+import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import lightup
 from lightup.errors import ConfigError
 from lightup.experiment import ExperimentConfig, Simulation
 from lightup.world import (
+    _SCALARS,
     BUILTIN_SCENARIOS,
     CONTEXT_MODES,
+    Goal,
+    ScenarioSpec,
     WorldState,
     builtin_scenario,
     default_positions,
@@ -30,7 +35,7 @@ def all_states(spec):
 
 def oracle_achievable(spec, goal_index, state):
     """Independent re-evaluation of the rule semantics, straight off the rule."""
-    rule = spec.rules[goal_index]
+    rule = spec.goals[goal_index]
     if state.sphere_on[goal_index]:
         return False
     for req in rule.requires_on:
@@ -61,29 +66,29 @@ def test_builtin_scenario_schedules():
 
 def test_builtin_scenario_1_has_no_conditions():
     s1 = builtin_scenario(1)
-    for rule in s1.rules:
-        assert not rule.requires_on and not rule.blocked_by
-        assert rule.requires_context is None
+    for goal in s1.goals:
+        assert not goal.requires_on and not goal.blocked_by
+        assert goal.requires_context is None
 
 
 def test_builtin_scenario_2_context_split():
     s2 = builtin_scenario(2)
     for lab in ("a", "c", "e"):
-        assert s2.rules[s2.goal_index(lab)].requires_context == 1.0
+        assert s2.goals[s2.goal_index(lab)].requires_context == 1.0
     for lab in ("b", "d", "f"):
-        assert s2.rules[s2.goal_index(lab)].requires_context == 0.0
+        assert s2.goals[s2.goal_index(lab)].requires_context == 0.0
     assert s2.context_prob_on == 0.5
 
 
 def test_builtin_scenario_3_chains():
     s3 = builtin_scenario(3)
     gi = s3.goal_index
-    assert s3.rules[gi("c")].requires_on == frozenset({gi("d")})
-    assert s3.rules[gi("e")].requires_on == frozenset({gi("c")})
-    assert s3.rules[gi("f")].requires_on == frozenset({gi("b")})
-    assert s3.rules[gi("a")].requires_on == frozenset({gi("f")})
-    assert s3.rules[gi("d")].blocked_by == frozenset({gi("b")})
-    assert s3.rules[gi("b")].blocked_by == frozenset({gi("d")})
+    assert s3.goals[gi("c")].requires_on == frozenset({gi("d")})
+    assert s3.goals[gi("e")].requires_on == frozenset({gi("c")})
+    assert s3.goals[gi("f")].requires_on == frozenset({gi("b")})
+    assert s3.goals[gi("a")].requires_on == frozenset({gi("f")})
+    assert s3.goals[gi("d")].blocked_by == frozenset({gi("b")})
+    assert s3.goals[gi("b")].blocked_by == frozenset({gi("d")})
 
 
 def test_unknown_builtin_id_rejected():
@@ -442,6 +447,30 @@ def test_indivisible_schedule_rejected():
         scenario_from_dict(data)
 
 
+def test_spec_checks_itself_when_built():
+    with pytest.raises(ConfigError, match="'a' requires itself"):
+        ScenarioSpec(goals=(Goal("a", (0.0, 0.6), requires_on=frozenset({0})),))
+    with pytest.raises(ConfigError, match="divisible"):
+        replace(builtin_scenario(3), total_trials=100)
+    with pytest.raises(ConfigError, match="'b' position"):
+        ExperimentConfig(scenario=base_dict(positions={"a": [0.0, 0.6], "b": [math.inf, 0.6], "c": [0.3, 0.5]}))
+
+
+@pytest.mark.parametrize("position", [(math.nan, 0.6), (0.0, -math.inf), (0.6,)])
+def test_sphere_position_must_be_two_finite_numbers(position):
+    with pytest.raises(ConfigError) as caught:
+        ScenarioSpec(goals=(Goal("a", (0.0, 0.6)), Goal("b", position)))
+    assert str(caught.value) == f"goal 'b' position {position} must be two finite numbers"
+
+
+def test_a_goal_carries_its_rule():
+    assert not hasattr(lightup, "DependencyRule")
+    assert "index" not in {f.name for f in fields(Goal)}
+    assert [f.name for f in fields(ScenarioSpec)] == ["goals", *_SCALARS]
+    # A file that leaves the scalars out gets the spec's defaults.
+    assert scenario_from_dict({"goals": ["a"]}) == ScenarioSpec(goals=(Goal("a", default_positions(1)[0]),))
+
+
 def test_load_scenario_file_roundtrip(tmp_path):
     import yaml
 
@@ -449,7 +478,7 @@ def test_load_scenario_file_roundtrip(tmp_path):
     path.write_text(yaml.safe_dump(scenario_to_dict(builtin_scenario(2))))
     spec = load_scenario(str(path))
     assert spec.context_prob_on == 0.5
-    assert spec.rules == builtin_scenario(2).rules
+    assert spec.goals == builtin_scenario(2).goals
 
 
 def test_load_scenario_missing_file():
