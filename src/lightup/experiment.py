@@ -1,11 +1,12 @@
-"""Trial/epoch loop, replications, metrics, and CSV output.
+"""Trial/epoch loop, expert backends, replications, metrics, and CSV output.
 
 One ``Simulation`` owns everything a single replication needs: the world
-state, a goal-selection strategy, the achievement predictor, and two experts
-plus an expert selector per goal. ``run_experiment`` runs seeded
-replications (optionally in parallel processes), collects per-goal
-competence curves and wasted-trial counts, and aggregates them as mean with
-a 95% confidence band.
+state, a goal-selection strategy, the achievement predictor, two experts
+plus an expert selector per goal, and a backend (``BACKENDS``) that makes
+the experts, attempts goals, measures competence and holds the random
+source. ``run_experiment`` runs seeded replications (optionally in
+parallel processes) and aggregates competence and waste as mean with a
+95% confidence band.
 
 A trial is: select a goal from the current state, pick an arm's expert,
 attempt the goal (an idealized Bernoulli draw, or a full arm rollout that
@@ -58,7 +59,6 @@ log = logging.getLogger(__name__)
 # Each system's (learning rate, discount) for the goal-value update; only
 # grail is state-blind, which Simulation sets through the context mode.
 SYSTEMS = {"grail": (0.01, 0.0), "c_grail": (0.1, 0.0), "m_grail": (0.1, 0.3)}
-BACKENDS = ("idealized", "actor_critic")
 
 # Goal-selection softmax temperatures, per system. Intrinsic rewards live on
 # the scale of the predictor step (~0.1); the Q system additionally discounts
@@ -218,111 +218,56 @@ class UniformBlock:
         self.random = chain.from_iterable(blocks).__next__
 
 
-class Simulation:
-    """One replication of ``cfg.system`` on ``cfg.scenario``, seeded by ``seed``.
+class IdealizedBackend:
+    """Scalar-competence experts: an attempt is one uniform draw, and the
+    record ``learn`` takes is whether the goal was achievable. It draws
+    nothing but uniforms, so its random source is a ``UniformBlock``."""
 
-    Each goal has one expert per arm. The two arms mirror each other but are
-    one chain, ``cfg.arm``: the left arm gets its mirror image by checking
-    its effector against the spheres reflected across the vertical axis.
-    ``sphere_positions`` holds one tuple of sphere positions per arm,
-    indexed like ``ARMS``, each in goal order.
+    def __init__(self, cfg: ExperimentConfig, gen: np.random.Generator):
+        self.cfg, self.spec, self.rng = cfg, cfg.scenario, UniformBlock(gen)
+
+    def make_expert(self) -> IdealizedExpert:
+        cfg = self.cfg
+        return IdealizedExpert(cfg.idealized_init_competence, cfg.idealized_learning_rate,
+                               cfg.idealized_disruption, cfg.idealized_exploration_floor)
+
+    def attempt(self, goal: int, arm_index: int, expert, state: WorldState, achievable: bool):
+        achieved = expert.attempt(achievable, self.rng)
+        return (self.spec.apply_touch(goal, state)[0] if achieved else state), achieved, 0, achievable
+
+    def competence(self, goal: int, arm_index: int, expert) -> float:
+        return float(expert.competence)
+
+
+class ArmBackend:
+    """Actor-critic experts driving the arm: the record ``learn`` takes is
+    the rollout's trajectory, and the random source is the generator itself,
+    from which the experts also draw normals.
+
+    The arms mirror each other but are one chain, ``cfg.arm``: the left arm
+    checks its effector against the spheres reflected across the vertical
+    axis. ``sphere_positions`` holds each arm's sphere positions, indexed
+    like ``ARMS``, in goal order. ``probe_states[i]`` forces goal i's
+    preconditions: its ``requires_on`` on, the rest off, its context.
     """
 
-    def __init__(self, cfg: ExperimentConfig, seed: int, replication: int = 0):
-        self.spec = spec = cfg.scenario
-        self.cfg = cfg
-        self.series = ReplicationSeries(replication)
-        self.idealized = cfg.backend == "idealized"  # read on every trial
-        gen = np.random.default_rng(seed)  # the actor-critic backend also draws normals
-        self.rng = UniformBlock(gen) if self.idealized else gen
-        n = spec.n_goals
+    def __init__(self, cfg: ExperimentConfig, gen: np.random.Generator):
+        self.cfg, self.spec, self.rng = cfg, cfg.scenario, gen
+        goals = self.spec.goals
+        right = tuple(tuple(map(float, g.position)) for g in goals)
+        self.sphere_positions = (tuple((-x, y) for x, y in right), right)
+        self.probe_states = [WorldState(tuple(i in g.requires_on for i in range(len(goals))),
+                                        0.0 if g.requires_context is None else g.requires_context)
+                             for g in goals]
 
-        context_mode = "none" if cfg.system == "grail" else spec.context_mode
-        learning_rate, discount = SYSTEMS[cfg.system]
-        self.strategy = SelectionStrategy(
-            n, cfg.resolved_temperature(), learning_rate, discount, context_mode
-        )
-        self.predictor = AchievementPredictor(
-            eta=cfg.predictor_eta, context_mode=context_mode, clip_negative_reward=cfg.clip_reward,
-        )
-        self.use_gate = cfg.system != "grail"
-        self.reset_every_trial = spec.reset_policy == "per_trial"
+    def make_expert(self) -> ActorCriticExpert:
+        return ActorCriticExpert(self.cfg.arm, self.cfg.actor_critic, self.rng)
 
-        self.selectors = [
-            ExpertSelector(smoothing=cfg.expert_smoothing, temperature=cfg.expert_temperature)
-            for _ in range(n)
-        ]
-        self.experts = [[self._make_expert() for _ in ARMS] for _ in range(n)]
+    def attempt(self, goal: int, arm_index: int, expert, state: WorldState, achievable: bool):
+        return self.rollout(goal, arm_index, expert, state, self.rng)
 
-        right = tuple(tuple(map(float, g.position)) for g in spec.goals)
-        left = tuple((-x, y) for x, y in right)
-        self.sphere_positions = (left, right)
-        self.state: WorldState = spec.reset(self.rng)
-
-    def _make_expert(self):
-        cfg = self.cfg
-        if self.idealized:
-            return IdealizedExpert(
-                competence=cfg.idealized_init_competence,
-                learning_rate=cfg.idealized_learning_rate,
-                disruption=cfg.idealized_disruption,
-                exploration_floor=cfg.idealized_exploration_floor,
-            )
-        return ActorCriticExpert(cfg.arm, cfg.actor_critic, self.rng)
-
-    # -- trial loop --------------------------------------------------------
-
-    def run_trial(self) -> None:
-        """Advance the simulation by one trial and append it to ``self.series``."""
-        spec, rng, strategy, predictor = self.spec, self.rng, self.strategy, self.predictor
-        series = self.series
-        step_in_epoch = len(series.goal) % spec.trials_per_epoch
-        if self.reset_every_trial or step_in_epoch == 0:
-            self.state = spec.reset(rng)
-        state = self.state
-        key = strategy.state_key(state)  # the predictor's key too: they share a context mode
-
-        goal = strategy.select(key, rng)
-        achievable = spec.is_achievable(goal, state)
-        arm_index = self.selectors[goal].select(rng)
-        expert = self.experts[goal][arm_index]
-
-        if self.idealized:
-            achieved = expert.attempt(achievable, rng)
-            new_state = spec.apply_touch(goal, state)[0] if achieved else state
-            steps = 0
-            trajectory = None
-        else:
-            new_state, achieved, steps, trajectory = self._rollout(goal, arm_index, state, rng)
-
-        gate = not self.use_gate or predictor.learning_gate(goal, key, achieved, self.cfg.gate_epsilon)
-        reward = predictor.update_and_reward(goal, key, achieved)
-        if self.idealized:
-            expert.learn(achieved, achievable, gate)
-        else:
-            expert.learn(trajectory, achieved, gate=gate)
-        if gate:
-            # The gate protects the whole skill-learning side, arm choice
-            # included: a trial the predictor flagged as hopeless says
-            # nothing about which arm is better.
-            self.selectors[goal].update(arm_index, achieved)
-
-        terminal = self.reset_every_trial or step_in_epoch == spec.trials_per_epoch - 1
-        bootstrap = strategy.discount > 0 and not terminal
-        strategy.update(key, goal, reward, strategy.state_key(new_state) if bootstrap else None, terminal)
-
-        self.state = new_state
-        if achieved and not achievable:
-            raise NumericsError(f"trial {len(series.goal) + 1}: achieved a goal that was not achievable")
-        series.state_key.append(state.key_string())
-        series.goal.append(spec.labels[goal])
-        series.achievable.append(achievable)
-        series.achieved.append(achieved)
-        series.reward.append(reward)
-        series.steps.append(steps)
-
-    def _rollout(self, goal: int, arm_index: int, state: WorldState,
-                 rng: np.random.Generator | None = None):
+    def rollout(self, goal: int, arm_index: int, expert: ActorCriticExpert, state: WorldState,
+                rng: np.random.Generator | None = None):
         """Arm rollout from home: ends at the first touch of any sphere or on timeout.
 
         Returns ``(state after it, achieved, steps, trajectory)``.
@@ -347,7 +292,6 @@ class Simulation:
         spec, cfg = self.spec, self.cfg
         arm_cfg = cfg.arm
         spheres = self.sphere_positions[arm_index]
-        expert = self.experts[goal][arm_index]
         explore = rng is not None
         joints = home_joints(arm_cfg)
         if explore:
@@ -369,33 +313,96 @@ class Simulation:
                     return state, i == goal and activated, step, trajectory
         return state, False, cfg.timeout_steps, trajectory
 
+    def competence(self, goal: int, arm_index: int, expert) -> float:
+        """The frozen mean policy's success rate over ``eval_trials`` rollouts
+        from the probe state: one rollout repeated, as none draws, so 0 or 1."""
+        state, trials = self.probe_states[goal], self.cfg.eval_trials
+        return sum(self.rollout(goal, arm_index, expert, state)[1] for _ in range(trials)) / trials
+
+
+BACKENDS = {"idealized": IdealizedBackend, "actor_critic": ArmBackend}
+
+
+class Simulation:
+    """One replication of ``cfg.system`` on ``cfg.scenario``, seeded by ``seed``.
+
+    Each goal has one expert per arm. ``backend``, a ``BACKENDS[cfg.backend]``,
+    makes them, attempts goals and measures competence; ``rng`` is its random source.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, seed: int, replication: int = 0):
+        self.spec = spec = cfg.scenario
+        self.cfg = cfg
+        self.series = ReplicationSeries(replication)
+        self.backend = backend = BACKENDS[cfg.backend](cfg, np.random.default_rng(seed))
+        self.rng = backend.rng
+        n = spec.n_goals
+
+        context_mode = "none" if cfg.system == "grail" else spec.context_mode
+        learning_rate, discount = SYSTEMS[cfg.system]
+        self.strategy = SelectionStrategy(
+            n, cfg.resolved_temperature(), learning_rate, discount, context_mode
+        )
+        self.predictor = AchievementPredictor(
+            eta=cfg.predictor_eta, context_mode=context_mode, clip_negative_reward=cfg.clip_reward,
+        )
+        self.use_gate = cfg.system != "grail"
+        self.reset_every_trial = spec.reset_policy == "per_trial"
+
+        self.selectors = [
+            ExpertSelector(smoothing=cfg.expert_smoothing, temperature=cfg.expert_temperature)
+            for _ in range(n)
+        ]
+        self.experts = [[backend.make_expert() for _ in ARMS] for _ in range(n)]
+        self.state: WorldState = spec.reset(self.rng)
+
+    # -- trial loop --------------------------------------------------------
+
+    def run_trial(self) -> None:
+        """Advance the simulation by one trial and append it to ``self.series``."""
+        spec, rng, strategy, predictor = self.spec, self.rng, self.strategy, self.predictor
+        series = self.series
+        step_in_epoch = len(series.goal) % spec.trials_per_epoch
+        if self.reset_every_trial or step_in_epoch == 0:
+            self.state = spec.reset(rng)
+        state = self.state
+        key = strategy.state_key(state)  # the predictor's key too: they share a context mode
+
+        goal = strategy.select(key, rng)
+        achievable = spec.is_achievable(goal, state)
+        arm_index = self.selectors[goal].select(rng)
+        expert = self.experts[goal][arm_index]
+        new_state, achieved, steps, record = self.backend.attempt(goal, arm_index, expert, state, achievable)
+
+        gate = not self.use_gate or predictor.learning_gate(goal, key, achieved, self.cfg.gate_epsilon)
+        reward = predictor.update_and_reward(goal, key, achieved)
+        expert.learn(record, achieved, gate=gate)
+        if gate:
+            # The gate protects the whole skill-learning side, arm choice
+            # included: a trial the predictor flagged as hopeless says
+            # nothing about which arm is better.
+            self.selectors[goal].update(arm_index, achieved)
+
+        terminal = self.reset_every_trial or step_in_epoch == spec.trials_per_epoch - 1
+        bootstrap = strategy.discount > 0 and not terminal
+        strategy.update(key, goal, reward, strategy.state_key(new_state) if bootstrap else None, terminal)
+
+        self.state = new_state
+        if achieved and not achievable:
+            raise NumericsError(f"trial {len(series.goal) + 1}: achieved a goal that was not achievable")
+        series.state_key.append(state.key_string())
+        series.goal.append(spec.labels[goal])
+        series.achievable.append(achievable)
+        series.achieved.append(achieved)
+        series.reward.append(reward)
+        series.steps.append(steps)
+
     # -- evaluation ----------------------------------------------------------
 
     def measure_competence(self, goal: int) -> float:
-        """Current skill level for a goal index; never updates any learner.
-
-        Idealized backend: the competence of the arm the expert selector
-        would pick greedily. Actor-critic: the success rate of that arm's
-        frozen mean policy over ``eval_trials`` rollouts from a state with
-        the goal's preconditions force-satisfied and exploration off. Each
-        rollout starts from the home posture and draws no noise, so all of
-        them are the same rollout and the result is always 0 or 1.
-        """
+        """A goal's skill level, as the backend measures its greedy arm; updates no learner."""
         arm_index = self.selectors[goal].greedy()
-        if self.idealized:
-            return float(self.experts[goal][arm_index].competence)
-        state = self._forced_precondition_state(goal)
-        successes = sum(self._rollout(goal, arm_index, state)[1]
-                        for _ in range(self.cfg.eval_trials))
-        return successes / self.cfg.eval_trials
-
-    def _forced_precondition_state(self, goal: int) -> WorldState:
-        rule = self.spec.goals[goal]
-        on = [False] * self.spec.n_goals
-        for i in rule.requires_on:
-            on[i] = True
-        cf = rule.requires_context if rule.requires_context is not None else 0.0
-        return WorldState(sphere_on=tuple(on), context_feature=cf)
+        return self.backend.competence(goal, arm_index, self.experts[goal][arm_index])
 
     # -- full replication ----------------------------------------------------
 

@@ -57,7 +57,7 @@ class IdealizedExpert:
             return False
         return bool(rng.random() < max(self.competence, self.exploration_floor))
 
-    def learn(self, achieved: bool, achievable: bool, gate: bool) -> None:
+    def learn(self, achievable: bool, achieved: bool, *, gate: bool) -> None:
         if not gate:
             return
         if achieved:
@@ -269,7 +269,7 @@ class ActorCriticExpert:
     def learn(self, trajectory, success: bool, *, gate: bool) -> None:
         """One-step TD over the trial's (features, action) steps.
 
-        The trajectory is one unbroken rollout, as ``Simulation._rollout``
+        The trajectory is one unbroken rollout, as ``ArmBackend.rollout``
         records it: each step carries the ``features`` of the posture it
         acted from, and the next step's features are those of the posture
         its action led to. So the bootstrap value of step i reads the

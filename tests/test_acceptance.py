@@ -24,6 +24,7 @@ from lightup.world import (
     ScenarioSpec,
     WorldState,
     builtin_scenario,
+    state_key,
 )
 from lightup.arm import ArmConfig, home_joints, step_toward
 
@@ -312,7 +313,7 @@ def test_a7_predictor_range_preservation():
                                 clip_negative_reward=ExperimentConfig().clip_reward)
     for _ in range(3000):
         st = WorldState(sphere_on=(False,) * 4, context_feature=float(rng.integers(2)))
-        pred.update_and_reward(int(rng.integers(4)), st, bool(rng.integers(2)))
+        pred.update_and_reward(int(rng.integers(4)), state_key(st, "context_feature"), bool(rng.integers(2)))
     lo = min(pred.table.values())
     hi = max(pred.table.values())
     assert report("A7.range", 0.0 <= lo and hi <= 1.0, f"predictions within [{lo:.3f}, {hi:.3f}]")

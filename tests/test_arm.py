@@ -314,8 +314,8 @@ def test_left_arm_checks_reflected_spheres_as_a_mirrored_effector_did():
         "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
         "reset_policy": "per_trial", "context_mode": "none",
     })
-    sim = Simulation(ExperimentConfig(scenario=spec, replications=1), seed=0)
-    left, right = (sim.sphere_positions[ARMS.index(side)] for side in ("left", "right"))
+    sim = Simulation(ExperimentConfig(scenario=spec, backend="actor_critic", replications=1), seed=0)
+    left, right = (sim.backend.sphere_positions[ARMS.index(side)] for side in ("left", "right"))
     assert right == tuple(tuple(g.position) for g in spec.goals)
     assert same_bits(left, [(-x, y) for x, y in right])
 

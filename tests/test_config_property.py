@@ -30,7 +30,7 @@ def unit(open_low=False):
 
 TOP = {
     "system": st.sampled_from(sorted(SYSTEMS)),
-    "backend": st.sampled_from(BACKENDS),
+    "backend": st.sampled_from(sorted(BACKENDS)),
     "replications": st.integers(1, 2),
     "seed": st.integers(0, 2**32),
     "timeout_steps": st.integers(1, 30),

@@ -13,6 +13,7 @@ from lightup.arm import ArmConfig, check_touch, forward_kinematics, home_joints,
 from lightup.errors import ConfigError, NumericsError
 from lightup.experiment import (
     ARMS,
+    ArmBackend,
     ExperimentConfig,
     ReplicationSeries,
     Simulation,
@@ -608,14 +609,14 @@ def test_actor_critic_rollout_trajectory_is_unbroken():
     for arm_index in (0, 1):
         expert = sim.experts[0][arm_index]
         for _ in range(3):
-            _, achieved, steps, traj = sim._rollout(0, arm_index, sim.state, sim.rng)
+            _, achieved, steps, traj = sim.backend.rollout(0, arm_index, expert, sim.state, sim.rng)
             assert len(traj) == steps
             joints = home_joints(cfg.arm)
             for feat, action in traj:
                 assert np.array_equal(feat, expert.features(joints))
                 joints = step_toward(joints, action, cfg.arm)
             endings.add(achieved)
-        assert sim._rollout(0, arm_index, sim.state)[3] is None
+        assert sim.backend.rollout(0, arm_index, expert, sim.state)[3] is None
     assert endings == {True, False}
 
 
@@ -691,12 +692,12 @@ def test_actor_critic_rollout_computes_features_once_per_step(monkeypatch):
             if trained:
                 trained_looking_actor(expert, arm_index)
             calls.clear()
-            steps = sim._rollout(0, arm_index, sim.state)[2]
+            steps = sim.backend.rollout(0, arm_index, expert, sim.state)[2]
             assert len(calls) == (steps if trained or not expert.actor_is_zero() else 0)
 
 
 def reference_frozen_rollout(sim, goal, arm_index, state):
-    """The evaluation rollout computing every step's features, ending like _rollout.
+    """The evaluation rollout computing every step's features, ending like ArmBackend.rollout.
 
     It mirrors the left arm the other way round: it reflects the effector
     and checks it against the spheres where the scenario puts them.
@@ -743,7 +744,7 @@ def test_actor_critic_frozen_zero_actor_rollout_matches_a_rollout_with_features(
                     trained_looking_actor(expert, 10 * goal + arm_index)
                 assert expert.actor_is_zero() is not trained
                 calls.clear()
-                result = sim._rollout(goal, arm_index, sim.state)
+                result = sim.backend.rollout(goal, arm_index, expert, sim.state)
                 steps = result[2]
                 assert len(calls) == (steps if trained else 0)
                 assert result[:3] == reference_frozen_rollout(sim, goal, arm_index, sim.state)
@@ -775,12 +776,43 @@ def test_actor_critic_left_arm_touches_the_mirror_image_of_the_right_arm():
             for trained in (False, True):
                 if trained:
                     trained_looking_actor(sim.experts[goal][arm_index], 20 + 10 * goal + arm_index)
-                result = sim._rollout(goal, arm_index, sim.state)
+                result = sim.backend.rollout(goal, arm_index, sim.experts[goal][arm_index], sim.state)
                 assert result[:3] == reference_frozen_rollout(sim, goal, arm_index, sim.state)
                 if not trained:
                     endings.add((ARMS[arm_index], spec.labels[goal], result[1]))
     assert endings == {("right", "r", True), ("right", "l", False),
                        ("left", "r", False), ("left", "l", True)}
+
+
+def test_actor_critic_probe_starts_with_the_goals_preconditions_forced(monkeypatch):
+    # Whatever the world state, each probe rollout of a goal starts with its
+    # requires_on spheres on, every other sphere off, and the context it
+    # requires (0.0 when it requires none).
+    starts = []
+    rollout = ArmBackend.rollout
+
+    def spied(self, goal, arm_index, expert, state, rng=None):
+        starts.append((goal, state))
+        return rollout(self, goal, arm_index, expert, state, rng)
+
+    monkeypatch.setattr(ArmBackend, "rollout", spied)
+    forced = set()
+    for scenario in (1, 2, 3):
+        spec = builtin_scenario(scenario)
+        cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=5, eval_trials=2)
+        sim = Simulation(cfg, seed=0)
+        sim.state = WorldState(sphere_on=(True,) * spec.n_goals, context_feature=1.0)
+        for goal, g in enumerate(spec.goals):
+            starts.clear()
+            sim.measure_competence(goal)
+            assert [probed for probed, _ in starts] == [goal, goal]
+            for _, state in starts:
+                assert {i for i, on in enumerate(state.sphere_on) if on} == g.requires_on
+                assert len(state.sphere_on) == spec.n_goals
+                assert state.context_feature == (0.0 if g.requires_context is None else g.requires_context)
+            forced.update({"requires_on"} if g.requires_on else set(),
+                          {"requires_context"} if g.requires_context is not None else set())
+    assert forced == {"requires_on", "requires_context"}  # the scenarios exercise both
 
 
 def test_actor_critic_measure_competence_leaves_parameters_unchanged():

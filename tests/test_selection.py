@@ -132,14 +132,6 @@ def test_choose_index_draws_what_generator_choice_draws():
     assert ours.random() == numpy_rng.random()
 
 
-@pytest.mark.parametrize("probs", [[1.1, -0.1], [0.3, 0.3, 0.3]], ids=["negative", "sum_0.9"])
-def test_choose_index_rejects_what_choice_rejects(probs):
-    with pytest.raises(ValueError):
-        np.random.default_rng(0).choice(len(probs), p=np.array(probs))
-    with pytest.raises(ValueError):
-        choose_index(probs, np.random.default_rng(0))
-
-
 # -- bandit (grail) --------------------------------------------------------------
 
 
