@@ -22,18 +22,19 @@ print("\n=== touching spheres in the chain scenario ===")
 spec = builtin_scenario(3)
 state = spec.reset(rng)
 print("fresh state:", state.key_string(),
-      "achievable:", [lab for lab in spec.labels if spec.is_achievable(lab, state)])
+      "achievable:", [lab for i, lab in enumerate(spec.labels) if spec.is_achievable(i, state)])
 
-# e needs c which needs d; touching e now does nothing
-state, lit = spec.apply_touch("e", state)
+# e needs c which needs d; touching e now does nothing (the world takes goal
+# indices; labels are for files and printouts)
+state, lit = spec.apply_touch(spec.labels.index("e"), state)
 print("touch e ->", "lit" if lit else "nothing happens")
 
 for lab in ("d", "c", "e"):
-    state, lit = spec.apply_touch(lab, state)
+    state, lit = spec.apply_touch(spec.labels.index(lab), state)
     print(f"touch {lab} -> {'lit' if lit else 'no effect'}; state {state.key_string()}")
 
 # the other chain is now blocked: d shut the door on b
-print("b achievable after starting the d-chain?", spec.is_achievable("b", state))
+print("b achievable after starting the d-chain?", spec.is_achievable(spec.labels.index("b"), state))
 
 print("\n=== the arm ===")
 arm = ArmConfig()

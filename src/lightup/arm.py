@@ -137,30 +137,24 @@ def _place_links(joints, lengths, headings, xs, ys, first: int = 0) -> None:
         ys[i + 1] = ys[i] + lengths[i] * math.sin(heading)
 
 
-def reach_target(
-    target,
-    cfg: ArmConfig,
-    rng: np.random.Generator,
-    restarts: int = 8,
-    iterations: int = 80,
-) -> tuple[float, ...] | None:
+def reach_target(target, cfg: ArmConfig, rng: np.random.Generator) -> tuple[float, ...] | None:
     """Sampled inverse-kinematics search (cyclic coordinate descent).
 
-    Runs CCD from the home posture plus random restarts, all drawn before
-    the search starts; returns a joint configuration whose effector lies
-    within touch_radius of the target, or None if none of the restarts gets
-    there. Used only to check workspace coverage, never as a control
-    shortcut.
+    Runs up to 80 CCD sweeps from the home posture, then from each of seven
+    random postures, all drawn before the search starts; returns a joint
+    configuration whose effector lies within touch_radius of the target, or
+    None if no start gets there. Used only to check workspace coverage,
+    never as a control shortcut.
     """
     tx, ty = float(target[0]), float(target[1])
     lengths, lower, upper = cfg.link_lengths, cfg.joint_min, cfg.joint_max
     n = cfg.n_joints
-    starts = [home_joints(cfg)] + [rng.uniform(lower, upper).tolist() for _ in range(restarts - 1)]
+    starts = [home_joints(cfg)] + [rng.uniform(lower, upper).tolist() for _ in range(7)]
     for start in starts:
         joints = list(start)
         headings, xs, ys = [0.0] * n, [0.0] * (n + 1), [0.0] * (n + 1)
         _place_links(joints, lengths, headings, xs, ys)
-        for _ in range(iterations):
+        for _ in range(80):
             if check_touch((xs[n], ys[n]), (tx, ty), cfg):
                 return tuple(joints)
             for j in range(n - 1, -1, -1):

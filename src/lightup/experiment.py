@@ -170,7 +170,7 @@ class ExperimentConfig:
         elif isinstance(sc, int) and not isinstance(sc, bool):
             sc = builtin_scenario(sc)
         elif isinstance(sc, str):
-            sc = builtin_scenario(int(sc)) if sc.isdigit() else load_scenario(sc)
+            sc = builtin_scenario(int(sc)) if sc.isdecimal() else load_scenario(sc)
         elif not isinstance(sc, ScenarioSpec):
             raise ConfigError(f"cannot interpret scenario reference {sc!r}")
         object.__setattr__(self, "scenario", sc)
@@ -472,7 +472,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             raise NotADirectoryError(errno.ENOTDIR, "not a directory", existing)
     jobs = [(cfg, cfg.seed + rep, rep) for rep in range(cfg.replications)]
     if cfg.jobs > 1 and cfg.replications > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.replications)) as pool:
             series = list(pool.map(_replication_worker, jobs))
     else:
         series = [_replication_worker(job) for job in jobs]

@@ -16,6 +16,8 @@ _MARGIN_LEFT = 56
 _MARGIN_RIGHT = 110
 _MARGIN_TOP = 34
 _MARGIN_BOTTOM = 42
+_PANEL_WIDTH = 520
+_PANEL_HEIGHT = 340
 
 
 @dataclass
@@ -42,11 +44,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _tick_label(v: float) -> str:
@@ -55,10 +58,11 @@ def _tick_label(v: float) -> str:
     return f"{v:.3g}"
 
 
-def render_chart(chart: Chart, width: int = 520, height: int = 340, x0: int = 0, y0: int = 0) -> str:
+def render_chart(chart: Chart, x0: int = 0, y0: int = 0) -> str:
     """SVG fragment for one chart panel with axes, grid, bands, and legend."""
     if not chart.series or any(len(s.xs) == 0 for s in chart.series):
         raise ValueError(f"chart {chart.title!r} has an empty series")
+    width, height = _PANEL_WIDTH, _PANEL_HEIGHT
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
     xs_all = [x for s in chart.series for x in s.xs]
@@ -122,20 +126,19 @@ def render_chart(chart: Chart, width: int = 520, height: int = 340, x0: int = 0,
     return "\n".join(parts)
 
 
-def render_panels(charts: list[Chart], panel_width: int = 520, panel_height: int = 340,
-                  columns: int | None = None) -> str:
-    """A complete SVG document laying the charts out in a row-major grid."""
+def render_panels(charts: list[Chart], columns: int | None = None) -> str:
+    """A complete SVG document laying the charts out in a row-major grid of panels."""
     if not charts:
         raise ValueError("no charts to render")
     columns = columns if columns is not None else len(charts)
     rows = (len(charts) + columns - 1) // columns
-    width = panel_width * min(columns, len(charts))
-    height = panel_height * rows
+    width = _PANEL_WIDTH * min(columns, len(charts))
+    height = _PANEL_HEIGHT * rows
     body = []
     for i, chart in enumerate(charts):
-        x0 = (i % columns) * panel_width
-        y0 = (i // columns) * panel_height
-        body.append(render_chart(chart, panel_width, panel_height, x0, y0))
+        x0 = (i % columns) * _PANEL_WIDTH
+        y0 = (i // columns) * _PANEL_HEIGHT
+        body.append(render_chart(chart, x0, y0))
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n'

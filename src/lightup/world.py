@@ -11,11 +11,11 @@ depending on the scenario schedule.
 World state is an immutable value: touching returns a new state, which keeps
 trial bookkeeping and table keying trivially safe. The touch dynamics are the
 scenario's transition function, and the ScenarioSpec owns them as one table:
-``apply_touch`` fills it per (state, goal) on first use and hands out the same
-result, and one object per distinct state, from then on. A state's sphere
-bitmask, hash, ``full_state`` key and key text are derived once per object;
-equality and hashing are by field, so a state built directly touches, keys
-and compares like the one the spec handed out.
+``apply_touch`` fills it per (state, goal index) on first use and hands out the
+same result from then on. A state's sphere bitmask, hash, ``full_state`` key
+and key text are derived once per object; equality and hashing are by field,
+so a state built directly touches, keys and compares like one the spec handed
+out. The world names goals by index; labels are for files and CSVs.
 """
 
 from __future__ import annotations
@@ -113,14 +113,14 @@ def state_key(state: WorldState, mode: str) -> tuple:
     raise ConfigError(f"unknown context mode {mode!r}; expected one of {CONTEXT_MODES}")
 
 
-def default_positions(n: int, radius: float = 0.6) -> tuple[Point, ...]:
-    """Evenly spaced points on an arc in front of the arm base.
+def default_positions(n: int) -> tuple[Point, ...]:
+    """Evenly spaced points on an arc of radius 0.6 in front of the arm base.
 
     The radius sits inside the default arm's reachable annulus, and spacing
     keeps neighbouring spheres more than two touch radii apart.
     """
     angles = np.linspace(math.pi / 6.0, 5.0 * math.pi / 6.0, n)
-    return tuple((radius * math.cos(a), radius * math.sin(a)) for a in angles)
+    return tuple((0.6 * math.cos(a), 0.6 * math.sin(a)) for a in angles)
 
 
 @dataclass(frozen=True)
@@ -205,11 +205,6 @@ class ScenarioSpec:
                      for i, goal in enumerate(self.goals))
 
     @cached_property
-    def _states(self) -> dict[WorldState, WorldState]:
-        """One object per distinct state, each its own key, added as it is first handed out."""
-        return {}
-
-    @cached_property
     def _touches(self) -> dict[tuple[WorldState, int], tuple[WorldState, bool]]:
         """``apply_touch`` results by (state, goal index), added on first use."""
         return {}
@@ -218,49 +213,33 @@ class ScenarioSpec:
     def _reset_states(self) -> tuple[WorldState, WorldState]:
         """The all-off state with context 0.0, then with context 1.0."""
         off = (False,) * self.n_goals
-        return tuple(self._states.setdefault(s, s) for s in (WorldState(off, 0.0), WorldState(off, 1.0)))
-
-    def goal_index(self, goal: "int | str") -> int:
-        """Normalize an index or label to the goal index."""
-        if type(goal) is int and 0 <= goal < self.n_goals:
-            return goal
-        if isinstance(goal, str):
-            try:
-                return self.labels.index(goal)
-            except ValueError:
-                raise ConfigError(f"unknown goal label {goal!r}; have {self.labels}") from None
-        index = int(goal)
-        if not 0 <= index < self.n_goals:
-            raise ConfigError(f"goal index {index} out of range [0, {self.n_goals})")
-        return index
+        return WorldState(off, 0.0), WorldState(off, 1.0)
 
     # -- core dynamics ---------------------------------------------------
 
-    def is_achievable(self, goal: "int | str", state: WorldState) -> bool:
+    def is_achievable(self, goal: int, state: WorldState) -> bool:
         """Whether touching the goal's sphere right now would activate it.
 
         A sphere that is already on is not achievable again within the
         epoch: re-touching it has no effect and earns no reward.
         """
-        bit, requires, blocked, context = self._rule_masks[self.goal_index(goal)]
+        bit, requires, blocked, context = self._rule_masks[goal]
         on = state.mask
         return (not on & (bit | blocked) and on & requires == requires
                 and (context is None or context == state.context_feature))
 
-    def apply_touch(self, goal: "int | str", state: WorldState) -> tuple[WorldState, bool]:
+    def apply_touch(self, goal: int, state: WorldState) -> tuple[WorldState, bool]:
         """Touch a sphere: activate it iff achievable. No other sphere changes.
 
         Returns (state after the touch, whether the sphere lit up). The result
         is computed once per (state, goal) and the same tuple is returned on
         every later touch, for any object equal to ``state``.
         """
-        index = self.goal_index(goal)
-        result = self._touches.get((state, index))
+        result = self._touches.get((state, goal))
         if result is None:
-            activated = self.is_achievable(index, state)
-            after = state.with_sphere_on(index) if activated else state
-            result = self._states.setdefault(after, after), activated
-            self._touches[state, index] = result
+            activated = self.is_achievable(goal, state)
+            result = (state.with_sphere_on(goal) if activated else state), activated
+            self._touches[state, goal] = result
         return result
 
     def reset(self, rng: np.random.Generator) -> WorldState:

@@ -96,7 +96,7 @@ def test_a2_contextual_bandit_beats_plain_bandit(s2_cgrail, s2_grail):
 
 
 def test_a3_markov_selection_learns_chain_ends(s3_mgrail, s3_cgrail):
-    a, e = map(builtin_scenario(3).goal_index, "ae")
+    a, e = map(builtin_scenario(3).labels.index, "ae")
     m_pass = sum(1 for s in s3_mgrail
                  if all(v >= 0.85 for v in s.competence[-1]))
     c_fail = sum(1 for s in s3_cgrail
@@ -223,9 +223,9 @@ def test_a5_q_learning_matches_value_iteration():
                   for s in states for g in range(6))
 
     initial = WorldState(sphere_on=(False,) * 6, context_feature=0.0)
-    after_d = spec.apply_touch("d", initial)[0]
-    q_init_d = qv.goal_values(key(initial))[spec.goal_index("d")]
-    q_d_c = qv.goal_values(key(after_d))[spec.goal_index("c")]
+    after_d = spec.apply_touch(spec.labels.index("d"), initial)[0]
+    q_init_d = qv.goal_values(key(initial))[spec.labels.index("d")]
+    q_d_c = qv.goal_values(key(after_d))[spec.labels.index("c")]
 
     ok = max_err < 1e-6 and abs(q_init_d - 0.09) < 1e-6 and abs(q_d_c - 0.3) < 1e-6
     assert report(

@@ -56,6 +56,31 @@ def test_missing_config_file_exits_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--config"], ["validate", "--config"], ["validate", "--scenario"]])
+def test_non_utf8_file_exits_2_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"system: grail\nseed: \xff\n")
+    out = ["--out", str(tmp_path / "run")] if command[0] == "run" else []
+    assert run_cli(*command, str(path), *out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and str(path) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_decimal_digit_scenario_reference_exits_2_naming_it(tmp_path, capsys):
+    # "²".isdigit() is true, but int("²") raises ValueError.
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"scenario": "\u00b2"}), encoding="utf-8")
+    for command in (["validate", "--scenario", "\u00b2"], ["validate", "--config", str(path)],
+                    ["run", "--config", str(path), "--out", str(tmp_path / "run")]):
+        assert run_cli(*command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read scenario file \u00b2")
+        assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     from lightup import cli
     from lightup.errors import NumericsError

@@ -225,8 +225,8 @@ def test_untrained_competence_is_init_constant():
     cfg = small_cfg(1, 100)
     spec = cfg.scenario
     sim = Simulation(cfg, seed=0)
-    for label in spec.labels:
-        assert sim.measure_competence(spec.goal_index(label)) == pytest.approx(0.02)
+    for goal in range(spec.n_goals):
+        assert sim.measure_competence(goal) == pytest.approx(0.02)
 
 
 def test_trained_competence_reads_greedy_arm():
@@ -345,7 +345,7 @@ def test_idealized_trial_keys_its_state_once(sid, system, monkeypatch):
 def test_aggregate_ci_matches_hand_computation():
     cfg = small_cfg(1, 100, replications=4, seed=20)
     result = run_experiment(cfg)
-    finals = np.array([s.competence[-1][cfg.scenario.goal_index("a")] for s in result.replications])
+    finals = np.array([s.competence[-1][cfg.scenario.labels.index("a")] for s in result.replications])
     row = next(r for r in result.competence_agg if r[0] == 100 and r[1] == "a")
     mean, lo, hi = row[2:]
     se = finals.std(ddof=1) / np.sqrt(len(finals))
@@ -485,6 +485,38 @@ def test_parallel_jobs_match_serial(tmp_path):
     run_experiment(ExperimentConfig(out_dir=str(serial), jobs=1, **base))
     run_experiment(ExperimentConfig(out_dir=str(parallel), jobs=3, **base))
     assert (serial / "trials.csv").read_bytes() == (parallel / "trials.csv").read_bytes()
+
+
+def test_jobs_above_replications_starts_one_worker_per_replication(tmp_path, monkeypatch):
+    # The executor is faked, so no process starts: it records max_workers
+    # and maps inline.
+    import concurrent.futures
+
+    recorded = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    base = dict(scenario=short_scenario(3, 150), system="m_grail", replications=2, seed=4)
+    run_experiment(ExperimentConfig(out_dir=str(serial), jobs=1, **base))
+    assert recorded == []
+    run_experiment(ExperimentConfig(out_dir=str(parallel), jobs=8, **base))
+    assert recorded == [2]
+    assert sorted(os.listdir(serial)) == sorted(os.listdir(parallel))
+    for name in os.listdir(serial):
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 
@@ -822,8 +854,8 @@ def test_actor_critic_measure_competence_leaves_parameters_unchanged():
     sim = Simulation(cfg, seed=1)
     before = [[e.snapshot() for e in pair] for pair in sim.experts]
     rng_before = sim.rng.bit_generator.state
-    for label in spec.labels:
-        v = sim.measure_competence(spec.goal_index(label))
+    for goal in range(spec.n_goals):
+        v = sim.measure_competence(goal)
         assert 0.0 <= v <= 1.0
     assert sim.rng.bit_generator.state == rng_before  # evaluation draws no training noise
     after = [[e.snapshot() for e in pair] for pair in sim.experts]

@@ -38,10 +38,10 @@ def test_render_is_deterministic():
 
 
 def test_grid_layout_dimensions():
-    svg = render_panels([chart_with()] * 4, panel_width=300, panel_height=200, columns=2)
+    svg = render_panels([chart_with()] * 4, columns=2)
     root = ET.fromstring(svg)
-    assert root.get("width") == "600"
-    assert root.get("height") == "400"
+    assert root.get("width") == "1040"
+    assert root.get("height") == "680"
 
 
 def test_empty_series_rejected_before_any_output():

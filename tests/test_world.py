@@ -74,15 +74,15 @@ def test_builtin_scenario_1_has_no_conditions():
 def test_builtin_scenario_2_context_split():
     s2 = builtin_scenario(2)
     for lab in ("a", "c", "e"):
-        assert s2.goals[s2.goal_index(lab)].requires_context == 1.0
+        assert s2.goals[s2.labels.index(lab)].requires_context == 1.0
     for lab in ("b", "d", "f"):
-        assert s2.goals[s2.goal_index(lab)].requires_context == 0.0
+        assert s2.goals[s2.labels.index(lab)].requires_context == 0.0
     assert s2.context_prob_on == 0.5
 
 
 def test_builtin_scenario_3_chains():
     s3 = builtin_scenario(3)
-    gi = s3.goal_index
+    gi = s3.labels.index
     assert s3.goals[gi("c")].requires_on == frozenset({gi("d")})
     assert s3.goals[gi("e")].requires_on == frozenset({gi("c")})
     assert s3.goals[gi("f")].requires_on == frozenset({gi("b")})
@@ -105,24 +105,26 @@ def fresh(spec, cf=0.0):
 
 def test_scenario3_chain_start_achievable_from_fresh():
     s3 = builtin_scenario(3)
-    assert s3.is_achievable("d", fresh(s3))
-    assert s3.is_achievable("b", fresh(s3))
-    assert not s3.is_achievable("e", fresh(s3))
+    b, d, e = map(s3.labels.index, "bde")
+    assert s3.is_achievable(d, fresh(s3))
+    assert s3.is_achievable(b, fresh(s3))
+    assert not s3.is_achievable(e, fresh(s3))
 
 
 def test_scenario3_mutual_exclusion_after_d():
     s3 = builtin_scenario(3)
-    state, ok = s3.apply_touch("d", fresh(s3))
+    b, c, d = map(s3.labels.index, "bcd")
+    state, ok = s3.apply_touch(d, fresh(s3))
     assert ok
-    assert s3.is_achievable("c", state)
-    assert not s3.is_achievable("b", state)
+    assert s3.is_achievable(c, state)
+    assert not s3.is_achievable(b, state)
 
 
 def test_scenario1_everything_achievable_when_off():
     s1 = builtin_scenario(1)
     for cf in (0.0, 1.0):
-        for lab in s1.labels:
-            assert s1.is_achievable(lab, fresh(s1, cf))
+        for goal in range(s1.n_goals):
+            assert s1.is_achievable(goal, fresh(s1, cf))
 
 
 def test_already_on_sphere_not_achievable():
@@ -137,23 +139,25 @@ def test_already_on_sphere_not_achievable():
 
 def test_apply_touch_activates_d_from_fresh():
     s3 = builtin_scenario(3)
-    state, ok = s3.apply_touch("d", fresh(s3))
-    assert ok and state.sphere_on[s3.goal_index("d")]
-    others = [state.sphere_on[i] for i in range(6) if i != s3.goal_index("d")]
+    d = s3.labels.index("d")
+    state, ok = s3.apply_touch(d, fresh(s3))
+    assert ok and state.sphere_on[d]
+    others = [state.sphere_on[i] for i in range(6) if i != d]
     assert not any(others)
 
 
 def test_apply_touch_noop_when_preconditions_missing():
     s3 = builtin_scenario(3)
-    state, ok = s3.apply_touch("e", fresh(s3))
+    state, ok = s3.apply_touch(s3.labels.index("e"), fresh(s3))
     assert not ok and state == fresh(s3)
 
 
 def test_retouching_active_sphere_is_noop():
     s1 = builtin_scenario(1)
-    state, ok = s1.apply_touch("a", fresh(s1))
+    a = s1.labels.index("a")
+    state, ok = s1.apply_touch(a, fresh(s1))
     assert ok
-    state2, ok2 = s1.apply_touch("a", state)
+    state2, ok2 = s1.apply_touch(a, state)
     assert not ok2 and state2 == state
 
 
@@ -193,7 +197,7 @@ def test_scenario3_reachable_activations_are_single_chain_prefixes():
     def bits(labels):
         on = [False] * 6
         for lab in labels:
-            on[s3.goal_index(lab)] = True
+            on[s3.labels.index(lab)] = True
         return tuple(on)
 
     expected = {bits(()), bits("d"), bits("dc"), bits("dce"),
@@ -211,7 +215,7 @@ def test_sphere_monotone_within_epoch():
         assert all(b or not a for a, b in zip(before, state.sphere_on))
 
 
-# -- the touch table and one object per state -------------------------------------
+# -- the touch table --------------------------------------------------------------
 
 
 def walk(spec):
@@ -278,9 +282,10 @@ def test_one_object_per_state_whatever_the_touch_order():
     s1 = builtin_scenario(1)
     start = s1.reset(np.random.default_rng(0))
     assert s1.reset(np.random.default_rng(1)) is start
-    a_then_b = s1.apply_touch("b", s1.apply_touch("a", start)[0])[0]
-    b_then_a = s1.apply_touch("a", s1.apply_touch("b", start)[0])[0]
-    assert a_then_b is b_then_a
+    a, b = map(s1.labels.index, "ab")
+    a_then_b = s1.apply_touch(b, s1.apply_touch(a, start)[0])[0]
+    b_then_a = s1.apply_touch(a, s1.apply_touch(b, start)[0])[0]
+    assert a_then_b == b_then_a and a_then_b.key_string() == b_then_a.key_string()
 
 
 def test_a_state_built_directly_shares_the_reset_states_touch_results():
@@ -292,7 +297,7 @@ def test_a_state_built_directly_shares_the_reset_states_touch_results():
         first = s3.apply_touch(goal, built)
         assert s3.apply_touch(goal, start) is first
         if not first[1]:
-            assert first[0] is start
+            assert first[0] == start
 
 
 def test_a_state_hashes_once_by_field_and_finds_the_interned_touch_entry():
@@ -302,7 +307,7 @@ def test_a_state_hashes_once_by_field_and_finds_the_interned_touch_entry():
     assert "_hash" not in vars(built)
     assert hash(built) == hash(start) == hash((built.sphere_on, built.context_feature))
     assert vars(built)["_hash"] == hash(built)  # kept on the object after the first hash()
-    d = s3.goal_index("d")
+    d = s3.labels.index("d")
     first = s3.apply_touch(d, start)
     assert s3._touches[built, d] is first
     assert {start: 1}[built] == 1
@@ -311,10 +316,11 @@ def test_a_state_hashes_once_by_field_and_finds_the_interned_touch_entry():
 def test_another_spec_touches_an_interned_state_by_its_own_rules():
     s1, s3 = builtin_scenario(1), builtin_scenario(3)
     start = s3.reset(np.random.default_rng(0))
-    assert s3.apply_touch("e", start) == (start, False)
-    state, ok = s1.apply_touch("e", start)
+    e = s3.labels.index("e")
+    assert s3.apply_touch(e, start) == (start, False)
+    state, ok = s1.apply_touch(e, start)
     assert ok and state.key_string() == "000010/0"
-    assert s3.apply_touch("e", start) == (start, False)
+    assert s3.apply_touch(e, start) == (start, False)
 
 
 def test_spec_with_warm_caches_survives_pickling():
