@@ -13,16 +13,23 @@ import numpy as np
 from lightup import SelectionStrategy, softmax_probabilities
 from lightup.experiment import SYSTEMS
 
-for system, (lr, discount) in SYSTEMS.items():
-    print(f"{system:8s} learning rate {lr}, discount {discount}")
+for name, system in SYSTEMS.items():
+    print(f"{name:8s} learning rate {system.learning_rate}, discount {system.discount}")
+
+
+def value_table(system, n_goals, temperature, context_mode):
+    """A selection strategy with ``system``'s learning rate and discount."""
+    return SelectionStrategy(n_goals, temperature, SYSTEMS[system].learning_rate,
+                             SYSTEMS[system].discount, context_mode=context_mode)
+
 
 print("\n=== EMA value tables ===")
-bandit = SelectionStrategy(6, 0.01, *SYSTEMS["grail"], context_mode="none")
-bandit.update((), 2, 1.0, (), True)
+bandit = value_table("grail", 6, 0.01, "none")
+bandit.update((), 2, 1.0, None)  # no next key: the update does not bootstrap
 print("bandit after one reward of 1.0 on goal 2:", np.round(bandit.goal_values(()), 3))
 
-ctx = SelectionStrategy(6, 0.01, *SYSTEMS["c_grail"], context_mode="context_feature")
-ctx.update((1,), 0, 0.5, (0,), False)
+ctx = value_table("c_grail", 6, 0.01, "context_feature")
+ctx.update((1,), 0, 0.5, (0,))
 print("contextual cell (cf=1, goal a):", ctx.goal_values((1,))[0],
       " cf=0 row untouched:", ctx.goal_values((0,)))
 
@@ -35,14 +42,14 @@ for tau in (1.0, 0.1, 0.01):
 print("\n=== value propagation along a chain ===")
 # Deterministic two-step chain: the start goal never pays by itself, the end
 # goal pays 0.1 per trial. The bandit forgets the start; Q keeps it alive.
-q = SelectionStrategy(2, 0.001, *SYSTEMS["m_grail"], context_mode="full_state")
-bandit = SelectionStrategy(2, 0.01, *SYSTEMS["grail"], context_mode="none")
+q = value_table("m_grail", 2, 0.001, "full_state")
+bandit = value_table("grail", 2, 0.01, "none")
 bandit.goal_values(())[0] = 0.05  # pretend the start goal was once intrinsically rewarding
 start, end = ("start",), ("end",)
 for _ in range(2000):
-    q.update(start, 0, 0.0, end, False)     # start goal: reward long gone
-    q.update(end, 1, 0.1, ("done",), True)  # end goal still yields reward
-    bandit.update((), 0, 0.0, (), False)
+    q.update(start, 0, 0.0, end)   # start goal: reward long gone
+    q.update(end, 1, 0.1, None)    # end goal still yields reward; the epoch ends
+    bandit.update((), 0, 0.0, ())
 print("after 2000 trials:")
 print(f"  bandit value of the chain start: {bandit.goal_values(())[0]:.6f} (faded to nothing)")
 print(f"  Q value of the chain start:      {q.goal_values(start)[0]:.4f} "

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class ArmConfig:
@@ -37,17 +39,22 @@ class ArmConfig:
     def max_reach(self) -> float:
         return float(sum(self.link_lengths))
 
-    def validate(self) -> None:
-        if not all(l > 0 for l in self.link_lengths):
-            raise ValueError(f"link lengths must be positive: {self.link_lengths}")
-        if not (self.max_step > 0 and self.touch_radius > 0):
-            raise ValueError("max_step and touch_radius must be positive")
-        if len(self.joint_min) != self.n_joints or len(self.joint_max) != self.n_joints:
-            raise ValueError("joint limit arity does not match link count")
+    def __post_init__(self) -> None:
+        """Raise ConfigError, naming the key, on a value the arm cannot run with."""
+        def check(key: str, ok: bool, need: str) -> None:
+            if not ok:
+                raise ConfigError(f"arm: {key} must be {need}, got {getattr(self, key)!r}")
+        links = self.link_lengths
+        check("link_lengths", bool(links) and all(0 < l < math.inf for l in links), "positive and finite")
+        for key in ("joint_min", "joint_max"):
+            limits = getattr(self, key)
+            check(key, len(limits) == self.n_joints and all(map(math.isfinite, limits)),
+                  "one finite number per link")
         # Each joint needs a range to move in: the actor update divides by
         # its half-width, and the features by its larger absolute limit.
-        if not all(lo < hi for lo, hi in zip(self.joint_min, self.joint_max)):
-            raise ValueError("joint limits must satisfy min < max")
+        check("joint_min", all(lo < hi for lo, hi in zip(self.joint_min, self.joint_max)), "below joint_max")
+        for key in ("max_step", "touch_radius"):
+            check(key, 0 < getattr(self, key) < math.inf, "positive and finite")
 
 
 def home_joints(cfg: ArmConfig) -> tuple[float, ...]:

@@ -29,7 +29,7 @@ from array import array
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import chain, repeat
 from operator import floordiv
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import yaml
@@ -56,17 +56,25 @@ from .world import (
 
 log = logging.getLogger(__name__)
 
-# Each system's (learning rate, discount) for the goal-value update; only
-# grail is state-blind, which Simulation sets through the context mode.
-SYSTEMS = {"grail": (0.01, 0.0), "c_grail": (0.1, 0.0), "m_grail": (0.1, 0.3)}
 
-# Goal-selection softmax temperatures, per system. Intrinsic rewards live on
-# the scale of the predictor step (~0.1); the Q system additionally discounts
-# twice before a chain-end value shows up at the reset state, so it needs a
-# colder softmax. Even so, once one chain is mastered the reset-state values
-# differ by only about 1.5e-4 in slow scenario-3 replications, and at 0.001
-# selection there runs near chance until the other chain end is mastered.
-SYSTEM_TEMPERATURES = {"grail": 0.01, "c_grail": 0.01, "m_grail": 0.001}
+class System(NamedTuple):
+    """One goal-selection system: the parameters of its value update and softmax."""
+
+    learning_rate: float
+    discount: float
+    # Intrinsic rewards live on the scale of the predictor step (~0.1); the Q
+    # system additionally discounts twice before a chain-end value shows up at
+    # the reset state, so it needs a colder softmax. Even so, once one chain is
+    # mastered the reset-state values differ by only about 1.5e-4 in slow
+    # scenario-3 replications, and at 0.001 selection there runs near chance
+    # until the other chain end is mastered.
+    temperature: float
+    # Keys on the scenario's context mode and gates expert updates; else state-blind and ungated.
+    contextual: bool
+
+
+SYSTEMS = {"grail": System(0.01, 0.0, 0.01, False), "c_grail": System(0.1, 0.0, 0.01, True),
+           "m_grail": System(0.1, 0.3, 0.001, True)}
 
 ARMS = ("left", "right")
 
@@ -159,10 +167,6 @@ class ExperimentConfig:
         ac = self.actor_critic
         if ac.sigma_min > ac.sigma_start:
             raise ConfigError(f"actor_critic: sigma_min {ac.sigma_min} exceeds sigma_start {ac.sigma_start}")
-        try:
-            self.arm.validate()
-        except ValueError as exc:
-            raise ConfigError(f"arm: {exc}") from None
 
         sc = self.scenario
         if isinstance(sc, Mapping):
@@ -178,7 +182,7 @@ class ExperimentConfig:
     def resolved_temperature(self) -> float:
         if self.temperature is not None:
             return self.temperature
-        return SYSTEM_TEMPERATURES[self.system]
+        return SYSTEMS[self.system].temperature
 
 
 @dataclass
@@ -338,16 +342,17 @@ class Simulation:
         self.rng = backend.rng
         n = spec.n_goals
 
-        context_mode = "none" if cfg.system == "grail" else spec.context_mode
-        learning_rate, discount = SYSTEMS[cfg.system]
+        system = SYSTEMS[cfg.system]
+        context_mode = spec.context_mode if system.contextual else "none"
         self.strategy = SelectionStrategy(
-            n, cfg.resolved_temperature(), learning_rate, discount, context_mode
+            n, cfg.resolved_temperature(), system.learning_rate, system.discount, context_mode
         )
         self.predictor = AchievementPredictor(
             eta=cfg.predictor_eta, context_mode=context_mode, clip_negative_reward=cfg.clip_reward,
         )
-        self.use_gate = cfg.system != "grail"
-        self.reset_every_trial = spec.reset_policy == "per_trial"
+        self.use_gate = system.contextual
+        # Trials from one reset to the next: the world resets before trial 0 of each.
+        self.epoch_length = spec.trials_per_epoch if spec.reset_policy == "per_epoch" else 1
 
         self.selectors = [
             ExpertSelector(smoothing=cfg.expert_smoothing, temperature=cfg.expert_temperature)
@@ -362,8 +367,8 @@ class Simulation:
         """Advance the simulation by one trial and append it to ``self.series``."""
         spec, rng, strategy, predictor = self.spec, self.rng, self.strategy, self.predictor
         series = self.series
-        step_in_epoch = len(series.goal) % spec.trials_per_epoch
-        if self.reset_every_trial or step_in_epoch == 0:
+        step_in_epoch = len(series.goal) % self.epoch_length
+        if step_in_epoch == 0:
             self.state = spec.reset(rng)
         state = self.state
         key = strategy.state_key(state)  # the predictor's key too: they share a context mode
@@ -383,9 +388,10 @@ class Simulation:
             # nothing about which arm is better.
             self.selectors[goal].update(arm_index, achieved)
 
-        terminal = self.reset_every_trial or step_in_epoch == spec.trials_per_epoch - 1
-        bootstrap = strategy.discount > 0 and not terminal
-        strategy.update(key, goal, reward, strategy.state_key(new_state) if bootstrap else None, terminal)
+        # An epoch's last trial has no next key: the reset after it does not
+        # depend on its choice, so bootstrapping on it would inject spurious value.
+        last = step_in_epoch == self.epoch_length - 1
+        strategy.update(key, goal, reward, None if last else strategy.state_key(new_state))
 
         self.state = new_state
         if achieved and not achievable:
@@ -579,13 +585,10 @@ def _section(name: str, cls, data):
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed mapping, rejecting unknown keys."""
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
     kinds = {**_kinds(ExperimentConfig), **_NONE_DEFAULT_KINDS}
+    check_keys("config", data, kinds)
     kwargs: dict = {}
     for key, value in data.items():
-        if key not in kinds:
-            raise ConfigError(f"unknown config key {key!r}")
         if key == "scenario" or (value is None and key in _NONE_DEFAULT_KINDS):
             kwargs[key] = value  # as given: the config resolves a scenario itself
         elif is_dataclass(kinds[key]):
@@ -596,11 +599,7 @@ def config_from_dict(data: Mapping) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    data = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    data["scenario"] = scenario_to_dict(cfg.scenario)
-    data["arm"] = asdict(cfg.arm)
-    data["actor_critic"] = asdict(cfg.actor_critic)
-    return data
+    return {**asdict(cfg), "scenario": scenario_to_dict(cfg.scenario)}
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -90,10 +90,10 @@ class SelectionStrategy:
     ``context_mode`` controls what part of the world state the strategy can
     condition on (``none`` collapses every state to one key); ``state_key``
     makes the key the other methods take. The one-step target bootstraps on
-    the best value of the post-trial key only when the trial is not terminal
-    and ``discount`` is positive: across an epoch boundary the post-reset
-    state is independent of the last choice, so bootstrapping there would
-    inject spurious value. Each row is a list of Python floats.
+    the best value at ``next_key``, the post-trial key, when one is given and
+    ``discount`` is positive; the caller gives none on an epoch's last trial.
+    A table without a discount adds no row for a next key. Each row is a list
+    of Python floats.
     """
 
     def __init__(self, n_goals: int, temperature: float, learning_rate: float,
@@ -118,11 +118,12 @@ class SelectionStrategy:
         """Sample a goal index for the state keyed ``key``."""
         return choose_index(softmax_probabilities(self.goal_values(key), self.temperature), rng)
 
-    def update(self, key: tuple, goal: int, reward: float, next_key: tuple | None, terminal: bool) -> None:
-        """Move the selected cell toward its one-step target; no other cell changes."""
+    def update(self, key: tuple, goal: int, reward: float, next_key: tuple | None) -> None:
+        """Move the selected cell toward its one-step target, which bootstraps
+        on ``next_key`` when it is given; no other cell changes."""
         values = self.goal_values(key)
         target = reward
-        if not terminal and self.discount > 0:
+        if next_key is not None and self.discount > 0:
             target += self.discount * max(self.goal_values(next_key))
         value = values[goal]
         values[goal] = value + self.learning_rate * (target - value)

@@ -12,8 +12,8 @@ World state is an immutable value: touching returns a new state, which keeps
 trial bookkeeping and table keying trivially safe. The touch dynamics are the
 scenario's transition function, and the ScenarioSpec owns them as one table:
 ``apply_touch`` fills it per (state, goal index) on first use and hands out the
-same result from then on. A state's sphere bitmask, hash, ``full_state`` key
-and key text are derived once per object; equality and hashing are by field,
+same result from then on. A state's sphere bitmask, ``full_state`` key and
+key text are derived once per object; equality and hashing are by field,
 so a state built directly touches, keys and compares like one the spec handed
 out. The world names goals by index; labels are for files and CSVs.
 """
@@ -64,15 +64,8 @@ class WorldState:
     sphere_on: tuple[bool, ...]
     context_feature: float
 
-    # Derived once per object, on first use; fields, equality and replace()
-    # ignore them.
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.sphere_on, self.context_feature))  # the dataclass's own, by field
-
-    def __hash__(self) -> int:
-        return self._hash
-
+    # Derived once per object, on first use; fields, equality, hashing and
+    # replace() ignore them.
     @cached_property
     def mask(self) -> int:
         """The sphere statuses as bits: bit i is set iff sphere i is on."""

@@ -211,13 +211,14 @@ def test_a5_q_learning_matches_value_iteration():
         return r + (0.0 if term else gamma * v[ns])
 
     # System under test: the tabular Q update, swept over every (state, goal).
-    qv = SelectionStrategy(6, 0.001, *SYSTEMS["m_grail"], context_mode="full_state")
+    m_grail = SYSTEMS["m_grail"]
+    qv = SelectionStrategy(6, 0.001, m_grail.learning_rate, m_grail.discount, context_mode="full_state")
     key = lambda s: tuple(int(b) for b in s.sphere_on) + (int(s.context_feature),)
     for _ in range(1000):
         for s in states:
             for g in range(6):
                 ns, r, term = chain_mdp_step(spec, s, g)
-                qv.update(key(s), g, r, key(ns), term)
+                qv.update(key(s), g, r, None if term else key(ns))
 
     max_err = max(abs(qv.goal_values(key(s))[g] - oracle_q(s, g))
                   for s in states for g in range(6))
@@ -286,8 +287,8 @@ def test_a7_softmax_normalization():
 
 def test_a7_single_cell_update_isolation():
     rng = np.random.default_rng(2)
-    stores = [SelectionStrategy(6, 0.01, lr, discount, context_mode="full_state")
-              for lr, discount in SYSTEMS.values()]
+    stores = [SelectionStrategy(6, 0.01, system.learning_rate, system.discount, context_mode="full_state")
+              for system in SYSTEMS.values()]
     keys = [(), (1,), (0, 1), (1, 0, 1)]
     clean = True
     for _ in range(400):
@@ -296,7 +297,7 @@ def test_a7_single_cell_update_isolation():
             g = int(rng.integers(6))
             before = {kk: vv.copy() for kk, vv in store.table.items()}
             before.setdefault(k, [0.0] * 6)
-            store.update(k, g, float(rng.normal()), nk, bool(rng.integers(2)))
+            store.update(k, g, float(rng.normal()), None if rng.integers(2) else nk)
             for kk, vv in store.table.items():
                 base = before.get(kk, [0.0] * 6)
                 changed = {i for i in range(6) if vv[i] != base[i]}

@@ -15,6 +15,7 @@ from lightup.arm import (
     step_toward,
     unreachable_goals,
 )
+from lightup.errors import ConfigError
 from lightup.experiment import ARMS, ExperimentConfig, Simulation
 from lightup.world import builtin_scenario, scenario_from_dict
 
@@ -352,8 +353,8 @@ def test_home_joints_within_limits():
 
 
 def test_arm_config_validation():
-    with pytest.raises(ValueError):
-        ArmConfig(link_lengths=(0.25, -0.1, 0.25, 0.25)).validate()
-    with pytest.raises(ValueError):
-        ArmConfig(max_step=0.0).validate()
-    ArmConfig().validate()
+    with pytest.raises(ConfigError, match="^arm: link_lengths must be positive and finite"):
+        ArmConfig(link_lengths=(0.25, -0.1, 0.25, 0.25))
+    with pytest.raises(ConfigError, match="^arm: max_step must be positive and finite"):
+        ArmConfig(max_step=0.0)
+    ArmConfig()

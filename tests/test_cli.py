@@ -1,6 +1,7 @@
 """CLI surface: run/plot/validate subcommands, exit codes, determinism."""
 
 import csv
+import math
 import os
 
 import pytest
@@ -121,6 +122,10 @@ def test_underflowing_temperature_exits_3(tmp_path, capsys):
     pytest.param("arm", {"joint_min": [1.0] * 4, "joint_max": [0.0] * 4}, id="arm-inverted_limits"),
     pytest.param("arm", {"joint_min": [0.0] * 4, "joint_max": [0.0] * 4}, id="arm-fixed_joints"),
     pytest.param("arm", {"reach": 2.0}, id="arm-unknown_key"),
+    pytest.param("arm", {"joint_min": [-math.inf] * 4}, id="arm-infinite_joint_min"),
+    pytest.param("arm", {"link_lengths": [math.inf, 0.25, 0.25, 0.25]}, id="arm-infinite_link"),
+    pytest.param("arm", {"max_step": math.inf}, id="arm-infinite_max_step"),
+    pytest.param("arm", {"touch_radius": math.inf}, id="arm-infinite_touch_radius"),
     pytest.param("actor_critic", {"hidden": 8}, id="actor_critic-unknown_key"),
     pytest.param("actor_critic", {"hidden_units": 0}, id="actor_critic-no_hidden_units"),
     pytest.param("actor_critic", {"noise_correlation": 1.5}, id="actor_critic-noise_correlation"),
@@ -132,9 +137,11 @@ def test_out_of_range_config_value_exits_2(tmp_path, capsys, field, value):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
     assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 2
-    # A nested section names itself, then its own problem.
+    # A nested section names itself, then its own problem; the line names every key set.
     expected = f"error: {field}: " if isinstance(value, dict) else f"error: {field} must be in"
-    assert capsys.readouterr().err.startswith(expected)
+    err = capsys.readouterr().err
+    assert err.startswith(expected) and "Traceback" not in err
+    assert all(key in err.splitlines()[0] for key in (value if isinstance(value, dict) else [field]))
     assert not (tmp_path / "x").exists()
 
 
@@ -164,7 +171,7 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, field, value, message):
 
 @pytest.mark.parametrize("field, value, message", [
     ("arm", {"mirrored": True}, "arm: unknown key 'mirrored'"),
-    ("idealized_noise_scale", 0.1, "unknown config key 'idealized_noise_scale'"),
+    ("idealized_noise_scale", 0.1, "config: unknown key 'idealized_noise_scale'"),
 ], ids=["arm-mirrored", "idealized_noise_scale"])
 def test_removed_config_key_exits_2(tmp_path, capsys, field, value, message):
     # Both arms run one chain and the idealized attempt has no jitter, so

@@ -86,7 +86,7 @@ def test_config_roundtrip_through_dict():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown config key"):
+    with pytest.raises(ConfigError, match="^config: unknown key 'learning_speed'; valid keys: "):
         config_from_dict({"scenario": 1, "learning_speed": 3})
 
 
@@ -159,6 +159,18 @@ def test_per_trial_reset_gives_fresh_state_every_trial():
     series = Simulation(cfg, seed=2).run()
     assert len(series.state_key) == 200
     assert all(key.startswith("000000") for key in series.state_key)
+
+
+def test_per_trial_reset_ignores_trials_per_epoch():
+    # Under per_trial every trial starts at a reset and ends its epoch, so
+    # trials_per_epoch changes only the epoch column that trials.csv derives.
+    spec = replace(short_scenario(3, 300), reset_policy="per_trial")
+    assert spec.trials_per_epoch == 3
+    cfg = ExperimentConfig(scenario=spec, system="m_grail", dump_values=True)
+    series = Simulation(cfg, seed=6).run()
+    one = Simulation(replace(cfg, scenario=replace(spec, trials_per_epoch=1)), seed=6).run()
+    assert series == one
+    assert series.state_key == ["000000/0"] * 300
 
 
 def test_epoch_state_persists_within_epoch():
@@ -312,10 +324,10 @@ def test_run_experiment_refuses_an_out_dir_that_cannot_be_a_directory_before_any
     assert os.listdir(tmp_path) == ["file"]
 
 
-@pytest.mark.parametrize("sid, system", [(1, "grail"), (2, "c_grail"), (3, "m_grail")])
+@pytest.mark.parametrize("sid, system", [(1, "grail"), (2, "c_grail"), (3, "m_grail"), (3, "c_grail")])
 def test_idealized_trial_keys_its_state_once(sid, system, monkeypatch):
-    """One key serves selection and the predictor; m_grail also keys the
-    post-trial state, only where its update bootstraps (within an epoch)."""
+    """One key serves selection and the predictor; the post-trial state is
+    keyed too within an epoch, the only place an update may bootstrap."""
     import lightup.motivation
     import lightup.selection
     from lightup.world import state_key
@@ -334,7 +346,7 @@ def test_idealized_trial_keys_its_state_once(sid, system, monkeypatch):
         before = len(calls)
         sim.run_trial()
         per_trial.append(len(calls) - before)
-    if system == "m_grail":
+    if sid == 3:
         per_epoch = sim.spec.trials_per_epoch
         assert per_epoch > 1
         assert per_trial == [1 if t % per_epoch == 0 else 2 for t in range(1, 301)]

@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lightup.errors import NumericsError
-from lightup.experiment import SYSTEM_TEMPERATURES, SYSTEMS, ExperimentConfig, Simulation
+from lightup.experiment import SYSTEMS, ExperimentConfig, Simulation
 from lightup.selection import SelectionStrategy, choose_index, softmax_probabilities
 from lightup.world import WorldState, builtin_scenario
 
 
 def strategy(system, n_goals, context_mode="full_state", temperature=0.01):
     """A selection strategy with the given system's learning rate and discount."""
-    return SelectionStrategy(n_goals, temperature, *SYSTEMS[system], context_mode=context_mode)
+    learning_rate, discount = SYSTEMS[system].learning_rate, SYSTEMS[system].discount
+    return SelectionStrategy(n_goals, temperature, learning_rate, discount, context_mode=context_mode)
 
 
 # -- softmax ------------------------------------------------------------------
@@ -110,7 +111,8 @@ def test_choose_index_draws_what_generator_choice_draws():
     # Softmax distributions over 2 goals (arms) and 6 goals at every
     # temperature the systems use; a tenth of the cases are ties, and a
     # tenth put a bin edge exactly on the uniform number the draw will use.
-    temperatures = sorted({*SYSTEM_TEMPERATURES.values(), ExperimentConfig().expert_temperature})
+    temperatures = sorted({system.temperature for system in SYSTEMS.values()}
+                          | {ExperimentConfig().expert_temperature})
     cases = np.random.default_rng(2024)
     ours, numpy_rng = np.random.default_rng(7), np.random.default_rng(7)
     drawn, differ = 0, 0
@@ -137,7 +139,7 @@ def test_choose_index_draws_what_generator_choice_draws():
 
 def test_bandit_single_update_from_zero():
     bv = strategy("grail", 6, context_mode="none")
-    bv.update((), 2, 1.0, (), True)
+    bv.update((), 2, 1.0, None)
     values = bv.goal_values(())
     assert values[2] == pytest.approx(0.01)
     assert all(values[g] == 0.0 for g in range(6) if g != 2)
@@ -146,14 +148,14 @@ def test_bandit_single_update_from_zero():
 def test_bandit_converges_to_constant_reward():
     bv = strategy("grail", 6, context_mode="none")
     for _ in range(1000):
-        bv.update((), 0, 0.7, (), False)
+        bv.update((), 0, 0.7, ())
     assert abs(bv.goal_values(())[0] - 0.7) < 0.01
 
 
 def test_bandit_fixpoint_when_reward_equals_value():
     bv = strategy("grail", 6, context_mode="none")
     bv.goal_values(())[1] = 0.25
-    bv.update((), 1, 0.25, (), True)
+    bv.update((), 1, 0.25, None)
     assert bv.goal_values(())[1] == pytest.approx(0.25)
 
 
@@ -162,13 +164,13 @@ def test_bandit_fixpoint_when_reward_equals_value():
 
 def test_contextual_single_update():
     cv = strategy("c_grail", 6)
-    cv.update((1,), 0, 0.5, (0,), True)
+    cv.update((1,), 0, 0.5, None)
     assert cv.goal_values((1,))[0] == pytest.approx(0.05)
 
 
 def test_contextual_key_isolation():
     cv = strategy("c_grail", 6)
-    cv.update((1,), 0, 0.5, (0,), False)
+    cv.update((1,), 0, 0.5, (0,))
     # Without a discount nothing bootstraps, so the next key gets no row.
     assert list(cv.table) == [(1,)]
     assert cv.goal_values((0,)) == [0.0] * 6
@@ -178,7 +180,7 @@ def test_contextual_key_isolation():
 def test_contextual_zero_reward_fixpoint():
     cv = strategy("c_grail", 6)
     for _ in range(500):
-        cv.update((0,), 3, 0.0, (1,), False)
+        cv.update((0,), 3, 0.0, (1,))
     assert cv.goal_values((0,))[3] == 0.0
 
 
@@ -194,7 +196,7 @@ def test_single_cell_isolation_random_updates():
         for store in stores:
             before = {k: v.copy() for k, v in store.table.items()}
             before.setdefault(key, [0.0] * 6)
-            store.update(key, goal, reward, nxt, bool(rng.integers(2)))
+            store.update(key, goal, reward, None if rng.integers(2) else nxt)
             after = store.table
             for k, v in after.items():
                 base = before.get(k, [0.0] * 6)
@@ -210,15 +212,15 @@ def test_single_cell_isolation_random_updates():
 
 def test_q_single_update_terminal():
     qv = strategy("m_grail", 6)
-    qv.goal_values(("t",))[0] = 1.0
-    qv.update(("s",), 1, 0.5, ("t",), True)
+    qv.goal_values(("t",))[0] = 1.0  # a next row exists, but a terminal update is given no next key
+    qv.update(("s",), 1, 0.5, None)
     assert qv.goal_values(("s",))[1] == pytest.approx(0.05)
 
 
 def test_q_bootstrap_propagates_next_state_value():
     qv = strategy("m_grail", 6)
     qv.goal_values(("next",))[4] = 1.0
-    qv.update(("s",), 0, 0.0, ("next",), False)
+    qv.update(("s",), 0, 0.0, ("next",))
     assert qv.goal_values(("s",))[0] == pytest.approx(0.1 * 0.3 * 1.0)
 
 
@@ -243,8 +245,8 @@ def test_q_converges_on_three_state_chain():
         for i, s in enumerate(states):
             terminal = i == len(states) - 1
             reward = 1.0 if terminal else 0.0
-            nxt = states[i + 1] if not terminal else ("end",)
-            qv.update(s, 0, reward, nxt, terminal)
+            nxt = states[i + 1] if not terminal else None
+            qv.update(s, 0, reward, nxt)
     oracle = value_iteration_chain()
     assert oracle[0] == pytest.approx(0.09)
     assert oracle[1] == pytest.approx(0.3)
@@ -259,9 +261,9 @@ def test_q_values_bounded_by_rmax_over_one_minus_gamma():
     r_max = 0.1
     keys = [(i,) for i in range(5)]
     for _ in range(5000):
-        qv.update(keys[rng.integers(5)], int(rng.integers(4)),
-                  float(rng.uniform(0, r_max)), keys[rng.integers(5)],
-                  bool(rng.integers(2)))
+        key, goal = keys[rng.integers(5)], int(rng.integers(4))
+        reward, nxt = float(rng.uniform(0, r_max)), keys[rng.integers(5)]
+        qv.update(key, goal, reward, None if rng.integers(2) else nxt)
     bound = r_max / (1.0 - qv.discount) + 1e-9
     for values in qv.table.values():
         assert all(0.0 <= v <= bound for v in values)
@@ -275,9 +277,9 @@ def test_backpropagation_vs_fading_bandit():
     start_state, end_state = ("s0",), ("s1",)
     bv.goal_values(())[0] = 0.05  # pretend it once earned rewards
     for _ in range(2000):
-        qv.update(start_state, 0, 0.0, end_state, False)   # start goal: no reward now
-        qv.update(end_state, 1, 0.1, ("done",), True)      # chain end still rewarding
-        bv.update((), 0, 0.0, (), False)
+        qv.update(start_state, 0, 0.0, end_state)   # start goal: no reward now
+        qv.update(end_state, 1, 0.1, None)          # chain end still rewarding
+        bv.update((), 0, 0.0, ())
     assert qv.goal_values(start_state)[0] > 0.02
     assert bv.goal_values(())[0] < 1e-6
 
@@ -301,7 +303,7 @@ def test_strategy_select_uses_softmax_over_goal_values():
     strat = strategy("c_grail", 6, context_mode="context_feature")
     state = WorldState(sphere_on=(False,) * 6, context_feature=1.0)
     for _ in range(21):
-        strat.update((1,), 2, 1.0, (1,), True)  # strongly prefer goal 2 in cf=1
+        strat.update((1,), 2, 1.0, None)  # strongly prefer goal 2 in cf=1
     rng = np.random.default_rng(0)
     picks = [strat.select(strat.state_key(state), rng) for _ in range(200)]
     assert picks.count(2) > 150
@@ -309,8 +311,8 @@ def test_strategy_select_uses_softmax_over_goal_values():
 
 def test_strategy_dump_rows_sorted_and_complete():
     strat = strategy("m_grail", 3, context_mode="context_feature", temperature=0.1)
-    strat.update((1,), 0, 0.5, (0,), True)
-    strat.update((0,), 2, 0.25, (1,), True)
+    strat.update((1,), 0, 0.5, None)
+    strat.update((0,), 2, 0.25, None)
     rows = list(strat.dump_rows())
     assert len(rows) == 6  # two keys x three goals
     keys = [r[0] for r in rows]

@@ -246,7 +246,7 @@ def reached_states(spec):
 
 
 @pytest.mark.parametrize("sid", sorted(BUILTIN_SCENARIOS))
-def test_interned_states_behave_like_fresh_ones(sid):
+def test_reached_states_behave_like_fresh_ones(sid):
     spec = builtin_scenario(sid)
     reached = reached_states(spec)
     # Scenario 1 reaches every pattern; scenario 2 the subsets of a/c/e under
@@ -278,7 +278,7 @@ def test_repeated_touch_returns_the_same_object(sid):
                 assert first[0] is state
 
 
-def test_one_object_per_state_whatever_the_touch_order():
+def test_equal_states_whatever_the_touch_order():
     s1 = builtin_scenario(1)
     start = s1.reset(np.random.default_rng(0))
     assert s1.reset(np.random.default_rng(1)) is start
@@ -300,20 +300,18 @@ def test_a_state_built_directly_shares_the_reset_states_touch_results():
             assert first[0] == start
 
 
-def test_a_state_hashes_once_by_field_and_finds_the_interned_touch_entry():
+def test_a_state_hashes_by_field_and_finds_the_touch_entry():
     s3 = builtin_scenario(3)
     start = s3.reset(np.random.default_rng(0))
     built = WorldState((False,) * s3.n_goals, start.context_feature)
-    assert "_hash" not in vars(built)
     assert hash(built) == hash(start) == hash((built.sphere_on, built.context_feature))
-    assert vars(built)["_hash"] == hash(built)  # kept on the object after the first hash()
     d = s3.labels.index("d")
     first = s3.apply_touch(d, start)
     assert s3._touches[built, d] is first
     assert {start: 1}[built] == 1
 
 
-def test_another_spec_touches_an_interned_state_by_its_own_rules():
+def test_another_spec_touches_a_state_by_its_own_rules():
     s1, s3 = builtin_scenario(1), builtin_scenario(3)
     start = s3.reset(np.random.default_rng(0))
     e = s3.labels.index("e")
