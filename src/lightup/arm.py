@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .inputs import cast_fields
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,8 @@ class ArmConfig:
         return float(sum(self.link_lengths))
 
     def __post_init__(self) -> None:
-        """Raise ConfigError, naming the key, on a value the arm cannot run with."""
+        """Cast the fields, then raise ConfigError, naming the key, on a value the arm cannot run with."""
+        cast_fields(self, "arm.")
         def check(key: str, ok: bool, need: str) -> None:
             if not ok:
                 raise ConfigError(f"arm: {key} must be {need}, got {getattr(self, key)!r}")

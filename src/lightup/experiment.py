@@ -26,7 +26,7 @@ import math
 import os
 import tempfile
 from array import array
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, repeat
 from operator import floordiv
 from typing import Mapping, NamedTuple
@@ -36,7 +36,7 @@ import yaml
 
 from .arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward, unreachable_goals
 from .errors import ConfigError, NumericsError
-from .inputs import cast, check_keys, read_yaml
+from .inputs import cast_fields, check_keys, check_ranges, field_kinds, read_yaml
 from .motivation import AchievementPredictor
 from .selection import SelectionStrategy
 from .skills import (
@@ -78,49 +78,15 @@ SYSTEMS = {"grail": System(0.01, 0.0, 0.01, False), "c_grail": System(0.1, 0.0, 
 
 ARMS = ("left", "right")
 
-# Scalar field ranges as (field, low, high, low allowed, high allowed), where
-# "section.field" names a field of a nested section; NaN fails every check.
-_RANGES = (
-    ("replications", 1, math.inf, True, False),
-    ("seed", 0, math.inf, True, False),
-    ("timeout_steps", 1, math.inf, True, False),
-    ("eval_interval", 1, math.inf, True, False),
-    ("eval_trials", 1, math.inf, True, False),
-    ("jobs", 1, math.inf, True, False),
-    ("temperature", 0.0, math.inf, False, False),
-    ("expert_temperature", 0.0, math.inf, False, False),
-    ("expert_smoothing", 0.0, 1.0, False, True),
-    ("predictor_eta", 0.0, 1.0, False, True),
-    ("gate_epsilon", 0.0, math.inf, True, False),
-    ("idealized_init_competence", 0.0, 1.0, True, True),
-    ("idealized_learning_rate", 0.0, 1.0, False, True),
-    ("idealized_disruption", 0.0, 1.0, True, True),
-    ("idealized_exploration_floor", 0.0, 1.0, True, True),
-    ("actor_critic.hidden_units", 1, math.inf, True, False),
-    ("actor_critic.feature_scale", 0.0, math.inf, True, False),
-    ("actor_critic.feature_offset", 0.0, math.inf, True, False),
-    ("actor_critic.actor_lr", 0.0, math.inf, False, False),
-    ("actor_critic.critic_lr", 0.0, math.inf, False, False),
-    ("actor_critic.discount", 0.0, 1.0, True, True),
-    ("actor_critic.sigma_start", 0.0, math.inf, True, False),
-    ("actor_critic.sigma_min", 0.0, math.inf, True, False),
-    ("actor_critic.noise_correlation", 0.0, 1.0, True, True),
-    ("actor_critic.success_smoothing", 0.0, 1.0, False, True),
-    ("actor_critic.td_clip", 0.0, math.inf, False, False),
-    ("actor_critic.actor_delta_margin", 0.0, math.inf, True, False),
-    ("actor_critic.imitate_window", 0, math.inf, True, False),
-    ("actor_critic.success_replays", 0, math.inf, True, False),
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One goal-selection system run on one scenario, with every setting.
 
-    A config is checked once, when it is built (``replace`` builds a new
-    one): an invalid field or scenario raises ConfigError there, and
-    ``scenario``, given as a builtin id, its digits, a scenario file path, a
-    scenario mapping or a spec, is always a validated ScenarioSpec after.
+    A config is cast and checked once, when it is built (``replace`` builds
+    a new one), as a config file's is: an invalid field raises ConfigError
+    there. ``arm`` and ``actor_critic`` may be mappings, and ``scenario`` a
+    builtin id, its digits, a file path, a mapping or a spec; all three end as checked records.
     """
 
     scenario: "ScenarioSpec | int | str | Mapping" = 1
@@ -147,27 +113,33 @@ class ExperimentConfig:
     jobs: int = 1
     dump_values: bool = False
 
+    # The scalar fields' ranges, as ``inputs.check_ranges`` rows (a class attribute, not a field).
+    _RANGES = (
+        ("replications", 1, math.inf, True, False),
+        ("seed", 0, math.inf, True, False),
+        ("timeout_steps", 1, math.inf, True, False),
+        ("eval_interval", 1, math.inf, True, False),
+        ("eval_trials", 1, math.inf, True, False),
+        ("jobs", 1, math.inf, True, False),
+        ("temperature", 0.0, math.inf, False, False),
+        ("expert_temperature", 0.0, math.inf, False, False),
+        ("expert_smoothing", 0.0, 1.0, False, True),
+        ("predictor_eta", 0.0, 1.0, False, True),
+        ("gate_epsilon", 0.0, math.inf, True, False),
+        ("idealized_init_competence", 0.0, 1.0, True, True),
+        ("idealized_learning_rate", 0.0, 1.0, False, True),
+        ("idealized_disruption", 0.0, 1.0, True, True),
+        ("idealized_exploration_floor", 0.0, 1.0, True, True),
+    )
+
     def __post_init__(self) -> None:
-        """Check the fields, then resolve the scenario to a spec (which was checked when built)."""
+        """Cast and check the fields, then resolve the scenario to a spec (checked when built)."""
+        cast_fields(self, scenario=None, temperature=float, out_dir=str)
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown system {self.system!r}; valid systems: {sorted(SYSTEMS)}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; valid backends: {sorted(BACKENDS)}")
-        for name, low, high, low_in, high_in in _RANGES:
-            section, _, key = name.rpartition(".")
-            value = getattr(getattr(self, section) if section else self, key)
-            if value is None:  # temperature: per-system default
-                continue
-            above = low <= value if low_in else low < value
-            below = value <= high if high_in else value < high
-            if not (above and below):
-                interval = f"{'[' if low_in else '('}{low}, {high}{']' if high_in else ')'}"
-                where = f"{section}: " if section else ""
-                raise ConfigError(f"{where}{key} must be in {interval}, got {value!r}")
-        ac = self.actor_critic
-        if ac.sigma_min > ac.sigma_start:
-            raise ConfigError(f"actor_critic: sigma_min {ac.sigma_min} exceeds sigma_start {ac.sigma_start}")
-
+        check_ranges(self, self._RANGES)
         sc = self.scenario
         if isinstance(sc, Mapping):
             sc = scenario_from_dict(sc)
@@ -566,36 +538,10 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
 
 # -- config files ----------------------------------------------------------------
 
-# The types of the None-defaulted ExperimentConfig fields, which their
-# defaults cannot tell.
-_NONE_DEFAULT_KINDS = {"temperature": float, "out_dir": str}
-
-
-def _kinds(cls) -> dict:
-    """Each field's type, read off its default; a nested section's is its class."""
-    return {f.name: f.default_factory if f.default is MISSING else type(f.default) for f in fields(cls)}
-
-
-def _section(name: str, cls, data):
-    """A nested config dataclass from its mapping, cast by the field defaults' types."""
-    kinds = _kinds(cls)
-    check_keys(name, data, kinds)
-    return cls(**{key: cast(f"{name}.{key}", value, kinds[key]) for key, value in data.items()})
-
 
 def config_from_dict(data: Mapping) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed mapping, rejecting unknown keys."""
-    kinds = {**_kinds(ExperimentConfig), **_NONE_DEFAULT_KINDS}
-    check_keys("config", data, kinds)
-    kwargs: dict = {}
-    for key, value in data.items():
-        if key == "scenario" or (value is None and key in _NONE_DEFAULT_KINDS):
-            kwargs[key] = value  # as given: the config resolves a scenario itself
-        elif is_dataclass(kinds[key]):
-            kwargs[key] = _section(key, kinds[key], value)
-        else:
-            kwargs[key] = cast(key, value, kinds[key])
-    return ExperimentConfig(**kwargs)
+    """The config of a parsed mapping with no unknown key; the config casts and checks itself."""
+    return ExperimentConfig(**check_keys("config", data, field_kinds(ExperimentConfig)))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

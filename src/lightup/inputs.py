@@ -1,12 +1,12 @@
-"""Reading user input: one YAML loader, one scalar caster, one key check.
+"""Reading user input: one YAML loader, one caster, one key check, one range check.
 
-Config files and scenario files (and the builtin scenarios, which are
-stored in the scenario-file format) all pass through these, so a mistyped
-value or an unknown key raises ConfigError wherever it appears.
+Every config record casts its own fields with ``cast_fields`` when built, so a file
+and a Python call take one path to a valid config, or to the same ConfigError.
 """
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields, is_dataclass
 from typing import Mapping
 
 import yaml
@@ -29,8 +29,10 @@ def read_yaml(path: str, what: str):
 
 
 def cast(name: str, value, kind):
-    """``value`` as a ``kind`` field: numbers from numbers or numeric text,
-    booleans only from YAML booleans, tuples from lists of numbers."""
+    """``value`` as a ``kind`` field: numbers from numbers or numeric text, booleans only
+    from YAML booleans, tuples from lists of numbers, a config record from its mapping."""
+    if is_dataclass(kind):
+        return value if isinstance(value, kind) else kind(**check_keys(name, value, field_kinds(kind)))
     if kind is bool:
         if isinstance(value, bool):
             return value
@@ -51,10 +53,37 @@ def cast(name: str, value, kind):
     raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
-def check_keys(name: str, data, valid) -> None:
-    """ConfigError unless ``data`` is a mapping whose every key is in ``valid``."""
+def check_keys(name: str, data, valid) -> Mapping:
+    """``data``, if it is a mapping whose every key is in ``valid``; else ConfigError."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"{name} must be a mapping, got {type(data).__name__}")
     for key in data:
         if key not in valid:
             raise ConfigError(f"{name}: unknown key {key!r}; valid keys: {sorted(valid)}")
+    return data
+
+
+def field_kinds(cls) -> dict:
+    """Each field's type, read off its default; a nested section's is its class."""
+    return {f.name: f.default_factory if f.default is MISSING else type(f.default) for f in fields(cls)}
+
+
+def cast_fields(record, prefix: str = "", **kinds) -> None:
+    """Cast each field of the frozen dataclass ``record`` in place (``prefix`` + name in errors)
+    to ``kinds[name]``, else its ``field_kinds`` kind; a None kind, or a None default's None, stays."""
+    kinds = {**field_kinds(type(record)), **kinds}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if kinds[f.name] is not None and not (value is None and f.default is None):
+            object.__setattr__(record, f.name, cast(prefix + f.name, value, kinds[f.name]))
+
+
+def check_ranges(record, ranges, where: str = "") -> None:
+    """ConfigError, ``where`` prefixing its text, unless each (field, low, high, low allowed,
+    high allowed) row's field of ``record`` is in its interval; None passes, NaN fails."""
+    for key, low, high, low_in, high_in in ranges:
+        value = getattr(record, key)
+        if value is not None and not ((low <= value if low_in else low < value)
+                                      and (value <= high if high_in else value < high)):
+            interval = f"{'[' if low_in else '('}{low}, {high}{']' if high_in else ')'}"
+            raise ConfigError(f"{where}{key} must be in {interval}, got {value!r}")

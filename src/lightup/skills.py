@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arm import ArmConfig
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
+from .inputs import cast_fields, check_ranges
 from .selection import cumulative_probabilities, softmax_probabilities
 
 
@@ -137,6 +138,32 @@ class ActorCriticConfig:
     # push value backward along the successful path.
     imitate_window: int = 120
     success_replays: int = 4
+
+    # The fields' ranges, as ``inputs.check_ranges`` rows (a class attribute, not a field).
+    _RANGES = (
+        ("hidden_units", 1, math.inf, True, False),
+        ("feature_scale", 0.0, math.inf, True, False),
+        ("feature_offset", 0.0, math.inf, True, False),
+        ("actor_lr", 0.0, math.inf, False, False),
+        ("critic_lr", 0.0, math.inf, False, False),
+        ("discount", 0.0, 1.0, True, True),
+        ("sigma_start", 0.0, math.inf, True, False),
+        ("sigma_min", 0.0, math.inf, True, False),
+        ("noise_correlation", 0.0, 1.0, True, True),
+        ("success_smoothing", 0.0, 1.0, False, True),
+        ("td_clip", 0.0, math.inf, False, False),
+        ("actor_delta_margin", 0.0, math.inf, True, False),
+        ("imitate_window", 0, math.inf, True, False),
+        ("success_replays", 0, math.inf, True, False),
+    )
+
+    def __post_init__(self) -> None:
+        """Cast the fields; ConfigError on one out of range or on sigma_min above sigma_start."""
+        cast_fields(self, "actor_critic.")
+        check_ranges(self, self._RANGES, "actor_critic: ")
+        if self.sigma_min > self.sigma_start:
+            raise ConfigError(f"actor_critic: sigma_min {self.sigma_min} "
+                              f"exceeds sigma_start {self.sigma_start}")
 
 
 class ActorCriticExpert:

@@ -8,6 +8,7 @@ same SVG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from html import escape
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
            "#e377c2", "#7f7f7f")
@@ -88,12 +89,12 @@ def render_chart(chart: Chart, x0: int = 0, y0: int = 0) -> str:
         f'<rect x="{x0 + _MARGIN_LEFT}" y="{y0 + _MARGIN_TOP}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#333333" stroke-width="1"/>',
         f'<text x="{x0 + width // 2}" y="{y0 + 18}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{chart.title}</text>',
+        f'font-size="13" font-family="sans-serif">{escape(chart.title)}</text>',
         f'<text x="{x0 + _MARGIN_LEFT + plot_w // 2}" y="{y0 + height - 8}" '
-        f'text-anchor="middle" font-size="11" font-family="sans-serif">{chart.x_label}</text>',
+        f'text-anchor="middle" font-size="11" font-family="sans-serif">{escape(chart.x_label)}</text>',
         f'<text x="{x0 + 14}" y="{y0 + _MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
         f'font-size="11" font-family="sans-serif" '
-        f'transform="rotate(-90 {x0 + 14} {y0 + _MARGIN_TOP + plot_h // 2})">{chart.y_label}</text>',
+        f'transform="rotate(-90 {x0 + 14} {y0 + _MARGIN_TOP + plot_h // 2})">{escape(chart.y_label)}</text>',
     ]
     for tx in _ticks(x_lo, x_hi):
         gx = _fmt(px(tx))
@@ -122,7 +123,7 @@ def render_chart(chart: Chart, x0: int = 0, y0: int = 0) -> str:
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 24}" y="{ly}" font-size="11" '
-                     f'font-family="sans-serif">{s.name}</text>')
+                     f'font-family="sans-serif">{escape(s.name)}</text>')
     return "\n".join(parts)
 
 

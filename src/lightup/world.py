@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .inputs import cast, check_keys, read_yaml
+from .inputs import cast, cast_fields, check_keys, read_yaml
 
 Point = tuple[float, float]
 
@@ -136,7 +136,8 @@ class ScenarioSpec:
     context_mode: str = "full_state"
 
     def __post_init__(self) -> None:
-        """Raise ConfigError on any structural violation."""
+        """Cast the scalars, then raise ConfigError on any structural violation."""
+        cast_fields(self, goals=None)
         labels = self.labels
         if not labels:
             raise ConfigError("scenario needs at least one goal")
@@ -255,8 +256,7 @@ class ScenarioSpec:
 
 # -- scenario files --------------------------------------------------------
 
-# Scenario-file scalars, which are ScenarioSpec's fields after goals: key -> (type, default).
-_SCALARS = {f.name: (type(f.default), f.default) for f in fields(ScenarioSpec)[1:]}
+_SCALARS = tuple(f.name for f in fields(ScenarioSpec)[1:])
 _RULE_KEYS = ("goal", "requires_on", "blocked_by", "requires_context")
 
 
@@ -320,7 +320,7 @@ def scenario_from_dict(data: Mapping) -> ScenarioSpec:
         )
     return ScenarioSpec(
         goals=tuple(Goal(lab, positions[i], **rules.get(i, {})) for i, lab in enumerate(labels)),
-        **{key: cast(key, data.get(key, default), kind) for key, (kind, default) in _SCALARS.items()},
+        **{key: data[key] for key in _SCALARS if key in data},
     )
 
 

@@ -8,6 +8,8 @@ import pytest
 import yaml
 
 from lightup.cli import main
+from lightup.errors import ConfigError
+from lightup.experiment import ExperimentConfig
 
 
 def run_cli(*argv):
@@ -103,7 +105,8 @@ def test_underflowing_temperature_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric failure")
 
 
-@pytest.mark.parametrize("field, value", [
+# Config values out of their range: (field, value).
+OUT_OF_RANGE = [
     ("temperature", float("nan")),
     ("temperature", float("inf")),
     ("expert_temperature", 0.0),
@@ -132,7 +135,29 @@ def test_underflowing_temperature_exits_3(tmp_path, capsys):
     pytest.param("actor_critic", {"discount": -3.0}, id="actor_critic-negative_discount"),
     pytest.param("actor_critic", {"sigma_min": 5.0}, id="actor_critic-sigma_min_above_start"),
     ("seed", -1),
-])
+]
+
+# Config values of the wrong type: (field, value, start of the error text).
+MISTYPED = [
+    ("eval_trials", "abc", "eval_trials must be an integer"),
+    ("eval_trials", 2.5, "eval_trials must be an integer"),
+    ("replications", True, "replications must be an integer"),
+    ("temperature", "hot", "temperature must be a number"),
+    ("clip_reward", "no", "clip_reward must be true or false"),
+    ("dump_values", 1, "dump_values must be true or false"),
+    ("arm", {"max_step": "abc"}, "arm.max_step must be a number"),
+    ("arm", {"link_lengths": 0.25}, "arm.link_lengths must be a list of numbers"),
+    ("actor_critic", {"hidden_units": 9.5}, "actor_critic.hidden_units must be an integer"),
+    ("actor_critic", [], "actor_critic must be a mapping"),
+    ("replications", None, "replications must be an integer"),
+]
+MISTYPED_IDS = ["eval_trials-text", "eval_trials-fraction", "replications-bool", "temperature-text",
+                "clip_reward-text", "dump_values-int", "arm-max_step-text", "arm-link_lengths-scalar",
+                "actor_critic-hidden_units-fraction", "actor_critic-list",
+                "replications-null"]
+
+
+@pytest.mark.parametrize("field, value", OUT_OF_RANGE)
 def test_out_of_range_config_value_exits_2(tmp_path, capsys, field, value):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
@@ -145,28 +170,27 @@ def test_out_of_range_config_value_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("eval_trials", "abc", "eval_trials must be an integer"),
-    ("eval_trials", 2.5, "eval_trials must be an integer"),
-    ("replications", True, "replications must be an integer"),
-    ("temperature", "hot", "temperature must be a number"),
-    ("clip_reward", "no", "clip_reward must be true or false"),
-    ("dump_values", 1, "dump_values must be true or false"),
-    ("arm", {"max_step": "abc"}, "arm.max_step must be a number"),
-    ("arm", {"link_lengths": 0.25}, "arm.link_lengths must be a list of numbers"),
-    ("actor_critic", {"hidden_units": 9.5}, "actor_critic.hidden_units must be an integer"),
-    ("actor_critic", [], "actor_critic must be a mapping"),
-    ("replications", None, "replications must be an integer"),
-], ids=["eval_trials-text", "eval_trials-fraction", "replications-bool", "temperature-text",
-        "clip_reward-text", "dump_values-int", "arm-max_step-text", "arm-link_lengths-scalar",
-        "actor_critic-hidden_units-fraction", "actor_critic-list",
-        "replications-null"])
+@pytest.mark.parametrize("field, value, message", MISTYPED, ids=MISTYPED_IDS)
 def test_mistyped_config_value_exits_2(tmp_path, capsys, field, value, message):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
     assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("field, value", OUT_OF_RANGE + [
+    pytest.param(field, value, id=name) for (field, value, _), name in zip(MISTYPED, MISTYPED_IDS)])
+def test_python_config_raises_the_error_the_cli_prints(tmp_path, capsys, field, value):
+    # A config built from Python takes the config file's path: the same value
+    # raises ConfigError with the text the CLI prints after "error: ".
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 2
+    printed = capsys.readouterr().err.splitlines()[0]
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(scenario=1, **{field: value})
+    assert printed == f"error: {exc.value}"
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from lightup.arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward
 from lightup.errors import ConfigError, NumericsError
@@ -53,8 +54,6 @@ def test_unknown_backend_rejected():
 
 
 def test_config_holds_its_validated_scenario(tmp_path):
-    import yaml
-
     # Every way of naming a scenario gives the same spec at construction.
     spec = builtin_scenario(3)
     path = tmp_path / "scn.yaml"
@@ -69,6 +68,33 @@ def test_config_holds_its_validated_scenario(tmp_path):
         ExperimentConfig(scenario={**BUILTIN_SCENARIOS[3], "total_trials": 100}, eval_trials=0)
     with pytest.raises(ConfigError, match="divisible"):
         ExperimentConfig(scenario={**BUILTIN_SCENARIOS[3], "total_trials": 100})
+
+
+def test_sections_given_as_mappings_build_the_config_a_file_builds():
+    sections = {"arm": {"max_step": 0.1}, "actor_critic": {"hidden_units": 8, "td_clip": 2}}
+    cfg = ExperimentConfig(**sections)
+    assert cfg == config_from_dict(sections)
+    assert cfg.arm == ArmConfig(max_step=0.1) and cfg.arm.max_reach == 1.0
+    assert cfg.actor_critic.td_clip == 2.0 and type(cfg.actor_critic.td_clip) is float
+
+
+def test_python_config_fields_are_cast_as_a_file_casts_them(tmp_path):
+    with pytest.raises(ConfigError, match="clip_reward must be true or false, got 'no'"):
+        ExperimentConfig(clip_reward="no")
+    cfg = ExperimentConfig(scenario=short_scenario(1, 20), replications=np.int64(2), seed=np.int64(3),
+                           eval_interval=np.int32(10), predictor_eta=np.float64(0.2), out_dir=tmp_path / "run")
+    for name in ("replications", "seed", "eval_interval"):
+        assert type(getattr(cfg, name)) is int
+    assert type(cfg.predictor_eta) is float and cfg.out_dir == str(tmp_path / "run")
+    run_experiment(cfg)
+    meta = yaml.safe_load((tmp_path / "run" / "run.yaml").read_text())
+    assert (meta["replications"], meta["seed"], meta["eval_interval"]) == (2, 3, 10)
+
+
+def test_scenario_spec_casts_its_scalars():
+    assert replace(builtin_scenario(1), total_trials="60").total_trials == 60
+    with pytest.raises(ConfigError, match="total_trials must be an integer, got 'abc'"):
+        replace(builtin_scenario(1), total_trials="abc")
 
 
 def test_per_system_temperature_defaults():
@@ -91,8 +117,6 @@ def test_config_rejects_unknown_keys():
 
 
 def test_load_config_file(tmp_path):
-    import yaml
-
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({"scenario": 2, "system": "c_grail", "replications": 3}))
     cfg = load_config(str(path))
@@ -100,8 +124,6 @@ def test_load_config_file(tmp_path):
 
 
 def test_load_config_with_inline_scenario(tmp_path):
-    import yaml
-
     data = {
         "scenario": {
             "goals": ["a", "b"],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lightup.arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward
+from lightup.errors import ConfigError
 from lightup.experiment import ExperimentConfig
 from lightup.skills import (
     ActorCriticConfig,
@@ -225,6 +226,16 @@ AC = ActorCriticConfig()
 
 def make_expert(seed=0):
     return ActorCriticExpert(ARM, AC, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"hidden_units": 0}, r"actor_critic: hidden_units must be in \[1, inf\), got 0"),
+    ({"sigma_min": 5.0}, "actor_critic: sigma_min 5.0 exceeds sigma_start 0.8"),
+    ({"td_clip": "abc"}, "actor_critic.td_clip must be a number, got 'abc'"),
+], ids=["hidden_units-zero", "sigma_min-above_start", "td_clip-text"])
+def test_actor_critic_config_checks_itself_when_built_alone(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        ActorCriticConfig(**kwargs)
 
 
 def test_actor_critic_eval_act_is_deterministic():

@@ -1,5 +1,6 @@
 """SVG chart emitter: structure, determinism, error handling."""
 
+import xml.dom.minidom
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -66,3 +67,14 @@ def test_fixed_y_range_is_respected():
     root = ET.fromstring(svg)
     labels = [t.text for t in root.findall(".//s:text", NS)]
     assert "0" in labels and "1" in labels
+
+
+def test_markup_characters_in_labels_are_escaped():
+    # Titles come from run directory names and series names from goal labels,
+    # both user input, so each is written as text, not markup.
+    names = ("a&b", "c<d", "e>f", "\"g'")
+    chart = Chart(title="runs <a&b>", x_label="x & t", y_label="y < 1",
+                  series=[Series(name=name, xs=[0, 1], ys=[0.1, 0.2]) for name in names])
+    dom = xml.dom.minidom.parseString(render_panels([chart]))
+    texts = [node.firstChild.data for node in dom.getElementsByTagName("text")]
+    assert {"runs <a&b>", "x & t", "y < 1", *names} <= set(texts)
