@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import MISSING, fields, is_dataclass
 from typing import Mapping
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -30,21 +31,30 @@ def read_yaml(path: str, what: str):
 
 def cast(name: str, value, kind):
     """``value`` as a ``kind`` field: numbers from numbers or numeric text, booleans only
-    from YAML booleans, tuples from lists of numbers, a config record from its mapping."""
+    from booleans, tuples from lists of numbers, frozensets from lists or sets of integers,
+    a config record from its mapping. A 1-D numpy array reads as a list."""
     if is_dataclass(kind):
-        return value if isinstance(value, kind) else kind(**check_keys(name, value, field_kinds(kind)))
-    if kind is bool:
-        if isinstance(value, bool):
+        if isinstance(value, kind):
             return value
+        given = check_keys(name, value, field_kinds(kind))
+        missing = [key for key, k in field_kinds(kind).items() if k is MISSING and key not in given]
+        if missing:
+            raise ConfigError(f"{name} is missing {missing}")
+        return kind(**given)
+    if kind is bool:
+        if isinstance(value, (bool, np.bool_)):
+            return bool(value)
         raise ConfigError(f"{name} must be true or false, got {value!r}")
-    if kind is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-        return tuple(cast(name, v, float) for v in value)
+    if kind in (tuple, frozenset):
+        value = list(value) if isinstance(value, np.ndarray) and value.ndim == 1 else value
+        if not isinstance(value, (list, tuple) if kind is tuple else (list, tuple, set, frozenset)):
+            raise ConfigError(f"{name} must be a list of {'numbers' if kind is tuple else 'integers'}, "
+                              f"got {value!r}")
+        return kind(cast(name, v, float if kind is tuple else int) for v in value)
     if kind is str:
         return str(value)
     fraction = kind is int and isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, bool) or fraction):
+    if not (isinstance(value, (bool, np.bool_)) or fraction):
         try:
             return kind(value)
         except (TypeError, ValueError, OverflowError):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import graphlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Mapping
 
@@ -47,7 +47,8 @@ class Goal:
     ``requires_context`` (if not None) must equal the context feature.
     Mutual exclusion between two chains is encoded as the chain starts
     blocking each other; the rest of the exclusion follows through
-    ``requires_on`` transitivity.
+    ``requires_on`` transitivity. A goal casts its fields when it is built,
+    as a scenario file's are cast, and raises ConfigError on a bad one.
     """
 
     label: str
@@ -55,6 +56,17 @@ class Goal:
     requires_on: frozenset[int] = frozenset()
     blocked_by: frozenset[int] = frozenset()
     requires_context: float | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ConfigError(f"goal label {self.label!r} is not text; put it in quotes (YAML reads "
+                              "unquoted numbers and yes/no as numbers and booleans)")
+        where = f"goal {self.label!r} "
+        cast_fields(self, where, label=str, position=tuple, requires_context=float)
+        if len(self.position) != 2 or not all(map(math.isfinite, self.position)):
+            raise ConfigError(f"{where}position {self.position} must be two finite numbers")
+        if self.requires_context not in (None, 0.0, 1.0):
+            raise ConfigError(f"{where}requires_context {self.requires_context}; must be 0.0 or 1.0")
 
 
 @dataclass(frozen=True)
@@ -116,15 +128,25 @@ def default_positions(n: int) -> tuple[Point, ...]:
     return tuple((0.6 * math.cos(a), 0.6 * math.sin(a)) for a in angles)
 
 
+def _list(name: str, value) -> list:
+    """A list-valued key; null reads as empty."""
+    if value is None:
+        return []
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return list(value)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Static description of one experimental scenario.
 
     ``context_mode`` declares what contextual input state-aware goal
     selectors and predictors receive in this scenario. The scalars default
-    to what a scenario file that leaves them out gets. A spec is checked
-    when it is built (``replace`` builds a new one): a structural violation
-    raises ConfigError there, so a spec that exists is valid.
+    to what a scenario file that leaves them out gets. ``goals`` may hold
+    ``Goal``s or their mappings. A spec is checked when it is built
+    (``replace`` builds a new one): a structural violation raises
+    ConfigError there, so a spec that exists is valid.
     """
 
     goals: tuple[Goal, ...]
@@ -136,8 +158,10 @@ class ScenarioSpec:
     context_mode: str = "full_state"
 
     def __post_init__(self) -> None:
-        """Cast the scalars, then raise ConfigError on any structural violation."""
+        """Cast the goals and scalars, then raise ConfigError on any structural violation."""
         cast_fields(self, goals=None)
+        goals = _list("goals", self.goals)
+        object.__setattr__(self, "goals", tuple(cast(f"goals[{i}]", g, Goal) for i, g in enumerate(goals)))
         labels = self.labels
         if not labels:
             raise ConfigError("scenario needs at least one goal")
@@ -145,8 +169,6 @@ class ScenarioSpec:
             raise ConfigError(f"duplicate goal labels in {labels}")
         for i, goal in enumerate(self.goals):
             label = goal.label
-            if len(goal.position) != 2 or not all(map(math.isfinite, goal.position)):
-                raise ConfigError(f"goal {label!r} position {goal.position} must be two finite numbers")
             if i in goal.requires_on:
                 raise ConfigError(f"goal {label!r} requires itself")
             if goal.requires_on & goal.blocked_by:
@@ -155,10 +177,6 @@ class ScenarioSpec:
             for j in goal.requires_on | goal.blocked_by:
                 if not 0 <= j < self.n_goals:
                     raise ConfigError(f"rule for {label!r} references goal index {j}")
-            if goal.requires_context is not None and goal.requires_context not in (0.0, 1.0):
-                raise ConfigError(
-                    f"goal {label!r} requires_context {goal.requires_context}; must be 0.0 or 1.0"
-                )
         try:
             graphlib.TopologicalSorter({i: goal.requires_on for i, goal in enumerate(self.goals)}).prepare()
         except graphlib.CycleError as exc:
@@ -260,15 +278,6 @@ _SCALARS = tuple(f.name for f in fields(ScenarioSpec)[1:])
 _RULE_KEYS = ("goal", "requires_on", "blocked_by", "requires_context")
 
 
-def _list(name: str, value) -> list:
-    """A list-valued key; null reads as empty."""
-    if value is None:
-        return []
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return list(value)
-
-
 def scenario_from_dict(data: Mapping) -> ScenarioSpec:
     """Build a ScenarioSpec, which checks itself, from a parsed mapping.
 
@@ -281,27 +290,19 @@ def scenario_from_dict(data: Mapping) -> ScenarioSpec:
     if data.get("goals") is None:
         raise ConfigError("scenario is missing the 'goals' list")
     labels = _list("goals", data["goals"])
-    for lab in labels:
-        if not isinstance(lab, str):
-            raise ConfigError(f"goal label {lab!r} is not text; put it in quotes (YAML reads "
-                              "unquoted numbers and yes/no as numbers and booleans)")
-    positions = default_positions(len(labels))
+    # Each goal checks its label here, before the label keys anything.
+    goals = [Goal(lab, point) for lab, point in zip(labels, default_positions(len(labels)))]
     if data.get("positions") is not None:
-        pos_map = data["positions"]
-        check_keys("positions", pos_map, labels)
+        pos_map = check_keys("positions", data["positions"], labels)
         missing = [lab for lab in labels if lab not in pos_map]
         if missing:
             raise ConfigError(f"positions missing for goals {missing}")
-        positions = [cast(f"positions.{lab}", pos_map[lab], tuple) for lab in labels]
-        for lab, point in zip(labels, positions):
-            if len(point) != 2:
-                raise ConfigError(f"positions.{lab} must be two numbers, got {pos_map[lab]!r}")
-    idx = {lab: i for i, lab in enumerate(labels)}
+        goals = [replace(goal, position=pos_map[goal.label]) for goal in goals]
 
     def to_index(lab) -> int:
-        if not isinstance(lab, str) or lab not in idx:
+        if not isinstance(lab, str) or lab not in labels:
             raise ConfigError(f"rule references unknown goal {lab!r}; goals are {labels}")
-        return idx[lab]
+        return labels.index(lab)
 
     rules: dict[int, dict] = {}
     for n, entry in enumerate(_list("rules", data.get("rules"))):
@@ -312,14 +313,13 @@ def scenario_from_dict(data: Mapping) -> ScenarioSpec:
         i = to_index(entry["goal"])
         if i in rules:
             raise ConfigError(f"multiple rules for goal {labels[i]!r}")
-        ctx = entry.get("requires_context")
         rules[i] = dict(
             requires_on=frozenset(map(to_index, _list(f"{where}.requires_on", entry.get("requires_on")))),
             blocked_by=frozenset(map(to_index, _list(f"{where}.blocked_by", entry.get("blocked_by")))),
-            requires_context=None if ctx is None else cast(f"{where}.requires_context", ctx, float),
+            requires_context=entry.get("requires_context"),
         )
     return ScenarioSpec(
-        goals=tuple(Goal(lab, positions[i], **rules.get(i, {})) for i, lab in enumerate(labels)),
+        goals=tuple(replace(goal, **rules.get(i, {})) for i, goal in enumerate(goals)),
         **{key: data[key] for key in _SCALARS if key in data},
     )
 

@@ -402,8 +402,9 @@ def test_validate_scenario_flag_overrides_config(tmp_path, capsys):
     ("trials_per_epoch", 2.5, "trials_per_epoch must be an integer"),
     ("context_prob_on", "hi", "context_prob_on must be a number"),
     ("context_prob_on", True, "context_prob_on must be a number"),
-    ("rules", [{"goal": "a", "requires_context": "x"}], "rules[0].requires_context must be a number"),
-    ("positions", {lab: [0.45, 0.4] for lab in "bcdef"} | {"a": [1]}, "positions.a must be two numbers"),
+    ("rules", [{"goal": "a", "requires_context": "x"}], "goal 'a' requires_context must be a number, got 'x'"),
+    ("positions", {lab: [0.45, 0.4] for lab in "bcdef"} | {"a": [1]},
+     "goal 'a' position (1.0,) must be two finite numbers"),
     ("goals", "ab", "goals must be a list"),
     ("total_trial", 500, "scenario: unknown key 'total_trial'"),
     ("rules", [{"goal": "b", "require_on": ["a"]}], "rules[0]: unknown key 'require_on'"),

@@ -27,7 +27,7 @@ from lightup.experiment import (
     run_experiment,
 )
 from lightup.skills import ActorCriticExpert
-from lightup.world import BUILTIN_SCENARIOS, WorldState, builtin_scenario, scenario_from_dict
+from lightup.world import BUILTIN_SCENARIOS, ScenarioSpec, WorldState, builtin_scenario, scenario_from_dict
 
 
 def short_scenario(sid, trials):
@@ -81,14 +81,42 @@ def test_sections_given_as_mappings_build_the_config_a_file_builds():
 def test_python_config_fields_are_cast_as_a_file_casts_them(tmp_path):
     with pytest.raises(ConfigError, match="clip_reward must be true or false, got 'no'"):
         ExperimentConfig(clip_reward="no")
+    # numpy booleans and 1-D arrays read as the booleans and lists a file gives.
+    with pytest.raises(ConfigError, match="dump_values must be true or false, got np.float64"):
+        ExperimentConfig(dump_values=np.float64(1.0))
+    with pytest.raises(ConfigError, match="arm.link_lengths must be a list of numbers, got array"):
+        ExperimentConfig(arm={"link_lengths": np.full((4, 1), 0.25)})
     cfg = ExperimentConfig(scenario=short_scenario(1, 20), replications=np.int64(2), seed=np.int64(3),
-                           eval_interval=np.int32(10), predictor_eta=np.float64(0.2), out_dir=tmp_path / "run")
+                           eval_interval=np.int32(10), predictor_eta=np.float64(0.2), out_dir=tmp_path / "run",
+                           dump_values=np.True_, arm={"link_lengths": np.array([0.25] * 4)})
     for name in ("replications", "seed", "eval_interval"):
         assert type(getattr(cfg, name)) is int
     assert type(cfg.predictor_eta) is float and cfg.out_dir == str(tmp_path / "run")
+    assert cfg.dump_values is True and cfg.arm == ArmConfig(link_lengths=(0.25,) * 4)
+    assert list(map(type, cfg.arm.link_lengths)) == [float] * 4
     run_experiment(cfg)
     meta = yaml.safe_load((tmp_path / "run" / "run.yaml").read_text())
     assert (meta["replications"], meta["seed"], meta["eval_interval"]) == (2, 3, 10)
+    assert meta["dump_values"] is True and meta["arm"]["link_lengths"] == [0.25] * 4
+
+
+def test_python_built_run_reruns_from_its_own_run_yaml(tmp_path):
+    # Mapping goals with numpy positions and indices are cast when the spec is
+    # built, so run.yaml holds plain values and reads back as the same config.
+    goals = ({"label": "a", "position": np.array([0.0, 0.6])},
+             {"label": "b", "position": np.array([0.3, 0.5]), "requires_on": np.array([0])},
+             {"label": "c", "position": np.array([-0.3, 0.5]), "requires_context": np.float64(1.0)})
+    spec = ScenarioSpec(goals=goals, context_prob_on=0.5, total_trials=20, context_mode="full_state")
+    cfg = ExperimentConfig(scenario=spec, system="m_grail", replications=2, eval_interval=10,
+                           out_dir=str(tmp_path / "first"), jobs=2)
+    run_experiment(cfg)
+    again = load_config(str(tmp_path / "first" / "run.yaml"))
+    assert again == replace(cfg, out_dir=None, jobs=1)
+    run_experiment(replace(again, out_dir=str(tmp_path / "second")))
+    names = sorted(os.listdir(tmp_path / "first"))
+    assert names == sorted(os.listdir(tmp_path / "second")) and "trials.csv" in names
+    for name in names:
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes(), name
 
 
 def test_scenario_spec_casts_its_scalars():

@@ -7,8 +7,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import yaml
 
 import lightup
+from lightup.cli import main
 from lightup.errors import ConfigError
 from lightup.experiment import ExperimentConfig, Simulation
 from lightup.world import (
@@ -465,6 +467,63 @@ def test_sphere_position_must_be_two_finite_numbers(position):
     with pytest.raises(ConfigError) as caught:
         ScenarioSpec(goals=(Goal("a", (0.0, 0.6)), Goal("b", position)))
     assert str(caught.value) == f"goal 'b' position {position} must be two finite numbers"
+
+
+def two_goal_file(position=(0.3, 0.5), **rule):
+    """A scenario mapping with goals a and b, and ``rule`` (if any) for b."""
+    return {"goals": ["a", "b"], "positions": {"a": [0.0, 0.6], "b": list(position)},
+            "rules": [{"goal": "b", **rule}] if rule else []}
+
+
+NOT_TEXT = "is not text; put it in quotes (YAML reads unquoted numbers and yes/no as numbers and booleans)"
+
+
+@pytest.mark.parametrize("make_b, data, error", [
+    (lambda: Goal("b", [0.3, 0.5]), two_goal_file(), None),
+    (lambda: Goal("b", np.array([0.3, 0.5])), two_goal_file(), None),
+    (lambda: Goal("b", ("0.3", "0.5")), two_goal_file(), None),
+    (lambda: Goal("b", (0.3, 0.5), requires_on=[0]), two_goal_file(requires_on=["a"]), None),
+    (lambda: Goal("b", (0.3, 0.5), requires_on={0}), two_goal_file(requires_on=["a"]), None),
+    (lambda: Goal("b", (0.3, 0.5), blocked_by=[np.int64(0)]), two_goal_file(blocked_by=["a"]), None),
+    (lambda: {"label": "b", "position": [0.3, 0.5], "requires_on": (0,)}, two_goal_file(requires_on=["a"]), None),
+    (lambda: Goal("b", (0.3, 0.5), requires_context="1"), two_goal_file(requires_context=1.0), None),
+    (lambda: Goal(1, (0.3, 0.5)), {"goals": ["a", 1]}, f"goal label 1 {NOT_TEXT}"),
+    (lambda: Goal(["x"], (0.3, 0.5)), {"goals": ["a", ["x"]]}, f"goal label ['x'] {NOT_TEXT}"),
+    (lambda: Goal("b", (0.3, 0.5), requires_on=["a"]), None, "goal 'b' requires_on must be an integer, got 'a'"),
+    (lambda: Goal("b", (0.3, 0.5), requires_on=[True]), None, "goal 'b' requires_on must be an integer, got True"),
+    (lambda: Goal("b", (0.3, 0.5), requires_context=0.5), two_goal_file(requires_context=0.5),
+     "goal 'b' requires_context 0.5; must be 0.0 or 1.0"),
+    (lambda: Goal("b", [0.3]), two_goal_file([0.3]), "goal 'b' position (0.3,) must be two finite numbers"),
+    (lambda: Goal("b", [0.3, 0.5, 0.0]), two_goal_file([0.3, 0.5, 0.0]),
+     "goal 'b' position (0.3, 0.5, 0.0) must be two finite numbers"),
+    (lambda: Goal("b", [math.nan, 0.5]), two_goal_file([math.nan, 0.5]),
+     "goal 'b' position (nan, 0.5) must be two finite numbers"),
+    (lambda: {"label": "b"}, None, "goals[1] is missing ['position']"),
+], ids=["position-list", "position-array", "position-text", "requires_on-list", "requires_on-set",
+        "blocked_by-np_int64", "goal-mapping", "requires_context-text", "label-int", "label-list",
+        "requires_on-label", "requires_on-bool", "requires_context-half", "position-one", "position-three",
+        "position-nan", "goal-mapping-no_position"])
+def test_python_goals_take_the_file_path(tmp_path, capsys, make_b, data, error):
+    # A goal built in Python is cast and checked as a scenario file's is: it
+    # builds the file's spec, or raises the CLI's error text.
+    if error is None:
+        spec = ScenarioSpec(goals=[Goal("a", (0.0, 0.6)), make_b()])
+        assert spec == scenario_from_dict(data) and hash(spec) == hash(scenario_from_dict(data))
+        assert type(spec.goals) is tuple and all(type(goal) is Goal for goal in spec.goals)
+        for goal in spec.goals:
+            assert type(goal.position) is tuple and list(map(type, goal.position)) == [float, float]
+            assert all(type(i) is int for i in goal.requires_on | goal.blocked_by)
+            assert type(goal.requires_on) is type(goal.blocked_by) is frozenset
+            assert goal.requires_context in (None, 0.0, 1.0) and type(goal.requires_context) in (type(None), float)
+        return
+    with pytest.raises(ConfigError) as caught:
+        ScenarioSpec(goals=[Goal("a", (0.0, 0.6)), make_b()])
+    assert str(caught.value) == error
+    if data is not None:
+        path = tmp_path / "scn.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_a_goal_carries_its_rule():
