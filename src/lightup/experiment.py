@@ -218,7 +218,7 @@ class IdealizedBackend:
 class ArmBackend:
     """Actor-critic experts driving the arm: the record ``learn`` takes is
     the rollout's trajectory, and the random source is the generator itself,
-    from which the experts also draw normals.
+    from which experts draw feature layers and training rollouts their noise.
 
     The arms mirror each other but are one chain, ``cfg.arm``: the left arm
     checks its effector against the spheres reflected across the vertical
@@ -229,6 +229,9 @@ class ArmBackend:
 
     def __init__(self, cfg: ExperimentConfig, gen: np.random.Generator):
         self.cfg, self.spec, self.rng = cfg, cfg.scenario, gen
+        # The exploration noise is AR(1) with stationary scale sigma: (c, k), both >= 0.
+        c = cfg.actor_critic.noise_correlation
+        self.noise_filter = c, math.sqrt(1.0 - c * c)
         goals = self.spec.goals
         right = tuple(tuple(map(float, g.position)) for g in goals)
         self.sphere_positions = (tuple((-x, y) for x, y in right), right)
@@ -255,32 +258,39 @@ class ArmBackend:
         reads only ``|dx|``, ``|dy|`` and their ``hypot``, so both decide
         every touch alike.
 
-        With ``rng`` the rollout explores (training) and draws from it;
-        without, it is frozen (evaluation), acts on the policy mean and draws
-        nothing. A training rollout computes each step's features once, for
-        ``act``, and records one ``(features, action)`` pair per step for
-        ``learn``; the trial's reward and end need no per-step record, as
-        they are ``achieved`` and the last step. An evaluation rollout
-        records no trajectory (it returns None), and if the expert's actor
-        heads are exactly zero it computes no features: ``act`` then gives
-        the mid posture. Joints and positions are tuples of Python floats.
+        With ``rng`` the rollout explores (training): it reads ``expert.sigma``
+        once, draws the noise ``rng.normal(0.0, sigma, n)``, and before each
+        ``act`` filters in one more draw, ``c * noise + k * draw``; without,
+        it is frozen (evaluation), acts on the policy mean and draws nothing.
+        It changes no expert. A training rollout computes each step's
+        features once, for ``act``, and records one ``(features, action)``
+        pair per step for ``learn``; the trial's reward and end need no
+        per-step record, as they are ``achieved`` and the last step. An
+        evaluation rollout records no trajectory (it returns None), and if
+        the expert's actor heads are exactly zero it computes no features:
+        ``act`` then gives the mid posture. Joints and positions are tuples
+        of Python floats.
         """
         spec, cfg = self.spec, self.cfg
         arm_cfg = cfg.arm
         spheres = self.sphere_positions[arm_index]
         explore = rng is not None
         joints = home_joints(arm_cfg)
+        trajectory = noise = None
         if explore:
-            expert.begin_trial(rng)
-        trajectory = [] if explore else None
+            trajectory, sigma, n, (c, k) = [], expert.sigma, arm_cfg.n_joints, self.noise_filter
+            noise = rng.normal(0.0, sigma, size=n).tolist()
         need_features = explore or not expert.actor_is_zero()
         feat = None
         for step in range(1, cfg.timeout_steps + 1):
             if need_features:
                 feat = expert.features(joints)
-            action = expert.act(feat, rng)
             if explore:
+                noise = [c * o + k * draw for o, draw in zip(noise, rng.normal(0.0, sigma, size=n).tolist())]
+                action = expert.act(feat, noise)
                 trajectory.append((feat, action))
+            else:
+                action = expert.act(feat)
             joints = step_toward(joints, action, arm_cfg)
             effector = forward_kinematics(joints, arm_cfg)
             for i, sphere in enumerate(spheres):

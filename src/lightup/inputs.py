@@ -29,6 +29,12 @@ def read_yaml(path: str, what: str):
     return data
 
 
+def _shown(value) -> str:
+    """``repr(value)`` on one line: a multi-line repr (a numpy array's) with its whitespace runs collapsed."""
+    text = repr(value)
+    return " ".join(text.split()) if "\n" in text else text
+
+
 def cast(name: str, value, kind):
     """``value`` as a ``kind`` field: numbers from numbers or numeric text, booleans only
     from booleans, tuples from lists of numbers, frozensets from lists or sets of integers,
@@ -44,12 +50,12 @@ def cast(name: str, value, kind):
     if kind is bool:
         if isinstance(value, (bool, np.bool_)):
             return bool(value)
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
+        raise ConfigError(f"{name} must be true or false, got {_shown(value)}")
     if kind in (tuple, frozenset):
         value = list(value) if isinstance(value, np.ndarray) and value.ndim == 1 else value
         if not isinstance(value, (list, tuple) if kind is tuple else (list, tuple, set, frozenset)):
             raise ConfigError(f"{name} must be a list of {'numbers' if kind is tuple else 'integers'}, "
-                              f"got {value!r}")
+                              f"got {_shown(value)}")
         return kind(cast(name, v, float if kind is tuple else int) for v in value)
     if kind is str:
         return str(value)
@@ -60,7 +66,7 @@ def cast(name: str, value, kind):
         except (TypeError, ValueError, OverflowError):
             pass
     expected = "an integer" if kind is int else "a number"
-    raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    raise ConfigError(f"{name} must be {expected}, got {_shown(value)}")
 
 
 def check_keys(name: str, data, valid) -> Mapping:

@@ -197,9 +197,7 @@ class ActorCriticExpert:
         # Per joint (mid, half, lo, hi) in Python floats, for act and the actor step.
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         self._joint_box = tuple(zip(mid.tolist(), half.tolist(), lo.tolist(), hi.tolist()))
-        # The exploration noise is an AR(1) process with stationary scale sigma.
-        self._innovation = math.sqrt(1.0 - cfg.noise_correlation * cfg.noise_correlation)
-        # A zero actor's tanh, and a frozen act's noise and draws (c, k >= 0 are finite).
+        # A zero actor's tanh, and a frozen act's noise.
         self._zeros = (0.0,) * self.n
         h = cfg.hidden_units
         # Feature layer is drawn once and never trained.
@@ -213,10 +211,8 @@ class ActorCriticExpert:
         self.b_actor = np.zeros(self.n)
         self.w_critic = np.zeros(h)
         self.b_critic = np.zeros(1)
-        self._noise = [0.0] * self.n
         self.success_ema = 0.0
         self.td_error_ema = 0.0
-        self._trial_sigma = self.sigma
 
     # -- forward passes ----------------------------------------------------
 
@@ -231,50 +227,34 @@ class ActorCriticExpert:
         span = self.cfg.sigma_start - self.cfg.sigma_min
         return self.cfg.sigma_min + span * (1.0 - self.success_ema)
 
-    def begin_trial(self, rng: np.random.Generator) -> None:
-        """Fix the coming trial's noise scale and draw a fresh exploration-noise state."""
-        self._trial_sigma = self.sigma
-        self._noise = rng.normal(0.0, self._trial_sigma, size=self.n).tolist()
-
     def actor_is_zero(self) -> bool:
         """Whether both actor heads are exactly zero, read off the arrays."""
         return not (self.w_actor.any() or self.b_actor.any())
 
-    def act(self, feat: np.ndarray | None, rng: np.random.Generator | None = None) -> tuple[float, ...]:
-        """Desired joint angles for this timestep (mean plus filtered noise),
-        from the ``features`` of the current posture.
+    def act(self, feat: np.ndarray | None, noise=None) -> tuple[float, ...]:
+        """Desired joint angles for this timestep, from the ``features`` of
+        the current posture: the mean plus ``noise``, one float per joint,
+        which a training rollout draws. It changes nothing.
 
         ``feat`` may be None when ``actor_is_zero()``: the mean is then the
         mid posture, since ``tanh(0 . f + 0)`` is 0.0 for any features, and
-        no features need computing. With ``rng`` the expert explores: it
-        draws at the noise scale ``begin_trial`` fixed and advances the
-        filtered noise. Without, it is frozen, draws nothing and adds 0.0
-        noise, which gives the mean to the bit: ``mid + half * t`` is never
-        -0.0, as ``mid`` is not (the limits differ). Each angle is clamped
-        to its joint's limits, ``max`` then ``min``, written as comparisons.
+        no features need computing. Without ``noise`` the expert is frozen
+        and adds 0.0, which gives the mean to the bit: ``mid + half * t`` is
+        never -0.0, as ``mid`` is not (the limits differ). Each angle is
+        clamped to its joint's limits, ``max`` then ``min``, as comparisons.
         """
         if feat is None:
             t = self._zeros
         else:
             t = np.tanh(self.w_actor.dot(feat) + self.b_actor).tolist()
-        if rng is None:
-            old = draws = self._zeros
-        else:
-            old = self._noise
-            draws = rng.normal(0.0, self._trial_sigma, size=self.n).tolist()
-        c, k = self.cfg.noise_correlation, self._innovation
-        noise, action = [], []
-        for tj, o, draw, (mid, half, lo, hi) in zip(t, old, draws, self._joint_box):
-            nj = c * o + k * draw
-            noise.append(nj)
+        action = []
+        for tj, nj, (mid, half, lo, hi) in zip(t, self._zeros if noise is None else noise, self._joint_box):
             angle = mid + half * tj + nj
             if lo > angle:
                 angle = lo
             if hi < angle:
                 angle = hi
             action.append(angle)
-        if rng is not None:
-            self._noise = noise
         return tuple(action)
 
     # -- learning ------------------------------------------------------------

@@ -290,6 +290,8 @@ def scenario_from_dict(data: Mapping) -> ScenarioSpec:
     if data.get("goals") is None:
         raise ConfigError("scenario is missing the 'goals' list")
     labels = _list("goals", data["goals"])
+    if any(isinstance(lab, Goal) for lab in labels):
+        raise ConfigError("scenario goals in a mapping are labels; Goal records go in a ScenarioSpec")
     # Each goal checks its label here, before the label keys anything.
     goals = [Goal(lab, point) for lab, point in zip(labels, default_positions(len(labels)))]
     if data.get("positions") is not None:

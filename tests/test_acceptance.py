@@ -11,6 +11,7 @@ at m_grail's mastery point >=9/10.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -331,11 +332,14 @@ def test_a7_gate_is_strict_noop():
     ac = ActorCriticExpert(arm, ActorCriticConfig(), np.random.default_rng(0))
     rng = np.random.default_rng(1)
     joints = home_joints(arm)
-    ac.begin_trial(rng)
+    # Exploring actions, with the noise a training rollout draws.
+    sigma, c = ac.sigma, ac.cfg.noise_correlation
+    noise = rng.normal(0.0, sigma, size=ac.n)
     traj = []
     for i in range(4):
         feat = ac.features(joints)
-        a = ac.act(feat, rng)
+        noise = c * noise + math.sqrt(1.0 - c * c) * rng.normal(0.0, sigma, size=ac.n)
+        a = ac.act(feat, noise.tolist())
         traj.append((feat, a))
         joints = step_toward(joints, a, arm)
     before_ac = ac.snapshot()

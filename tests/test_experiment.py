@@ -27,7 +27,7 @@ from lightup.experiment import (
     run_experiment,
 )
 from lightup.skills import ActorCriticExpert
-from lightup.world import BUILTIN_SCENARIOS, ScenarioSpec, WorldState, builtin_scenario, scenario_from_dict
+from lightup.world import BUILTIN_SCENARIOS, Goal, ScenarioSpec, WorldState, builtin_scenario, scenario_from_dict
 
 
 def short_scenario(sid, trials):
@@ -76,6 +76,15 @@ def test_sections_given_as_mappings_build_the_config_a_file_builds():
     assert cfg == config_from_dict(sections)
     assert cfg.arm == ArmConfig(max_step=0.1) and cfg.arm.max_reach == 1.0
     assert cfg.actor_critic.td_clip == 2.0 and type(cfg.actor_critic.td_clip) is float
+
+
+def test_goal_records_in_a_scenario_mapping_are_sent_to_a_scenario_spec():
+    # A scenario mapping names its goals by label, as a file does.
+    goals = [Goal("a", (0, 0.6))]
+    with pytest.raises(ConfigError) as caught:
+        ExperimentConfig(scenario={"goals": goals})
+    assert str(caught.value) == "scenario goals in a mapping are labels; Goal records go in a ScenarioSpec"
+    assert ExperimentConfig(scenario=ScenarioSpec(goals=goals)).scenario.goals == (Goal("a", (0.0, 0.6)),)
 
 
 def test_python_config_fields_are_cast_as_a_file_casts_them(tmp_path):

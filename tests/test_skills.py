@@ -8,13 +8,14 @@ import pytest
 
 from lightup.arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward
 from lightup.errors import ConfigError
-from lightup.experiment import ExperimentConfig
+from lightup.experiment import ExperimentConfig, Simulation
 from lightup.skills import (
     ActorCriticConfig,
     ActorCriticExpert,
     ExpertSelector,
     IdealizedExpert,
 )
+from lightup.world import scenario_from_dict
 
 
 # -- idealized expert ---------------------------------------------------------
@@ -228,6 +229,23 @@ def make_expert(seed=0):
     return ActorCriticExpert(ARM, AC, np.random.default_rng(seed))
 
 
+def exploration(ex, rng):
+    """The noise of one training rollout, step by step, as ArmBackend.rollout
+    draws it: an AR(1) process at the expert's sigma, whose first state is
+    drawn before the first step."""
+    sigma, c = ex.sigma, ex.cfg.noise_correlation
+    noise = rng.normal(0.0, sigma, size=ex.n)
+    while True:
+        noise = c * noise + math.sqrt(1.0 - c * c) * rng.normal(0.0, sigma, size=ex.n)
+        yield noise.tolist()
+
+
+def expert_state(ex):
+    """Every attribute of an expert, arrays as their dtype, shape and bytes."""
+    return {name: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else copy.deepcopy(v)
+            for name, v in vars(ex).items()}
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"hidden_units": 0}, r"actor_critic: hidden_units must be in \[1, inf\), got 0"),
     ({"sigma_min": 5.0}, "actor_critic: sigma_min 5.0 exceeds sigma_start 0.8"),
@@ -249,9 +267,10 @@ def test_actor_critic_eval_act_is_deterministic():
 def test_actor_critic_untrained_output_within_limits():
     ex = make_expert(3)
     rng = np.random.default_rng(8)
+    noise = exploration(ex, rng)
     for _ in range(100):
         joints = rng.uniform(-math.pi, math.pi, 4)
-        a = np.array(ex.act(ex.features(joints), rng))
+        a = np.array(ex.act(ex.features(joints), next(noise)))
         assert np.all(a >= ARM.joint_min) and np.all(a <= ARM.joint_max)
 
 
@@ -263,10 +282,10 @@ def _tiny_rollout(ex, rng, success=True, n=5):
     ends, on the last step only."""
     traj, joint_steps = [], []
     joints = home_joints(ARM)
-    ex.begin_trial(rng)
+    noise = exploration(ex, rng)
     for i in range(n):
         feat = ex.features(joints)
-        action = ex.act(feat, rng)
+        action = ex.act(feat, next(noise))
         nxt = step_toward(joints, action, ARM)
         done = i == n - 1
         reward = 1.0 if done and success else 0.0
@@ -427,18 +446,17 @@ def test_actor_critic_act_and_actor_step_are_bitwise_the_numpy_formulas(arm):
     ex.w_actor = np.random.default_rng(32).normal(0.0, 0.5, ex.w_actor.shape)
     ex.b_actor = np.random.default_rng(33).normal(0.0, 0.5, ex.n)
     ref = copy.deepcopy(ex)
-    rng, ref_rng = np.random.default_rng(34), np.random.default_rng(34)
+    rng = np.random.default_rng(34)
     postures = np.random.default_rng(35).uniform(-math.pi, math.pi, (600, 4))
-    ex.begin_trial(rng)
-    noise = ref_rng.normal(0.0, ref.sigma, size=ref.n)
+    noise = rng.normal(0.0, ref.sigma, size=ref.n)
     clamped = 0
     for i, joints in enumerate(postures):
         feat = ex.features(joints)
         frozen = ex.act(feat)
         expected, _ = numpy_act(ref, arm, feat, None, None)
         assert np.array(frozen).tobytes() == expected.tobytes()
-        action = ex.act(feat, rng)
-        expected, noise = numpy_act(ref, arm, feat, noise, ref_rng.normal(0.0, ref.sigma, size=ref.n))
+        expected, noise = numpy_act(ref, arm, feat, noise, rng.normal(0.0, ref.sigma, size=ref.n))
+        action = ex.act(feat, noise.tolist())
         assert np.array(action).tobytes() == expected.tobytes()
         clamped += np.any((expected == arm.joint_min) | (expected == arm.joint_max))
         if i % 3 == 0:
@@ -454,13 +472,12 @@ def test_actor_critic_act_and_actor_step_are_bitwise_the_numpy_formulas(arm):
 def test_actor_critic_frozen_act_is_the_clamped_mean(arm, seeded):
     # A frozen act runs the exploring loop with 0.0 noise. It must give the
     # per-joint clamp of mid + half * tanh(w . f + b) to the bit, with or
-    # without features for a zero actor, and leave the noise state alone.
+    # without features for a zero actor, and leave the expert alone.
     ex = ActorCriticExpert(arm, AC, np.random.default_rng(61))
     if seeded:
         ex.w_actor = np.random.default_rng(62).normal(0.0, 0.5, ex.w_actor.shape)
         ex.b_actor = np.random.default_rng(63).normal(0.0, 0.5, ex.n)
-    ex.begin_trial(np.random.default_rng(64))
-    noise = list(ex._noise)
+    before = expert_state(ex)
     for joints in np.random.default_rng(65).uniform(-math.pi, math.pi, (500, 4)):
         feat = ex.features(joints)
         t = np.tanh(ex.w_actor @ feat + ex.b_actor).tolist()
@@ -470,7 +487,66 @@ def test_actor_critic_frozen_act_is_the_clamped_mean(arm, seeded):
         assert np.array(ex.act(feat)).tobytes() == np.array(expected).tobytes()
         if not seeded:
             assert np.array(ex.act(None)).tobytes() == np.array(expected).tobytes()
-    assert ex._noise == noise
+    assert expert_state(ex) == before
+
+
+def near_home_simulation(seed):
+    """An actor-critic simulation of one sphere near the home posture, which
+    exploring rollouts of 40 steps touch or miss, and experts whose success
+    EMA puts sigma between sigma_min and sigma_start."""
+    spec = scenario_from_dict({
+        "name": "near_home", "goals": ["a"], "positions": {"a": [0.97, 0.1]},
+        "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
+        "reset_policy": "per_trial", "context_mode": "none",
+    })
+    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40, replications=1)
+    sim = Simulation(cfg, seed=seed)
+    for expert in sim.experts[0]:
+        expert.success_ema = 0.3
+    return sim
+
+
+def test_rollouts_leave_every_attribute_of_the_expert_unchanged():
+    # Only __init__ and learn write to an expert: a training rollout keeps
+    # its exploration noise itself, and a probe acts on the mean.
+    sim = near_home_simulation(3)
+    endings = set()
+    for arm_index in (0, 1):
+        expert = sim.experts[0][arm_index]
+        for trained in (False, True):
+            if trained:
+                expert.w_actor = np.random.default_rng(arm_index).normal(0.0, 0.5, expert.w_actor.shape)
+            before = expert_state(expert)
+            for _ in range(3):
+                endings.add(sim.backend.rollout(0, arm_index, expert, sim.state, sim.rng)[1])
+                assert expert_state(expert) == before
+                sim.backend.rollout(0, arm_index, expert, sim.state)
+                assert expert_state(expert) == before
+    assert endings == {True, False}
+
+
+def test_training_rollout_draws_the_noise_of_a_twin_generator():
+    # A training rollout draws normal(0.0, sigma, n) once before its first
+    # step and once before each act, and nothing else, and acts on the mean
+    # plus the AR(1) filter of those draws: a twin generator making 1 + steps
+    # such draws ends in the same state and gives every action to the bit.
+    sim = near_home_simulation(5)
+    endings = set()
+    for arm_index in (0, 1):
+        expert = sim.experts[0][arm_index]
+        for trained in (False, True):
+            if trained:
+                expert.w_actor = np.random.default_rng(arm_index).normal(0.0, 0.5, expert.w_actor.shape)
+            for _ in range(3):
+                twin = copy.deepcopy(sim.rng)
+                _, achieved, steps, traj = sim.backend.rollout(0, arm_index, expert, sim.state, sim.rng)
+                noise = exploration(expert, twin)
+                for feat, action in traj:
+                    assert np.array(action).tobytes() == np.array(expert.act(feat, next(noise))).tobytes()
+                assert len(traj) == steps
+                assert twin.bit_generator.state == sim.rng.bit_generator.state
+                endings.add(achieved)
+    assert endings == {True, False}
 
 
 def test_actor_critic_gate_false_is_bitwise_noop():
@@ -521,11 +597,11 @@ def test_actor_critic_td_error_shrinks_on_fixed_reaching_task():
     ema_trace = []
     for _ in range(250):
         joints = home_joints(ARM)
-        ex.begin_trial(rng)
+        noise = exploration(ex, rng)
         traj = []
         for step in range(200):
             feat = ex.features(joints)
-            action = ex.act(feat, rng)
+            action = ex.act(feat, next(noise))
             joints = step_toward(joints, action, ARM)
             touched = check_touch(forward_kinematics(joints, ARM), sphere, ARM)
             traj.append((feat, action))
