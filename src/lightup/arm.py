@@ -65,16 +65,17 @@ def home_joints(cfg: ArmConfig) -> tuple[float, ...]:
 
 
 def forward_kinematics(angles, cfg: ArmConfig) -> tuple[float, float]:
-    """End-effector position of the planar chain (deterministic).
+    """Tip of the chain's first ``len(angles)`` links (deterministic).
 
-    The headings and both coordinates are running sums from the base
-    outward, as ``np.cumsum`` adds them.
+    A whole posture gives the end effector. The headings and both
+    coordinates are running sums from the base outward, as ``np.cumsum``
+    adds them.
     """
     lengths = cfg.link_lengths
     heading = angles[0]
     x = lengths[0] * math.cos(heading)
     y = lengths[0] * math.sin(heading)
-    for i in range(1, len(lengths)):
+    for i in range(1, len(angles)):
         heading += angles[i]
         x += lengths[i] * math.cos(heading)
         y += lengths[i] * math.sin(heading)
@@ -123,63 +124,38 @@ def check_touch(effector, sphere_pos, cfg: ArmConfig) -> bool:
     return float(np.hypot(dx, dy)) <= radius
 
 
-def _place_links(joints, lengths, headings, xs, ys, first: int = 0) -> None:
-    """Set the headings and tips of links ``first`` onward, in place.
-
-    ``headings[i]`` is the angle of link i against the x axis and
-    ``(xs[i + 1], ys[i + 1])`` its tip; ``(xs[0], ys[0])`` is the base. All
-    are running sums from the base outward, as ``np.cumsum`` adds them, the
-    way ``forward_kinematics`` computes the last tip. The entries before
-    ``first`` are read, not recomputed, so after turning joint j, placing
-    links j onward gives the same bits as placing the whole chain.
-    """
-    if first == 0:
-        heading = joints[0]
-        headings[0] = heading
-        xs[1] = lengths[0] * math.cos(heading)
-        ys[1] = lengths[0] * math.sin(heading)
-        first = 1
-    for i in range(first, len(lengths)):
-        heading = headings[i - 1] + joints[i]
-        headings[i] = heading
-        xs[i + 1] = xs[i] + lengths[i] * math.cos(heading)
-        ys[i + 1] = ys[i] + lengths[i] * math.sin(heading)
-
-
 def reach_target(target, cfg: ArmConfig, rng: np.random.Generator) -> tuple[float, ...] | None:
     """Sampled inverse-kinematics search (cyclic coordinate descent).
 
     Runs up to 80 CCD sweeps from the home posture, then from each of seven
     random postures, all drawn before the search starts; returns a joint
     configuration whose effector lies within touch_radius of the target, or
-    None if no start gets there. Used only to check workspace coverage,
-    never as a control shortcut.
+    None if no start gets there. Each turn of joint j aims the effector at
+    the target around the tip of the first j links (the base when j is 0);
+    both points come from ``forward_kinematics``. Used only to check
+    workspace coverage, never as a control shortcut.
     """
     tx, ty = float(target[0]), float(target[1])
-    lengths, lower, upper = cfg.link_lengths, cfg.joint_min, cfg.joint_max
-    n = cfg.n_joints
+    lower, upper = cfg.joint_min, cfg.joint_max
     starts = [home_joints(cfg)] + [rng.uniform(lower, upper).tolist() for _ in range(7)]
     for start in starts:
         joints = list(start)
-        headings, xs, ys = [0.0] * n, [0.0] * (n + 1), [0.0] * (n + 1)
-        _place_links(joints, lengths, headings, xs, ys)
+        ex, ey = forward_kinematics(joints, cfg)
         for _ in range(80):
-            if check_touch((xs[n], ys[n]), (tx, ty), cfg):
+            if check_touch((ex, ey), (tx, ty), cfg):
                 return tuple(joints)
-            for j in range(n - 1, -1, -1):
-                ax, ay = xs[n] - xs[j], ys[n] - ys[j]
-                bx, by = tx - xs[j], ty - ys[j]
-                # Joint j cannot turn the effector when it or the target
-                # sits on the pivot; a distance under 1e-12 needs both axes
-                # under it, so only then is it computed.
-                if (abs(ax) < 1e-12 and abs(ay) < 1e-12 and np.hypot(ax, ay) < 1e-12
-                        or abs(bx) < 1e-12 and abs(by) < 1e-12 and np.hypot(bx, by) < 1e-12):
+            for j in range(cfg.n_joints - 1, -1, -1):
+                px, py = forward_kinematics(joints[:j], cfg) if j else (0.0, 0.0)
+                ax, ay = ex - px, ey - py
+                bx, by = tx - px, ty - py
+                # Joint j cannot turn the effector when it or the target sits on the pivot.
+                if np.hypot(ax, ay) < 1e-12 or np.hypot(bx, by) < 1e-12:
                     continue
                 rot = math.atan2(by, bx) - math.atan2(ay, ax)
                 rot = (rot + math.pi) % (2.0 * math.pi) - math.pi
                 joints[j] = min(max(joints[j] + rot, lower[j]), upper[j])
-                _place_links(joints, lengths, headings, xs, ys, j)
-        if check_touch((xs[n], ys[n]), (tx, ty), cfg):
+                ex, ey = forward_kinematics(joints, cfg)
+        if check_touch((ex, ey), (tx, ty), cfg):
             return tuple(joints)
     return None
 

@@ -1,7 +1,8 @@
 """Command-line entry point: run experiments, plot their curves, validate scenarios.
 
 Exit codes: 0 success, 2 configuration or file problems (bad scenario,
-missing or unwritable file, unknown system), 3 runtime numeric failure.
+missing or unwritable file, unknown system), 3 runtime numeric failure,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -223,6 +224,9 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

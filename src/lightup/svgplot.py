@@ -46,9 +46,7 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    """Five evenly spaced ticks from lo to hi."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Five evenly spaced ticks from lo to hi (render_chart widens an empty range first)."""
     step = (hi - lo) / 4
     return [lo + i * step for i in range(5)]
 

@@ -9,7 +9,6 @@ from lightup.arm import (
     ArmConfig,
     check_touch,
     forward_kinematics,
-    _place_links,
     home_joints,
     reach_target,
     step_toward,
@@ -89,9 +88,10 @@ def test_fk_is_bitwise_last_joint_point(cfg):
         assert same_bits(effector, numpy_joint_points(joints, cfg.link_lengths)[-1])
 
 
-def test_place_links_is_bitwise_the_cumsum_formula():
-    # Whole chains, and chains placed again from a turned joint outward, as
-    # the IK search does, on random postures and link lengths.
+def test_fk_of_each_link_prefix_is_bitwise_the_cumsum_formula():
+    # The IK search pivots joint j on the tip of the first j links; every
+    # prefix must give that joint point's bits, on random link counts,
+    # postures and lengths.
     rng = np.random.default_rng(8)
     for i in range(2000):
         n = 4 if i % 5 else int(rng.integers(1, 7))
@@ -99,15 +99,10 @@ def test_place_links_is_bitwise_the_cumsum_formula():
         joints = rng.uniform(-2 * math.pi, 2 * math.pi, n).tolist()
         if i % 10 == 0:
             joints[0] = -0.0  # the first tip's y is then -0.0, not 0.0
-        headings, xs, ys = [0.0] * n, [0.0] * (n + 1), [0.0] * (n + 1)
-        _place_links(joints, lengths, headings, xs, ys)
-        assert same_bits(list(zip(xs, ys)), numpy_joint_points(joints, lengths))
-        assert same_bits(headings, np.cumsum(joints))
-        j = int(rng.integers(n))
-        joints[j] += rng.normal(0.0, 1.0)
-        _place_links(joints, lengths, headings, xs, ys, j)
-        assert same_bits(list(zip(xs, ys)), numpy_joint_points(joints, lengths))
-        assert same_bits(headings, np.cumsum(joints))
+        cfg = ArmConfig(link_lengths=lengths, joint_min=(-7.0,) * n, joint_max=(7.0,) * n)
+        points = numpy_joint_points(joints, lengths)
+        for k in range(1, n + 1):
+            assert same_bits(forward_kinematics(joints[:k], cfg), points[k]), (i, k)
 
 
 @pytest.mark.parametrize("cfg", EXACT_CFGS, ids=["right", "narrow"])
@@ -230,8 +225,13 @@ def test_far_point_unreachable():
 # Postures the numpy search returned at default_rng(0), before the search
 # moved to Python floats: the six scenario-1 spheres and their reflections,
 # the A6 sphere, a target found only from a random restart, and a target
-# the restricted arm misses from every start.
+# the restricted arm misses from every start. Then postures the float search
+# returned before it ran on forward_kinematics: two targets found only from
+# a random restart (restart 3 after 32 sweeps, restart 2 after 8), and
+# targets found from home after 12 and 9 sweeps on the narrow arm and after
+# 56 on the restricted one.
 RESTRICTED = ArmConfig(joint_min=(-0.5,) * 4, joint_max=(0.5,) * 4)
+NARROW = EXACT_CFGS[1]
 GOLDEN_POSTURES = [
     (CFG, (0.5196152422706632, 0.29999999999999993),
      (0.027657829621113184, 0.12076795601985957, 0.2839395684446848, 2.029052457847587)),
@@ -262,6 +262,16 @@ GOLDEN_POSTURES = [
     (CFG, (0.02, 0.9),
      (1.076330581080509, 1.029575020106308, -0.04337523247171027, -1.1151795509711238)),
     (RESTRICTED, (-0.9, 0.1), None),
+    (CFG, (-0.85, 0.47),
+     (2.1861621083119323, 1.0989149874678383, -0.7983461917305386, 0.13017280434791045)),
+    (CFG, (-0.23, -0.56),
+     (2.279216057717224, 2.5494967247247744, 0.08276004906601742, -0.7390684721654615)),
+    (NARROW, (0.59, -0.15),
+     (0.27589133044879866, -0.2816283738498462, 0.0, -2.0)),
+    (NARROW, (0.12, 0.88),
+     (0.8234020361006711, 0.5, 1.0599251047746252, -1.0746512304036275)),
+    (RESTRICTED, (0.85, -0.06),
+     (0.4099676424479419, -0.1489820256161063, -0.5, -0.5)),
 ]
 
 

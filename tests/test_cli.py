@@ -3,10 +3,15 @@
 import csv
 import math
 import os
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 import yaml
 
+import lightup
 from lightup.cli import main
 from lightup.errors import ConfigError
 from lightup.experiment import ExperimentConfig
@@ -472,6 +477,35 @@ def test_run_with_jobs_flag_matches_serial(tmp_path):
     assert run_cli(*base, "--jobs", "1", "--out", str(a)) == 0
     assert run_cli(*base, "--jobs", "3", "--out", str(b)) == 0
     assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ctrl_c_exits_130_without_a_traceback_or_a_run_directory(tmp_path, jobs):
+    # Ctrl-C reaches the whole process group, workers included; the run
+    # must report it once, exit 130 and write nothing.
+    src = os.path.dirname(os.path.dirname(lightup.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lightup.cli", "-v", "run", "--scenario", "3", "--replications", "200",
+         "--jobs", jobs, "--out", str(out)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    watchdog = threading.Timer(60.0, os.killpg, (proc.pid, signal.SIGKILL))
+    watchdog.start()
+    try:
+        for line in proc.stderr:
+            if ": replication " in line:  # a progress line: trials are running
+                break
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate()
+    finally:
+        watchdog.cancel()
+    assert proc.returncode == 130, err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "interrupted"
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ProcessLookupError):  # no worker outlives the run
+        os.killpg(proc.pid, 0)
 
 
 # -- plot ------------------------------------------------------------------------

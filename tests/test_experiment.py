@@ -559,15 +559,15 @@ def test_parallel_jobs_match_serial(tmp_path):
 
 
 def test_jobs_above_replications_starts_one_worker_per_replication(tmp_path, monkeypatch):
-    # The executor is faked, so no process starts: it records max_workers
-    # and maps inline.
-    import concurrent.futures
+    # The pool is faked, so no process starts: it records its process
+    # count and maps inline.
+    import multiprocessing
 
     recorded = []
 
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            recorded.append(max_workers)
+    class InlinePool:
+        def __init__(self, processes):
+            recorded.append(processes)
 
         def __enter__(self):
             return self
@@ -575,10 +575,10 @@ def test_jobs_above_replications_starts_one_worker_per_replication(tmp_path, mon
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, jobs, chunksize=None):
+            return list(map(fn, jobs))
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     base = dict(scenario=short_scenario(3, 150), system="m_grail", replications=2, seed=4)
     run_experiment(ExperimentConfig(out_dir=str(serial), jobs=1, **base))
