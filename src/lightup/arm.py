@@ -160,18 +160,18 @@ def reach_target(target, cfg: ArmConfig, rng: np.random.Generator) -> tuple[floa
     return None
 
 
-def unreachable_goals(spec, cfg: ArmConfig, rng: np.random.Generator | None = None) -> list[str]:
+def unreachable_goals(spec, cfg: ArmConfig) -> list[str]:
     """Labels of scenario goals that neither arm touches in a sampled IK search.
 
     Run by ``run_experiment`` before any replication starts and by
     ``lightup validate``. The right arm runs the chain as it is and the
     left arm its mirror image, so a goal at ``(x, y)`` is reachable if the
     chain reaches it or its reflection ``(-x, y)``; the reflection is
-    searched only when the goal itself is not found, so a scenario whose
-    goals the right arm reaches draws the same numbers.
+    searched only when the goal itself is not found. The search draws from
+    ``np.random.default_rng(0)``, so a scenario gets the same answer every run.
     Positions beyond the outer radius [sum(l)] are rejected without search.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     bad = []
     for goal in spec.goals:
         x, y = goal.position

@@ -13,7 +13,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import yaml
 
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--eval-interval", type=int, dest="eval_interval")
     run.add_argument("--temperature", type=float, help="goal-selection softmax temperature")
     run.add_argument("--jobs", type=int, help="parallel replication processes")
-    run.add_argument("--out", help=f"output directory (default from ${OUT_DIR_ENV})")
+    run.add_argument("--out", dest="out_dir", help=f"output directory (default from ${OUT_DIR_ENV})")
     run.add_argument("--dump-values", action="store_true", default=None,
                      help="also dump goal-selector value tables per interval")
     run.add_argument("--print-config", action="store_true",
@@ -65,32 +65,21 @@ def build_parser() -> argparse.ArgumentParser:
 # -- run -----------------------------------------------------------------------
 
 
-def _base_config(args) -> exp.ExperimentConfig:
-    return exp.load_config(args.config) if args.config else exp.ExperimentConfig()
-
-
-def _resolve_run_config(args) -> exp.ExperimentConfig:
-    cfg = _base_config(args)
-    cfg = exp.apply_overrides(
-        cfg,
-        scenario=args.scenario,
-        system=args.system,
-        backend=args.backend,
-        seed=args.seed,
-        replications=args.replications,
-        eval_interval=args.eval_interval,
-        temperature=args.temperature,
-        jobs=args.jobs,
-        out_dir=args.out or cfg.out_dir or os.environ.get(OUT_DIR_ENV),
-        dump_values=args.dump_values,
-    )
-    if args.trials is not None:
+def _config(args) -> exp.ExperimentConfig:
+    """The config of ``run`` and ``validate``: the ``--config`` file's (or the defaults) with each
+    flag given setting the field its dest names; ``out_dir`` is ``--out``, the file's or ``$LIGHTUP_OUT``."""
+    cfg = exp.load_config(args.config) if args.config else exp.ExperimentConfig()
+    names = {f.name for f in fields(cfg)}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    flags["out_dir"] = flags.get("out_dir") or cfg.out_dir or os.environ.get(OUT_DIR_ENV)
+    cfg = replace(cfg, **flags)
+    if getattr(args, "trials", None) is not None:
         cfg = replace(cfg, scenario=replace(cfg.scenario, total_trials=args.trials))
     return cfg
 
 
 def cmd_run(args) -> int:
-    cfg = _resolve_run_config(args)
+    cfg = _config(args)
     if args.print_config:
         print(yaml.safe_dump(exp.config_to_dict(cfg), sort_keys=True), end="")
         return 0
@@ -162,7 +151,7 @@ def _competence_chart(run_dir: str, label: str) -> Chart:
     rows = _read_rows(os.path.join(run_dir, "competence_agg.csv"),
                       ("trial_index", "mean", "ci_low", "ci_high"), ("goal",))
     chart = Chart(title=f"competence: {label}", x_label="trial",
-                  y_label="competence", y_min=0.0, y_max=1.0)
+                  y_label="competence", y_max=1.0)
     for goal in sorted({r["goal"] for r in rows}):
         chart.series.append(_band_series(goal, [r for r in rows if r["goal"] == goal], "trial_index"))
     return chart
@@ -170,8 +159,7 @@ def _competence_chart(run_dir: str, label: str) -> Chart:
 
 def _wasted_chart(run_dir: str, label: str) -> Chart:
     rows = _read_rows(os.path.join(run_dir, "wasted_agg.csv"), ("interval_end", "mean", "ci_low", "ci_high"))
-    chart = Chart(title=f"wasted trials: {label}", x_label="trial",
-                  y_label="cumulative wasted", y_min=0.0)
+    chart = Chart(title=f"wasted trials: {label}", x_label="trial", y_label="cumulative wasted")
     chart.series.append(_band_series("wasted", rows, "interval_end", color="#d62728"))
     return chart
 
@@ -193,7 +181,7 @@ def cmd_plot(args) -> int:
 def cmd_validate(args) -> int:
     if args.config is None and args.scenario is None:
         raise ConfigError("validate needs --scenario or --config")
-    cfg = exp.apply_overrides(_base_config(args), scenario=args.scenario)
+    cfg = _config(args)
     bad = unreachable_goals(cfg.scenario, cfg.arm)
     if bad:
         raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")

@@ -25,8 +25,9 @@ import math
 import os
 import signal
 import tempfile
+import threading
 from array import array
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from operator import floordiv
 from typing import Mapping, NamedTuple
@@ -464,12 +465,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
         # The workers start with SIGINT blocked and keep it blocked, so a
         # Ctrl-C interrupts only this process, and leaving the pool stops them.
+        # A Ctrl-C while the pool starts is held (``Pool()`` stops the workers it
+        # started only on an Exception) and raised once leaving the pool stops
+        # them. Only the main thread may set a handler, and only it gets KeyboardInterrupt.
+        held, main = [], threading.current_thread() is threading.main_thread()
+        previous = signal.signal(signal.SIGINT, lambda *_: held.append(True)) if main else None
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             pool = multiprocessing.Pool(min(cfg.jobs, cfg.replications))
+        except BaseException:
+            if main:
+                signal.signal(signal.SIGINT, previous)
+            raise
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         with pool:
+            if main:
+                signal.signal(signal.SIGINT, previous)
+            if held:
+                raise KeyboardInterrupt
             series = pool.map(_replication_worker, jobs, chunksize=1)
     else:
         series = [_replication_worker(job) for job in jobs]
@@ -570,7 +584,3 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(read_yaml(path, "config"))
 
-
-def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """A new config with selected fields replaced; None values are ignored."""
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

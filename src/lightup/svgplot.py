@@ -26,8 +26,8 @@ class Series:
     name: str
     xs: list[float]
     ys: list[float]
-    band_low: list[float] | None = None
-    band_high: list[float] | None = None
+    band_low: list[float]
+    band_high: list[float]
     color: str | None = None
 
 
@@ -37,7 +37,6 @@ class Chart:
     x_label: str
     y_label: str
     series: list[Series] = field(default_factory=list)
-    y_min: float | None = None
     y_max: float | None = None
 
 
@@ -57,20 +56,17 @@ def _tick_label(v: float) -> str:
     return f"{v:.3g}"
 
 
-def render_chart(chart: Chart, x0: int = 0, y0: int = 0) -> str:
-    """SVG fragment for one chart panel with axes, grid, bands, and legend."""
+def render_chart(chart: Chart, x0: int, y0: int) -> str:
+    """SVG fragment for one chart panel with axes, grid, bands, and legend; the y axis starts at 0."""
     if not chart.series or any(len(s.xs) == 0 for s in chart.series):
         raise ValueError(f"chart {chart.title!r} has an empty series")
     width, height = _PANEL_WIDTH, _PANEL_HEIGHT
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
     xs_all = [x for s in chart.series for x in s.xs]
-    ys_all = [y for s in chart.series for y in s.ys]
-    for s in chart.series:
-        if s.band_low and s.band_high:
-            ys_all += list(s.band_low) + list(s.band_high)
+    ys_all = [y for s in chart.series for y in (*s.ys, *s.band_low, *s.band_high)]
     x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo = chart.y_min if chart.y_min is not None else min(ys_all)
+    y_lo = 0.0
     y_hi = chart.y_max if chart.y_max is not None else max(ys_all)
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
@@ -109,11 +105,10 @@ def render_chart(chart: Chart, x0: int = 0, y0: int = 0) -> str:
 
     for i, s in enumerate(chart.series):
         color = s.color or PALETTE[i % len(PALETTE)]
-        if s.band_low and s.band_high:
-            upper = [f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.xs, s.band_high)]
-            lower = [f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(reversed(s.xs), reversed(s.band_low))]
-            parts.append(f'<polygon points="{" ".join(upper + lower)}" fill="{color}" '
-                         f'fill-opacity="0.15" stroke="none"/>')
+        upper = [f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.xs, s.band_high)]
+        lower = [f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(reversed(s.xs), reversed(s.band_low))]
+        parts.append(f'<polygon points="{" ".join(upper + lower)}" fill="{color}" '
+                     f'fill-opacity="0.15" stroke="none"/>')
         points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.xs, s.ys))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = y0 + _MARGIN_TOP + 12 + 16 * i
@@ -125,11 +120,10 @@ def render_chart(chart: Chart, x0: int = 0, y0: int = 0) -> str:
     return "\n".join(parts)
 
 
-def render_panels(charts: list[Chart], columns: int | None = None) -> str:
+def render_panels(charts: list[Chart], columns: int) -> str:
     """A complete SVG document laying the charts out in a row-major grid of panels."""
     if not charts:
         raise ValueError("no charts to render")
-    columns = columns if columns is not None else len(charts)
     rows = (len(charts) + columns - 1) // columns
     width = _PANEL_WIDTH * min(columns, len(charts))
     height = _PANEL_HEIGHT * rows

@@ -167,10 +167,8 @@ class ScenarioSpec:
             raise ConfigError("scenario needs at least one goal")
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate goal labels in {labels}")
-        for i, goal in enumerate(self.goals):
+        for goal in self.goals:
             label = goal.label
-            if i in goal.requires_on:
-                raise ConfigError(f"goal {label!r} requires itself")
             if goal.requires_on & goal.blocked_by:
                 both = sorted(labels[j] for j in goal.requires_on & goal.blocked_by)
                 raise ConfigError(f"goal {label!r} both requires and is blocked by {both}")

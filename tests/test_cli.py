@@ -1,6 +1,8 @@
 """CLI surface: run/plot/validate subcommands, exit codes, determinism."""
 
+import argparse
 import csv
+import dataclasses
 import math
 import os
 import signal
@@ -12,7 +14,7 @@ import pytest
 import yaml
 
 import lightup
-from lightup.cli import main
+from lightup.cli import build_parser, main
 from lightup.errors import ConfigError
 from lightup.experiment import ExperimentConfig
 
@@ -316,6 +318,43 @@ def test_config_file_plus_overrides(tmp_path, capsys):
     assert data["system"] == "c_grail"            # override wins
     assert data["replications"] == 2              # file value kept
     assert data["scenario"]["total_trials"] == 120
+
+
+# Each run flag's dest names the ExperimentConfig field it sets, save these.
+NON_FIELD_DESTS = {"config", "trials", "print_config", "command", "verbose"}
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+# A value other than the default for each field flag.
+FLAG_VALUES = {"scenario": "2", "system": "c_grail", "backend": "actor_critic", "seed": "5",
+               "replications": "3", "eval_interval": "25", "temperature": "0.02", "jobs": "2",
+               "out_dir": "elsewhere", "dump_values": None}
+
+
+def parser_actions(*commands):
+    """The actions of the top-level parser and of the named subparsers, help left out."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a for p in (parser, *(sub.choices[c] for c in commands)) for a in p._actions
+            if not isinstance(a, argparse._HelpAction)]
+
+
+def test_every_run_and_validate_dest_is_a_config_field_or_named():
+    dests = {a.dest for a in parser_actions("run", "validate")}
+    assert dests - CONFIG_FIELDS - NON_FIELD_DESTS == set()
+
+
+@pytest.mark.parametrize("action", [a for a in parser_actions("run") if a.dest in CONFIG_FIELDS],
+                         ids=lambda a: a.dest)
+def test_run_flag_sets_what_its_config_key_sets(tmp_path, capsys, monkeypatch, action):
+    monkeypatch.delenv("LIGHTUP_OUT", raising=False)
+    argv = [action.option_strings[-1], *([] if action.nargs == 0 else [FLAG_VALUES[action.dest]])]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({action.dest: getattr(build_parser().parse_args(["run", *argv]), action.dest)}))
+    assert run_cli("run", "--print-config") == 0
+    default = capsys.readouterr().out
+    assert run_cli("run", *argv, "--print-config") == 0
+    by_flag = capsys.readouterr().out
+    assert run_cli("run", "--config", str(path), "--print-config") == 0
+    assert capsys.readouterr().out == by_flag != default
 
 
 # -- validate ---------------------------------------------------------------------

@@ -3,6 +3,9 @@
 import csv
 import logging
 import os
+import subprocess
+import sys
+import threading
 from collections import defaultdict
 from dataclasses import replace
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
+import lightup
 from lightup.arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward
 from lightup.errors import ConfigError, NumericsError
 from lightup.experiment import (
@@ -588,6 +592,54 @@ def test_jobs_above_replications_starts_one_worker_per_replication(tmp_path, mon
     assert sorted(os.listdir(serial)) == sorted(os.listdir(parallel))
     for name in os.listdir(serial):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+
+# Sends this process a Ctrl-C once the pool has started its workers, then
+# sleeps, so the interrupt is raised before Pool() returns. SIGINT is blocked
+# in the main thread then, so the kernel hands it to another thread, as it
+# does to numpy's OpenBLAS threads in a run; the idle thread stands in for them.
+INTERRUPTED_POOL_START = """
+import multiprocessing, os, signal, threading, time
+from dataclasses import replace
+from multiprocessing.pool import Pool
+from lightup.experiment import ExperimentConfig, run_experiment
+from lightup.world import builtin_scenario
+
+start = Pool._repopulate_pool
+
+def interrupted_start(self):
+    start(self)
+    os.kill(os.getpid(), signal.SIGINT)
+    time.sleep(0.5)
+
+Pool._repopulate_pool = interrupted_start
+threading.Thread(target=threading.Event().wait, daemon=True).start()
+try:
+    run_experiment(ExperimentConfig(scenario=replace(builtin_scenario(1), total_trials=50),
+                                    replications=2, jobs=2))
+except KeyboardInterrupt:
+    print("workers alive:", len(multiprocessing.active_children()))
+"""
+
+
+def test_ctrl_c_while_the_pool_starts_leaves_no_worker_alive():
+    src = os.path.dirname(os.path.dirname(lightup.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", INTERRUPTED_POOL_START], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout == "workers alive: 0\n", done.stderr
+
+
+def test_parallel_run_from_a_thread_matches_serial():
+    # Only the main thread may set a signal handler: a run started from
+    # another thread starts its pool without one.
+    cfg = small_cfg(2, 100, system="c_grail", seed=3, jobs=2)
+    results = []
+    thread = threading.Thread(target=lambda: results.append(run_experiment(cfg)))
+    thread.start()
+    thread.join(timeout=60)
+    assert len(results) == 1
+    assert results[0].replications == run_experiment(replace(cfg, jobs=1)).replications
 
 
 

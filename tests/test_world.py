@@ -454,7 +454,7 @@ def test_indivisible_schedule_rejected():
 
 
 def test_spec_checks_itself_when_built():
-    with pytest.raises(ConfigError, match="'a' requires itself"):
+    with pytest.raises(ConfigError, match="cyclic requires_on chain: a -> a$"):
         ScenarioSpec(goals=(Goal("a", (0.0, 0.6), requires_on=frozenset({0})),))
     with pytest.raises(ConfigError, match="divisible"):
         replace(builtin_scenario(3), total_trials=100)
