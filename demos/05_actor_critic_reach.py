@@ -32,7 +32,7 @@ def main():
     cfg = ExperimentConfig(scenario=spec, system="grail", backend="actor_critic",
                            replications=1, seed=args.seed, timeout_steps=800,
                            eval_trials=10)
-    sim = Simulation(cfg, seed=args.seed)
+    sim = Simulation(cfg)
 
     t0 = time.time()
     hits = 0

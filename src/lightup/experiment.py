@@ -244,10 +244,10 @@ class ArmBackend:
         return ActorCriticExpert(self.cfg.arm, self.cfg.actor_critic, self.rng)
 
     def attempt(self, goal: int, arm_index: int, expert, state: WorldState, achievable: bool):
-        return self.rollout(goal, arm_index, expert, state, self.rng)
+        return self.rollout(goal, arm_index, expert, state, explore=True)
 
     def rollout(self, goal: int, arm_index: int, expert: ActorCriticExpert, state: WorldState,
-                rng: np.random.Generator | None = None):
+                explore: bool = False):
         """Arm rollout from home: ends at the first touch of any sphere or on timeout.
 
         Returns ``(state after it, achieved, steps, trajectory)``.
@@ -259,10 +259,10 @@ class ArmBackend:
         reads only ``|dx|``, ``|dy|`` and their ``hypot``, so both decide
         every touch alike.
 
-        With ``rng`` the rollout explores (training): it reads ``expert.sigma``
-        once, draws the noise ``rng.normal(0.0, sigma, n)``, and before each
-        ``act`` filters in one more draw, ``c * noise + k * draw``; without,
-        it is frozen (evaluation), acts on the policy mean and draws nothing.
+        With ``explore`` (training) it reads ``expert.sigma`` once, draws the
+        noise ``self.rng.normal(0.0, sigma, n)``, and before each ``act``
+        filters in one more draw, ``c * noise + k * draw``; without, it is
+        frozen (evaluation), acts on the policy mean and draws nothing.
         It changes no expert. A training rollout computes each step's
         features once, for ``act``, and records one ``(features, action)``
         pair per step for ``learn``; the trial's reward and end need no
@@ -272,10 +272,9 @@ class ArmBackend:
         ``act`` then gives the mid posture. Joints and positions are tuples
         of Python floats.
         """
-        spec, cfg = self.spec, self.cfg
+        spec, cfg, rng = self.spec, self.cfg, self.rng
         arm_cfg = cfg.arm
         spheres = self.sphere_positions[arm_index]
-        explore = rng is not None
         joints = home_joints(arm_cfg)
         trajectory = noise = None
         if explore:
@@ -311,17 +310,18 @@ BACKENDS = {"idealized": IdealizedBackend, "actor_critic": ArmBackend}
 
 
 class Simulation:
-    """One replication of ``cfg.system`` on ``cfg.scenario``, seeded by ``seed``.
+    """Replication ``replication`` of ``cfg.system`` on ``cfg.scenario``.
 
     Each goal has one expert per arm. ``backend``, a ``BACKENDS[cfg.backend]``,
-    makes them, attempts goals and measures competence; ``rng`` is its random source.
+    makes them, attempts goals and measures competence; ``rng`` is its random
+    source, seeded by ``cfg.seed + replication``.
     """
 
-    def __init__(self, cfg: ExperimentConfig, seed: int, replication: int = 0):
+    def __init__(self, cfg: ExperimentConfig, replication: int = 0):
         self.spec = spec = cfg.scenario
         self.cfg = cfg
         self.series = ReplicationSeries(replication)
-        self.backend = backend = BACKENDS[cfg.backend](cfg, np.random.default_rng(seed))
+        self.backend = backend = BACKENDS[cfg.backend](cfg, np.random.default_rng(cfg.seed + replication))
         self.rng = backend.rng
         n = spec.n_goals
 
@@ -439,8 +439,7 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float, float]:
 
 
 def _replication_worker(args) -> ReplicationSeries:
-    cfg, seed, rep = args
-    return Simulation(cfg, seed=seed, replication=rep).run()
+    return Simulation(*args).run()
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -459,7 +458,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             existing = os.path.dirname(existing)
         if not os.path.isdir(existing):
             raise NotADirectoryError(errno.ENOTDIR, "not a directory", existing)
-    jobs = [(cfg, cfg.seed + rep, rep) for rep in range(cfg.replications)]
+    jobs = [(cfg, rep) for rep in range(cfg.replications)]
     if cfg.jobs > 1 and cfg.replications > 1:
         import multiprocessing  # here, not at the top: it adds about 0.4 MB to a serial run
 
@@ -518,9 +517,10 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
 
     The files are written into a temporary directory beside ``out_dir``,
     then moved into ``out_dir`` one by one, ``run.yaml`` last, and a
-    ``values.csv`` this run did not write is deleted. So a directory holds
-    one run's files, and a write that fails leaves ``out_dir`` as it was
-    and removes the temporary directory.
+    ``values.csv`` or ``curves.svg`` (``lightup plot``'s default output)
+    this run did not write is deleted. So a directory holds one run's
+    files, and a write that fails leaves ``out_dir`` as it was and removes
+    the temporary directory.
     """
     cfg = result.config
     reps = result.replications
@@ -561,10 +561,10 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
             yaml.safe_dump(meta, fh, sort_keys=True)
 
         os.makedirs(out_dir, exist_ok=True)
-        stale = os.path.join(out_dir, "values.csv")
-        if not cfg.dump_values and os.path.exists(stale):
-            os.remove(stale)
         names = [name for name in os.listdir(tmp) if name != "run.yaml"]
+        for name in {"values.csv", "curves.svg"}.difference(names):
+            if os.path.exists(stale := os.path.join(out_dir, name)):
+                os.remove(stale)
         for name in names + ["run.yaml"]:
             os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
 

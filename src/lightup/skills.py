@@ -67,9 +67,6 @@ class IdealizedExpert:
             self.competence -= self.disruption * self.competence
         self.competence = min(1.0, max(0.0, self.competence))
 
-    def snapshot(self) -> dict:
-        return {"competence": self.competence}
-
 
 @dataclass
 class ExpertSelector:
@@ -203,6 +200,7 @@ class ActorCriticExpert:
         # Feature layer is drawn once and never trained.
         self.w_feat = rng.normal(0.0, cfg.feature_scale, size=(h, self.n))
         self.b_feat = rng.uniform(-cfg.feature_offset, cfg.feature_offset, h)
+        self._check_finite(("w_feat",))
         # Heads start at zero: the critic predicts exactly 0 until a real
         # reward arrives, so rewardless trials produce zero TD error and
         # cannot drag the actor; the actor's mean starts at the mid posture,
@@ -342,22 +340,10 @@ class ActorCriticExpert:
         self.success_ema += cfg.success_smoothing * (final_reward - self.success_ema)
         self._check_finite()
 
-    def _check_finite(self) -> None:
-        for name, p in self.parameters().items():
-            if not np.all(np.isfinite(p)):
+    def _check_finite(self, names=("w_actor", "b_actor", "w_critic", "b_critic")) -> None:
+        """NumericsError if an array ``names`` lists is not finite: by default
+        the heads ``learn`` writes; ``__init__`` checks the drawn weights of
+        the feature layer (a huge ``feature_scale`` overflows them) once."""
+        for name in names:
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise NumericsError(f"actor-critic parameter {name} went non-finite")
-
-    # -- state inspection ----------------------------------------------------
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {
-            "w_feat": self.w_feat, "b_feat": self.b_feat,
-            "w_actor": self.w_actor, "b_actor": self.b_actor,
-            "w_critic": self.w_critic, "b_critic": self.b_critic,
-        }
-
-    def snapshot(self) -> dict:
-        data = {name: p.copy() for name, p in self.parameters().items()}
-        data["success_ema"] = self.success_ema
-        data["td_error_ema"] = self.td_error_ema
-        return data

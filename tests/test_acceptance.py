@@ -29,6 +29,8 @@ from lightup.world import (
 )
 from lightup.arm import ArmConfig, home_joints, step_toward
 
+from conftest import expert_state
+
 SEED = 100
 REPS = 10
 
@@ -41,7 +43,7 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 def run_system(scenario_id: int, system: str):
     cfg = ExperimentConfig(scenario=scenario_id, system=system,
                            replications=REPS, seed=SEED)
-    return [Simulation(cfg, seed=SEED + r, replication=r).run() for r in range(REPS)]
+    return [Simulation(cfg, r).run() for r in range(REPS)]
 
 @pytest.fixture(scope="module")
 def s1_grail():
@@ -257,7 +259,7 @@ def test_a6_actor_critic_learns_single_reach():
     passing = 0
     firsts = []
     for rep in range(REPS):
-        sim = Simulation(cfg, seed=SEED + rep, replication=rep)
+        sim = Simulation(cfg, rep)
         first = None
         for t in range(1, spec.total_trials + 1):
             sim.run_trial()
@@ -324,9 +326,9 @@ def test_a7_predictor_range_preservation():
 def test_a7_gate_is_strict_noop():
     ideal = IdealizedExpert(competence=0.41, learning_rate=0.05, disruption=0.03,
                             exploration_floor=0.22)
-    before = ideal.snapshot()
+    before = expert_state(ideal)
     ideal.learn(achieved=True, achievable=True, gate=False)
-    ideal_ok = ideal.snapshot() == before
+    ideal_ok = expert_state(ideal) == before
 
     arm = ArmConfig()
     ac = ActorCriticExpert(arm, ActorCriticConfig(), np.random.default_rng(0))
@@ -342,10 +344,9 @@ def test_a7_gate_is_strict_noop():
         a = ac.act(feat, noise.tolist())
         traj.append((feat, a))
         joints = step_toward(joints, a, arm)
-    before_ac = ac.snapshot()
+    before_ac = expert_state(ac)
     ac.learn(traj, True, gate=False)
-    ac_ok = all(np.array_equal(np.asarray(before_ac[k]), np.asarray(v))
-                for k, v in ac.snapshot().items())
+    ac_ok = expert_state(ac) == before_ac
     assert report("A7.gate", ideal_ok and ac_ok,
                   "gated-off learning leaves both backends bitwise unchanged")
 

@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 import lightup
+import lightup.cli
 from lightup.arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward
 from lightup.errors import ConfigError, NumericsError
 from lightup.experiment import (
@@ -30,8 +31,11 @@ from lightup.experiment import (
     load_config,
     run_experiment,
 )
+from lightup.motivation import AchievementPredictor
 from lightup.skills import ActorCriticExpert
 from lightup.world import BUILTIN_SCENARIOS, Goal, ScenarioSpec, WorldState, builtin_scenario, scenario_from_dict
+
+from conftest import bits, expert_state
 
 
 def short_scenario(sid, trials):
@@ -186,7 +190,7 @@ def test_load_config_with_inline_scenario(tmp_path):
 def test_trial_counts_match_schedule():
     for sid, total in ((1, 3000), (2, 4000), (3, 6000)):
         cfg = ExperimentConfig(scenario=sid, replications=1, seed=0)
-        series = Simulation(cfg, seed=0).run()
+        series = Simulation(cfg).run()
         # Entry i of every column is trial i + 1, so the last one is trial ``total``.
         columns = (series.state_key, series.goal, series.achievable, series.achieved,
                    series.reward, series.steps)
@@ -196,8 +200,8 @@ def test_trial_counts_match_schedule():
 def test_achieved_implies_achievable_across_systems():
     for system in ("grail", "c_grail", "m_grail"):
         for sid in (1, 2, 3):
-            cfg = small_cfg(sid, 600, system=system)
-            series = Simulation(cfg, seed=3).run()
+            cfg = small_cfg(sid, 600, system=system, seed=3)
+            series = Simulation(cfg).run()
             assert len(series.achieved) == len(series.achievable) == 600
             for achievable, achieved in zip(series.achievable, series.achieved):
                 assert not (achieved and not achievable)
@@ -218,8 +222,8 @@ def test_per_epoch_reset_boundaries(tmp_path):
 
 
 def test_per_trial_reset_gives_fresh_state_every_trial():
-    cfg = small_cfg(1, 200)
-    series = Simulation(cfg, seed=2).run()
+    cfg = small_cfg(1, 200, seed=2)
+    series = Simulation(cfg).run()
     assert len(series.state_key) == 200
     assert all(key.startswith("000000") for key in series.state_key)
 
@@ -229,16 +233,16 @@ def test_per_trial_reset_ignores_trials_per_epoch():
     # trials_per_epoch changes only the epoch column that trials.csv derives.
     spec = replace(short_scenario(3, 300), reset_policy="per_trial")
     assert spec.trials_per_epoch == 3
-    cfg = ExperimentConfig(scenario=spec, system="m_grail", dump_values=True)
-    series = Simulation(cfg, seed=6).run()
-    one = Simulation(replace(cfg, scenario=replace(spec, trials_per_epoch=1)), seed=6).run()
+    cfg = ExperimentConfig(scenario=spec, system="m_grail", dump_values=True, seed=6)
+    series = Simulation(cfg).run()
+    one = Simulation(replace(cfg, scenario=replace(spec, trials_per_epoch=1))).run()
     assert series == one
     assert series.state_key == ["000000/0"] * 300
 
 
 def test_epoch_state_persists_within_epoch():
-    cfg = small_cfg(3, 3000, system="m_grail", replications=1)
-    series = Simulation(cfg, seed=4).run()
+    cfg = small_cfg(3, 3000, system="m_grail", replications=1, seed=4)
+    series = Simulation(cfg).run()
     # Entry i is trial i + 1: the next trial, i + 2, is mid-epoch unless it starts one.
     achieved_mid_epoch = [
         i for i in range(len(series.achieved) - 1)
@@ -251,7 +255,7 @@ def test_epoch_state_persists_within_epoch():
 
 def test_mgrail_selecting_chain_end_on_fresh_epoch_is_wasted_with_zero_reward():
     cfg = ExperimentConfig(scenario=3, system="m_grail", seed=0)
-    sim = Simulation(cfg, seed=0)
+    sim = Simulation(cfg)
     # Find a fresh-epoch trial where the stock selector picked the chain end e.
     series = sim.series
     for _ in range(3000):
@@ -263,22 +267,38 @@ def test_mgrail_selecting_chain_end_on_fresh_epoch_is_wasted_with_zero_reward():
     assert series.achievable[-1] == 0 and series.achieved[-1] == 0 and series.reward[-1] == 0.0
 
 
-def test_gate_blocks_expert_learning_in_context_systems():
-    cfg = ExperimentConfig(scenario=3, system="c_grail", seed=0)
-    sim = Simulation(cfg, seed=0)
-    before = [[e.competence for e in pair] for pair in sim.experts]
-    # First trial from all-off: whatever is selected has prediction 0. If the
-    # attempt fails, the gate must leave the attempted expert untouched.
-    sim.run_trial()
-    if not sim.series.achieved[-1]:
-        after = [[e.competence for e in pair] for pair in sim.experts]
-        assert after == before
+def test_gate_blocks_expert_learning_in_context_systems(monkeypatch):
+    # A c_grail trial whose learning gate is closed changes no expert and no
+    # arm selector's success EMA, to the bit. The trial checked is one whose
+    # goal has a success on record with both arms, which an update of
+    # either arm's EMA with the miss would decay.
+    gates = []
+    learning_gate = AchievementPredictor.learning_gate
+
+    def recorded(self, *args):
+        gates.append(learning_gate(self, *args))
+        return gates[-1]
+
+    monkeypatch.setattr(AchievementPredictor, "learning_gate", recorded)
+    sim = Simulation(ExperimentConfig(scenario=3, system="c_grail"))
+    for _ in range(sim.spec.total_trials):
+        experts = [[expert_state(e) for e in pair] for pair in sim.experts]
+        emas = [bits(s.success_ema) for s in sim.selectors]
+        gates.clear()
+        sim.run_trial()
+        goal = sim.spec.labels.index(sim.series.goal[-1])
+        if gates == [False] and min(sim.selectors[goal].success_ema) > 0.0:
+            break
+    else:
+        raise AssertionError("no trial of a goal with two trained arms was gated off")
+    assert [[expert_state(e) for e in pair] for pair in sim.experts] == experts
+    assert [bits(s.success_ema) for s in sim.selectors] == emas
 
 
 def test_grail_has_no_gate_and_erodes_on_wasted_trials():
-    cfg = ExperimentConfig(scenario=2, system="grail", seed=0)
+    cfg = ExperimentConfig(scenario=2, system="grail", seed=5)
     spec = cfg.scenario
-    sim = Simulation(cfg, seed=5)
+    sim = Simulation(cfg)
     goal = 0
     for pair in sim.experts:
         for e in pair:
@@ -299,14 +319,14 @@ def test_grail_has_no_gate_and_erodes_on_wasted_trials():
 def test_untrained_competence_is_init_constant():
     cfg = small_cfg(1, 100)
     spec = cfg.scenario
-    sim = Simulation(cfg, seed=0)
+    sim = Simulation(cfg)
     for goal in range(spec.n_goals):
         assert sim.measure_competence(goal) == pytest.approx(0.02)
 
 
 def test_trained_competence_reads_greedy_arm():
     cfg = small_cfg(1, 100)
-    sim = Simulation(cfg, seed=0)
+    sim = Simulation(cfg)
     sim.experts[0][1].competence = 1.0
     sim.selectors[0].update(1, True)
     assert sim.measure_competence(0) == 1.0
@@ -317,14 +337,14 @@ def test_trained_competence_reads_greedy_arm():
 
 def test_scenario1_has_zero_wasted_trials():
     cfg = small_cfg(1, 500, replications=1)
-    series = Simulation(cfg, seed=0).run()
+    series = Simulation(cfg).run()
     assert len(series.achievable) == 500
     assert series.achievable.count(0) == 0
 
 
 def test_scenario2_grail_wastes_about_half_early():
-    cfg = ExperimentConfig(scenario=2, system="grail", seed=0)
-    series = Simulation(cfg, seed=11).run()
+    cfg = ExperimentConfig(scenario=2, system="grail", seed=11)
+    series = Simulation(cfg).run()
     early = series.achievable.count(0, 0, 400)
     # Context-blind selection over balanced contexts wastes ~half.
     assert 120 <= early <= 280
@@ -403,7 +423,8 @@ def test_idealized_trial_keys_its_state_once(sid, system, monkeypatch):
 
     monkeypatch.setattr(lightup.selection, "state_key", counted)
     monkeypatch.setattr(lightup.motivation, "state_key", counted)
-    sim = Simulation(ExperimentConfig(scenario=short_scenario(sid, 300), system=system), seed=5)
+    cfg = ExperimentConfig(scenario=short_scenario(sid, 300), system=system, seed=5)
+    sim = Simulation(cfg)
     per_trial = []
     for _ in range(300):
         before = len(calls)
@@ -499,10 +520,12 @@ def test_failing_write_leaves_out_dir_as_it_was(tmp_path, monkeypatch):
 
 def test_rerun_replaces_the_whole_run_directory(tmp_path):
     # A rerun without dump_values deletes the values.csv of the run before
-    # it, so no file left in the directory contradicts its run.yaml.
+    # it, and the curves.svg that ``lightup plot`` wrote there by default,
+    # so no file left in the directory contradicts its run.yaml.
     out, fresh = tmp_path / "run", tmp_path / "fresh"
     run_experiment(small_cfg(1, 100, replications=1, seed=3, out_dir=str(out), dump_values=True))
-    assert (out / "values.csv").exists()
+    assert lightup.cli.main(["plot", str(out)]) == 0
+    assert (out / "values.csv").exists() and (out / "curves.svg").exists()
     run_experiment(small_cfg(1, 100, replications=1, seed=4, out_dir=str(out)))
     run_experiment(small_cfg(1, 100, replications=1, seed=4, out_dir=str(fresh)))
     assert run_dir_bytes(out) == run_dir_bytes(fresh)
@@ -657,7 +680,7 @@ def test_trials_csv_rows_are_the_trial_records_of_run_trial(tmp_path, jobs):
                  "achievable", "achieved", "reward", "steps"]]
     per_epoch = cfg.scenario.trials_per_epoch
     for rep in range(cfg.replications):
-        s = Simulation(cfg, seed=cfg.seed + rep, replication=rep).run()
+        s = Simulation(cfg, rep).run()
         assert s.replication == rep
         columns = zip(s.state_key, s.goal, s.achievable, s.achieved, s.reward, s.steps, strict=True)
         for i, (key, goal, achievable, achieved, reward, steps) in enumerate(columns):
@@ -678,9 +701,22 @@ def test_trials_csv_rows_are_the_trial_records_of_run_trial(tmp_path, jobs):
             if r[0] == row["replication"] and int(r[1]) <= int(row["interval_end"]) and r[5] == "0")
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_replication_r_is_seeded_by_the_config_seed_plus_r(jobs):
+    # Simulation(cfg, r) runs replication r of run_experiment(cfg), in a
+    # worker process or not, from the generator of seed cfg.seed + r.
+    cfg = small_cfg(2, 200, system="c_grail", replications=3, seed=7, jobs=jobs)
+    series = run_experiment(cfg).replications
+    assert len(series) == 3 and series[0] != replace(series[1], replication=0)
+    for r in range(3):
+        assert Simulation(cfg, r).run() == series[r]
+        shifted = replace(cfg, seed=cfg.seed + r)
+        assert replace(Simulation(shifted).run(), replication=r) == series[r]
+
+
 def test_run_trial_appends_to_every_column_and_run_returns_the_series():
     cfg = small_cfg(3, 42, system="m_grail", seed=2)
-    sim = Simulation(cfg, seed=2, replication=4)
+    sim = Simulation(cfg, 4)
     series = sim.series
     columns = (series.state_key, series.goal, series.achievable, series.achieved,
                series.reward, series.steps)
@@ -692,7 +728,7 @@ def test_run_trial_appends_to_every_column_and_run_returns_the_series():
         assert [len(c) for c in columns] == [k] * 6
     assert not hasattr(sim, "trial")
 
-    fresh = Simulation(cfg, seed=2, replication=4)
+    fresh = Simulation(cfg, 4)
     assert fresh.run() is fresh.series
     # One competence row per evaluation point, trial 0 and 42, in goal order.
     assert len(fresh.series.competence) == len(evaluation_points(cfg)) == 2
@@ -712,8 +748,8 @@ def test_uniform_block_gives_the_scalar_draws_of_its_generator():
 
 def test_only_the_idealized_backend_draws_from_a_uniform_block():
     spec = replace(builtin_scenario(1), total_trials=6)
-    assert isinstance(Simulation(ExperimentConfig(scenario=spec), seed=0).rng, UniformBlock)
-    ac = Simulation(ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=5), seed=0)
+    assert isinstance(Simulation(ExperimentConfig(scenario=spec)).rng, UniformBlock)
+    ac = Simulation(ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=5))
     assert isinstance(ac.rng, np.random.Generator)
 
 
@@ -723,7 +759,7 @@ def test_a_replication_keeps_its_trials_in_under_100_bytes_each():
     cfg = ExperimentConfig(scenario=3, system="m_grail", replications=1, seed=0)
     tracemalloc.start()
     try:
-        sim = Simulation(cfg, seed=0)
+        sim = Simulation(cfg)
         before = tracemalloc.get_traced_memory()[0]
         series = sim.run()
         kept = tracemalloc.get_traced_memory()[0] - before
@@ -740,7 +776,7 @@ def test_actor_critic_backend_trial_records():
     spec = replace(builtin_scenario(1), total_trials=6)
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40,
                            replications=1, eval_interval=6, eval_trials=2)
-    sim = Simulation(cfg, seed=0)
+    sim = Simulation(cfg)
     for _ in range(6):
         sim.run_trial()
         assert 1 <= sim.series.steps[-1] <= 40
@@ -758,13 +794,13 @@ def test_actor_critic_rollout_trajectory_is_unbroken():
         "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
         "reset_policy": "per_trial", "context_mode": "none",
     })
-    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40, replications=1)
-    sim = Simulation(cfg, seed=3)
+    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40, replications=1, seed=3)
+    sim = Simulation(cfg)
     endings = set()
     for arm_index in (0, 1):
         expert = sim.experts[0][arm_index]
         for _ in range(3):
-            _, achieved, steps, traj = sim.backend.rollout(0, arm_index, expert, sim.state, sim.rng)
+            _, achieved, steps, traj = sim.backend.rollout(0, arm_index, expert, sim.state, explore=True)
             assert len(traj) == steps
             joints = home_joints(cfg.arm)
             for feat, action in traj:
@@ -783,8 +819,8 @@ def test_actor_critic_training_trajectory_is_steps_pairs(monkeypatch):
         "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 12,
         "reset_policy": "per_trial", "context_mode": "none",
     })
-    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40, replications=1)
-    sim = Simulation(cfg, seed=3)
+    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40, replications=1, seed=3)
+    sim = Simulation(cfg)
     calls = []
     learn = ActorCriticExpert.learn
 
@@ -835,8 +871,8 @@ def test_actor_critic_rollout_computes_features_once_per_step(monkeypatch):
     # exactly zero: its mean is then the mid posture whatever the features.
     calls = count_features(monkeypatch)
     spec = short_scenario(1, 8)
-    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=60, replications=1)
-    sim = Simulation(cfg, seed=2)
+    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=60, replications=1, seed=2)
+    sim = Simulation(cfg)
     for _ in range(8):
         calls.clear()
         sim.run_trial()
@@ -887,8 +923,8 @@ def test_actor_critic_frozen_zero_actor_rollout_matches_a_rollout_with_features(
         "reset_policy": "per_trial", "context_mode": "none",
     })
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", arm=arm, timeout_steps=80,
-                           replications=1)
-    sim = Simulation(cfg, seed=4)
+                           replications=1, seed=4)
+    sim = Simulation(cfg)
     calls = count_features(monkeypatch)
     endings = set()
     for goal in (0, 1):
@@ -923,8 +959,8 @@ def test_actor_critic_left_arm_touches_the_mirror_image_of_the_right_arm():
         "reset_policy": "per_trial", "context_mode": "none",
     })
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", arm=arm, timeout_steps=80,
-                           replications=1)
-    sim = Simulation(cfg, seed=6)
+                           replications=1, seed=6)
+    sim = Simulation(cfg)
     endings = set()
     for goal in (0, 1):
         for arm_index in (0, 1):
@@ -946,16 +982,16 @@ def test_actor_critic_probe_starts_with_the_goals_preconditions_forced(monkeypat
     starts = []
     rollout = ArmBackend.rollout
 
-    def spied(self, goal, arm_index, expert, state, rng=None):
+    def spied(self, goal, arm_index, expert, state, explore=False):
         starts.append((goal, state))
-        return rollout(self, goal, arm_index, expert, state, rng)
+        return rollout(self, goal, arm_index, expert, state, explore)
 
     monkeypatch.setattr(ArmBackend, "rollout", spied)
     forced = set()
     for scenario in (1, 2, 3):
         spec = builtin_scenario(scenario)
         cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=5, eval_trials=2)
-        sim = Simulation(cfg, seed=0)
+        sim = Simulation(cfg)
         sim.state = WorldState(sphere_on=(True,) * spec.n_goals, context_feature=1.0)
         for goal, g in enumerate(spec.goals):
             starts.clear()
@@ -973,16 +1009,12 @@ def test_actor_critic_probe_starts_with_the_goals_preconditions_forced(monkeypat
 def test_actor_critic_measure_competence_leaves_parameters_unchanged():
     spec = replace(builtin_scenario(3), total_trials=9)
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=30,
-                           replications=1, eval_trials=3)
-    sim = Simulation(cfg, seed=1)
-    before = [[e.snapshot() for e in pair] for pair in sim.experts]
+                           replications=1, eval_trials=3, seed=1)
+    sim = Simulation(cfg)
+    before = [[expert_state(e) for e in pair] for pair in sim.experts]
     rng_before = sim.rng.bit_generator.state
     for goal in range(spec.n_goals):
         v = sim.measure_competence(goal)
         assert 0.0 <= v <= 1.0
     assert sim.rng.bit_generator.state == rng_before  # evaluation draws no training noise
-    after = [[e.snapshot() for e in pair] for pair in sim.experts]
-    for pb, pa in zip(before, after):
-        for sb, sa in zip(pb, pa):
-            for name in sb:
-                assert np.array_equal(np.asarray(sb[name]), np.asarray(sa[name]))
+    assert [[expert_state(e) for e in pair] for pair in sim.experts] == before

@@ -295,7 +295,7 @@ def test_strategy_keying_modes():
     # The simulation makes grail state-blind whatever the scenario's context mode.
     spec = builtin_scenario(3)
     assert spec.context_mode == "full_state"
-    sim = Simulation(ExperimentConfig(scenario=spec, system="grail"), seed=0)
+    sim = Simulation(ExperimentConfig(scenario=spec, system="grail"))
     assert sim.strategy.state_key(state) == ()
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lightup.arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward
-from lightup.errors import ConfigError
+from lightup.errors import ConfigError, NumericsError
 from lightup.experiment import ExperimentConfig, Simulation
 from lightup.skills import (
     ActorCriticConfig,
@@ -16,6 +16,8 @@ from lightup.skills import (
     IdealizedExpert,
 )
 from lightup.world import scenario_from_dict
+
+from conftest import expert_state
 
 
 # -- idealized expert ---------------------------------------------------------
@@ -47,11 +49,11 @@ def test_idealized_competence_clamped_at_one():
 
 def test_idealized_gate_false_is_strict_noop():
     ex = idealized(competence=0.37)
-    before = ex.snapshot()
+    before = expert_state(ex)
     for achieved in (False, True):
         for achievable in (False, True):
             ex.learn(achieved=achieved, achievable=achievable, gate=False)
-    assert ex.snapshot() == before
+    assert expert_state(ex) == before
 
 
 def test_idealized_attempt_never_succeeds_when_unachievable():
@@ -240,12 +242,6 @@ def exploration(ex, rng):
         yield noise.tolist()
 
 
-def expert_state(ex):
-    """Every attribute of an expert, arrays as their dtype, shape and bytes."""
-    return {name: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else copy.deepcopy(v)
-            for name, v in vars(ex).items()}
-
-
 @pytest.mark.parametrize("kwargs, message", [
     ({"hidden_units": 0}, r"actor_critic: hidden_units must be in \[1, inf\), got 0"),
     ({"sigma_min": 5.0}, "actor_critic: sigma_min 5.0 exceeds sigma_start 0.8"),
@@ -254,6 +250,12 @@ def expert_state(ex):
 def test_actor_critic_config_checks_itself_when_built_alone(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         ActorCriticConfig(**kwargs)
+
+
+def test_actor_critic_feature_layer_that_overflows_is_a_numerics_error():
+    # The feature layer never changes, so it is checked once, when it is drawn.
+    with pytest.raises(NumericsError, match="parameter w_feat went non-finite"):
+        ActorCriticExpert(ARM, ActorCriticConfig(feature_scale=1e308), np.random.default_rng(0))
 
 
 def test_actor_critic_eval_act_is_deterministic():
@@ -350,10 +352,7 @@ def test_actor_critic_learn_matches_per_step_reference_bit_for_bit():
         counts = _reference_learn(ref, joint_steps)
         clipped += counts[0]
         actor_steps += counts[1]
-        new, old = ex.snapshot(), ref.snapshot()
-        assert new.keys() == old.keys()
-        for name in new:
-            assert np.array_equal(np.asarray(new[name]), np.asarray(old[name])), (trial, name)
+        assert expert_state(ex) == expert_state(ref), trial
     assert clipped > 0 and actor_steps > 0
 
 
@@ -367,16 +366,10 @@ class DotCounter(np.ndarray):
         return np.ndarray.dot(self, other)
 
 
-def assert_bitwise_snapshots(new, old, where):
-    assert new.keys() == old.keys()
-    for name in new:
-        assert np.asarray(new[name]).tobytes() == np.asarray(old[name]).tobytes(), (where, name)
-
-
 def test_actor_critic_zero_critic_skips_the_sweep_only_on_rewardless_trials():
     # Rewardless trials met by a critic that is still exactly zero take no
     # TD sweep; the first rewarded trial, and every trial after it, does.
-    # Each must leave every snapshot entry bit-for-bit as the per-step
+    # Each must leave every attribute of the expert bit-for-bit as the per-step
     # reference does, the decayed TD-error EMA included.
     ex = ActorCriticExpert(ARM, AC, np.random.default_rng(41))
     ex.td_error_ema = 0.37
@@ -389,7 +382,7 @@ def test_actor_critic_zero_critic_skips_the_sweep_only_on_rewardless_trials():
         DotCounter.calls = 0
         ex.learn(traj, success, gate=True)
         _reference_learn(ref, joint_steps)
-        assert_bitwise_snapshots(ex.snapshot(), ref.snapshot(), trial)
+        assert expert_state(ex) == expert_state(ref), trial
         swept.append(DotCounter.calls > 0)
     assert swept == [False] * 5 + [True] * 4
     assert ex.td_error_ema != 0.37
@@ -499,8 +492,8 @@ def near_home_simulation(seed):
         "context_prob_on": 0.0, "trials_per_epoch": 1, "total_trials": 1,
         "reset_policy": "per_trial", "context_mode": "none",
     })
-    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40, replications=1)
-    sim = Simulation(cfg, seed=seed)
+    cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=40, replications=1, seed=seed)
+    sim = Simulation(cfg)
     for expert in sim.experts[0]:
         expert.success_ema = 0.3
     return sim
@@ -518,7 +511,7 @@ def test_rollouts_leave_every_attribute_of_the_expert_unchanged():
                 expert.w_actor = np.random.default_rng(arm_index).normal(0.0, 0.5, expert.w_actor.shape)
             before = expert_state(expert)
             for _ in range(3):
-                endings.add(sim.backend.rollout(0, arm_index, expert, sim.state, sim.rng)[1])
+                endings.add(sim.backend.rollout(0, arm_index, expert, sim.state, explore=True)[1])
                 assert expert_state(expert) == before
                 sim.backend.rollout(0, arm_index, expert, sim.state)
                 assert expert_state(expert) == before
@@ -539,7 +532,7 @@ def test_training_rollout_draws_the_noise_of_a_twin_generator():
                 expert.w_actor = np.random.default_rng(arm_index).normal(0.0, 0.5, expert.w_actor.shape)
             for _ in range(3):
                 twin = copy.deepcopy(sim.rng)
-                _, achieved, steps, traj = sim.backend.rollout(0, arm_index, expert, sim.state, sim.rng)
+                _, achieved, steps, traj = sim.backend.rollout(0, arm_index, expert, sim.state, explore=True)
                 noise = exploration(expert, twin)
                 for feat, action in traj:
                     assert np.array(action).tobytes() == np.array(expert.act(feat, next(noise))).tobytes()
@@ -553,26 +546,21 @@ def test_actor_critic_gate_false_is_bitwise_noop():
     ex = make_expert(4)
     rng = np.random.default_rng(9)
     traj = _tiny_trajectory(ex, rng)
-    before = ex.snapshot()
+    before = expert_state(ex)
     ex.learn(traj, True, gate=False)
-    after = ex.snapshot()
-    for name in before:
-        assert np.array_equal(np.asarray(before[name]), np.asarray(after[name]))
+    assert expert_state(ex) == before
 
 
 def test_actor_critic_learn_updates_and_stays_finite():
     ex = make_expert(5)
     rng = np.random.default_rng(10)
-    before = ex.snapshot()
+    before = expert_state(ex)
     for _ in range(30):
         ex.learn(_tiny_trajectory(ex, rng), True, gate=True)
-    moved = any(
-        not np.array_equal(np.asarray(before[k]), np.asarray(v))
-        for k, v in ex.snapshot().items()
-    )
-    assert moved
-    for p in ex.parameters().values():
-        assert np.all(np.isfinite(p))
+    assert expert_state(ex) != before
+    for p in vars(ex).values():
+        if isinstance(p, np.ndarray):
+            assert np.all(np.isfinite(p))
 
 
 def test_actor_critic_identical_seeds_identical_parameters():
@@ -581,11 +569,9 @@ def test_actor_critic_identical_seeds_identical_parameters():
         rng = np.random.default_rng(seed + 100)
         for _ in range(20):
             ex.learn(_tiny_trajectory(ex, rng), True, gate=True)
-        return ex.snapshot()
+        return expert_state(ex)
 
-    s1, s2 = train(7), train(7)
-    for name in s1:
-        assert np.array_equal(np.asarray(s1[name]), np.asarray(s2[name]))
+    assert train(7) == train(7)
 
 
 def test_actor_critic_td_error_shrinks_on_fixed_reaching_task():

@@ -325,8 +325,8 @@ def test_another_spec_touches_a_state_by_its_own_rules():
 
 def test_spec_with_warm_caches_survives_pickling():
     # --jobs N pickles the config, and so the spec with its state table.
-    cfg = ExperimentConfig(scenario=3, system="m_grail")
-    warm = Simulation(cfg, seed=3)
+    cfg = ExperimentConfig(scenario=3, system="m_grail", seed=3)
+    warm = Simulation(cfg)
     for _ in range(300):
         warm.run_trial()
     spec = cfg.scenario
@@ -339,8 +339,9 @@ def test_spec_with_warm_caches_survives_pickling():
             assert copy.is_achievable(goal, state) == oracle_achievable(spec, goal, state)
             assert copy.apply_touch(goal, state) is copy.apply_touch(goal, state)
 
-    cold = Simulation(ExperimentConfig(scenario=3, system="m_grail"), seed=9)
-    thawed = Simulation(replace(cfg, scenario=copy), seed=9)
+    cold_cfg = ExperimentConfig(scenario=3, system="m_grail", seed=9)
+    cold = Simulation(cold_cfg)
+    thawed = Simulation(replace(cold_cfg, scenario=copy))
     for _ in range(300):
         thawed.run_trial()
         cold.run_trial()
