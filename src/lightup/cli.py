@@ -1,4 +1,4 @@
-"""Command-line entry point: run experiments, plot their curves, validate scenarios.
+"""Command-line entry point: run experiments, plot their curves, validate scenarios, print value tables.
 
 Exit codes: 0 success, 2 configuration or file problems (bad scenario,
 missing or unwritable file, unknown system), 3 runtime numeric failure,
@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--temperature", type=float, help="goal-selection softmax temperature")
     run.add_argument("--jobs", type=int, help="parallel replication processes")
     run.add_argument("--out", dest="out_dir", help=f"output directory (default from ${OUT_DIR_ENV})")
-    run.add_argument("--dump-values", action="store_true", default=None,
-                     help="also dump goal-selector value tables per interval")
     run.add_argument("--print-config", action="store_true",
                      help="print the resolved config as YAML and exit")
 
@@ -59,6 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check a scenario's rules and reachability")
     val.add_argument("--config", help="YAML file containing a scenario section")
     val.add_argument("--scenario", help="builtin scenario id (1, 2, 3) or scenario file")
+
+    values = sub.add_parser("values", help="print a run's goal-selector value tables, replayed from its trials")
+    values.add_argument("run_dir", help="a directory written by `run`")
     return parser
 
 
@@ -194,6 +195,20 @@ def cmd_validate(args) -> int:
     return 0
 
 
+# -- values ----------------------------------------------------------------------
+
+
+def cmd_values(args) -> int:
+    """Print, as CSV, each replication's value table at each evaluation point after trial 0."""
+    labels = exp.load_config(os.path.join(args.run_dir, "run.yaml")).scenario.labels
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(["replication", "trial", "state_key", "goal", "value"])
+    for replication, trial, strategy in exp.fold(args.run_dir):
+        out.writerows([replication, trial, key_text, labels[goal], repr(value)]
+                      for key_text, goal, value in strategy.dump_rows())
+    return 0
+
+
 # -- entry ----------------------------------------------------------------------
 
 
@@ -203,7 +218,7 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    handlers = {"run": cmd_run, "plot": cmd_plot, "validate": cmd_validate}
+    handlers = {"run": cmd_run, "plot": cmd_plot, "validate": cmd_validate, "values": cmd_values}
     try:
         return handlers[args.command](args)
     except (ConfigError, OSError) as exc:

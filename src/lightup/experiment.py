@@ -112,7 +112,6 @@ class ExperimentConfig:
     actor_critic: ActorCriticConfig = field(default_factory=ActorCriticConfig)
     out_dir: str | None = None
     jobs: int = 1
-    dump_values: bool = False
 
     # The scalar fields' ranges, as ``inputs.check_ranges`` rows (a class attribute, not a field).
     _RANGES = (
@@ -174,7 +173,6 @@ class ReplicationSeries:
     reward: array = field(default_factory=lambda: array("d"))
     steps: array = field(default_factory=lambda: array("q"))
     competence: list[list[float]] = field(default_factory=list)
-    value_rows: list[tuple[int, str, int, float]] = field(default_factory=list)
 
 
 def evaluation_points(cfg: ExperimentConfig) -> list[int]:
@@ -348,7 +346,7 @@ class Simulation:
 
     def run_trial(self) -> None:
         """Advance the simulation by one trial and append it to ``self.series``."""
-        spec, rng, strategy, predictor = self.spec, self.rng, self.strategy, self.predictor
+        spec, rng, strategy = self.spec, self.rng, self.strategy
         series = self.series
         step_in_epoch = len(series.goal) % self.epoch_length
         if step_in_epoch == 0:
@@ -362,19 +360,17 @@ class Simulation:
         expert = self.experts[goal][arm_index]
         new_state, achieved, steps, record = self.backend.attempt(goal, arm_index, expert, state, achievable)
 
-        gate = not self.use_gate or predictor.learning_gate(goal, key, achieved, self.cfg.gate_epsilon)
-        reward = predictor.update_and_reward(goal, key, achieved)
+        # An epoch's last trial has no next key: the reset after it does not
+        # depend on its choice, so bootstrapping on it would inject spurious value.
+        last = step_in_epoch == self.epoch_length - 1
+        next_key = None if last else strategy.state_key(new_state)
+        gate, reward = self.selection_step(goal, key, achieved, next_key)
         expert.learn(record, achieved, gate=gate)
         if gate:
             # The gate protects the whole skill-learning side, arm choice
             # included: a trial the predictor flagged as hopeless says
             # nothing about which arm is better.
             self.selectors[goal].update(arm_index, achieved)
-
-        # An epoch's last trial has no next key: the reset after it does not
-        # depend on its choice, so bootstrapping on it would inject spurious value.
-        last = step_in_epoch == self.epoch_length - 1
-        strategy.update(key, goal, reward, None if last else strategy.state_key(new_state))
 
         self.state = new_state
         if achieved and not achievable:
@@ -385,6 +381,18 @@ class Simulation:
         series.achieved.append(achieved)
         series.reward.append(reward)
         series.steps.append(steps)
+
+    def selection_step(self, goal: int, key: tuple, achieved: bool,
+                       next_key: tuple | None) -> tuple[bool, float]:
+        """The selection side of a trial on ``goal`` from the state keyed ``key``:
+        the learning gate (read before the predictor learns the outcome), the
+        predictor update and its intrinsic reward, then the value update,
+        bootstrapping on ``next_key`` if given. Returns ``(gate, reward)``."""
+        predictor = self.predictor
+        gate = not self.use_gate or predictor.learning_gate(goal, key, achieved, self.cfg.gate_epsilon)
+        reward = predictor.update_and_reward(goal, key, achieved)
+        self.strategy.update(key, goal, reward, next_key)
+        return gate, reward
 
     # -- evaluation ----------------------------------------------------------
 
@@ -398,8 +406,7 @@ class Simulation:
     def run(self) -> ReplicationSeries:
         """Run every trial into ``self.series`` and return it, measuring
         competence at each of ``evaluation_points(cfg)``. A point after
-        trial 0 also records the value table (with ``dump_values``) and
-        logs one progress line.
+        trial 0 also logs one progress line.
         """
         cfg, series = self.cfg, self.series
         goals = range(self.spec.n_goals)
@@ -410,8 +417,6 @@ class Simulation:
             series.competence.append(values)
             if t == 0:
                 continue
-            if cfg.dump_values:
-                series.value_rows.extend((t, key_text, g, v) for key_text, g, v in self.strategy.dump_rows())
             log.info("replication %d, trial %d/%d: mean competence %.3f, cumulative waste %d",
                      series.replication, t, self.spec.total_trials,
                      sum(values) / len(values), series.achievable.count(0))
@@ -517,10 +522,10 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
 
     The files are written into a temporary directory beside ``out_dir``,
     then moved into ``out_dir`` one by one, ``run.yaml`` last, and a
-    ``values.csv`` or ``curves.svg`` (``lightup plot``'s default output)
-    this run did not write is deleted. So a directory holds one run's
-    files, and a write that fails leaves ``out_dir`` as it was and removes
-    the temporary directory.
+    ``values.csv`` (an older run's value dump) or ``curves.svg`` (``lightup
+    plot``'s default output) there is deleted. So a directory holds one
+    run's files, and a write that fails leaves ``out_dir`` as it was and
+    removes the temporary directory.
     """
     cfg = result.config
     reps = result.replications
@@ -547,10 +552,6 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
                     for t, label, mean, lo, hi in result.competence_agg))
         _write_csv(tmp, "wasted_agg.csv", ["interval_end", "mean", "ci_low", "ci_high"],
                    ([end, repr(mean), repr(lo), repr(hi)] for end, mean, lo, hi in result.wasted_agg))
-        if cfg.dump_values:
-            _write_csv(tmp, "values.csv", ["replication", "trial", "state_key", "goal", "value"],
-                       ([s.replication, t, key_text, cfg.scenario.labels[g], repr(v)]
-                        for s in reps for t, key_text, g, v in s.value_rows))
 
         meta = config_to_dict(cfg)
         # Where the run was written and how it was parallelized do not affect the
@@ -562,7 +563,7 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
 
         os.makedirs(out_dir, exist_ok=True)
         names = [name for name in os.listdir(tmp) if name != "run.yaml"]
-        for name in {"values.csv", "curves.svg"}.difference(names):
+        for name in ("values.csv", "curves.svg"):
             if os.path.exists(stale := os.path.join(out_dir, name)):
                 os.remove(stale)
         for name in names + ["run.yaml"]:
@@ -584,3 +585,82 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def load_config(path: str) -> ExperimentConfig:
     return config_from_dict(read_yaml(path, "config"))
 
+
+
+# -- replaying a run ---------------------------------------------------------------
+
+
+def fold(run_dir: str):
+    """Replay the selection side of the run in ``run_dir`` from its ``trials.csv``.
+
+    For each replication of the directory's ``run.yaml`` it builds
+    ``Simulation(cfg, replication)`` and feeds each trial row, in order, to
+    ``selection_step``: the row's state (``WorldState.from_key_string``),
+    goal and outcome, bootstrapping on the next row's state within an epoch
+    and on none at an epoch's last trial, as ``run_trial`` does. It draws
+    nothing. At each evaluation point after trial 0 it yields
+    ``(replication, trial, strategy)``: the value table as the run held it
+    then, until the generator resumes.
+
+    Raises ConfigError naming the file and row when a row is malformed or
+    out of place, when a replication is incomplete, or when a recomputed
+    reward differs from the written one (compared as ``repr``).
+    """
+    cfg = load_config(os.path.join(run_dir, "run.yaml"))
+    path = os.path.join(run_dir, "trials.csv")
+    spec = cfg.scenario
+    total, goals = spec.total_trials, {label: i for i, label in enumerate(spec.labels)}
+    points = set(evaluation_points(cfg)[1:])
+    columns = ("replication", "trial", "state_key", "goal", "achieved", "reward")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+
+        def next_row():
+            try:
+                return next(reader, None)
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise ConfigError(f"cannot read CSV {path}: {exc}") from None
+
+        header = next_row() or []
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise ConfigError(f"CSV {path} header has no {', '.join(missing)} column")
+        where = [header.index(name) for name in columns]
+        for replication in range(cfg.replications):
+            rows = []
+            for trial in range(1, total + 1):
+                row = next_row()
+                at = f"CSV {path} row {reader.line_num - (row is not None)}"
+                if row is None:
+                    raise ConfigError(f"{at}: replication {replication} ends after "
+                                      f"{trial - 1} of {total} trials")
+                if len(row) != len(header):
+                    raise ConfigError(f"{at}: {len(row)} values for {len(header)} columns")
+                rep_text, trial_text, key_text, label, achieved, reward = (row[i] for i in where)
+                if (rep_text, trial_text) != (str(replication), str(trial)):
+                    raise ConfigError(f"{at}: replication {rep_text} trial {trial_text} where "
+                                      f"replication {replication} trial {trial} belongs")
+                if label not in goals:
+                    raise ConfigError(f"{at}: unknown goal {label!r}; goals are {list(goals)}")
+                if achieved not in ("0", "1"):
+                    raise ConfigError(f"{at}: achieved must be 0 or 1, got {achieved!r}")
+                try:
+                    state = WorldState.from_key_string(key_text)
+                except ValueError as exc:
+                    raise ConfigError(f"{at}: {exc}") from None
+                if len(state.sphere_on) != spec.n_goals:
+                    raise ConfigError(f"{at}: state key {key_text!r} is not {spec.n_goals} sphere bits")
+                rows.append((at, state, goals[label], achieved == "1", reward))
+
+            sim = Simulation(cfg, replication)
+            keys = [sim.strategy.state_key(state) for _, state, _, _, _ in rows]
+            for i, (at, _, goal, achieved, written) in enumerate(rows):
+                last = i % sim.epoch_length == sim.epoch_length - 1
+                reward = sim.selection_step(goal, keys[i], achieved, None if last else keys[i + 1])[1]
+                if repr(reward) != written:
+                    raise ConfigError(f"{at}: reward {written} differs from the recomputed {reward!r}")
+                if i + 1 in points:
+                    yield replication, i + 1, sim.strategy
+        if next_row() is not None:
+            raise ConfigError(f"CSV {path} row {reader.line_num - 1}: a row after the last of "
+                              f"{cfg.replications} replications of {total} trials")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +126,6 @@ class ActorCriticConfig:
     # smoothly instead of jittering; scale anneals with the success EMA.
     noise_correlation: float = 0.98
     success_smoothing: float = 0.05
-    td_clip: float = 5.0
     # The actor imitates an explored action when the TD error clears this
     # margin; sub-margin fluctuations are critic noise, and following them
     # drags the policy around.
@@ -140,7 +140,8 @@ class ActorCriticConfig:
     _RANGES = (
         ("hidden_units", 1, math.inf, True, False),
         ("feature_scale", 0.0, math.inf, True, False),
-        ("feature_offset", 0.0, math.inf, True, False),
+        # The biases are drawn from [-offset, offset], whose width 2 * offset must be finite.
+        ("feature_offset", 0.0, sys.float_info.max / 2, True, True),
         ("actor_lr", 0.0, math.inf, False, False),
         ("critic_lr", 0.0, math.inf, False, False),
         ("discount", 0.0, 1.0, True, True),
@@ -148,7 +149,6 @@ class ActorCriticConfig:
         ("sigma_min", 0.0, math.inf, True, False),
         ("noise_correlation", 0.0, 1.0, True, True),
         ("success_smoothing", 0.0, 1.0, False, True),
-        ("td_clip", 0.0, math.inf, False, False),
         ("actor_delta_margin", 0.0, math.inf, True, False),
         ("imitate_window", 0, math.inf, True, False),
         ("success_replays", 0, math.inf, True, False),
@@ -310,7 +310,6 @@ class ActorCriticExpert:
         else:
             passes = 1 + (cfg.success_replays if success else 0)
         discount, critic_lr, margin = cfg.discount, cfg.critic_lr, cfg.actor_delta_margin
-        td_clip, low_clip = cfg.td_clip, -cfg.td_clip
         last = len(trajectory) - 1
         imitate_from = len(trajectory) - cfg.imitate_window if success else len(trajectory)
         final_reward = 1.0 if success else 0.0
@@ -321,13 +320,7 @@ class ActorCriticExpert:
                     target = final_reward
                 else:
                     target = 0.0 + discount * (float(w_critic.dot(trajectory[i + 1][0])) + b_critic)
-                # Clipped to [-td_clip, td_clip]: max, then min, as comparisons.
                 delta = target - v
-                if low_clip > delta:
-                    delta = low_clip
-                if td_clip < delta:
-                    delta = td_clip
-
                 w_critic += critic_lr * delta * feat
                 b_critic += critic_lr * delta
 

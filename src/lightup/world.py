@@ -101,6 +101,14 @@ class WorldState:
         """Compact text form, e.g. ``010010/1`` (bits in goal-index order)."""
         return self._text
 
+    @classmethod
+    def from_key_string(cls, text: str) -> "WorldState":
+        """The state whose ``key_string`` is ``text``; ValueError if there is none."""
+        bits, slash, context = text.partition("/")
+        if not slash or not set(bits) <= {"0", "1"} or context not in ("0", "1"):
+            raise ValueError(f"state key {text!r} is not sphere bits, '/' and a context bit, like 010010/1")
+        return cls(tuple(bit == "1" for bit in bits), float(context))
+
 
 def state_key(state: WorldState, mode: str) -> tuple:
     """Hashable table key for a state under the given context mode.

@@ -151,7 +151,7 @@ MISTYPED = [
     ("replications", True, "replications must be an integer"),
     ("temperature", "hot", "temperature must be a number"),
     ("clip_reward", "no", "clip_reward must be true or false"),
-    ("dump_values", 1, "dump_values must be true or false"),
+    ("clip_reward", 1, "clip_reward must be true or false"),
     ("arm", {"max_step": "abc"}, "arm.max_step must be a number"),
     ("arm", {"link_lengths": 0.25}, "arm.link_lengths must be a list of numbers"),
     ("actor_critic", {"hidden_units": 9.5}, "actor_critic.hidden_units must be an integer"),
@@ -159,7 +159,7 @@ MISTYPED = [
     ("replications", None, "replications must be an integer"),
 ]
 MISTYPED_IDS = ["eval_trials-text", "eval_trials-fraction", "replications-bool", "temperature-text",
-                "clip_reward-text", "dump_values-int", "arm-max_step-text", "arm-link_lengths-scalar",
+                "clip_reward-text", "clip_reward-int", "arm-max_step-text", "arm-link_lengths-scalar",
                 "actor_critic-hidden_units-fraction", "actor_critic-list",
                 "replications-null"]
 
@@ -215,6 +215,18 @@ def test_removed_config_key_exits_2(tmp_path, capsys, field, value, message):
     assert not (tmp_path / "x").exists()
 
 
+def test_feature_offset_whose_width_overflows_exits_2(tmp_path, capsys):
+    # The feature biases are drawn from [-offset, offset], whose width
+    # 2e308 is not finite: the config is refused before any arm is built.
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"actor_critic": {"feature_offset": 1.0e308}}))
+    assert run_cli("run", "--config", str(cfg_path), "--backend", "actor_critic", "--trials", "2",
+                   "--replications", "1", "--out", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err == ("error: actor_critic: feature_offset must be in "
+                                       "[0.0, 8.988465674311579e+307], got 1e+308\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_values_read_exactly(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({
@@ -230,13 +242,15 @@ def test_config_values_read_exactly(tmp_path, capsys):
     assert data["actor_critic"]["hidden_units"] == 12 and isinstance(data["actor_critic"]["hidden_units"], int)
 
 
-def test_values_csv_holds_every_evaluation_point(tmp_path):
+def test_values_csv_holds_every_evaluation_point(tmp_path, capsys):
     # 120 trials at interval 50: every output evaluates at 50, 100 and the
     # last trial, 120.
     out = tmp_path / "run"
     assert run_cli("run", "--scenario", "1", "--seed", "5", "--replications", "1",
-                   "--trials", "120", "--eval-interval", "50", "--dump-values",
-                   "--out", str(out)) == 0
+                   "--trials", "120", "--eval-interval", "50", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("values", str(out)) == 0
+    (out / "values.csv").write_text(capsys.readouterr().out)
 
     def column(name, key):
         with open(out / name, encoding="utf-8") as fh:
@@ -326,7 +340,7 @@ CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 # A value other than the default for each field flag.
 FLAG_VALUES = {"scenario": "2", "system": "c_grail", "backend": "actor_critic", "seed": "5",
                "replications": "3", "eval_interval": "25", "temperature": "0.02", "jobs": "2",
-               "out_dir": "elsewhere", "dump_values": None}
+               "out_dir": "elsewhere"}
 
 
 def parser_actions(*commands):

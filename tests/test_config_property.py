@@ -46,7 +46,6 @@ TOP = {
     "idealized_learning_rate": unit(open_low=True),
     "idealized_disruption": unit(),
     "idealized_exploration_floor": unit(),
-    "dump_values": st.booleans(),
 }
 
 ACTOR_CRITIC = {
@@ -58,7 +57,6 @@ ACTOR_CRITIC = {
     "discount": unit(),
     "noise_correlation": unit(),
     "success_smoothing": unit(open_low=True),
-    "td_clip": st.floats(1e-3, 10.0),
     "actor_delta_margin": unit(),
     "imitate_window": st.integers(0, 200),
     "success_replays": st.integers(0, 4),

@@ -79,11 +79,11 @@ def test_config_holds_its_validated_scenario(tmp_path):
 
 
 def test_sections_given_as_mappings_build_the_config_a_file_builds():
-    sections = {"arm": {"max_step": 0.1}, "actor_critic": {"hidden_units": 8, "td_clip": 2}}
+    sections = {"arm": {"max_step": 0.1}, "actor_critic": {"hidden_units": 8, "critic_lr": 1}}
     cfg = ExperimentConfig(**sections)
     assert cfg == config_from_dict(sections)
     assert cfg.arm == ArmConfig(max_step=0.1) and cfg.arm.max_reach == 1.0
-    assert cfg.actor_critic.td_clip == 2.0 and type(cfg.actor_critic.td_clip) is float
+    assert cfg.actor_critic.critic_lr == 1.0 and type(cfg.actor_critic.critic_lr) is float
 
 
 def test_goal_records_in_a_scenario_mapping_are_sent_to_a_scenario_spec():
@@ -99,22 +99,22 @@ def test_python_config_fields_are_cast_as_a_file_casts_them(tmp_path):
     with pytest.raises(ConfigError, match="clip_reward must be true or false, got 'no'"):
         ExperimentConfig(clip_reward="no")
     # numpy booleans and 1-D arrays read as the booleans and lists a file gives.
-    with pytest.raises(ConfigError, match="dump_values must be true or false, got np.float64"):
-        ExperimentConfig(dump_values=np.float64(1.0))
+    with pytest.raises(ConfigError, match="clip_reward must be true or false, got np.float64"):
+        ExperimentConfig(clip_reward=np.float64(1.0))
     with pytest.raises(ConfigError, match="arm.link_lengths must be a list of numbers, got array"):
         ExperimentConfig(arm={"link_lengths": np.full((4, 1), 0.25)})
     cfg = ExperimentConfig(scenario=short_scenario(1, 20), replications=np.int64(2), seed=np.int64(3),
                            eval_interval=np.int32(10), predictor_eta=np.float64(0.2), out_dir=tmp_path / "run",
-                           dump_values=np.True_, arm={"link_lengths": np.array([0.25] * 4)})
+                           clip_reward=np.True_, arm={"link_lengths": np.array([0.25] * 4)})
     for name in ("replications", "seed", "eval_interval"):
         assert type(getattr(cfg, name)) is int
     assert type(cfg.predictor_eta) is float and cfg.out_dir == str(tmp_path / "run")
-    assert cfg.dump_values is True and cfg.arm == ArmConfig(link_lengths=(0.25,) * 4)
+    assert cfg.clip_reward is True and cfg.arm == ArmConfig(link_lengths=(0.25,) * 4)
     assert list(map(type, cfg.arm.link_lengths)) == [float] * 4
     run_experiment(cfg)
     meta = yaml.safe_load((tmp_path / "run" / "run.yaml").read_text())
     assert (meta["replications"], meta["seed"], meta["eval_interval"]) == (2, 3, 10)
-    assert meta["dump_values"] is True and meta["arm"]["link_lengths"] == [0.25] * 4
+    assert meta["clip_reward"] is True and meta["arm"]["link_lengths"] == [0.25] * 4
 
 
 def test_python_built_run_reruns_from_its_own_run_yaml(tmp_path):
@@ -233,10 +233,10 @@ def test_per_trial_reset_ignores_trials_per_epoch():
     # trials_per_epoch changes only the epoch column that trials.csv derives.
     spec = replace(short_scenario(3, 300), reset_policy="per_trial")
     assert spec.trials_per_epoch == 3
-    cfg = ExperimentConfig(scenario=spec, system="m_grail", dump_values=True, seed=6)
-    series = Simulation(cfg).run()
-    one = Simulation(replace(cfg, scenario=replace(spec, trials_per_epoch=1))).run()
-    assert series == one
+    cfg = ExperimentConfig(scenario=spec, system="m_grail", seed=6)
+    sim, one = Simulation(cfg), Simulation(replace(cfg, scenario=replace(spec, trials_per_epoch=1)))
+    series = sim.run()
+    assert series == one.run() and sim.strategy.table == one.strategy.table
     assert series.state_key == ["000000/0"] * 300
 
 
@@ -473,7 +473,7 @@ def test_agg_rows_are_per_point_means_of_the_replication_rows(tmp_path):
 
 def test_csv_outputs_and_columns(tmp_path):
     out = tmp_path / "run"
-    cfg = small_cfg(1, 100, replications=2, seed=30, out_dir=str(out), dump_values=True)
+    cfg = small_cfg(1, 100, replications=2, seed=30, out_dir=str(out))
     run_experiment(cfg)
     def header(name):
         return (out / name).read_text().splitlines()[0]
@@ -482,8 +482,8 @@ def test_csv_outputs_and_columns(tmp_path):
     assert header("wasted.csv") == "replication,interval_end,cumulative_wasted"
     assert header("competence_agg.csv") == "trial_index,goal,mean,ci_low,ci_high"
     assert header("wasted_agg.csv") == "interval_end,mean,ci_low,ci_high"
-    assert header("values.csv") == "replication,trial,state_key,goal,value"
-    assert (out / "run.yaml").exists()
+    assert sorted(os.listdir(out)) == ["competence.csv", "competence_agg.csv", "run.yaml", "trials.csv",
+                                       "wasted.csv", "wasted_agg.csv"]
     n_rows = len((out / "trials.csv").read_text().splitlines()) - 1
     assert n_rows == 2 * 100
 
@@ -499,7 +499,7 @@ def test_failing_write_leaves_out_dir_as_it_was(tmp_path, monkeypatch):
     import lightup.experiment
 
     out = tmp_path / "run"
-    run_experiment(small_cfg(1, 100, replications=1, seed=3, out_dir=str(out), dump_values=True))
+    run_experiment(small_cfg(1, 100, replications=1, seed=3, out_dir=str(out)))
     before = run_dir_bytes(out)
     write_csv = lightup.experiment._write_csv
     written = []
@@ -519,12 +519,13 @@ def test_failing_write_leaves_out_dir_as_it_was(tmp_path, monkeypatch):
 
 
 def test_rerun_replaces_the_whole_run_directory(tmp_path):
-    # A rerun without dump_values deletes the values.csv of the run before
-    # it, and the curves.svg that ``lightup plot`` wrote there by default,
-    # so no file left in the directory contradicts its run.yaml.
+    # A rerun deletes the values.csv an older run dumped there, and the
+    # curves.svg that ``lightup plot`` wrote there by default, so no file
+    # left in the directory contradicts its run.yaml.
     out, fresh = tmp_path / "run", tmp_path / "fresh"
-    run_experiment(small_cfg(1, 100, replications=1, seed=3, out_dir=str(out), dump_values=True))
+    run_experiment(small_cfg(1, 100, replications=1, seed=3, out_dir=str(out)))
     assert lightup.cli.main(["plot", str(out)]) == 0
+    (out / "values.csv").write_text("replication,trial,state_key,goal,value\n0,100,0,a,0.0\n")
     assert (out / "values.csv").exists() and (out / "curves.svg").exists()
     run_experiment(small_cfg(1, 100, replications=1, seed=4, out_dir=str(out)))
     run_experiment(small_cfg(1, 100, replications=1, seed=4, out_dir=str(fresh)))

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -245,11 +246,23 @@ def exploration(ex, rng):
 @pytest.mark.parametrize("kwargs, message", [
     ({"hidden_units": 0}, r"actor_critic: hidden_units must be in \[1, inf\), got 0"),
     ({"sigma_min": 5.0}, "actor_critic: sigma_min 5.0 exceeds sigma_start 0.8"),
-    ({"td_clip": "abc"}, "actor_critic.td_clip must be a number, got 'abc'"),
-], ids=["hidden_units-zero", "sigma_min-above_start", "td_clip-text"])
+    ({"critic_lr": "abc"}, "actor_critic.critic_lr must be a number, got 'abc'"),
+    ({"feature_offset": 1e308},
+     r"actor_critic: feature_offset must be in \[0.0, 8.988465674311579e\+307\], got 1e\+308"),
+], ids=["hidden_units-zero", "sigma_min-above_start", "critic_lr-text", "feature_offset-width_overflows"])
 def test_actor_critic_config_checks_itself_when_built_alone(kwargs, message):
     with pytest.raises(ConfigError, match=message):
         ActorCriticConfig(**kwargs)
+
+
+def test_largest_feature_offset_draws_finite_biases():
+    # The biases are drawn from [-offset, offset]: the largest offset the
+    # range check takes has a finite width, so the draw does not overflow.
+    offset = sys.float_info.max / 2
+    ex = ActorCriticExpert(ARM, ActorCriticConfig(feature_offset=offset), np.random.default_rng(0))
+    assert np.all(np.isfinite(ex.b_feat)) and np.abs(ex.b_feat).max() <= offset
+    with pytest.raises(ConfigError, match="feature_offset must be in"):
+        ActorCriticConfig(feature_offset=np.nextafter(offset, math.inf))
 
 
 def test_actor_critic_feature_layer_that_overflows_is_a_numerics_error():
@@ -303,21 +316,19 @@ def _tiny_trajectory(ex, rng, success=True, n=5):
 
 def _reference_learn(ex, trajectory):
     """The per-step TD loop that recomputes features and the bootstrap value
-    on every pass. Returns how many steps clipped the TD error and how many
-    stepped the actor."""
+    on every pass. Returns how many steps stepped the actor."""
     cfg = ex.cfg
     success = any(reward > 0.0 for _, _, reward, _, _ in trajectory)
     passes = 1 + (cfg.success_replays if success else 0)
     length = len(trajectory)
-    clipped = actor_steps = 0
+    actor_steps = 0
     for _ in range(passes):
         for i, (joints, action, reward, next_joints, done) in enumerate(trajectory):
             feat = ex.features(joints)
             v = float(ex.w_critic @ feat + ex.b_critic[0])
             next_value = float(ex.w_critic @ ex.features(next_joints) + ex.b_critic[0])
             target = reward if done else reward + cfg.discount * next_value
-            delta = float(np.clip(target - v, -cfg.td_clip, cfg.td_clip))
-            clipped += delta != target - v
+            delta = target - v
             ex.w_critic += cfg.critic_lr * delta * feat
             ex.b_critic += cfg.critic_lr * delta
             if delta > cfg.actor_delta_margin or (success and i >= length - cfg.imitate_window):
@@ -325,19 +336,19 @@ def _reference_learn(ex, trajectory):
                 actor_steps += 1
             ex.td_error_ema += 0.01 * (abs(delta) - ex.td_error_ema)
     ex.success_ema += cfg.success_smoothing * ((1.0 if success else 0.0) - ex.success_ema)
-    return clipped, actor_steps
+    return actor_steps
 
 
 def test_actor_critic_learn_matches_per_step_reference_bit_for_bit():
-    # Successes (replayed success_replays extra times) and failures, with a
-    # TD clip small enough to bind and trajectories longer and shorter than
-    # the imitation window. learn reads the features the rollout carried;
-    # the reference recomputes them from the joints on every pass.
-    cfg = ActorCriticConfig(td_clip=0.5, imitate_window=40)
+    # Successes (replayed success_replays extra times) and failures, with
+    # trajectories longer and shorter than the imitation window. learn reads
+    # the features the rollout carried; the reference recomputes them from
+    # the joints on every pass.
+    cfg = ActorCriticConfig(imitate_window=40)
     ex = ActorCriticExpert(ARM, cfg, np.random.default_rng(21))
     ref = copy.deepcopy(ex)
     rng = np.random.default_rng(21)
-    clipped = actor_steps = 0
+    actor_steps = 0
     for trial in range(40):
         success = trial % 3 != 2
         traj, joint_steps = _tiny_rollout(ex, rng, success=success, n=1 + trial % 7 * 20)
@@ -349,11 +360,9 @@ def test_actor_critic_learn_matches_per_step_reference_bit_for_bit():
             assert nxt is joints and not done
         assert joint_steps[-1][4]
         ex.learn(traj, success, gate=True)
-        counts = _reference_learn(ref, joint_steps)
-        clipped += counts[0]
-        actor_steps += counts[1]
+        actor_steps += _reference_learn(ref, joint_steps)
         assert expert_state(ex) == expert_state(ref), trial
-    assert clipped > 0 and actor_steps > 0
+    assert actor_steps > 0
 
 
 class DotCounter(np.ndarray):

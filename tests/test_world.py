@@ -384,6 +384,27 @@ def test_state_key_modes():
         state_key(state, "bogus")
 
 
+@pytest.mark.parametrize("context", [0.0, 1.0])
+def test_key_string_round_trips_for_every_state_of_six_goals(context):
+    # from_key_string is key_string's inverse: it gives back a state that is
+    # equal, keys alike in every mode and prints the same text.
+    texts = set()
+    for on in itertools.product((False, True), repeat=6):
+        state = WorldState(on, context)
+        text = state.key_string()
+        back = WorldState.from_key_string(text)
+        assert back == state and back.key_string() == text and back.mask == state.mask
+        assert all(state_key(back, mode) == state_key(state, mode) for mode in CONTEXT_MODES)
+        texts.add(text)
+    assert len(texts) == 64
+
+
+@pytest.mark.parametrize("text", ["", "010010", "010010/", "010010/2", "010210/1", "01001/0/1", " 010010/1"])
+def test_from_key_string_refuses_text_no_state_prints(text):
+    with pytest.raises(ValueError, match="is not sphere bits"):
+        WorldState.from_key_string(text)
+
+
 # -- validation and files ---------------------------------------------------------
 
 
