@@ -10,7 +10,7 @@ anything downstream still pays out.
 
 import numpy as np
 
-from lightup import SelectionStrategy, softmax_probabilities
+from lightup import SelectionStrategy, WorldState, softmax_probabilities
 from lightup.experiment import SYSTEMS
 
 for name, system in SYSTEMS.items():
@@ -28,10 +28,12 @@ bandit = value_table("grail", 6, 0.01, "none")
 bandit.update((), 2, 1.0, None)  # no next key: the update does not bootstrap
 print("bandit after one reward of 1.0 on goal 2:", np.round(bandit.goal_values(()), 3))
 
-ctx = value_table("c_grail", 6, 0.01, "context_feature")
-ctx.update((1,), 0, 0.5, (0,))
-print("contextual cell (cf=1, goal a):", ctx.goal_values((1,))[0],
-      " cf=0 row untouched:", ctx.goal_values((0,)))
+# A contextual table keys on the full state: after a reset, every sphere off and the context.
+ctx = value_table("c_grail", 6, 0.01, "full_state")
+on, off = (ctx.state_key(WorldState((False,) * 6, cf)) for cf in (1.0, 0.0))
+ctx.update(on, 0, 0.5, off)
+print(f"contextual cell (state {on}, goal a):", ctx.goal_values(on)[0],
+      f" state {off} row untouched:", ctx.goal_values(off))
 
 print("\n=== softmax selection ===")
 values = np.array([0.5, 0, 0, 0, 0, 0])

@@ -200,12 +200,11 @@ def cmd_validate(args) -> int:
 
 def cmd_values(args) -> int:
     """Print, as CSV, each replication's value table at each evaluation point after trial 0."""
-    labels = exp.load_config(os.path.join(args.run_dir, "run.yaml")).scenario.labels
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["replication", "trial", "state_key", "goal", "value"])
-    for replication, trial, strategy in exp.fold(args.run_dir):
-        out.writerows([replication, trial, key_text, labels[goal], repr(value)]
-                      for key_text, goal, value in strategy.dump_rows())
+    for replication, trial, sim in exp.fold(args.run_dir):
+        out.writerows([replication, trial, key_text, sim.spec.labels[goal], repr(value)]
+                      for key_text, goal, value in sim.strategy.dump_rows())
     return 0
 
 

@@ -332,8 +332,6 @@ class Simulation:
             eta=cfg.predictor_eta, context_mode=context_mode, clip_negative_reward=cfg.clip_reward,
         )
         self.use_gate = system.contextual
-        # Trials from one reset to the next: the world resets before trial 0 of each.
-        self.epoch_length = spec.trials_per_epoch if spec.reset_policy == "per_epoch" else 1
 
         self.selectors = [
             ExpertSelector(smoothing=cfg.expert_smoothing, temperature=cfg.expert_temperature)
@@ -348,7 +346,7 @@ class Simulation:
         """Advance the simulation by one trial and append it to ``self.series``."""
         spec, rng, strategy = self.spec, self.rng, self.strategy
         series = self.series
-        step_in_epoch = len(series.goal) % self.epoch_length
+        step_in_epoch = len(series.goal) % spec.trials_per_epoch
         if step_in_epoch == 0:
             self.state = spec.reset(rng)
         state = self.state
@@ -362,7 +360,7 @@ class Simulation:
 
         # An epoch's last trial has no next key: the reset after it does not
         # depend on its choice, so bootstrapping on it would inject spurious value.
-        last = step_in_epoch == self.epoch_length - 1
+        last = step_in_epoch == spec.trials_per_epoch - 1
         next_key = None if last else strategy.state_key(new_state)
         gate, reward = self.selection_step(goal, key, achieved, next_key)
         expert.learn(record, achieved, gate=gate)
@@ -532,13 +530,12 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
     parent = os.path.dirname(os.path.abspath(out_dir))
     os.makedirs(parent, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".lightup-", dir=parent) as tmp:
-        per_epoch = cfg.scenario.trials_per_epoch
         _write_csv(tmp, "trials.csv",
                    ["replication", "trial", "epoch", "state_key", "goal",
                     "achievable", "achieved", "reward", "steps"],
                    chain.from_iterable(
                        zip(repeat(s.replication), range(1, len(s.goal) + 1),
-                           map(floordiv, range(len(s.goal)), repeat(per_epoch)),
+                           map(floordiv, range(len(s.goal)), repeat(cfg.scenario.trials_per_epoch)),
                            s.state_key, s.goal, s.achievable, s.achieved, s.reward, s.steps)
                        for s in reps))
         points, labels = evaluation_points(cfg), cfg.scenario.labels
@@ -599,8 +596,8 @@ def fold(run_dir: str):
     goal and outcome, bootstrapping on the next row's state within an epoch
     and on none at an epoch's last trial, as ``run_trial`` does. It draws
     nothing. At each evaluation point after trial 0 it yields
-    ``(replication, trial, strategy)``: the value table as the run held it
-    then, until the generator resumes.
+    ``(replication, trial, sim)``: the replication's ``Simulation``, with
+    the tables the run held then, until the generator resumes.
 
     Raises ConfigError naming the file and row when a row is malformed or
     out of place, when a replication is incomplete, or when a recomputed
@@ -655,12 +652,12 @@ def fold(run_dir: str):
             sim = Simulation(cfg, replication)
             keys = [sim.strategy.state_key(state) for _, state, _, _, _ in rows]
             for i, (at, _, goal, achieved, written) in enumerate(rows):
-                last = i % sim.epoch_length == sim.epoch_length - 1
+                last = i % spec.trials_per_epoch == spec.trials_per_epoch - 1
                 reward = sim.selection_step(goal, keys[i], achieved, None if last else keys[i + 1])[1]
                 if repr(reward) != written:
                     raise ConfigError(f"{at}: reward {written} differs from the recomputed {reward!r}")
                 if i + 1 in points:
-                    yield replication, i + 1, sim.strategy
+                    yield replication, i + 1, sim
         if next_row() is not None:
             raise ConfigError(f"CSV {path} row {reader.line_num - 1}: a row after the last of "
                               f"{cfg.replications} replications of {total} trials")

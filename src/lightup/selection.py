@@ -6,9 +6,9 @@ The three systems differ only in the parameters of that update:
 
 * ``grail``   - context mode ``none``, lr 0.01, discount 0: one reward EMA
                 per goal, state-blind.
-* ``c_grail`` - context-keyed, lr 0.1, discount 0: one reward EMA per goal
-                per context key.
-* ``m_grail`` - context-keyed, lr 0.1, discount 0.3: tabular Q-learning, so
+* ``c_grail`` - state-keyed, lr 0.1, discount 0: one reward EMA per goal
+                per state key.
+* ``m_grail`` - state-keyed, lr 0.1, discount 0.3: tabular Q-learning, so
                 the value of practicing a goal includes the discounted
                 rewards that downstream goals can later provide.
 

@@ -5,8 +5,8 @@ sphere activates it ("lights it up") only if its dependency rule is
 satisfied by the current world state: every sphere in ``requires_on`` must
 already be active, no sphere in ``blocked_by`` may be active, and an
 optional binary context feature must hold the required value. Activated
-spheres stay on until the next reset; resets happen per trial or per epoch
-depending on the scenario schedule.
+spheres stay on until the next reset, which comes every ``trials_per_epoch``
+trials.
 
 World state is an immutable value: touching returns a new state, which keeps
 trial bookkeeping and table keying trivially safe. The touch dynamics are the
@@ -34,7 +34,7 @@ from .inputs import cast, cast_fields, check_keys, read_yaml
 Point = tuple[float, float]
 
 RESET_POLICIES = ("per_trial", "per_epoch")
-CONTEXT_MODES = ("none", "context_feature", "full_state")
+CONTEXT_MODES = ("none", "full_state")
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,11 @@ class WorldState:
 def state_key(state: WorldState, mode: str) -> tuple:
     """Hashable table key for a state under the given context mode.
 
-    ``none`` collapses every state to one key, ``context_feature`` keys on
-    the binary context alone, ``full_state`` keys on sphere statuses plus
-    context (at most 2^n_spheres * 2 distinct keys).
+    ``none`` collapses every state to one key; ``full_state`` keys on sphere
+    statuses plus context (at most 2^n_spheres * 2 distinct keys).
     """
     if mode == "none":
         return ()
-    if mode == "context_feature":
-        return (int(state.context_feature),)
     if mode == "full_state":
         return state._full_key
     raise ConfigError(f"unknown context mode {mode!r}; expected one of {CONTEXT_MODES}")
@@ -149,12 +146,13 @@ def _list(name: str, value) -> list:
 class ScenarioSpec:
     """Static description of one experimental scenario.
 
-    ``context_mode`` declares what contextual input state-aware goal
-    selectors and predictors receive in this scenario. The scalars default
-    to what a scenario file that leaves them out gets. ``goals`` may hold
-    ``Goal``s or their mappings. A spec is checked when it is built
-    (``replace`` builds a new one): a structural violation raises
-    ConfigError there, so a spec that exists is valid.
+    The world resets before each epoch of ``trials_per_epoch`` trials, and
+    ``reset_policy: per_trial`` needs epochs of one trial. The contextual
+    systems key on the full state unless ``context_mode`` is ``none``. The
+    scalars default to what a scenario file that leaves them out gets.
+    ``goals`` may hold ``Goal``s or their mappings. A spec is checked when
+    it is built (``replace`` builds a new one): a structural violation
+    raises ConfigError there, so a spec that exists is valid.
     """
 
     goals: tuple[Goal, ...]
@@ -194,6 +192,9 @@ class ScenarioSpec:
             raise ConfigError(f"context_prob_on {self.context_prob_on} outside [0, 1]")
         if self.reset_policy not in RESET_POLICIES:
             raise ConfigError(f"reset_policy {self.reset_policy!r}; expected one of {RESET_POLICIES}")
+        if self.context_mode == "context_feature":
+            raise ConfigError("context_mode 'context_feature' is gone; write context_mode: full_state, "
+                              "which gives the same run under per_trial resets")
         if self.context_mode not in CONTEXT_MODES:
             raise ConfigError(f"context_mode {self.context_mode!r}; expected one of {CONTEXT_MODES}")
         if self.trials_per_epoch < 1 or self.total_trials < 1:
@@ -202,6 +203,9 @@ class ScenarioSpec:
             raise ConfigError(
                 f"total_trials {self.total_trials} not divisible by trials_per_epoch {self.trials_per_epoch}"
             )
+        if self.reset_policy == "per_trial" and self.trials_per_epoch != 1:
+            raise ConfigError(f"reset_policy per_trial needs trials_per_epoch 1, got {self.trials_per_epoch}; "
+                              "for longer epochs set reset_policy: per_epoch")
 
     # -- lookups ---------------------------------------------------------
 
@@ -381,19 +385,16 @@ def load_scenario(path: str) -> ScenarioSpec:
 #    reset at epoch boundaries only.
 BUILTIN_SCENARIOS = {
     1: {"name": "independent", "goals": list("abcdef"), "context_prob_on": 0.0,
-        "trials_per_epoch": 1, "total_trials": 3000, "reset_policy": "per_trial",
-        "context_mode": "context_feature"},
+        "trials_per_epoch": 1, "total_trials": 3000, "reset_policy": "per_trial"},
     2: {"name": "context_gated", "goals": list("abcdef"),
         "rules": [{"goal": lab, "requires_context": 1.0} for lab in "ace"]
         + [{"goal": lab, "requires_context": 0.0} for lab in "bdf"],
-        "context_prob_on": 0.5, "trials_per_epoch": 1, "total_trials": 4000,
-        "reset_policy": "per_trial", "context_mode": "context_feature"},
+        "context_prob_on": 0.5, "trials_per_epoch": 1, "total_trials": 4000, "reset_policy": "per_trial"},
     3: {"name": "interrelated_chains", "goals": list("abcdef"),
         "rules": [{"goal": "c", "requires_on": ["d"]}, {"goal": "e", "requires_on": ["c"]},
                   {"goal": "f", "requires_on": ["b"]}, {"goal": "a", "requires_on": ["f"]},
                   {"goal": "d", "blocked_by": ["b"]}, {"goal": "b", "blocked_by": ["d"]}],
-        "context_prob_on": 0.0, "trials_per_epoch": 3, "total_trials": 6000,
-        "reset_policy": "per_epoch", "context_mode": "full_state"},
+        "context_prob_on": 0.0, "trials_per_epoch": 3, "total_trials": 6000, "reset_policy": "per_epoch"},
 }
 
 

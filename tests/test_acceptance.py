@@ -313,11 +313,11 @@ def test_a7_single_cell_update_isolation():
 
 def test_a7_predictor_range_preservation():
     rng = np.random.default_rng(3)
-    pred = AchievementPredictor(eta=0.35, context_mode="context_feature",
+    pred = AchievementPredictor(eta=0.35, context_mode="full_state",
                                 clip_negative_reward=ExperimentConfig().clip_reward)
     for _ in range(3000):
         st = WorldState(sphere_on=(False,) * 4, context_feature=float(rng.integers(2)))
-        pred.update_and_reward(int(rng.integers(4)), state_key(st, "context_feature"), bool(rng.integers(2)))
+        pred.update_and_reward(int(rng.integers(4)), state_key(st, "full_state"), bool(rng.integers(2)))
     lo = min(pred.table.values())
     hi = max(pred.table.values())
     assert report("A7.range", 0.0 <= lo and hi <= 1.0, f"predictions within [{lo:.3f}, {hi:.3f}]")

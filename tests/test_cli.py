@@ -485,6 +485,20 @@ def test_mistyped_scenario_value_exits_2(tmp_path, capsys, key, value, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, data, message", [
+    (["validate", "--scenario"], tiny_scenario_dict() | {"trials_per_epoch": 3},
+     "reset_policy per_trial needs trials_per_epoch 1, got 3; for longer epochs set reset_policy: per_epoch"),
+    (["validate", "--config"], {"scenario": tiny_scenario_dict() | {"context_mode": "context_feature"}},
+     "context_mode 'context_feature' is gone; write context_mode: full_state, "
+     "which gives the same run under per_trial resets"),
+], ids=["per_trial-three_trial_epochs", "context_feature"])
+def test_validate_refuses_a_retired_setting_naming_its_replacement(tmp_path, capsys, command, data, message):
+    path = tmp_path / "in.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert run_cli(*command, str(path)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_validate_scenario_refuses_a_config_file(tmp_path, capsys):
     # The scenario's spheres are out of this arm's reach: --scenario must not
     # check them against the default arm instead.

@@ -228,16 +228,17 @@ def test_per_trial_reset_gives_fresh_state_every_trial():
     assert all(key.startswith("000000") for key in series.state_key)
 
 
-def test_per_trial_reset_ignores_trials_per_epoch():
-    # Under per_trial every trial starts at a reset and ends its epoch, so
-    # trials_per_epoch changes only the epoch column that trials.csv derives.
-    spec = replace(short_scenario(3, 300), reset_policy="per_trial")
-    assert spec.trials_per_epoch == 3
-    cfg = ExperimentConfig(scenario=spec, system="m_grail", seed=6)
-    sim, one = Simulation(cfg), Simulation(replace(cfg, scenario=replace(spec, trials_per_epoch=1)))
-    series = sim.run()
-    assert series == one.run() and sim.strategy.table == one.strategy.table
-    assert series.state_key == ["000000/0"] * 300
+def test_per_trial_reset_refuses_longer_epochs():
+    # A per_trial scenario resets before every trial, so its epochs are one trial long.
+    message = ("reset_policy per_trial needs trials_per_epoch 1, got 3; "
+               "for longer epochs set reset_policy: per_epoch")
+    with pytest.raises(ConfigError) as caught:
+        replace(short_scenario(3, 300), reset_policy="per_trial")
+    assert str(caught.value) == message
+    data = {**BUILTIN_SCENARIOS[3], "reset_policy": "per_trial"}
+    with pytest.raises(ConfigError) as caught:
+        ExperimentConfig(scenario=data)
+    assert str(caught.value) == message
 
 
 def test_epoch_state_persists_within_epoch():

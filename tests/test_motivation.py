@@ -90,12 +90,12 @@ def test_gate_epsilon_threshold():
 
 def test_prediction_stays_in_unit_interval():
     rng = np.random.default_rng(17)
-    pred = predictor(eta=0.3, context_mode="context_feature")
+    pred = predictor(eta=0.3, context_mode="full_state")
     for _ in range(2000):
         goal = int(rng.integers(3))
         st = state(cf=float(rng.integers(2)))
         pred.update_and_reward(goal, pred.key(st), bool(rng.integers(2)))
-    assert set(key for _, key in pred.table) == {(0,), (1,)}
+    assert set(key for _, key in pred.table) == {(0,) * 6 + (0,), (0,) * 6 + (1,)}
     assert all(0.0 <= p <= 1.0 for p in pred.table.values())
 
 

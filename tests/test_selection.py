@@ -290,8 +290,11 @@ def test_backpropagation_vs_fading_bandit():
 def test_strategy_keying_modes():
     state = WorldState(sphere_on=(True, False, False, False, False, False), context_feature=1.0)
     assert strategy("grail", 6, context_mode="none").state_key(state) == ()
-    assert strategy("c_grail", 6, context_mode="context_feature").state_key(state) == (1,)
+    assert strategy("c_grail", 6, context_mode="full_state").state_key(state) == (1, 0, 0, 0, 0, 0, 1)
     assert strategy("m_grail", 6, context_mode="full_state").state_key(state) == (1, 0, 0, 0, 0, 0, 1)
+    # A state just reset, with every sphere off, keys on its context.
+    reset = WorldState(sphere_on=(False,) * 6, context_feature=1.0)
+    assert strategy("c_grail", 6, context_mode="full_state").state_key(reset) == (0, 0, 0, 0, 0, 0, 1)
     # The simulation makes grail state-blind whatever the scenario's context mode.
     spec = builtin_scenario(3)
     assert spec.context_mode == "full_state"
@@ -300,19 +303,19 @@ def test_strategy_keying_modes():
 
 
 def test_strategy_select_uses_softmax_over_goal_values():
-    strat = strategy("c_grail", 6, context_mode="context_feature")
+    strat = strategy("c_grail", 6, context_mode="full_state")
     state = WorldState(sphere_on=(False,) * 6, context_feature=1.0)
     for _ in range(21):
-        strat.update((1,), 2, 1.0, None)  # strongly prefer goal 2 in cf=1
+        strat.update((0, 0, 0, 0, 0, 0, 1), 2, 1.0, None)  # strongly prefer goal 2 in cf=1
     rng = np.random.default_rng(0)
     picks = [strat.select(strat.state_key(state), rng) for _ in range(200)]
     assert picks.count(2) > 150
 
 
 def test_strategy_dump_rows_sorted_and_complete():
-    strat = strategy("m_grail", 3, context_mode="context_feature", temperature=0.1)
-    strat.update((1,), 0, 0.5, None)
-    strat.update((0,), 2, 0.25, None)
+    strat = strategy("m_grail", 3, context_mode="full_state", temperature=0.1)
+    strat.update((0, 0, 0, 1), 0, 0.5, None)
+    strat.update((0, 0, 0, 0), 2, 0.25, None)
     rows = list(strat.dump_rows())
     assert len(rows) == 6  # two keys x three goals
     keys = [r[0] for r in rows]

@@ -377,11 +377,14 @@ def test_reset_context_rate_is_half_in_scenario2():
 def test_state_key_modes():
     state = WorldState(sphere_on=(True, False, True, False, False, False), context_feature=1.0)
     assert state_key(state, "none") == ()
-    assert state_key(state, "context_feature") == (1,)
+    # A state just reset, with every sphere off, keys on its context.
+    assert state_key(WorldState((False,) * 6, 1.0), "full_state") == (0, 0, 0, 0, 0, 0, 1)
     assert state_key(state, "full_state") == (1, 0, 1, 0, 0, 0, 1)
     assert state.key_string() == "101000/1"
-    with pytest.raises(ConfigError):
-        state_key(state, "bogus")
+    assert CONTEXT_MODES == ("none", "full_state")
+    for mode in ("bogus", "context_feature"):
+        with pytest.raises(ConfigError, match=f"unknown context mode '{mode}'"):
+            state_key(state, mode)
 
 
 @pytest.mark.parametrize("context", [0.0, 1.0])
