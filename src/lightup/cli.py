@@ -20,6 +20,7 @@ import yaml
 from . import experiment as exp
 from .arm import unreachable_goals
 from .errors import ConfigError, NumericsError
+from .inputs import read_csv, read_yaml
 from .svgplot import Chart, Series, render_panels
 
 log = logging.getLogger("lightup")
@@ -100,45 +101,31 @@ def cmd_run(args) -> int:
 
 
 def _read_rows(path: str, numbers: tuple[str, ...], text: tuple[str, ...] = ()) -> list[dict]:
-    """A run CSV's rows, with the ``numbers`` columns parsed as finite floats."""
-    if not os.path.exists(path):
-        raise ConfigError(f"missing CSV: {path}")
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"cannot read CSV {path}: {exc}") from None
-    if not rows:
-        raise ConfigError(f"CSV has no data rows: {path}")
-    missing = [name for name in text + numbers if name not in reader.fieldnames]
-    if missing:
-        raise ConfigError(f"CSV {path} has no {', '.join(missing)} column")
-    for n, row in enumerate(rows, start=1):
+    """A run CSV's rows: the ``text`` columns as read, the ``numbers`` columns as finite floats."""
+    rows = []
+    for n, values in read_csv(path, text + numbers):
+        row = dict(zip(text + numbers, values))
         for name in numbers:
             try:
                 value = float(row[name])
-            except (TypeError, ValueError):  # TypeError: a short row's None
+            except ValueError:
                 value = math.nan
             if not math.isfinite(value):
                 raise ConfigError(f"CSV {path} row {n}: {name} is not a finite number: {row[name]!r}")
             row[name] = value
+        rows.append(row)
+    if not rows:
+        raise ConfigError(f"CSV has no data rows: {path}")
     return rows
 
 
 def _run_label(run_dir: str) -> str:
-    """The system in the directory's run.yaml, else the directory's name."""
+    """The system in the directory's run.yaml, else (no run.yaml, or a 0-byte one) the directory's name."""
     meta = os.path.join(run_dir, "run.yaml")
-    try:
-        with open(meta, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except FileNotFoundError:
-        data = None
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse run file {meta}: {exc}") from None
-    if data is not None and not isinstance(data, dict):
+    data = read_yaml(meta, "run") if os.path.isfile(meta) and os.path.getsize(meta) else {}
+    if not isinstance(data, dict):
         raise ConfigError(f"run file {meta} must be a mapping, got {type(data).__name__}")
-    system = (data or {}).get("system")
+    system = data.get("system")
     return system if isinstance(system, str) else os.path.basename(os.path.normpath(run_dir))
 
 

@@ -37,7 +37,7 @@ import yaml
 
 from .arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_toward, unreachable_goals
 from .errors import ConfigError, NumericsError
-from .inputs import cast_fields, check_keys, check_ranges, field_kinds, read_yaml
+from .inputs import cast_fields, check_keys, check_ranges, field_kinds, read_csv, read_yaml
 from .motivation import AchievementPredictor
 from .selection import SelectionStrategy
 from .skills import (
@@ -97,7 +97,7 @@ class ExperimentConfig:
     seed: int = 0
     timeout_steps: int = 800
     eval_interval: int = 50
-    eval_trials: int = 10
+    eval_trials: int = 1
     temperature: float | None = None  # None: per-system default
     expert_temperature: float = 0.1
     expert_smoothing: float = 0.1
@@ -608,56 +608,41 @@ def fold(run_dir: str):
     spec = cfg.scenario
     total, goals = spec.total_trials, {label: i for i, label in enumerate(spec.labels)}
     points = set(evaluation_points(cfg)[1:])
-    columns = ("replication", "trial", "state_key", "goal", "achieved", "reward")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-
-        def next_row():
+    reader = read_csv(path, ("replication", "trial", "state_key", "goal", "achieved", "reward"))
+    n = 0
+    for replication in range(cfg.replications):
+        rows = []
+        for trial in range(1, total + 1):
+            n, row = next(reader, (n + 1, None))
+            at = f"CSV {path} row {n}"
+            if row is None:
+                raise ConfigError(f"{at}: replication {replication} ends after "
+                                  f"{trial - 1} of {total} trials")
+            rep_text, trial_text, key_text, label, achieved, reward = row
+            if (rep_text, trial_text) != (str(replication), str(trial)):
+                raise ConfigError(f"{at}: replication {rep_text} trial {trial_text} where "
+                                  f"replication {replication} trial {trial} belongs")
+            if label not in goals:
+                raise ConfigError(f"{at}: unknown goal {label!r}; goals are {list(goals)}")
+            if achieved not in ("0", "1"):
+                raise ConfigError(f"{at}: achieved must be 0 or 1, got {achieved!r}")
             try:
-                return next(reader, None)
-            except (UnicodeDecodeError, csv.Error) as exc:
-                raise ConfigError(f"cannot read CSV {path}: {exc}") from None
+                state = WorldState.from_key_string(key_text)
+            except ValueError as exc:
+                raise ConfigError(f"{at}: {exc}") from None
+            if len(state.sphere_on) != spec.n_goals:
+                raise ConfigError(f"{at}: state key {key_text!r} is not {spec.n_goals} sphere bits")
+            rows.append((at, state, goals[label], achieved == "1", reward))
 
-        header = next_row() or []
-        missing = [name for name in columns if name not in header]
-        if missing:
-            raise ConfigError(f"CSV {path} header has no {', '.join(missing)} column")
-        where = [header.index(name) for name in columns]
-        for replication in range(cfg.replications):
-            rows = []
-            for trial in range(1, total + 1):
-                row = next_row()
-                at = f"CSV {path} row {reader.line_num - (row is not None)}"
-                if row is None:
-                    raise ConfigError(f"{at}: replication {replication} ends after "
-                                      f"{trial - 1} of {total} trials")
-                if len(row) != len(header):
-                    raise ConfigError(f"{at}: {len(row)} values for {len(header)} columns")
-                rep_text, trial_text, key_text, label, achieved, reward = (row[i] for i in where)
-                if (rep_text, trial_text) != (str(replication), str(trial)):
-                    raise ConfigError(f"{at}: replication {rep_text} trial {trial_text} where "
-                                      f"replication {replication} trial {trial} belongs")
-                if label not in goals:
-                    raise ConfigError(f"{at}: unknown goal {label!r}; goals are {list(goals)}")
-                if achieved not in ("0", "1"):
-                    raise ConfigError(f"{at}: achieved must be 0 or 1, got {achieved!r}")
-                try:
-                    state = WorldState.from_key_string(key_text)
-                except ValueError as exc:
-                    raise ConfigError(f"{at}: {exc}") from None
-                if len(state.sphere_on) != spec.n_goals:
-                    raise ConfigError(f"{at}: state key {key_text!r} is not {spec.n_goals} sphere bits")
-                rows.append((at, state, goals[label], achieved == "1", reward))
-
-            sim = Simulation(cfg, replication)
-            keys = [sim.strategy.state_key(state) for _, state, _, _, _ in rows]
-            for i, (at, _, goal, achieved, written) in enumerate(rows):
-                last = i % spec.trials_per_epoch == spec.trials_per_epoch - 1
-                reward = sim.selection_step(goal, keys[i], achieved, None if last else keys[i + 1])[1]
-                if repr(reward) != written:
-                    raise ConfigError(f"{at}: reward {written} differs from the recomputed {reward!r}")
-                if i + 1 in points:
-                    yield replication, i + 1, sim
-        if next_row() is not None:
-            raise ConfigError(f"CSV {path} row {reader.line_num - 1}: a row after the last of "
-                              f"{cfg.replications} replications of {total} trials")
+        sim = Simulation(cfg, replication)
+        keys = [sim.strategy.state_key(state) for _, state, _, _, _ in rows]
+        for i, (at, _, goal, achieved, written) in enumerate(rows):
+            last = i % spec.trials_per_epoch == spec.trials_per_epoch - 1
+            reward = sim.selection_step(goal, keys[i], achieved, None if last else keys[i + 1])[1]
+            if repr(reward) != written:
+                raise ConfigError(f"{at}: reward {written} differs from the recomputed {reward!r}")
+            if i + 1 in points:
+                yield replication, i + 1, sim
+    for n, _ in reader:  # a row past the last replication
+        raise ConfigError(f"CSV {path} row {n}: a row after the last of "
+                          f"{cfg.replications} replications of {total} trials")

@@ -1,11 +1,14 @@
-"""Reading user input: one YAML loader, one caster, one key check, one range check.
+"""Reading user input: one YAML loader, one CSV reader, one caster, one key check, one range check.
 
 Every config record casts its own fields with ``cast_fields`` when built, so a file
-and a Python call take one path to a valid config, or to the same ConfigError.
+and a Python call take one path to a valid config, or to the same ConfigError. Every
+run file is read with ``read_yaml`` or ``read_csv``, so each defect reads the same
+from every command.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import MISSING, fields, is_dataclass
 from typing import Mapping
 
@@ -27,6 +30,28 @@ def read_yaml(path: str, what: str):
     if data is None:
         raise ConfigError(f"{what} file {path} is empty")
     return data
+
+
+def read_csv(path: str, columns: tuple[str, ...]):
+    """Yield ``(n, values)`` for each data row n (from 1) of the CSV at ``path``: the row's
+    value in each of ``columns``. ConfigError names the file, and the row for a row whose
+    length is not the header's."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None) or []
+            missing = [name for name in columns if name not in header]
+            if missing:
+                raise ConfigError(f"CSV {path} header has no {', '.join(missing)} column")
+            where = [header.index(name) for name in columns]
+            for n, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise ConfigError(f"CSV {path} row {n}: {len(row)} values for {len(header)} columns")
+                yield n, [row[i] for i in where]
+    except FileNotFoundError:
+        raise ConfigError(f"missing CSV: {path}") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read CSV {path}: {exc}") from None
 
 
 def _shown(value) -> str:

@@ -673,6 +673,42 @@ def test_plot_of_a_corrupt_run_file_exits_2_naming_it(tmp_path, capsys, case):
     assert not svg_path.exists()
 
 
+def _second_row_short(text):
+    lines = text.splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+# Each case: a run CSV's new bytes from its old text (None deletes it), and the
+# error line, the same from every command, for the file's path and header width.
+RUN_CSV_DEFECTS = {
+    "missing": (lambda text: None, "missing CSV: {path}"),
+    "undecodable": (lambda text: b"\xff" + text.encode(),
+                    "cannot read CSV {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "no-goal-column": (_drop_goal_column, "CSV {path} header has no goal column"),
+    "short-row": (_second_row_short, "CSV {path} row 2: {short} values for {width} columns"),
+}
+
+
+@pytest.mark.parametrize("command, name", [("plot", "competence_agg.csv"), ("values", "trials.csv")])
+@pytest.mark.parametrize("case", sorted(RUN_CSV_DEFECTS))
+def test_plot_and_values_word_a_run_csvs_defect_alike(tmp_path, capsys, case, command, name):
+    out = make_run(tmp_path, "run")
+    path = out / name
+    text = path.read_text()
+    width = text.split("\n", 1)[0].count(",") + 1
+    corrupt, message = RUN_CSV_DEFECTS[case]
+    data = corrupt(text)
+    if data is None:
+        path.unlink()
+    else:
+        path.write_bytes(data)
+    capsys.readouterr()
+    assert run_cli(command, str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path, short=width - 1, width=width)}\n"
+    assert not (out / "curves.svg").exists()
+
+
 @pytest.mark.parametrize("run_yaml", [None, "", "seed: 7\n", "system: 3\n"])
 def test_plot_labels_a_run_without_a_text_system_by_its_directory(tmp_path, run_yaml):
     out = make_run(tmp_path, "unlabeled")

@@ -1008,6 +1008,20 @@ def test_actor_critic_probe_starts_with_the_goals_preconditions_forced(monkeypat
     assert forced == {"requires_on", "requires_context"}  # the scenarios exercise both
 
 
+def test_actor_critic_probe_count_changes_no_csv(tmp_path):
+    # A probe rollout draws nothing, so eval_trials 10 repeats the one rollout
+    # that the default 1 makes: the same competence, and the same CSV bytes.
+    spec = replace(builtin_scenario(1), total_trials=12)
+    outputs = []
+    for eval_trials in (1, 10):
+        out = tmp_path / str(eval_trials)
+        run_experiment(ExperimentConfig(scenario=spec, backend="actor_critic", replications=2, eval_interval=6,
+                                        eval_trials=eval_trials, out_dir=str(out)))
+        outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out)) if name != "run.yaml"})
+    assert ExperimentConfig().eval_trials == 1
+    assert len(outputs[0]) == 5 and outputs[0] == outputs[1]
+
+
 def test_actor_critic_measure_competence_leaves_parameters_unchanged():
     spec = replace(builtin_scenario(3), total_trials=9)
     cfg = ExperimentConfig(scenario=spec, backend="actor_critic", timeout_steps=30,
