@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 configuration or file problems (bad scenario,
 missing or unwritable file, unknown system), 3 runtime numeric failure,
-130 interrupted (Ctrl-C).
+130 interrupted (Ctrl-C), 141 stdout closed (a reader such as ``head`` quit).
 """
 
 from __future__ import annotations
@@ -186,12 +186,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_values(args) -> int:
-    """Print, as CSV, each replication's value table at each evaluation point after trial 0."""
+    """Print, as CSV, each replication's value table at each evaluation point after trial 0;
+    nothing unless ``fold`` replays the whole run."""
+    rows = [[replication, trial, key_text, sim.spec.labels[goal], repr(value)]
+            for replication, trial, sim in exp.fold(args.run_dir)
+            for key_text, goal, value in sim.strategy.dump_rows()]
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(["replication", "trial", "state_key", "goal", "value"])
-    for replication, trial, sim in exp.fold(args.run_dir):
-        out.writerows([replication, trial, key_text, sim.spec.labels[goal], repr(value)]
-                      for key_text, goal, value in sim.strategy.dump_rows())
+    out.writerows(rows)
     return 0
 
 
@@ -206,7 +208,12 @@ def main(argv=None) -> int:
     )
     handlers = {"run": cmd_run, "plot": cmd_plot, "validate": cmd_validate, "values": cmd_values}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush cannot fail
+        return 141
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

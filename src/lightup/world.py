@@ -192,9 +192,6 @@ class ScenarioSpec:
             raise ConfigError(f"context_prob_on {self.context_prob_on} outside [0, 1]")
         if self.reset_policy not in RESET_POLICIES:
             raise ConfigError(f"reset_policy {self.reset_policy!r}; expected one of {RESET_POLICIES}")
-        if self.context_mode == "context_feature":
-            raise ConfigError("context_mode 'context_feature' is gone; write context_mode: full_state, "
-                              "which gives the same run under per_trial resets")
         if self.context_mode not in CONTEXT_MODES:
             raise ConfigError(f"context_mode {self.context_mode!r}; expected one of {CONTEXT_MODES}")
         if self.trials_per_epoch < 1 or self.total_trials < 1:

@@ -23,6 +23,9 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+CUSTOM_SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "custom_scenario.yaml")
+
+
 def tiny_scenario_dict(total=120):
     return {
         "goals": ["a", "b", "c", "d", "e", "f"],
@@ -168,12 +171,14 @@ MISTYPED_IDS = ["eval_trials-text", "eval_trials-fraction", "replications-bool",
 def test_out_of_range_config_value_exits_2(tmp_path, capsys, field, value):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump({"scenario": 1, field: value}))
-    assert run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "x")) == 2
-    # A nested section names itself, then its own problem; the line names every key set.
-    expected = f"error: {field}: " if isinstance(value, dict) else f"error: {field} must be in"
-    err = capsys.readouterr().err
-    assert err.startswith(expected) and "Traceback" not in err
-    assert all(key in err.splitlines()[0] for key in (value if isinstance(value, dict) else [field]))
+    # validate reads the file as run does, and refuses it alike.
+    for command in (["run", "--out", str(tmp_path / "x")], ["validate"]):
+        assert run_cli(*command, "--config", str(cfg_path)) == 2
+        # A nested section names itself, then its own problem; the line names every key set.
+        expected = f"error: {field}: " if isinstance(value, dict) else f"error: {field} must be in"
+        err = capsys.readouterr().err
+        assert err.startswith(expected) and "Traceback" not in err
+        assert all(key in err.splitlines()[0] for key in (value if isinstance(value, dict) else [field]))
     assert not (tmp_path / "x").exists()
 
 
@@ -310,13 +315,22 @@ def test_trials_override_is_validated(capsys):
     assert out == "" and err.startswith("error: ") and "positive" in err
 
 
-def test_print_config(capsys):
+def test_print_config(tmp_path, capsys):
     code = run_cli("run", "--scenario", "2", "--system", "c_grail", "--print-config")
     assert code == 0
     data = yaml.safe_load(capsys.readouterr().out)
     assert data["system"] == "c_grail"
     assert data["scenario"]["total_trials"] == 4000
     assert "temperature" in data and "arm" in data
+    # A printed config read back with --config prints the same bytes, for a
+    # builtin scenario and for the example file's requires_context rule.
+    for scenario in ("3", CUSTOM_SCENARIO):
+        assert run_cli("run", "--scenario", scenario, "--print-config") == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "cfg.yaml"
+        path.write_text(printed)
+        assert run_cli("run", "--config", str(path), "--print-config") == 0
+        assert capsys.readouterr().out == printed
 
 
 def test_config_file_plus_overrides(tmp_path, capsys):
@@ -489,8 +503,7 @@ def test_mistyped_scenario_value_exits_2(tmp_path, capsys, key, value, message):
     (["validate", "--scenario"], tiny_scenario_dict() | {"trials_per_epoch": 3},
      "reset_policy per_trial needs trials_per_epoch 1, got 3; for longer epochs set reset_policy: per_epoch"),
     (["validate", "--config"], {"scenario": tiny_scenario_dict() | {"context_mode": "context_feature"}},
-     "context_mode 'context_feature' is gone; write context_mode: full_state, "
-     "which gives the same run under per_trial resets"),
+     "context_mode 'context_feature'; expected one of ('none', 'full_state')"),
 ], ids=["per_trial-three_trial_epochs", "context_feature"])
 def test_validate_refuses_a_retired_setting_naming_its_replacement(tmp_path, capsys, command, data, message):
     path = tmp_path / "in.yaml"
@@ -515,9 +528,8 @@ def test_validate_scenario_refuses_a_config_file(tmp_path, capsys):
 
 
 def test_validate_documented_custom_scenario(capsys):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "custom_scenario.yaml")
-    assert run_cli("validate", "--config", path) == 0
-    assert run_cli("validate", "--scenario", path) == 0
+    assert run_cli("validate", "--config", CUSTOM_SCENARIO) == 0
+    assert run_cli("validate", "--scenario", CUSTOM_SCENARIO) == 0
     assert "mini_chain" in capsys.readouterr().out
 
 
@@ -537,26 +549,41 @@ def test_python_api_run_matches_cli_run(tmp_path):
     assert yaml.safe_load((api / "run.yaml").read_text())["scenario"]["name"] == "interrelated_chains"
 
 
+def run_dir_bytes(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
 def test_run_with_jobs_flag_matches_serial(tmp_path):
-    base = ["run", "--scenario", "2", "--system", "c_grail", "--seed", "3",
-            "--replications", "3", "--trials", "120"]
-    a, b = tmp_path / "serial", tmp_path / "par"
-    assert run_cli(*base, "--jobs", "1", "--out", str(a)) == 0
-    assert run_cli(*base, "--jobs", "3", "--out", str(b)) == 0
-    assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
+    # Series pickled back from worker processes give every file of a run built
+    # in-process, on either backend: the arm run's trials and probes too.
+    for backend, run, jobs in [
+        ("idealized", ["--scenario", "2", "--system", "c_grail", "--seed", "3", "--replications", "3",
+                       "--trials", "120"], "3"),
+        ("actor_critic", ["--scenario", "1", "--backend", "actor_critic", "--replications", "2",
+                          "--trials", "12", "--eval-interval", "6"], "2"),
+    ]:
+        a, b = tmp_path / backend / "serial", tmp_path / backend / "par"
+        assert run_cli("run", *run, "--jobs", "1", "--out", str(a)) == 0
+        assert run_cli("run", *run, "--jobs", jobs, "--out", str(b)) == 0
+        assert len(run_dir_bytes(a)) == 6 and run_dir_bytes(a) == run_dir_bytes(b)
+
+
+def cli_process(*argv, **kw):
+    """``python -m lightup.cli ARGV`` in a new process that imports this checkout's lightup,
+    its stdout block-buffered into a pipe whatever ``PYTHONUNBUFFERED`` says here."""
+    src = os.path.dirname(os.path.dirname(lightup.__file__))
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.Popen([sys.executable, "-m", "lightup.cli", *argv], env=env, **kw)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_ctrl_c_exits_130_without_a_traceback_or_a_run_directory(tmp_path, jobs):
     # Ctrl-C reaches the whole process group, workers included; the run
     # must report it once, exit 130 and write nothing.
-    src = os.path.dirname(os.path.dirname(lightup.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = tmp_path / "run"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "lightup.cli", "-v", "run", "--scenario", "3", "--replications", "200",
-         "--jobs", jobs, "--out", str(out)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    proc = cli_process("-v", "run", "--scenario", "3", "--replications", "200", "--jobs", jobs, "--out", str(out),
+                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True)
     watchdog = threading.Timer(60.0, os.killpg, (proc.pid, signal.SIGKILL))
     watchdog.start()
     try:
@@ -573,6 +600,28 @@ def test_ctrl_c_exits_130_without_a_traceback_or_a_run_directory(tmp_path, jobs)
     assert os.listdir(tmp_path) == []
     with pytest.raises(ProcessLookupError):  # no worker outlives the run
         os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("reader", ["reads-one-line", "reads-nothing"])
+def test_values_into_a_closed_pipe_exits_141_silently(tmp_path, reader):
+    # `lightup values RUN | head -n 1`: a reader that quits is no input error.
+    # The command ends with status 141 (128 + SIGPIPE) and nothing on stderr,
+    # whether a write fails (129 kB of tables, more than a pipe holds) or only
+    # the last flush (338 bytes of a short run into a pipe with no reader).
+    out = tmp_path / "run"
+    run = ["--scenario", "3", "--system", "m_grail"] if reader == "reads-one-line" else ["--trials", "100"]
+    assert run_cli("run", *run, "--replications", "1", "--out", str(out)) == 0
+    if reader == "reads-one-line":
+        proc = cli_process("values", str(out), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"replication,trial,state_key,goal,value\n"
+        proc.stdout.close()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = cli_process("values", str(out), stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 # -- plot ------------------------------------------------------------------------

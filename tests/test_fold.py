@@ -134,9 +134,15 @@ def _drop_last_row(rows):
     return len(rows)
 
 
+def _delete_file(rows):
+    rows.clear()  # no rows left: the test deletes trials.csv
+    return None
+
+
 # Each case: how it corrupts trials.csv's rows, returning the data row the error names.
 CORRUPT_TRIALS = {
     "flipped-reward-digit": (_flip_reward_digit, "differs from the recomputed"),
+    "missing-file": (_delete_file, "missing CSV"),
     "row-without-reward": (_drop_reward_value, "8 values for 9 columns"),
     "unknown-goal": (_unknown_goal, "unknown goal 'z'"),
     "swapped-rows": (_swap_rows, "replication 0 trial 6 where replication 0 trial 5 belongs"),
@@ -151,12 +157,17 @@ def test_values_of_a_corrupt_trials_csv_exits_2_naming_the_row(tmp_path, capsys,
     corrupt, message = CORRUPT_TRIALS[case]
     rows = _rows(path.read_text())
     n = corrupt(rows)
-    path.write_text(_joined(rows))
+    if rows:
+        path.write_text(_joined(rows))
+    else:
+        path.unlink()
     capsys.readouterr()
     assert main(["values", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: CSV {path} row {n}: ") and message in err
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    out, err = capsys.readouterr()
+    # All or nothing: no header and no table of the rows before the defect.
+    assert out == ""
+    assert err.startswith(f"error: CSV {path} row {n}: " if rows else f"error: missing CSV: {path}")
+    assert message in err and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_values_of_a_trials_csv_without_a_column_exits_2_naming_it(tmp_path, capsys):
@@ -233,8 +244,7 @@ def test_values_of_a_run_yaml_keyed_on_the_context_names_full_state(tmp_path, ca
     assert text.count("  context_mode: full_state\n") == 1
     run_yaml.write_text(text.replace("context_mode: full_state", "context_mode: context_feature"))
     assert main(["values", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == ("error: context_mode 'context_feature' is gone; write context_mode: "
-                                       "full_state, which gives the same run under per_trial resets\n")
+    assert capsys.readouterr().err == "error: context_mode 'context_feature'; expected one of ('none', 'full_state')\n"
     # The one-line edit the README gives: every reward replays.
     old = run_yaml.read_text()
     run_yaml.write_text(old.replace("context_mode: context_feature", "context_mode: full_state"))
