@@ -15,11 +15,11 @@ from lightup import ExperimentConfig, run_experiment
 from lightup.cli import main as cli_main
 
 
-def summarize(result, name):
-    finals = [s.competence[-1] for s in result.replications]
+def summarize(cfg, series, name):
+    finals = [s.competence[-1] for s in series]
     mean_final = {lab: sum(f[g] for f in finals) / len(finals)
-                  for g, lab in enumerate(result.config.scenario.labels)}
-    wasted = sum(s.achievable.count(0) for s in result.replications) / len(result.replications)
+                  for g, lab in enumerate(cfg.scenario.labels)}
+    wasted = sum(s.achievable.count(0) for s in series) / len(series)
     pretty = " ".join(f"{lab}={v:.2f}" for lab, v in sorted(mean_final.items()))
     print(f"{name:22s} final competence {pretty}  mean wasted {wasted:.0f}")
     return mean_final
@@ -29,8 +29,7 @@ def run(scenario, system, reps, seed, out_root):
     out = os.path.join(out_root, f"s{scenario}_{system}")
     cfg = ExperimentConfig(scenario=scenario, system=system, replications=reps,
                            seed=seed, out_dir=out)
-    result = run_experiment(cfg)
-    summarize(result, f"scenario {scenario} / {system}")
+    summarize(cfg, run_experiment(cfg), f"scenario {scenario} / {system}")
     return out
 
 

@@ -11,7 +11,6 @@ from .arm import ArmConfig, check_touch, forward_kinematics, home_joints, step_t
 from .errors import ConfigError, NumericsError
 from .experiment import (
     ExperimentConfig,
-    ExperimentResult,
     Simulation,
     load_config,
     run_experiment,
@@ -37,7 +36,6 @@ __all__ = [
     "ActorCriticExpert",
     "ConfigError",
     "ExperimentConfig",
-    "ExperimentResult",
     "ExpertSelector",
     "Goal",
     "IdealizedExpert",

@@ -89,8 +89,8 @@ def cmd_run(args) -> int:
         raise ConfigError(f"no output directory: pass --out or set ${OUT_DIR_ENV}")
     log.info("running %s on scenario %s: %d replications x %d trials",
              cfg.system, cfg.scenario.name, cfg.replications, cfg.scenario.total_trials)
-    result = exp.run_experiment(cfg)
-    finals = zip(cfg.scenario.labels, result.replications[0].competence[-1])
+    series = exp.run_experiment(cfg)
+    finals = zip(cfg.scenario.labels, series[0].competence[-1])
     log.info("replication 0 final competence: %s",
              " ".join(f"{k}={v:.2f}" for k, v in sorted(finals)))
     print(f"wrote {cfg.out_dir}/trials.csv, competence.csv, wasted.csv (+ _agg, run.yaml)")

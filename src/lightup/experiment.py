@@ -5,8 +5,8 @@ state, a goal-selection strategy, the achievement predictor, two experts
 plus an expert selector per goal, and a backend (``BACKENDS``) that makes
 the experts, attempts goals, measures competence and holds the random
 source. ``run_experiment`` runs seeded replications (optionally in
-parallel processes) and aggregates competence and waste as mean with a
-95% confidence band.
+parallel processes); ``write_outputs`` aggregates their competence and
+waste as mean with a 95% confidence band.
 
 A trial is: select a goal from the current state, pick an arm's expert,
 attempt the goal (an idealized Bernoulli draw, or a full arm rollout that
@@ -424,14 +424,6 @@ class Simulation:
 # -- experiment-level runs --------------------------------------------------
 
 
-@dataclass
-class ExperimentResult:
-    config: ExperimentConfig
-    replications: list[ReplicationSeries]
-    competence_agg: list[tuple[int, str, float, float, float]]  # trial, goal, mean, lo, hi
-    wasted_agg: list[tuple[int, float, float, float]]           # interval_end, mean, lo, hi
-
-
 def _mean_ci(values: np.ndarray) -> tuple[float, float, float]:
     """Mean with a 95% normal confidence band (mean +- 1.96 SE)."""
     mean = float(values.mean())
@@ -445,8 +437,9 @@ def _replication_worker(args) -> ReplicationSeries:
     return Simulation(*args).run()
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run all replications, aggregate, and (if configured) write CSV output.
+def run_experiment(cfg: ExperimentConfig) -> list[ReplicationSeries]:
+    """Run all replications and return their series in replication order,
+    writing the run's files to ``cfg.out_dir`` if it is set.
 
     A sphere that neither arm can touch raises ConfigError, and an
     ``out_dir`` that is a file or lies under one raises NotADirectoryError,
@@ -489,20 +482,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             series = pool.map(_replication_worker, jobs, chunksize=1)
     else:
         series = [_replication_worker(job) for job in jobs]
-
-    # One 1-D array per point and goal: a 2-D mean over axis 0 would sum
-    # in another order and change the bits.
-    points = evaluation_points(cfg)
-    result = ExperimentResult(
-        cfg, series,
-        [(t, label) + _mean_ci(np.array([s.competence[i][g] for s in series]))
-         for i, t in enumerate(points) for g, label in enumerate(cfg.scenario.labels)],
-        [(t,) + _mean_ci(np.array([float(s.achievable.count(0, 0, t)) for s in series]))
-         for t in points[1:]],
-    )
     if cfg.out_dir:
-        write_outputs(result, cfg.out_dir)
-    return result
+        write_outputs(cfg, cfg.out_dir, series)
+    return series
 
 
 # -- CSV output ----------------------------------------------------------------
@@ -515,8 +497,9 @@ def _write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def write_outputs(result: ExperimentResult, out_dir: str) -> None:
-    """Write the full CSV set; byte-identical for identical config and seed.
+def write_outputs(cfg: ExperimentConfig, out_dir: str, series: list[ReplicationSeries]) -> None:
+    """Write the CSV set of ``cfg``'s replications ``series``, aggregating them
+    as it writes; byte-identical for identical config and seed.
 
     The files are written into a temporary directory beside ``out_dir``,
     then moved into ``out_dir`` one by one, ``run.yaml`` last, and a
@@ -525,8 +508,6 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
     run's files, and a write that fails leaves ``out_dir`` as it was and
     removes the temporary directory.
     """
-    cfg = result.config
-    reps = result.replications
     parent = os.path.dirname(os.path.abspath(out_dir))
     os.makedirs(parent, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".lightup-", dir=parent) as tmp:
@@ -537,18 +518,21 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
                        zip(repeat(s.replication), range(1, len(s.goal) + 1),
                            map(floordiv, range(len(s.goal)), repeat(cfg.scenario.trials_per_epoch)),
                            s.state_key, s.goal, s.achievable, s.achieved, s.reward, s.steps)
-                       for s in reps))
+                       for s in series))
         points, labels = evaluation_points(cfg), cfg.scenario.labels
         _write_csv(tmp, "competence.csv", ["replication", "trial_index", "goal", "competence"],
                    ([s.replication, t, label, repr(v)]
-                    for s in reps for t, row in zip(points, s.competence) for label, v in zip(labels, row)))
+                    for s in series for t, row in zip(points, s.competence) for label, v in zip(labels, row)))
         _write_csv(tmp, "wasted.csv", ["replication", "interval_end", "cumulative_wasted"],
-                   ([s.replication, t, s.achievable.count(0, 0, t)] for s in reps for t in points[1:]))
+                   ([s.replication, t, s.achievable.count(0, 0, t)] for s in series for t in points[1:]))
+        # One 1-D array per point and goal: a 2-D mean over axis 0 would sum
+        # in another order and change the bits.
         _write_csv(tmp, "competence_agg.csv", ["trial_index", "goal", "mean", "ci_low", "ci_high"],
-                   ([t, label, repr(mean), repr(lo), repr(hi)]
-                    for t, label, mean, lo, hi in result.competence_agg))
+                   ([t, label, *map(repr, _mean_ci(np.array([s.competence[i][g] for s in series])))]
+                    for i, t in enumerate(points) for g, label in enumerate(labels)))
         _write_csv(tmp, "wasted_agg.csv", ["interval_end", "mean", "ci_low", "ci_high"],
-                   ([end, repr(mean), repr(lo), repr(hi)] for end, mean, lo, hi in result.wasted_agg))
+                   ([t, *map(repr, _mean_ci(np.array([float(s.achievable.count(0, 0, t)) for s in series])))]
+                    for t in points[1:]))
 
         meta = config_to_dict(cfg)
         # Where the run was written and how it was parallelized do not affect the

@@ -1,6 +1,7 @@
-"""Probes of learner state shared by the test modules (``from conftest import ...``)."""
+"""Probes of learner state and run directories shared by the test modules (``from conftest import ...``)."""
 
 import copy
+import os
 
 import numpy as np
 
@@ -20,3 +21,8 @@ def bits(value):
 def expert_state(ex):
     """Every attribute of an expert, as its ``bits``."""
     return {name: bits(v) for name, v in vars(ex).items()}
+
+
+def run_dir_bytes(path):
+    """Every file of a run directory, by name, as its bytes."""
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}

@@ -18,6 +18,8 @@ from lightup.cli import build_parser, main
 from lightup.errors import ConfigError
 from lightup.experiment import ExperimentConfig
 
+from conftest import run_dir_bytes
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -547,10 +549,6 @@ def test_python_api_run_matches_cli_run(tmp_path):
     for name in os.listdir(api):
         assert (api / name).read_bytes() == (cli / name).read_bytes(), name
     assert yaml.safe_load((api / "run.yaml").read_text())["scenario"]["name"] == "interrelated_chains"
-
-
-def run_dir_bytes(out):
-    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
 
 
 def test_run_with_jobs_flag_matches_serial(tmp_path):

@@ -35,7 +35,7 @@ from lightup.motivation import AchievementPredictor
 from lightup.skills import ActorCriticExpert
 from lightup.world import BUILTIN_SCENARIOS, Goal, ScenarioSpec, WorldState, builtin_scenario, scenario_from_dict
 
-from conftest import bits, expert_state
+from conftest import bits, expert_state, run_dir_bytes
 
 
 def short_scenario(sid, trials):
@@ -368,13 +368,18 @@ def test_evaluation_points_are_trial_0_every_interval_and_the_last_trial(trials,
 # -- aggregation and output ------------------------------------------------------------
 
 
-def test_run_experiment_aggregates_shapes():
-    cfg = small_cfg(1, 200, replications=3, seed=10)
-    result = run_experiment(cfg)
-    assert len(result.replications) == 3
-    eval_points = {t for t, *_ in result.competence_agg}
+def read_csv(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_run_experiment_aggregates_shapes(tmp_path):
+    cfg = small_cfg(1, 200, replications=3, seed=10, out_dir=str(tmp_path))
+    assert len(run_experiment(cfg)) == 3
+    rows = read_csv(tmp_path / "competence_agg.csv")
+    eval_points = {int(row["trial_index"]) for row in rows}
     assert eval_points == {0, 50, 100, 150, 200}
-    labels = {lab for _, lab, *_ in result.competence_agg}
+    labels = {row["goal"] for row in rows}
     assert labels == set("abcdef")
 
 
@@ -439,37 +444,41 @@ def test_idealized_trial_keys_its_state_once(sid, system, monkeypatch):
         assert per_trial == [1] * 300
 
 
-def test_aggregate_ci_matches_hand_computation():
-    cfg = small_cfg(1, 100, replications=4, seed=20)
-    result = run_experiment(cfg)
-    finals = np.array([s.competence[-1][cfg.scenario.labels.index("a")] for s in result.replications])
-    row = next(r for r in result.competence_agg if r[0] == 100 and r[1] == "a")
-    mean, lo, hi = row[2:]
+def test_aggregate_ci_matches_hand_computation(tmp_path):
+    cfg = small_cfg(1, 100, replications=4, seed=20, out_dir=str(tmp_path))
+    series = run_experiment(cfg)
+    finals = np.array([s.competence[-1][cfg.scenario.labels.index("a")] for s in series])
+    row = next(r for r in read_csv(tmp_path / "competence_agg.csv")
+               if r["trial_index"] == "100" and r["goal"] == "a")
+    mean, lo, hi = (float(row[name]) for name in ("mean", "ci_low", "ci_high"))
     se = finals.std(ddof=1) / np.sqrt(len(finals))
     assert mean == pytest.approx(finals.mean())
     assert lo == pytest.approx(finals.mean() - 1.96 * se)
     assert hi == pytest.approx(finals.mean() + 1.96 * se)
 
 
-def read_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def test_agg_rows_are_per_point_means_of_the_replication_rows(tmp_path):
     # 603 trials: evaluation points every 50 trials plus a last one at 603.
-    result = run_experiment(small_cfg(3, 603, replications=3, seed=11, system="m_grail",
-                                      out_dir=str(tmp_path)))
+    # Each written aggregate row is its key, then the repr of each _mean_ci
+    # value over the per-replication rows read back from the written files.
+    run_experiment(small_cfg(3, 603, replications=3, seed=11, system="m_grail", out_dir=str(tmp_path)))
+
+    def agg_text(header, groups):
+        rows = [header] + [[*key, *map(repr, _mean_ci(np.array(v)))] for key, v in groups.items()]
+        return "".join(",".join(row) + "\n" for row in rows)
+
     competence = defaultdict(list)
     for row in read_csv(tmp_path / "competence.csv"):
-        competence[int(row["trial_index"]), row["goal"]].append(float(row["competence"]))
-    assert list(competence)[-7:] == [(600, "f")] + [(603, lab) for lab in "abcdef"]
-    assert result.competence_agg == [key + _mean_ci(np.array(v)) for key, v in competence.items()]
+        competence[row["trial_index"], row["goal"]].append(float(row["competence"]))
+    assert list(competence)[-7:] == [("600", "f")] + [("603", lab) for lab in "abcdef"]
+    assert (tmp_path / "competence_agg.csv").read_text() == agg_text(
+        ["trial_index", "goal", "mean", "ci_low", "ci_high"], competence)
     wasted = defaultdict(list)
     for row in read_csv(tmp_path / "wasted.csv"):
-        wasted[int(row["interval_end"])].append(float(row["cumulative_wasted"]))
-    assert list(wasted)[-2:] == [600, 603]
-    assert result.wasted_agg == [(end,) + _mean_ci(np.array(v)) for end, v in wasted.items()]
+        wasted[(row["interval_end"],)].append(float(row["cumulative_wasted"]))
+    assert list(wasted)[-2:] == [("600",), ("603",)]
+    assert (tmp_path / "wasted_agg.csv").read_text() == agg_text(
+        ["interval_end", "mean", "ci_low", "ci_high"], wasted)
 
 
 def test_csv_outputs_and_columns(tmp_path):
@@ -487,10 +496,6 @@ def test_csv_outputs_and_columns(tmp_path):
                                        "wasted.csv", "wasted_agg.csv"]
     n_rows = len((out / "trials.csv").read_text().splitlines()) - 1
     assert n_rows == 2 * 100
-
-
-def run_dir_bytes(path) -> dict:
-    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
 
 
 def test_failing_write_leaves_out_dir_as_it_was(tmp_path, monkeypatch):
@@ -552,12 +557,13 @@ def test_progress_logs_one_line_per_replication_and_interval(tmp_path, caplog):
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"
     run_experiment(small_cfg(3, 120, system="m_grail", seed=8, out_dir=str(quiet)))
     caplog.clear()
+    cfg = small_cfg(3, 120, system="m_grail", seed=8, out_dir=str(loud))
     with caplog.at_level(logging.INFO, logger="lightup"):
-        result = run_experiment(small_cfg(3, 120, system="m_grail", seed=8, out_dir=str(loud)))
+        series = run_experiment(cfg)
     lines = [r.getMessage() for r in caplog.records if r.name == "lightup.experiment"]
     expected = []
-    points = evaluation_points(result.config)
-    for s in result.replications:
+    points = evaluation_points(cfg)
+    for s in series:
         for end, values in zip(points[1:], s.competence[1:], strict=True):
             expected.append(f"replication {s.replication}, trial {end}/120: "
                             f"mean competence {sum(values) / len(values):.3f}, "
@@ -664,7 +670,7 @@ def test_parallel_run_from_a_thread_matches_serial():
     thread.start()
     thread.join(timeout=60)
     assert len(results) == 1
-    assert results[0].replications == run_experiment(replace(cfg, jobs=1)).replications
+    assert results[0] == run_experiment(replace(cfg, jobs=1))
 
 
 
@@ -704,16 +710,22 @@ def test_trials_csv_rows_are_the_trial_records_of_run_trial(tmp_path, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_replication_r_is_seeded_by_the_config_seed_plus_r(jobs):
+def test_replication_r_is_seeded_by_the_config_seed_plus_r(jobs, tmp_path, monkeypatch):
     # Simulation(cfg, r) runs replication r of run_experiment(cfg), in a
-    # worker process or not, from the generator of seed cfg.seed + r.
+    # worker process or not, from the generator of seed cfg.seed + r. The run
+    # returns the replications' series in order, whether it writes them or not,
+    # and writes nothing without an out_dir.
     cfg = small_cfg(2, 200, system="c_grail", replications=3, seed=7, jobs=jobs)
-    series = run_experiment(cfg).replications
+    monkeypatch.chdir(tmp_path)
+    series = run_experiment(cfg)
+    assert os.listdir(tmp_path) == []
     assert len(series) == 3 and series[0] != replace(series[1], replication=0)
+    assert series == [Simulation(cfg, r).run() for r in range(3)]
     for r in range(3):
-        assert Simulation(cfg, r).run() == series[r]
         shifted = replace(cfg, seed=cfg.seed + r)
         assert replace(Simulation(shifted).run(), replication=r) == series[r]
+    assert run_experiment(replace(cfg, out_dir=str(tmp_path / "run"))) == series
+    assert len(run_dir_bytes(tmp_path / "run")) == 6
 
 
 def test_run_trial_appends_to_every_column_and_run_returns_the_series():
