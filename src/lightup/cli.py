@@ -12,6 +12,7 @@ import csv
 import logging
 import math
 import os
+import signal
 import sys
 from dataclasses import fields, replace
 
@@ -208,6 +209,12 @@ def main(argv=None) -> int:
     )
     handlers = {"run": cmd_run, "plot": cmd_plot, "validate": cmd_validate, "values": cmd_values}
     try:
+        if args.command != "plot":  # a Ctrl-C while numpy first imports numpy.random is lost in its init
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                import numpy.random  # noqa: F401
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # raises a held Ctrl-C
         code = handlers[args.command](args)
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
         return code

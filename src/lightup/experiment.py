@@ -27,8 +27,9 @@ import signal
 import tempfile
 import threading
 from array import array
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import floordiv
 from typing import Mapping, NamedTuple
 
@@ -163,7 +164,8 @@ class ReplicationSeries:
     (``state_key`` to ``steps``) is trial i + 1, of epoch i // trials_per_epoch;
     ``Simulation.run_trial`` appends to them. Entry i of ``competence`` holds
     each goal's competence, in goal order, at ``evaluation_points(cfg)[i]``;
-    the waste up to trial t is ``achievable.count(0, 0, t)``."""
+    the waste up to trial t is ``achievable.count(0, 0, t)``. A writing
+    ``run_experiment`` keeps only these two columns (the rest are in ``trials.csv``)."""
 
     replication: int
     state_key: list[str] = field(default_factory=list)
@@ -189,7 +191,8 @@ class UniformBlock:
     SIZE = 4096
 
     def __init__(self, gen: np.random.Generator):
-        blocks = iter(lambda: gen.random(self.SIZE).tolist(), None)
+        # SIZE as a default, not read through self: that cycle would keep each block until the GC ran.
+        blocks = iter(lambda size=self.SIZE: gen.random(size).tolist(), None)
         self.random = chain.from_iterable(blocks).__next__
 
 
@@ -437,6 +440,39 @@ def _replication_worker(args) -> ReplicationSeries:
     return Simulation(*args).run()
 
 
+@contextmanager
+def _replications(cfg: ExperimentConfig):
+    """The replications' series in replication order, each as it finishes; leaving stops any workers."""
+    jobs = [(cfg, rep) for rep in range(cfg.replications)]
+    if cfg.jobs == 1 or cfg.replications == 1:
+        yield map(_replication_worker, jobs)
+        return
+    import multiprocessing  # here, not at the top: it adds about 0.4 MB to a serial run
+
+    # The workers start with SIGINT blocked and keep it blocked, so a
+    # Ctrl-C interrupts only this process, and leaving the pool stops them.
+    # A Ctrl-C while the pool starts is held (``Pool()`` stops the workers it
+    # started only on an Exception) and raised once leaving the pool stops
+    # them. Only the main thread may set a handler, and only it gets KeyboardInterrupt.
+    held, main = [], threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGINT, lambda *_: held.append(True)) if main else None
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pool = multiprocessing.Pool(min(cfg.jobs, cfg.replications))
+    except BaseException:
+        if main:
+            signal.signal(signal.SIGINT, previous)
+        raise
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    with pool:
+        if main:
+            signal.signal(signal.SIGINT, previous)
+        if held:
+            raise KeyboardInterrupt
+        yield pool.imap(_replication_worker, jobs, chunksize=1)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ReplicationSeries]:
     """Run all replications and return their series in replication order,
     writing the run's files to ``cfg.out_dir`` if it is set.
@@ -444,46 +480,39 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReplicationSeries]:
     A sphere that neither arm can touch raises ConfigError, and an
     ``out_dir`` that is a file or lies under one raises NotADirectoryError,
     before any replication starts.
+
+    A writing run holds one replication's trial columns at a time: it streams
+    each, in order, to ``trials.csv`` in a temporary directory beside ``out_dir``
+    and returns the series with only ``competence`` and ``achievable``. A run
+    that raises, Ctrl-C included, removes that directory and leaves ``out_dir`` as it was.
     """
     bad = unreachable_goals(cfg.scenario, cfg.arm)
     if bad:
         raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
-    if cfg.out_dir:
-        existing = os.path.abspath(cfg.out_dir)
-        while not os.path.exists(existing):
-            existing = os.path.dirname(existing)
-        if not os.path.isdir(existing):
-            raise NotADirectoryError(errno.ENOTDIR, "not a directory", existing)
-    jobs = [(cfg, rep) for rep in range(cfg.replications)]
-    if cfg.jobs > 1 and cfg.replications > 1:
-        import multiprocessing  # here, not at the top: it adds about 0.4 MB to a serial run
+    if not cfg.out_dir:
+        with _replications(cfg) as runs:
+            return list(runs)
+    existing = os.path.abspath(cfg.out_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise NotADirectoryError(errno.ENOTDIR, "not a directory", existing)
+    os.makedirs(parent := os.path.dirname(os.path.abspath(cfg.out_dir)), exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".lightup-", dir=parent) as staging:
+        with open(os.path.join(staging, "trials.csv"), "w", encoding="utf-8", newline="") as fh, \
+                _replications(cfg) as runs:
+            fh.write("replication,trial,epoch,state_key,goal,achievable,achieved,reward,steps\n")
+            trials = csv.writer(fh, lineterminator="\n")
 
-        # The workers start with SIGINT blocked and keep it blocked, so a
-        # Ctrl-C interrupts only this process, and leaving the pool stops them.
-        # A Ctrl-C while the pool starts is held (``Pool()`` stops the workers it
-        # started only on an Exception) and raised once leaving the pool stops
-        # them. Only the main thread may set a handler, and only it gets KeyboardInterrupt.
-        held, main = [], threading.current_thread() is threading.main_thread()
-        previous = signal.signal(signal.SIGINT, lambda *_: held.append(True)) if main else None
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            pool = multiprocessing.Pool(min(cfg.jobs, cfg.replications))
-        except BaseException:
-            if main:
-                signal.signal(signal.SIGINT, previous)
-            raise
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        with pool:
-            if main:
-                signal.signal(signal.SIGINT, previous)
-            if held:
-                raise KeyboardInterrupt
-            series = pool.map(_replication_worker, jobs, chunksize=1)
-    else:
-        series = [_replication_worker(job) for job in jobs]
-    if cfg.out_dir:
-        write_outputs(cfg, cfg.out_dir, series)
+            def write_trials(s: ReplicationSeries) -> ReplicationSeries:
+                epochs = map(floordiv, count(), repeat(cfg.scenario.trials_per_epoch))
+                trials.writerows(zip(repeat(s.replication), count(1), epochs, s.state_key, s.goal,
+                                     s.achievable, s.achieved, s.reward, s.steps))
+                return ReplicationSeries(s.replication, achievable=s.achievable, competence=s.competence)
+
+            # map, not a for loop: no name holds a written series while the next one runs.
+            series = list(map(write_trials, runs))
+        write_outputs(cfg, cfg.out_dir, series, staging)
     return series
 
 
@@ -497,58 +526,47 @@ def _write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def write_outputs(cfg: ExperimentConfig, out_dir: str, series: list[ReplicationSeries]) -> None:
-    """Write the CSV set of ``cfg``'s replications ``series``, aggregating them
-    as it writes; byte-identical for identical config and seed.
+def write_outputs(cfg: ExperimentConfig, out_dir: str, series: list[ReplicationSeries], staging: str) -> None:
+    """Write the rest of the CSV set of ``cfg``'s replications into
+    ``staging``, which holds their ``trials.csv``, aggregating them as it
+    writes; byte-identical for identical config and seed. It reads each
+    ``series``' ``replication``, ``competence`` and ``achievable`` only.
 
-    The files are written into a temporary directory beside ``out_dir``,
-    then moved into ``out_dir`` one by one, ``run.yaml`` last, and a
-    ``values.csv`` (an older run's value dump) or ``curves.svg`` (``lightup
-    plot``'s default output) there is deleted. So a directory holds one
-    run's files, and a write that fails leaves ``out_dir`` as it was and
-    removes the temporary directory.
+    Then it moves the files into ``out_dir`` one by one, ``run.yaml`` last,
+    and deletes a ``values.csv`` (an older run's value dump) or
+    ``curves.svg`` (``lightup plot``'s default output) there, so a
+    directory holds one run's files.
     """
-    parent = os.path.dirname(os.path.abspath(out_dir))
-    os.makedirs(parent, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".lightup-", dir=parent) as tmp:
-        _write_csv(tmp, "trials.csv",
-                   ["replication", "trial", "epoch", "state_key", "goal",
-                    "achievable", "achieved", "reward", "steps"],
-                   chain.from_iterable(
-                       zip(repeat(s.replication), range(1, len(s.goal) + 1),
-                           map(floordiv, range(len(s.goal)), repeat(cfg.scenario.trials_per_epoch)),
-                           s.state_key, s.goal, s.achievable, s.achieved, s.reward, s.steps)
-                       for s in series))
-        points, labels = evaluation_points(cfg), cfg.scenario.labels
-        _write_csv(tmp, "competence.csv", ["replication", "trial_index", "goal", "competence"],
-                   ([s.replication, t, label, repr(v)]
-                    for s in series for t, row in zip(points, s.competence) for label, v in zip(labels, row)))
-        _write_csv(tmp, "wasted.csv", ["replication", "interval_end", "cumulative_wasted"],
-                   ([s.replication, t, s.achievable.count(0, 0, t)] for s in series for t in points[1:]))
-        # One 1-D array per point and goal: a 2-D mean over axis 0 would sum
-        # in another order and change the bits.
-        _write_csv(tmp, "competence_agg.csv", ["trial_index", "goal", "mean", "ci_low", "ci_high"],
-                   ([t, label, *map(repr, _mean_ci(np.array([s.competence[i][g] for s in series])))]
-                    for i, t in enumerate(points) for g, label in enumerate(labels)))
-        _write_csv(tmp, "wasted_agg.csv", ["interval_end", "mean", "ci_low", "ci_high"],
-                   ([t, *map(repr, _mean_ci(np.array([float(s.achievable.count(0, 0, t)) for s in series])))]
-                    for t in points[1:]))
+    points, labels = evaluation_points(cfg), cfg.scenario.labels
+    _write_csv(staging, "competence.csv", ["replication", "trial_index", "goal", "competence"],
+               ([s.replication, t, label, repr(v)]
+                for s in series for t, row in zip(points, s.competence) for label, v in zip(labels, row)))
+    _write_csv(staging, "wasted.csv", ["replication", "interval_end", "cumulative_wasted"],
+               ([s.replication, t, s.achievable.count(0, 0, t)] for s in series for t in points[1:]))
+    # One 1-D array per point and goal: a 2-D mean over axis 0 would sum
+    # in another order and change the bits.
+    _write_csv(staging, "competence_agg.csv", ["trial_index", "goal", "mean", "ci_low", "ci_high"],
+               ([t, label, *map(repr, _mean_ci(np.array([s.competence[i][g] for s in series])))]
+                for i, t in enumerate(points) for g, label in enumerate(labels)))
+    _write_csv(staging, "wasted_agg.csv", ["interval_end", "mean", "ci_low", "ci_high"],
+               ([t, *map(repr, _mean_ci(np.array([float(s.achievable.count(0, 0, t)) for s in series])))]
+                for t in points[1:]))
 
-        meta = config_to_dict(cfg)
-        # Where the run was written and how it was parallelized do not affect the
-        # results; leave them out so identical configs yield identical metadata.
-        meta.pop("out_dir", None)
-        meta.pop("jobs", None)
-        with open(os.path.join(tmp, "run.yaml"), "w", encoding="utf-8") as fh:
-            yaml.safe_dump(meta, fh, sort_keys=True)
+    meta = config_to_dict(cfg)
+    # Where the run was written and how it was parallelized do not affect the
+    # results; leave them out so identical configs yield identical metadata.
+    meta.pop("out_dir", None)
+    meta.pop("jobs", None)
+    with open(os.path.join(staging, "run.yaml"), "w", encoding="utf-8") as fh:
+        yaml.safe_dump(meta, fh, sort_keys=True)
 
-        os.makedirs(out_dir, exist_ok=True)
-        names = [name for name in os.listdir(tmp) if name != "run.yaml"]
-        for name in ("values.csv", "curves.svg"):
-            if os.path.exists(stale := os.path.join(out_dir, name)):
-                os.remove(stale)
-        for name in names + ["run.yaml"]:
-            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
+    os.makedirs(out_dir, exist_ok=True)
+    names = [name for name in os.listdir(staging) if name != "run.yaml"]
+    for name in ("values.csv", "curves.svg"):
+        if os.path.exists(stale := os.path.join(out_dir, name)):
+            os.remove(stale)
+    for name in names + ["run.yaml"]:
+        os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
 
 
 # -- config files ----------------------------------------------------------------

@@ -600,6 +600,46 @@ def test_ctrl_c_exits_130_without_a_traceback_or_a_run_directory(tmp_path, jobs)
         os.killpg(proc.pid, 0)
 
 
+# Sends this process a Ctrl-C when numpy first imports numpy.random's
+# generator module, as a user's Ctrl-C may land there: its Cython module init
+# would swallow the KeyboardInterrupt. Prints whether SIGINT was blocked then.
+NUMPY_RANDOM_INTERRUPTED = """
+import os, signal, sys
+from lightup.cli import main
+
+blocked = []
+
+class InterruptingFinder:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy.random._generator" and not blocked:
+            blocked.append(signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, []))
+            os.kill(os.getpid(), signal.SIGINT)
+        return None
+
+sys.meta_path.insert(0, InterruptingFinder())
+code = main(sys.argv[1:])
+print(blocked)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "values"])
+def test_ctrl_c_while_numpy_imports_numpy_random_exits_130(tmp_path, command):
+    done = tmp_path / "done"
+    out = tmp_path / "run"
+    argv = {"run": ["run", "--scenario", "1", "--trials", "50", "--replications", "1", "--out", str(out)],
+            "validate": ["validate", "--scenario", "1"], "values": ["values", str(done)]}[command]
+    if command == "values":
+        assert run_cli("run", "--trials", "50", "--replications", "1", "--out", str(done)) == 0
+    src = os.path.dirname(os.path.dirname(lightup.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_INTERRUPTED, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "[True]\n", proc.stderr
+    assert (proc.returncode, proc.stderr) == (130, "interrupted\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("reader", ["reads-one-line", "reads-nothing"])
 def test_values_into_a_closed_pipe_exits_141_silently(tmp_path, reader):
     # `lightup values RUN | head -n 1`: a reader that quits is no input error.

@@ -499,9 +499,9 @@ def test_csv_outputs_and_columns(tmp_path):
 
 
 def test_failing_write_leaves_out_dir_as_it_was(tmp_path, monkeypatch):
-    # A run whose output fails part-way (here the third CSV) changes no file
-    # of the run directory it would have replaced, and leaves no temporary
-    # directory beside it.
+    # A run whose output fails part-way (here the third CSV, after the
+    # streamed trials.csv and competence.csv) changes no file of the run
+    # directory it would have replaced, and leaves no temporary directory beside it.
     import lightup.experiment
 
     out = tmp_path / "run"
@@ -511,17 +511,43 @@ def test_failing_write_leaves_out_dir_as_it_was(tmp_path, monkeypatch):
     written = []
 
     def failing_write_csv(out_dir, name, header, rows):
-        if len(written) == 2:
+        if len(os.listdir(out_dir)) == 2:
+            written.extend(sorted(os.listdir(out_dir)))
             raise OSError("disk full")
-        written.append(name)
         write_csv(out_dir, name, header, rows)
 
     monkeypatch.setattr(lightup.experiment, "_write_csv", failing_write_csv)
     with pytest.raises(OSError, match="disk full"):
         run_experiment(small_cfg(1, 100, replications=1, seed=4, out_dir=str(out)))
-    assert written == ["trials.csv", "competence.csv"]
+    assert written == ["competence.csv", "trials.csv"]
     assert run_dir_bytes(out) == before
     assert os.listdir(tmp_path) == ["run"]
+
+
+@pytest.mark.parametrize("error, jobs", [(NumericsError, 1), (NumericsError, 2), (KeyboardInterrupt, 1)])
+@pytest.mark.parametrize("older", [False, True])
+def test_a_run_that_dies_mid_way_leaves_nothing_half_written(tmp_path, monkeypatch, error, jobs, older):
+    # Replication 1 of 3 raises after replication 0's rows were streamed to
+    # the temporary trials.csv: the run directory is absent, or holds the
+    # older run written there first, and no temporary directory is left.
+    out = tmp_path / "run"
+    cfg = small_cfg(1, 100, replications=3, seed=4, jobs=jobs, out_dir=str(out))
+    if older:
+        run_experiment(replace(cfg, seed=3))
+        before = run_dir_bytes(out)
+    run = Simulation.run
+
+    def dies_in_replication_1(self):
+        if self.series.replication == 1:
+            raise error("replication 1 died")
+        return run(self)
+
+    monkeypatch.setattr(Simulation, "run", dies_in_replication_1)  # forked workers inherit it
+    with pytest.raises(error, match="replication 1 died"):
+        run_experiment(cfg)
+    assert os.listdir(tmp_path) == (["run"] if older else [])
+    if older:
+        assert run_dir_bytes(out) == before
 
 
 def test_rerun_replaces_the_whole_run_directory(tmp_path):
@@ -610,8 +636,8 @@ def test_jobs_above_replications_starts_one_worker_per_replication(tmp_path, mon
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=None):
-            return list(map(fn, jobs))
+        def imap(self, fn, jobs, chunksize=None):
+            return map(fn, jobs)
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -713,8 +739,9 @@ def test_trials_csv_rows_are_the_trial_records_of_run_trial(tmp_path, jobs):
 def test_replication_r_is_seeded_by_the_config_seed_plus_r(jobs, tmp_path, monkeypatch):
     # Simulation(cfg, r) runs replication r of run_experiment(cfg), in a
     # worker process or not, from the generator of seed cfg.seed + r. The run
-    # returns the replications' series in order, whether it writes them or not,
-    # and writes nothing without an out_dir.
+    # returns the replications' series in order and writes nothing without an
+    # out_dir. A writing run returns each series' replication, competence and
+    # achievable, and its trials.csv holds the other columns.
     cfg = small_cfg(2, 200, system="c_grail", replications=3, seed=7, jobs=jobs)
     monkeypatch.chdir(tmp_path)
     series = run_experiment(cfg)
@@ -724,8 +751,17 @@ def test_replication_r_is_seeded_by_the_config_seed_plus_r(jobs, tmp_path, monke
     for r in range(3):
         shifted = replace(cfg, seed=cfg.seed + r)
         assert replace(Simulation(shifted).run(), replication=r) == series[r]
-    assert run_experiment(replace(cfg, out_dir=str(tmp_path / "run"))) == series
+    written = run_experiment(replace(cfg, out_dir=str(tmp_path / "run")))
+    assert written == [ReplicationSeries(s.replication, achievable=s.achievable, competence=s.competence)
+                       for s in series]
     assert len(run_dir_bytes(tmp_path / "run")) == 6
+    with open(tmp_path / "run" / "trials.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [[str(s.replication), str(i + 1), str(i // cfg.scenario.trials_per_epoch), *map(str, row[:4]),
+                     repr(row[4]), str(row[5])]
+                    for s in series
+                    for i, row in enumerate(zip(s.state_key, s.goal, s.achievable, s.achieved, s.reward, s.steps,
+                                                strict=True))]
 
 
 def test_run_trial_appends_to_every_column_and_run_returns_the_series():
@@ -781,6 +817,28 @@ def test_a_replication_keeps_its_trials_in_under_100_bytes_each():
         tracemalloc.stop()
     assert len(series.goal) == 6000
     assert kept / 6000 <= 100  # one record object per trial kept 191
+
+
+def test_a_writing_run_holds_one_replication_at_a_time(tmp_path):
+    # Each replication's trial columns are written to trials.csv and released
+    # before the next one runs: of each further replication only achievable
+    # (1 byte per trial) and the competence rows (about 5) stay, beside about
+    # 137 kB that the open trials.csv writer keeps; about 9 bytes per trial in
+    # all. Holding every replication's columns until the end kept about 54.
+    import tracemalloc
+
+    def peak(replications):
+        cfg = ExperimentConfig(scenario=3, system="m_grail", replications=replications, seed=0,
+                               out_dir=str(tmp_path / str(replications)))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, eight = peak(1), peak(8)
+    assert (eight - one) / (7 * 6000) <= 16
 
 
 # -- actor-critic integration --------------------------------------------------------
