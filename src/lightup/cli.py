@@ -12,7 +12,6 @@ import csv
 import logging
 import math
 import os
-import signal
 import sys
 from dataclasses import fields, replace
 
@@ -25,8 +24,6 @@ from .inputs import read_csv, read_yaml
 from .svgplot import Chart, Series, render_panels
 
 log = logging.getLogger("lightup")
-
-OUT_DIR_ENV = "LIGHTUP_OUT"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--eval-interval", type=int, dest="eval_interval")
     run.add_argument("--temperature", type=float, help="goal-selection softmax temperature")
     run.add_argument("--jobs", type=int, help="parallel replication processes")
-    run.add_argument("--out", dest="out_dir", help=f"output directory (default from ${OUT_DIR_ENV})")
+    run.add_argument("--out", dest="out_dir", help=f"output directory (default from ${exp.OUT_DIR_ENV})")
     run.add_argument("--print-config", action="store_true",
                      help="print the resolved config as YAML and exit")
 
@@ -74,7 +71,7 @@ def _config(args) -> exp.ExperimentConfig:
     cfg = exp.load_config(args.config) if args.config else exp.ExperimentConfig()
     names = {f.name for f in fields(cfg)}
     flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
-    flags["out_dir"] = flags.get("out_dir") or cfg.out_dir or os.environ.get(OUT_DIR_ENV)
+    flags["out_dir"] = flags.get("out_dir") or cfg.out_dir or os.environ.get(exp.OUT_DIR_ENV)
     cfg = replace(cfg, **flags)
     if getattr(args, "trials", None) is not None:
         cfg = replace(cfg, scenario=replace(cfg.scenario, total_trials=args.trials))
@@ -86,8 +83,6 @@ def cmd_run(args) -> int:
     if args.print_config:
         print(yaml.safe_dump(exp.config_to_dict(cfg), sort_keys=True), end="")
         return 0
-    if not cfg.out_dir:
-        raise ConfigError(f"no output directory: pass --out or set ${OUT_DIR_ENV}")
     log.info("running %s on scenario %s: %d replications x %d trials",
              cfg.system, cfg.scenario.name, cfg.replications, cfg.scenario.total_trials)
     series = exp.run_experiment(cfg)
@@ -210,11 +205,8 @@ def main(argv=None) -> int:
     handlers = {"run": cmd_run, "plot": cmd_plot, "validate": cmd_validate, "values": cmd_values}
     try:
         if args.command != "plot":  # a Ctrl-C while numpy first imports numpy.random is lost in its init
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
+            with exp.holding_ctrl_c():
                 import numpy.random  # noqa: F401
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # raises a held Ctrl-C
         code = handlers[args.command](args)
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's last flush
         return code

@@ -5,8 +5,8 @@ state, a goal-selection strategy, the achievement predictor, two experts
 plus an expert selector per goal, and a backend (``BACKENDS``) that makes
 the experts, attempts goals, measures competence and holds the random
 source. ``run_experiment`` runs seeded replications (optionally in
-parallel processes); ``write_outputs`` aggregates their competence and
-waste as mean with a 95% confidence band.
+parallel processes) into a run directory; ``write_outputs`` aggregates
+their competence and waste as mean with a 95% confidence band.
 
 A trial is: select a goal from the current state, pick an arm's expert,
 attempt the goal (an idealized Bernoulli draw, or a full arm rollout that
@@ -27,7 +27,7 @@ import signal
 import tempfile
 import threading
 from array import array
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import chain, count, repeat
 from operator import floordiv
@@ -57,6 +57,8 @@ from .world import (
 )
 
 log = logging.getLogger(__name__)
+
+OUT_DIR_ENV = "LIGHTUP_OUT"  # the command line's default ``out_dir``
 
 
 class System(NamedTuple):
@@ -164,8 +166,8 @@ class ReplicationSeries:
     (``state_key`` to ``steps``) is trial i + 1, of epoch i // trials_per_epoch;
     ``Simulation.run_trial`` appends to them. Entry i of ``competence`` holds
     each goal's competence, in goal order, at ``evaluation_points(cfg)[i]``;
-    the waste up to trial t is ``achievable.count(0, 0, t)``. A writing
-    ``run_experiment`` keeps only these two columns (the rest are in ``trials.csv``)."""
+    the waste up to trial t is ``achievable.count(0, 0, t)``. ``run_experiment``
+    keeps only these two columns (the rest are in ``trials.csv``)."""
 
     replication: int
     state_key: list[str] = field(default_factory=list)
@@ -441,6 +443,28 @@ def _replication_worker(args) -> ReplicationSeries:
 
 
 @contextmanager
+def holding_ctrl_c():
+    """Hold a Ctrl-C that comes while the block runs, and raise it once the block ends.
+
+    SIGINT is blocked in this thread, so in any process it starts too. The
+    kernel then hands it to another thread (such as numpy's OpenBLAS
+    threads), and Python would still raise it here, inside the block; so in
+    the main thread, the only one that may set a handler, a handler records it.
+    """
+    held, main = [], threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGINT, lambda *_: held.append(True)) if main else None
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # runs the handler of a Ctrl-C the mask held
+        if main:
+            signal.signal(signal.SIGINT, previous)
+    if held:
+        raise KeyboardInterrupt
+
+
+@contextmanager
 def _replications(cfg: ExperimentConfig):
     """The replications' series in replication order, each as it finishes; leaving stops any workers."""
     jobs = [(cfg, rep) for rep in range(cfg.replications)]
@@ -449,69 +473,52 @@ def _replications(cfg: ExperimentConfig):
         return
     import multiprocessing  # here, not at the top: it adds about 0.4 MB to a serial run
 
-    # The workers start with SIGINT blocked and keep it blocked, so a
-    # Ctrl-C interrupts only this process, and leaving the pool stops them.
-    # A Ctrl-C while the pool starts is held (``Pool()`` stops the workers it
-    # started only on an Exception) and raised once leaving the pool stops
-    # them. Only the main thread may set a handler, and only it gets KeyboardInterrupt.
-    held, main = [], threading.current_thread() is threading.main_thread()
-    previous = signal.signal(signal.SIGINT, lambda *_: held.append(True)) if main else None
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pool = multiprocessing.Pool(min(cfg.jobs, cfg.replications))
-    except BaseException:
-        if main:
-            signal.signal(signal.SIGINT, previous)
-        raise
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    with pool:
-        if main:
-            signal.signal(signal.SIGINT, previous)
-        if held:
-            raise KeyboardInterrupt
+    # The workers start with SIGINT blocked and keep it blocked, so a Ctrl-C
+    # interrupts only this process, and leaving the pool stops them. A Ctrl-C
+    # while the pool starts is held (``Pool()`` stops the workers it started
+    # only on an Exception) and raised once the pool is entered.
+    with ExitStack() as stack:
+        with holding_ctrl_c():
+            pool = stack.enter_context(multiprocessing.Pool(min(cfg.jobs, cfg.replications)))
         yield pool.imap(_replication_worker, jobs, chunksize=1)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ReplicationSeries]:
-    """Run all replications and return their series in replication order,
-    writing the run's files to ``cfg.out_dir`` if it is set.
+    """Run all replications into ``cfg.out_dir`` and return each one's
+    ``replication``, ``competence`` and ``achievable``, in replication order
+    (``Simulation(cfg, r).run()`` gives replication r with every column).
 
-    A sphere that neither arm can touch raises ConfigError, and an
-    ``out_dir`` that is a file or lies under one raises NotADirectoryError,
-    before any replication starts.
-
-    A writing run holds one replication's trial columns at a time: it streams
-    each, in order, to ``trials.csv`` in a temporary directory beside ``out_dir``
-    and returns the series with only ``competence`` and ``achievable``. A run
-    that raises, Ctrl-C included, removes that directory and leaves ``out_dir`` as it was.
+    A config without ``out_dir`` or with a sphere that neither arm can touch
+    raises ConfigError, and an ``out_dir`` that is a file or lies under one
+    NotADirectoryError, before any replication starts. The run streams each
+    replication's trials, in order, to ``trials.csv`` in a temporary directory
+    inside the nearest existing directory on ``out_dir``'s path; a run that
+    raises, Ctrl-C included, removes it and leaves every directory as it was.
     """
+    if not cfg.out_dir:
+        raise ConfigError(f"no output directory: pass --out or set ${OUT_DIR_ENV}")
     bad = unreachable_goals(cfg.scenario, cfg.arm)
     if bad:
         raise ConfigError(f"sphere(s) outside arm reach: {', '.join(bad)}")
-    if not cfg.out_dir:
-        with _replications(cfg) as runs:
-            return list(runs)
     existing = os.path.abspath(cfg.out_dir)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         raise NotADirectoryError(errno.ENOTDIR, "not a directory", existing)
-    os.makedirs(parent := os.path.dirname(os.path.abspath(cfg.out_dir)), exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".lightup-", dir=parent) as staging:
-        with open(os.path.join(staging, "trials.csv"), "w", encoding="utf-8", newline="") as fh, \
-                _replications(cfg) as runs:
-            fh.write("replication,trial,epoch,state_key,goal,achievable,achieved,reward,steps\n")
-            trials = csv.writer(fh, lineterminator="\n")
+    series = []
 
-            def write_trials(s: ReplicationSeries) -> ReplicationSeries:
-                epochs = map(floordiv, count(), repeat(cfg.scenario.trials_per_epoch))
-                trials.writerows(zip(repeat(s.replication), count(1), epochs, s.state_key, s.goal,
-                                     s.achievable, s.achieved, s.reward, s.steps))
-                return ReplicationSeries(s.replication, achievable=s.achievable, competence=s.competence)
+    def trial_rows(s: ReplicationSeries):
+        series.append(ReplicationSeries(s.replication, achievable=s.achievable, competence=s.competence))
+        epochs = map(floordiv, count(), repeat(cfg.scenario.trials_per_epoch))
+        return zip(repeat(s.replication), count(1), epochs, s.state_key, s.goal,
+                   s.achievable, s.achieved, s.reward, s.steps)
 
-            # map, not a for loop: no name holds a written series while the next one runs.
-            series = list(map(write_trials, runs))
+    with tempfile.TemporaryDirectory(prefix=".lightup-", dir=existing) as staging:
+        with _replications(cfg) as runs:
+            # Chained, not looped: no name holds a written series while the next one runs.
+            _write_csv(staging, "trials.csv", ["replication", "trial", "epoch", "state_key", "goal",
+                                               "achievable", "achieved", "reward", "steps"],
+                       chain.from_iterable(map(trial_rows, runs)))
         write_outputs(cfg, cfg.out_dir, series, staging)
     return series
 

@@ -295,7 +295,7 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, command):
 def test_run_without_out_dir_exits_2(capsys, monkeypatch):
     monkeypatch.delenv("LIGHTUP_OUT", raising=False)
     assert run_cli("run", "--scenario", "1", "--trials", "50", "--replications", "1") == 2
-    assert "output directory" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: no output directory: pass --out or set $LIGHTUP_OUT\n"
 
 
 def test_out_dir_env_var_default(tmp_path, monkeypatch):
@@ -488,10 +488,17 @@ def test_validate_scenario_flag_overrides_config(tmp_path, capsys):
     ("positions", [[0.45, 0.4]] * 6, "positions must be a mapping"),
     ("goals", [1, 2], "goal label 1 is not text; put it in quotes"),
     ("goals", [True, False], "goal label True is not text; put it in quotes"),
+    ("goals", [*"abcdef", "a"], "duplicate goal labels in ('a', 'b', 'c', 'd', 'e', 'f', 'a')"),
+    ("context_prob_on", 1.5, "context_prob_on 1.5 outside [0, 1]"),
+    ("reset_policy", "sometimes", "reset_policy 'sometimes'; expected one of ('per_trial', 'per_epoch')"),
+    ("goals", None, "scenario is missing the 'goals' list"),
+    ("positions", {lab: [0.45, 0.4] for lab in "bcdef"}, "positions missing for goals ['a']"),
+    ("rules", [{"requires_on": ["a"]}], "rule entry missing 'goal': {'requires_on': ['a']}"),
 ], ids=["total_trials-text", "trials_per_epoch-fraction", "context_prob_on-text",
         "context_prob_on-bool", "requires_context-text", "position-one_number", "goals-text",
         "unknown_key", "rule-unknown_key", "rules-mapping", "requires_on-text", "requires_on-nested",
-        "positions-list", "goals-numbers", "goals-yes_no"])
+        "positions-list", "goals-numbers", "goals-yes_no", "goals-duplicate", "context_prob_on-above_1",
+        "reset_policy-unknown", "goals-missing", "positions-missing_goal", "rule-without_goal"])
 def test_mistyped_scenario_value_exits_2(tmp_path, capsys, key, value, message):
     path = tmp_path / "scn.yaml"
     path.write_text(yaml.safe_dump({**tiny_scenario_dict(), key: value}))
@@ -499,6 +506,13 @@ def test_mistyped_scenario_value_exits_2(tmp_path, capsys, key, value, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+def test_empty_scenario_file_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "scn.yaml"
+    path.write_text("")
+    assert run_cli("validate", "--scenario", str(path)) == 2
+    assert capsys.readouterr().err == f"error: scenario file {path} is empty\n"
 
 
 @pytest.mark.parametrize("command, data, message", [

@@ -525,14 +525,15 @@ def test_failing_write_leaves_out_dir_as_it_was(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("error, jobs", [(NumericsError, 1), (NumericsError, 2), (KeyboardInterrupt, 1)])
-@pytest.mark.parametrize("older", [False, True])
+@pytest.mark.parametrize("older", [False, True, "nested"])
 def test_a_run_that_dies_mid_way_leaves_nothing_half_written(tmp_path, monkeypatch, error, jobs, older):
     # Replication 1 of 3 raises after replication 0's rows were streamed to
     # the temporary trials.csv: the run directory is absent, or holds the
-    # older run written there first, and no temporary directory is left.
-    out = tmp_path / "run"
+    # older run written there first, and no temporary directory is left. A
+    # run into a missing a/b/run makes neither a nor b.
+    out = tmp_path / "a" / "b" / "run" if older == "nested" else tmp_path / "run"
     cfg = small_cfg(1, 100, replications=3, seed=4, jobs=jobs, out_dir=str(out))
-    if older:
+    if older is True:
         run_experiment(replace(cfg, seed=3))
         before = run_dir_bytes(out)
     run = Simulation.run
@@ -545,9 +546,21 @@ def test_a_run_that_dies_mid_way_leaves_nothing_half_written(tmp_path, monkeypat
     monkeypatch.setattr(Simulation, "run", dies_in_replication_1)  # forked workers inherit it
     with pytest.raises(error, match="replication 1 died"):
         run_experiment(cfg)
-    assert os.listdir(tmp_path) == (["run"] if older else [])
-    if older:
+    assert os.listdir(tmp_path) == (["run"] if older is True else [])
+    if older is True:
         assert run_dir_bytes(out) == before
+
+
+def test_run_experiment_refuses_a_config_without_out_dir_before_any_trial(tmp_path, monkeypatch):
+    def no_trial(self):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(Simulation, "run_trial", no_trial)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError) as caught:
+        run_experiment(ExperimentConfig(scenario=1))
+    assert str(caught.value) == "no output directory: pass --out or set $LIGHTUP_OUT"
+    assert os.listdir(tmp_path) == []
 
 
 def test_rerun_replaces_the_whole_run_directory(tmp_path):
@@ -656,7 +669,7 @@ def test_jobs_above_replications_starts_one_worker_per_replication(tmp_path, mon
 # in the main thread then, so the kernel hands it to another thread, as it
 # does to numpy's OpenBLAS threads in a run; the idle thread stands in for them.
 INTERRUPTED_POOL_START = """
-import multiprocessing, os, signal, threading, time
+import multiprocessing, os, signal, sys, threading, time
 from dataclasses import replace
 from multiprocessing.pool import Pool
 from lightup.experiment import ExperimentConfig, run_experiment
@@ -673,31 +686,33 @@ Pool._repopulate_pool = interrupted_start
 threading.Thread(target=threading.Event().wait, daemon=True).start()
 try:
     run_experiment(ExperimentConfig(scenario=replace(builtin_scenario(1), total_trials=50),
-                                    replications=2, jobs=2))
+                                    replications=2, jobs=2, out_dir=sys.argv[1]))
 except KeyboardInterrupt:
     print("workers alive:", len(multiprocessing.active_children()))
 """
 
 
-def test_ctrl_c_while_the_pool_starts_leaves_no_worker_alive():
+def test_ctrl_c_while_the_pool_starts_leaves_no_worker_alive(tmp_path):
     src = os.path.dirname(os.path.dirname(lightup.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", INTERRUPTED_POOL_START], env=env,
+    done = subprocess.run([sys.executable, "-c", INTERRUPTED_POOL_START, str(tmp_path / "run")], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout == "workers alive: 0\n", done.stderr
+    assert os.listdir(tmp_path) == []
 
 
-def test_parallel_run_from_a_thread_matches_serial():
+def test_parallel_run_from_a_thread_matches_serial(tmp_path):
     # Only the main thread may set a signal handler: a run started from
     # another thread starts its pool without one.
-    cfg = small_cfg(2, 100, system="c_grail", seed=3, jobs=2)
+    cfg = small_cfg(2, 100, system="c_grail", seed=3, jobs=2, out_dir=str(tmp_path / "thread"))
     results = []
     thread = threading.Thread(target=lambda: results.append(run_experiment(cfg)))
     thread.start()
     thread.join(timeout=60)
     assert len(results) == 1
-    assert results[0] == run_experiment(replace(cfg, jobs=1))
-
+    assert results[0] == run_experiment(replace(cfg, jobs=1, out_dir=str(tmp_path / "serial")))
+    assert run_dir_bytes(tmp_path / "thread") == run_dir_bytes(tmp_path / "serial")
+    assert sorted(os.listdir(tmp_path)) == ["serial", "thread"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -736,24 +751,22 @@ def test_trials_csv_rows_are_the_trial_records_of_run_trial(tmp_path, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_replication_r_is_seeded_by_the_config_seed_plus_r(jobs, tmp_path, monkeypatch):
+def test_replication_r_is_seeded_by_the_config_seed_plus_r(jobs, tmp_path):
     # Simulation(cfg, r) runs replication r of run_experiment(cfg), in a
     # worker process or not, from the generator of seed cfg.seed + r. The run
-    # returns the replications' series in order and writes nothing without an
-    # out_dir. A writing run returns each series' replication, competence and
-    # achievable, and its trials.csv holds the other columns.
-    cfg = small_cfg(2, 200, system="c_grail", replications=3, seed=7, jobs=jobs)
-    monkeypatch.chdir(tmp_path)
-    series = run_experiment(cfg)
-    assert os.listdir(tmp_path) == []
+    # returns each replication's series, in order, with its replication,
+    # competence and achievable, and its trials.csv holds the other columns.
+    cfg = small_cfg(2, 200, system="c_grail", replications=3, seed=7, jobs=jobs, out_dir=str(tmp_path / "run"))
+    series = [Simulation(cfg, r).run() for r in range(3)]
     assert len(series) == 3 and series[0] != replace(series[1], replication=0)
-    assert series == [Simulation(cfg, r).run() for r in range(3)]
+    assert [s.replication for s in series] == [0, 1, 2]
     for r in range(3):
         shifted = replace(cfg, seed=cfg.seed + r)
         assert replace(Simulation(shifted).run(), replication=r) == series[r]
-    written = run_experiment(replace(cfg, out_dir=str(tmp_path / "run")))
+    written = run_experiment(cfg)
     assert written == [ReplicationSeries(s.replication, achievable=s.achievable, competence=s.competence)
                        for s in series]
+    assert os.listdir(tmp_path) == ["run"]
     assert len(run_dir_bytes(tmp_path / "run")) == 6
     with open(tmp_path / "run" / "trials.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]

@@ -134,6 +134,26 @@ def _drop_last_row(rows):
     return len(rows)
 
 
+def _achieved_two(rows):
+    rows[9][rows[0].index("achieved")] = "2"
+    return 9
+
+
+def _letter_in_key(rows):
+    rows[3][rows[0].index("state_key")] = "01x/0"
+    return 3
+
+
+def _five_bit_key(rows):
+    rows[4][rows[0].index("state_key")] = "01001/0"
+    return 4
+
+
+def _row_after_the_last_replication(rows):
+    rows.append(rows[-1][:])
+    return len(rows) - 1
+
+
 def _delete_file(rows):
     rows.clear()  # no rows left: the test deletes trials.csv
     return None
@@ -147,6 +167,11 @@ CORRUPT_TRIALS = {
     "unknown-goal": (_unknown_goal, "unknown goal 'z'"),
     "swapped-rows": (_swap_rows, "replication 0 trial 6 where replication 0 trial 5 belongs"),
     "incomplete-replication": (_drop_last_row, "replication 1 ends after 302 of 303 trials"),
+    "achieved-two": (_achieved_two, "achieved must be 0 or 1, got '2'"),
+    "letter-in-state-key": (_letter_in_key, "state key '01x/0' is not sphere bits, '/' and a context bit"),
+    "five-bit-state-key": (_five_bit_key, "state key '01001/0' is not 6 sphere bits"),
+    "row-after-the-last-replication": (_row_after_the_last_replication,
+                                       "a row after the last of 2 replications of 303 trials"),
 }
 
 

@@ -516,6 +516,7 @@ NOT_TEXT = "is not text; put it in quotes (YAML reads unquoted numbers and yes/n
     (lambda: Goal(["x"], (0.3, 0.5)), {"goals": ["a", ["x"]]}, f"goal label ['x'] {NOT_TEXT}"),
     (lambda: Goal("b", (0.3, 0.5), requires_on=["a"]), None, "goal 'b' requires_on must be an integer, got 'a'"),
     (lambda: Goal("b", (0.3, 0.5), requires_on=[True]), None, "goal 'b' requires_on must be an integer, got True"),
+    (lambda: Goal("b", (0.3, 0.5), requires_on=[2]), None, "rule for 'b' references goal index 2"),
     (lambda: Goal("b", (0.3, 0.5), requires_context=0.5), two_goal_file(requires_context=0.5),
      "goal 'b' requires_context 0.5; must be 0.0 or 1.0"),
     (lambda: Goal("b", [0.3]), two_goal_file([0.3]), "goal 'b' position (0.3,) must be two finite numbers"),
@@ -527,7 +528,7 @@ NOT_TEXT = "is not text; put it in quotes (YAML reads unquoted numbers and yes/n
     (lambda: {"label": "b"}, None, "goals[1] is missing ['position']"),
 ], ids=["position-list", "position-array", "position-text", "requires_on-list", "requires_on-set",
         "blocked_by-np_int64", "goal-mapping", "requires_context-text", "label-int", "label-list",
-        "requires_on-label", "requires_on-bool", "requires_context-half", "position-one", "position-three",
+        "requires_on-label", "requires_on-bool", "requires_on-past_the_last", "requires_context-half", "position-one", "position-three",
         "position-nan", "position-2d_array", "goal-mapping-no_position"])
 def test_python_goals_take_the_file_path(tmp_path, capsys, make_b, data, error):
     # A goal built in Python is cast and checked as a scenario file's is: it
