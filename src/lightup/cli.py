@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import logging
 import math
 import os
 import sys
@@ -23,15 +22,12 @@ from .errors import ConfigError, NumericsError
 from .inputs import read_csv, read_yaml
 from .svgplot import Chart, Series, render_panels
 
-log = logging.getLogger("lightup")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lightup",
         description="Autonomous learning of interrelated sphere-activation tasks.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="chatty logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment and write CSV metrics")
@@ -83,12 +79,7 @@ def cmd_run(args) -> int:
     if args.print_config:
         print(yaml.safe_dump(exp.config_to_dict(cfg), sort_keys=True), end="")
         return 0
-    log.info("running %s on scenario %s: %d replications x %d trials",
-             cfg.system, cfg.scenario.name, cfg.replications, cfg.scenario.total_trials)
-    series = exp.run_experiment(cfg)
-    finals = zip(cfg.scenario.labels, series[0].competence[-1])
-    log.info("replication 0 final competence: %s",
-             " ".join(f"{k}={v:.2f}" for k, v in sorted(finals)))
+    exp.run_experiment(cfg)
     print(f"wrote {cfg.out_dir}/trials.csv, competence.csv, wasted.csv (+ _agg, run.yaml)")
     return 0
 
@@ -198,10 +189,6 @@ def cmd_values(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     handlers = {"run": cmd_run, "plot": cmd_plot, "validate": cmd_validate, "values": cmd_values}
     try:
         if args.command != "plot":  # a Ctrl-C while numpy first imports numpy.random is lost in its init

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import csv
 import errno
-import logging
 import math
 import os
 import signal
+import sys
 import tempfile
 import threading
+import time
 from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, field
@@ -55,8 +56,6 @@ from .world import (
     scenario_from_dict,
     scenario_to_dict,
 )
-
-log = logging.getLogger(__name__)
 
 OUT_DIR_ENV = "LIGHTUP_OUT"  # the command line's default ``out_dir``
 
@@ -408,21 +407,13 @@ class Simulation:
 
     def run(self) -> ReplicationSeries:
         """Run every trial into ``self.series`` and return it, measuring
-        competence at each of ``evaluation_points(cfg)``. A point after
-        trial 0 also logs one progress line.
-        """
+        competence at each of ``evaluation_points(cfg)``."""
         cfg, series = self.cfg, self.series
         goals = range(self.spec.n_goals)
         for t in evaluation_points(cfg):
             for _ in range(t - len(series.goal)):
                 self.run_trial()
-            values = [self.measure_competence(g) for g in goals]
-            series.competence.append(values)
-            if t == 0:
-                continue
-            log.info("replication %d, trial %d/%d: mean competence %.3f, cumulative waste %d",
-                     series.replication, t, self.spec.total_trials,
-                     sum(values) / len(values), series.achievable.count(0))
+            series.competence.append([self.measure_competence(g) for g in goals])
         return series
 
 
@@ -494,7 +485,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReplicationSeries]:
     replication's trials, in order, to ``trials.csv`` in a temporary directory
     inside the nearest existing directory on ``out_dir``'s path; a run that
     raises, Ctrl-C included, removes it and leaves every directory as it was.
+
+    As each replication's series arrives, in replication order, it prints one
+    progress line to stderr: ``replication r of N: mean competence m,
+    cumulative waste w, t s``, with m the mean of its final competence, w
+    its wasted trials and t the seconds since the run started.
     """
+    started = time.monotonic()
     if not cfg.out_dir:
         raise ConfigError(f"no output directory: pass --out or set ${OUT_DIR_ENV}")
     bad = unreachable_goals(cfg.scenario, cfg.arm)
@@ -509,6 +506,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ReplicationSeries]:
 
     def trial_rows(s: ReplicationSeries):
         series.append(ReplicationSeries(s.replication, achievable=s.achievable, competence=s.competence))
+        final = s.competence[-1]
+        print(f"replication {s.replication} of {cfg.replications}: mean competence {sum(final) / len(final):.3f}, "
+              f"cumulative waste {s.achievable.count(0)}, {time.monotonic() - started:.1f} s",
+              file=sys.stderr, flush=True)
         epochs = map(floordiv, count(), repeat(cfg.scenario.trials_per_epoch))
         return zip(repeat(s.replication), count(1), epochs, s.state_key, s.goal,
                    s.achievable, s.achieved, s.reward, s.steps)

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -115,6 +116,64 @@ def test_underflowing_temperature_exits_3(tmp_path, capsys):
                    "--replications", "1", "--out", str(tmp_path / "x"))
     assert code == 3
     assert capsys.readouterr().err.startswith("numeric failure")
+
+
+# -- progress ------------------------------------------------------------------
+
+PROGRESS = re.compile(r"replication (\d+) of (\d+): mean competence (\d\.\d{3}), cumulative waste (\d+), \d+\.\d s")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_prints_one_progress_line_per_replication_in_order(tmp_path, capfd, jobs):
+    out = tmp_path / "run"
+    assert run_cli("run", "--scenario", "1", "--trials", "100", "--replications", "2", "--jobs", jobs,
+                   "--out", str(out)) == 0
+    stdout, err = capfd.readouterr()
+    assert stdout == f"wrote {out}/trials.csv, competence.csv, wasted.csv (+ _agg, run.yaml)\n"
+    with open(out / "competence.csv", newline="") as fh:
+        final = [r for r in csv.DictReader(fh) if r["trial_index"] == "100"]
+    with open(out / "wasted.csv", newline="") as fh:
+        wasted = {r["replication"]: r["cumulative_wasted"] for r in csv.DictReader(fh) if r["interval_end"] == "100"}
+    expected = []
+    for rep in "01":
+        values = [float(r["competence"]) for r in final if r["replication"] == rep]
+        expected.append((rep, "2", f"{sum(values) / len(values):.3f}", wasted[rep]))
+    matches = [PROGRESS.fullmatch(line) for line in err.splitlines()]
+    assert all(matches), err
+    assert [m.groups() for m in matches] == expected
+
+
+def test_run_with_an_unreachable_sphere_prints_one_error_line(tmp_path, capfd):
+    bad = tiny_scenario_dict()
+    bad["positions"] = {lab: [0.45, 0.4] for lab in "abcdef"}
+    bad["positions"]["c"] = [5.0, 5.0]
+    path = tmp_path / "far.yaml"
+    path.write_text(yaml.safe_dump(bad))
+    assert run_cli("run", "--scenario", str(path), "--replications", "2", "--out", str(tmp_path / "run")) == 2
+    assert capfd.readouterr() == ("", "error: sphere(s) outside arm reach: c\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_numeric_failure_in_replication_0_prints_no_progress_line(tmp_path, capfd, monkeypatch):
+    from lightup import cli
+    from lightup.errors import NumericsError
+
+    def boom(self):
+        raise NumericsError("expert parameter went non-finite")
+
+    monkeypatch.setattr(cli.exp.Simulation, "run_trial", boom)
+    code = run_cli("run", "--scenario", "1", "--trials", "50", "--replications", "2", "--jobs", "1",
+                   "--out", str(tmp_path / "x"))
+    assert code == 3
+    assert capfd.readouterr() == ("", "numeric failure: expert parameter went non-finite\n")
+
+
+def test_verbose_flag_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("-v", "run", "--scenario", "1", "--out", str(tmp_path / "run"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -v" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 # Config values out of their range: (field, value).
@@ -351,7 +410,7 @@ def test_config_file_plus_overrides(tmp_path, capsys):
 
 
 # Each run flag's dest names the ExperimentConfig field it sets, save these.
-NON_FIELD_DESTS = {"config", "trials", "print_config", "command", "verbose"}
+NON_FIELD_DESTS = {"config", "trials", "print_config", "command"}
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 # A value other than the default for each field flag.
 FLAG_VALUES = {"scenario": "2", "system": "c_grail", "backend": "actor_critic", "seed": "5",
@@ -594,13 +653,13 @@ def test_ctrl_c_exits_130_without_a_traceback_or_a_run_directory(tmp_path, jobs)
     # Ctrl-C reaches the whole process group, workers included; the run
     # must report it once, exit 130 and write nothing.
     out = tmp_path / "run"
-    proc = cli_process("-v", "run", "--scenario", "3", "--replications", "200", "--jobs", jobs, "--out", str(out),
+    proc = cli_process("run", "--scenario", "3", "--replications", "200", "--jobs", jobs, "--out", str(out),
                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True)
     watchdog = threading.Timer(60.0, os.killpg, (proc.pid, signal.SIGKILL))
     watchdog.start()
     try:
         for line in proc.stderr:
-            if ": replication " in line:  # a progress line: trials are running
+            if line.startswith("replication 0 of 200:"):  # a progress line: trials are running
                 break
         os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate()
@@ -652,6 +711,28 @@ def test_ctrl_c_while_numpy_imports_numpy_random_exits_130(tmp_path, command):
     assert proc.stdout == "[True]\n", proc.stderr
     assert (proc.returncode, proc.stderr) == (130, "interrupted\n")
     assert not out.exists()
+
+
+# Runs lightup.cli.main, then prints which of the named modules it loaded.
+LOADED_MODULES = """
+import sys
+from lightup.cli import main
+
+code = main(sys.argv[1:])
+print(sorted({"logging", "multiprocessing"} & set(sys.modules)))
+sys.exit(code)
+"""
+
+
+def test_serial_run_loads_neither_logging_nor_multiprocessing(tmp_path):
+    # multiprocessing is imported only where a pool starts; progress lines are plain prints.
+    src = os.path.dirname(os.path.dirname(lightup.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, "run", "--scenario", "1", "--trials", "50",
+                           "--replications", "2", "--jobs", "1", "--out", str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("reader", ["reads-one-line", "reads-nothing"])
@@ -765,6 +846,7 @@ def test_plot_of_a_corrupt_run_file_exits_2_naming_it(tmp_path, capsys, case):
     path = out / name
     path.write_bytes(corrupt(path.read_text()))
     svg_path = tmp_path / "bad.svg"
+    capsys.readouterr()
     assert run_cli("plot", str(out), "--out", str(svg_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err

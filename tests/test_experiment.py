@@ -1,8 +1,8 @@
 """Trial loop, scheduling, metrics, aggregation, CSV output, reproducibility."""
 
 import csv
-import logging
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -591,23 +591,19 @@ def test_bitwise_reproducibility(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
-def test_progress_logs_one_line_per_replication_and_interval(tmp_path, caplog):
-    # 120 trials at interval 50: evaluations at 50, 100 and the final 120.
+def test_progress_prints_one_line_per_replication(tmp_path, capfd):
     quiet, loud = tmp_path / "quiet", tmp_path / "loud"
     run_experiment(small_cfg(3, 120, system="m_grail", seed=8, out_dir=str(quiet)))
-    caplog.clear()
+    capfd.readouterr()
     cfg = small_cfg(3, 120, system="m_grail", seed=8, out_dir=str(loud))
-    with caplog.at_level(logging.INFO, logger="lightup"):
-        series = run_experiment(cfg)
-    lines = [r.getMessage() for r in caplog.records if r.name == "lightup.experiment"]
-    expected = []
-    points = evaluation_points(cfg)
-    for s in series:
-        for end, values in zip(points[1:], s.competence[1:], strict=True):
-            expected.append(f"replication {s.replication}, trial {end}/120: "
-                            f"mean competence {sum(values) / len(values):.3f}, "
-                            f"cumulative waste {s.achievable.count(0, 0, end)}")
-    assert lines == expected and len(lines) == 6
+    series = run_experiment(cfg)
+    lines = capfd.readouterr().err.splitlines()
+    expected = [f"replication {s.replication} of 2: "
+                f"mean competence {sum(s.competence[-1]) / len(s.competence[-1]):.3f}, "
+                f"cumulative waste {s.achievable.count(0)}, " for s in series]
+    assert len(lines) == len(expected) == 2
+    for line, start in zip(lines, expected):
+        assert re.fullmatch(re.escape(start) + r"\d+\.\d s", line), line
     assert sorted(os.listdir(quiet)) == sorted(os.listdir(loud))
     for name in os.listdir(quiet):
         assert (quiet / name).read_bytes() == (loud / name).read_bytes()
