@@ -191,7 +191,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"run": cmd_run, "plot": cmd_plot, "validate": cmd_validate, "values": cmd_values}
     try:
-        if args.command != "plot":  # a Ctrl-C while numpy first imports numpy.random is lost in its init
+        # A Ctrl-C while numpy first imports numpy.random is lost in its init, so the commands
+        # that draw import it here; `plot` and `run --print-config` draw nothing and skip its 5.5 MB.
+        if args.command != "plot" and not getattr(args, "print_config", False):
             with exp.holding_ctrl_c():
                 import numpy.random  # noqa: F401
         code = handlers[args.command](args)

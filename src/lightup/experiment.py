@@ -163,10 +163,11 @@ class ExperimentConfig:
 class ReplicationSeries:
     """Everything recorded for one replication. Entry i of each trial column
     (``state_key`` to ``steps``) is trial i + 1, of epoch i // trials_per_epoch;
-    ``Simulation.run_trial`` appends to them. Entry i of ``competence`` holds
-    each goal's competence, in goal order, at ``evaluation_points(cfg)[i]``;
-    the waste up to trial t is ``achievable.count(0, 0, t)``. ``run_experiment``
-    keeps only these two columns (the rest are in ``trials.csv``)."""
+    ``Simulation.run_trial`` appends to them. Entry i of ``competence``, an
+    ``array('d')``, holds each goal's competence, in goal order, at
+    ``evaluation_points(cfg)[i]``; the waste up to trial t is
+    ``achievable.count(0, 0, t)``. ``run_experiment`` keeps only these two
+    columns (the rest are in ``trials.csv``)."""
 
     replication: int
     state_key: list[str] = field(default_factory=list)
@@ -175,7 +176,7 @@ class ReplicationSeries:
     achieved: bytearray = field(default_factory=bytearray)
     reward: array = field(default_factory=lambda: array("d"))
     steps: array = field(default_factory=lambda: array("q"))
-    competence: list[list[float]] = field(default_factory=list)
+    competence: list[array] = field(default_factory=list)
 
 
 def evaluation_points(cfg: ExperimentConfig) -> list[int]:
@@ -413,7 +414,8 @@ class Simulation:
         for t in evaluation_points(cfg):
             for _ in range(t - len(series.goal)):
                 self.run_trial()
-            series.competence.append([self.measure_competence(g) for g in goals])
+            # Machine doubles: a row of float objects held about 43 bytes per value, this about 24.
+            series.competence.append(array("d", (self.measure_competence(g) for g in goals)))
         return series
 
 

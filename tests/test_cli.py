@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import json
 import math
 import os
 import re
@@ -713,26 +714,38 @@ def test_ctrl_c_while_numpy_imports_numpy_random_exits_130(tmp_path, command):
     assert not out.exists()
 
 
-# Runs lightup.cli.main, then prints which of the named modules it loaded.
+# Runs lightup.cli.main once per argument list of the JSON list it is given,
+# then prints which of the named modules the interpreter loaded.
 LOADED_MODULES = """
-import sys
+import json, sys
 from lightup.cli import main
 
-code = main(sys.argv[1:])
-print(sorted({"logging", "multiprocessing"} & set(sys.modules)))
-sys.exit(code)
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(sorted({"html", "logging", "multiprocessing", "numpy.random"} & set(sys.modules))))
+sys.exit(max(codes))
 """
 
 
-def test_serial_run_loads_neither_logging_nor_multiprocessing(tmp_path):
-    # multiprocessing is imported only where a pool starts; progress lines are plain prints.
+def loaded_modules(*commands: list[str]) -> list[str]:
     src = os.path.dirname(os.path.dirname(lightup.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, "run", "--scenario", "1", "--trials", "50",
-                           "--replications", "2", "--jobs", "1", "--out", str(tmp_path / "run")],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_serial_run_and_plot_load_none_of_html_logging_or_multiprocessing(tmp_path):
+    # multiprocessing is imported only where a pool starts, progress lines
+    # are plain prints, and svgplot escapes its text itself.
+    out = str(tmp_path / "run")
+    assert loaded_modules(["run", "--scenario", "1", "--trials", "50", "--replications", "2", "--jobs", "1",
+                           "--out", out], ["plot", out]) == ["numpy.random"]
+
+
+def test_print_config_loads_no_numpy_random():
+    # It runs no trial, so it draws nothing (numpy.random loads OpenSSL, about 5.5 MB).
+    assert loaded_modules(["run", "--scenario", "3", "--print-config"]) == []
 
 
 @pytest.mark.parametrize("reader", ["reads-one-line", "reads-nothing"])

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+from array import array
 from collections import defaultdict
 from dataclasses import replace
 
@@ -789,9 +790,9 @@ def test_run_trial_appends_to_every_column_and_run_returns_the_series():
 
     fresh = Simulation(cfg, 4)
     assert fresh.run() is fresh.series
-    # One competence row per evaluation point, trial 0 and 42, in goal order.
+    # One competence row of doubles per evaluation point, trial 0 and 42, in goal order.
     assert len(fresh.series.competence) == len(evaluation_points(cfg)) == 2
-    assert fresh.series.competence[-1] == [fresh.measure_competence(g) for g in range(6)]
+    assert fresh.series.competence[-1] == array("d", [fresh.measure_competence(g) for g in range(6)])
     assert [len(c) for c in (fresh.series.goal, fresh.series.steps)] == [42, 42]
     assert fresh.series.goal[:7] == series.goal and fresh.series.reward[:7] == series.reward
 
@@ -826,6 +827,28 @@ def test_a_replication_keeps_its_trials_in_under_100_bytes_each():
         tracemalloc.stop()
     assert len(series.goal) == 6000
     assert kept / 6000 <= 100  # one record object per trial kept 191
+
+
+def test_a_run_keeps_its_competence_in_under_30_bytes_per_value(tmp_path):
+    # run_experiment keeps each finished replication's competence rows until
+    # it has written the aggregates. Releasing the rows it returned frees
+    # what they held: about 25 bytes per value, where rows of float objects
+    # freed about 38 (a goal's competence before its first update is the
+    # config's own float object, which stays).
+    import tracemalloc
+
+    cfg = ExperimentConfig(scenario=3, system="m_grail", replications=1, seed=0, out_dir=str(tmp_path / "run"))
+    tracemalloc.start()
+    try:
+        (series,) = run_experiment(cfg)
+        assert len(series.competence) * len(series.competence[0]) == len(evaluation_points(cfg)) * 6 == 726
+        assert all(type(row) is array and row.typecode == "d" for row in series.competence)
+        held = tracemalloc.get_traced_memory()[0]
+        series.competence = []
+        kept = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept / 726 <= 30
 
 
 def test_a_writing_run_holds_one_replication_at_a_time(tmp_path):
